@@ -83,7 +83,6 @@ from .simulate import (
     execute_plan,
     sample_interventional,
     sample_observational,
-    select_unit,
 )
 from .bandits import (
     ExactTables,

@@ -93,10 +93,6 @@ class ScmModel:
     def exo_value(self, u: tuple, name: str) -> Value:
         return u[self._exo_index[name]]
 
-    def mechanism_inputs(self, v: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        m = self.mechanisms[v]
-        return m.parents, m.exogenous
-
     def evaluate(self, v: str, parent_values: Mapping[str, Value], u: tuple) -> Value:
         """Fire the mechanism for ``v`` with explicit parent values and the
         exogenous assignment ``u`` (full joint tuple)."""

@@ -41,7 +41,26 @@ from .queries import (
     normalize_term,
 )
 
-NATURAL = "Natural"  # tag meaning: the action must not be performed
+
+class _Natural:
+    """The tag meaning: the action must not be performed. A private
+    object, so that no domain value (not even the string "Natural") can
+    equal it. It prints as the string it replaced did, which keeps
+    plan, conflict and CLI text unchanged."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "'Natural'"
+
+    def __str__(self) -> str:
+        return "Natural"
+
+    def __reduce__(self) -> str:
+        return "NATURAL"
+
+
+NATURAL = _Natural()
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +355,7 @@ class RealizationPlan:
     def steps(self) -> tuple[PlanStep, ...]:
         performed: dict[str, list[tuple[Action, object]]] = {}
         for action, tag in self.tags:
-            if tag != NATURAL:
+            if tag is not NATURAL:
                 performed.setdefault(action.var, []).append((action, tag))  # type: ignore[arg-type]
         steps = []
         for v in self.diagram.topological_order():
@@ -348,7 +367,7 @@ class RealizationPlan:
 
     @cached_property
     def natural_constraints(self) -> tuple[Action, ...]:
-        return tuple(action for action, tag in self.tags if tag == NATURAL)
+        return tuple(action for action, tag in self.tags if tag is NATURAL)
 
     @cached_property
     def notes(self) -> tuple[str, ...]:
@@ -584,7 +603,7 @@ class RealizabilityChecker:
                     return None
         for t in q.terms:
             rand = self._rand.get(t.variable)
-            if rand is not None and tags.get(self._id[rand], NATURAL) != NATURAL:
+            if rand is not None and tags.get(self._id[rand], NATURAL) is not NATURAL:
                 return None
             if not self.actions.has_read(t.variable):
                 return None
@@ -617,7 +636,7 @@ class RealizabilityChecker:
             for ti in outputs.get(v, ()):
                 rand = self._rand.get(v)
                 rec = tracker.get(rand) if rand is not None else None
-                if rec is not None and rec.tag != NATURAL:
+                if rec is not None and rec.tag is not NATURAL:
                     conflict = Conflict(
                         variable=v,
                         failure=OUTPUT_ERASED,
@@ -678,7 +697,7 @@ class RealizabilityChecker:
 
     @staticmethod
     def _conflict_class(action: Action, required_tag: object) -> str:
-        if required_tag == NATURAL:
+        if required_tag is NATURAL:
             return (
                 NATURAL_CONFLICT_CTF if action.kind == CTF_RAND else NATURAL_CONFLICT_RAND
             )

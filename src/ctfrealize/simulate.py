@@ -18,10 +18,26 @@ Mechanisms fire lazily: reading a variable fires exactly the ancestors
 needed to produce it, with memoization, so agents need not act in
 topological order. Eager firing would only differ on malformed action
 sequences that a realization plan never produces.
+
+``draw_plan_batch``, ``sample_observational`` and
+``sample_interventional`` share one rejection executor that draws units
+in array blocks: selection by ``searchsorted`` over the exogenous CDF,
+every uniform device of the block in one ``integers`` call, and
+acceptance as a row-wise match of the draws against the required
+values. This is exact, not an approximation. The devices are uniform
+and drawn independently of the unit, and an accepted unit's draws equal
+the required values, so its output row depends only on its exogenous
+assignment ``u``. The executor therefore evaluates each distinct
+accepted ``u`` once, through a ``Unit`` whose devices are constant at
+the required values, and copies that row to every accepted unit with
+the same ``u``. ``Unit`` stays the only evaluator of mechanisms, and
+``execute_plan`` keeps the unit-at-a-time procedure as the reference
+and as the only path that takes custom devices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -30,10 +46,11 @@ import numpy as np
 from .errors import ActionError, ContainmentViolation, EstimationError, FCEViolation
 from .graphs import Value
 from .models import ScmModel
-from .queries import CtfQuery
+from .queries import CtfQuery, query, response
 from .realizability import (
     CTF_RAND,
     RAND,
+    Action,
     ActionSet,
     RealizationPlan,
     ctf_rand_action,
@@ -45,6 +62,10 @@ FIRED = "fired"
 ERASED = "erased"
 
 DEFAULT_MAX_REJECTIONS = 10**6
+# units per array block of the rejection executor: caps its memory (a
+# block holds one device draw per unit and randomization) whatever the
+# acceptance probability
+MAX_BLOCK_UNITS = 1 << 16
 
 
 class RandomDevice:
@@ -245,18 +266,14 @@ class Experiment:
         model: ScmModel,
         actions: ActionSet | None = None,
         seed: int | np.random.SeedSequence | None = None,
-        per_unit_streams: bool = False,
     ):
         self.model = model
         self.actions = actions
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._seed = ss
         select_ss, shared_ss = ss.spawn(2)
         self._select_rng = np.random.Generator(np.random.PCG64(select_ss))
         # one device stream shared by this experiment's units keeps unit
-        # creation cheap; pass per_unit_streams=True to spawn a substream
-        # per unit (needed only if single units migrate across threads)
-        self._per_unit_streams = per_unit_streams
+        # creation cheap
         self._shared_rng = np.random.Generator(np.random.PCG64(shared_ss))
         self._count = 0
         support = model.exogenous_support()
@@ -269,31 +286,12 @@ class Experiment:
         mechanisms unfired."""
         i = int(np.searchsorted(self._support_cum, self._select_rng.random(), side="right"))
         u = self._support_values[min(i, len(self._support_values) - 1)]
-        if self._per_unit_streams:
-            unit_rng = np.random.Generator(np.random.PCG64(self._seed.spawn(1)[0]))
-        else:
-            unit_rng = self._shared_rng
         self._count += 1
-        return Unit(self._count, self.model, u, unit_rng, self.actions)
+        return Unit(self._count, self.model, u, self._shared_rng, self.actions)
 
     @property
     def units_drawn(self) -> int:
         return self._count
-
-
-def select_unit(
-    model: ScmModel,
-    rng: np.random.Generator,
-    actions: ActionSet | None = None,
-    unit_id: int = 0,
-) -> Unit:
-    """Draw one unit directly (exogenous assignment from the population
-    distribution, mechanisms unfired)."""
-    support = model.exogenous_support()
-    probs = np.array([p for _, p in support], dtype=float)
-    probs /= probs.sum()
-    i = int(rng.choice(len(support), p=probs))
-    return Unit(unit_id, model, support[i][0], rng, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +315,14 @@ class SampleBatch:
             out[r] = out.get(r, 0.0) + 1.0
         n = max(len(self.rows), 1)
         return {k: v / n for k, v in out.items()}
+
+
+def _perform(unit: Unit, action: Action, device: RandomDevice) -> Value:
+    if action.kind == RAND:
+        return unit.rand(action.var, device)  # type: ignore[arg-type]
+    if action.kind == CTF_RAND:
+        return unit.ctf_rand(action.var, action.targets, device)  # type: ignore[arg-type]
+    raise ActionError(f"plan contains non-randomizing {action}")
 
 
 def execute_plan(
@@ -353,13 +359,7 @@ def execute_plan(
                         f"device for {action} cannot draw required value "
                         f"{required!r}"
                     )
-                if action.kind == RAND:
-                    drawn = unit.rand(action.var, dev)
-                elif action.kind == CTF_RAND:
-                    drawn = unit.ctf_rand(action.var, action.targets, dev)
-                else:
-                    raise ActionError(f"plan contains non-randomizing {action}")
-                if drawn != required:
+                if _perform(unit, action, dev) != required:
                     ok = False
                     break
             if not ok:
@@ -387,13 +387,98 @@ def draw_plan_batch(
     seed: int | np.random.SeedSequence | None = None,
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> SampleBatch:
-    """N executed-plan samples with a per-sample rejection cap."""
-    experiment = Experiment(model, actions=None, seed=seed)
-    batch = SampleBatch(plan.query)
-    for _ in range(n):
-        row, rejected = execute_plan(plan, model, experiment, max_rejections)
-        batch.rows.append(row)
-        batch.rejected_units += rejected
+    """N executed-plan samples with a per-sample rejection cap: the
+    plan's procedure, run by the block executor (see the module
+    docstring)."""
+    accept = plan.acceptance_probability()
+    return _run_rejection(
+        model,
+        plan.query,
+        plan.required_actions(),
+        [plan.output_map[i] for i in range(len(plan.query.terms))],
+        n,
+        seed,
+        max_rejections,
+        f"exceeded {max_rejections} rejected units for one sample; "
+        f"uniform-device acceptance probability is about {accept:.3g}",
+    )
+
+
+def _run_rejection(
+    model: ScmModel,
+    q: CtfQuery,
+    interventions: Sequence[tuple[Action, Value]],
+    reads: Sequence[str],
+    n: int,
+    seed: int | np.random.SeedSequence | None,
+    max_rejections: int,
+    cap_message: str,
+) -> SampleBatch:
+    """The rejection executor: select units, randomize them with uniform
+    devices as ``interventions`` says, keep a unit only if every draw
+    equals its required value, and read ``reads`` from the kept ones.
+
+    Units come in array blocks sized from the acceptance probability so
+    that one block usually covers the batch, up to MAX_BLOCK_UNITS.
+    ``rejected_units`` counts the units drawn up to the n-th acceptance,
+    less n. The cap raises once some sample's run of consecutive rejected
+    units reaches ``max_rejections``; runs continue across blocks."""
+    batch = SampleBatch(q)
+    if n <= 0:
+        return batch
+    domains = [model.diagram.domains[action.var] for action, _ in interventions]
+    devices = []
+    for (action, required), domain in zip(interventions, domains):
+        if not any(v == required for v in domain):
+            raise EstimationError(
+                f"device for {action} cannot draw required value {required!r}"
+            )
+        devices.append(RandomDevice.constant(domain, required))
+    experiment = Experiment(model, seed=seed)
+    support = experiment._support_values
+
+    def evaluate(i: int) -> tuple[Value, ...]:
+        unit = Unit(0, model, support[i], experiment._shared_rng)
+        for (action, _), device in zip(interventions, devices):
+            _perform(unit, action, device)
+        return tuple(unit.read(v) for v in reads)
+
+    # the plan checks (single use, containment, targets, action kinds)
+    # depend on the plan alone, so performing it once checks every unit
+    rows = {0: evaluate(0)}
+
+    sizes = np.array([len(d) for d in domains], dtype=np.int64)
+    required = np.array(
+        [d.index(r) for (_, r), d in zip(interventions, domains)], dtype=np.int64
+    )
+    p = 1.0 / math.prod(sizes.tolist())
+    limit = max(max_rejections, 1)
+    last = len(support) - 1
+    accepted = []
+    need, run, rejected = n, 0, 0  # run: rejections since the last acceptance
+    while need:
+        # the mean units for `need` acceptances plus three standard deviations
+        k = min(MAX_BLOCK_UNITS, math.ceil((need + 3 * math.sqrt(need * (1 - p)) + 1) / p))
+        picked = np.searchsorted(
+            experiment._support_cum, experiment._select_rng.random(k), side="right"
+        )
+        draws = experiment._shared_rng.integers(sizes, size=(k, len(sizes)))
+        hits = np.flatnonzero((draws == required).all(axis=1))[:need]
+        ends = hits if len(hits) == need else np.append(hits, k)
+        runs = np.diff(ends, prepend=-1 - run) - 1
+        if runs.max() >= limit:
+            raise EstimationError(cap_message)
+        # units drawn before the n-th acceptance: through it, or the whole block
+        used = int(ends[-1]) + (len(hits) == need)
+        rejected += used - len(hits)
+        run = int(runs[-1])
+        need -= len(hits)
+        accepted.append(np.minimum(picked[hits], last))
+    chosen = np.concatenate(accepted).tolist()
+    for i in set(chosen).difference(rows):
+        rows[i] = evaluate(i)
+    batch.rows = [rows[i] for i in chosen]
+    batch.rejected_units = rejected
     return batch
 
 
@@ -423,16 +508,9 @@ def sample_observational(
     variables: Sequence[str] | None = None,
 ) -> SampleBatch:
     """Select units and read every variable naturally."""
-    from .queries import query, response as _resp
-
     variables = tuple(variables or model.diagram.variables)
-    q = query(*[_resp(v) for v in variables])
-    experiment = Experiment(model, seed=seed)
-    batch = SampleBatch(q)
-    for _ in range(n):
-        unit = experiment.new_unit()
-        batch.rows.append(tuple(unit.read(v) for v in variables))
-    return batch
+    q = query(*[response(v) for v in variables])
+    return _run_rejection(model, q, (), variables, n, seed, DEFAULT_MAX_REJECTIONS, "")
 
 
 def sample_interventional(
@@ -445,29 +523,15 @@ def sample_interventional(
 ) -> SampleBatch:
     """Randomize each regime variable, keep units whose draws hit the
     requested values, and read the outcome variables."""
-    from .queries import query, response as _resp
-
     outcome = tuple(outcome or model.diagram.variables)
-    q = query(*[_resp(v, dict(do)) for v in outcome])
-    experiment = Experiment(model, seed=seed)
-    batch = SampleBatch(q)
-    for _ in range(n):
-        rejected = 0
-        while True:
-            unit = experiment.new_unit()
-            ok = True
-            for x, wanted in do.items():
-                if unit.rand(x) != wanted:
-                    ok = False
-                    break
-            if ok:
-                batch.rows.append(tuple(unit.read(v) for v in outcome))
-                break
-            rejected += 1
-            batch.rejected_units += 1
-            if rejected >= max_rejections:
-                raise EstimationError(
-                    f"exceeded {max_rejections} rejections while enforcing "
-                    f"do({dict(do)})"
-                )
-    return batch
+    q = query(*[response(v, dict(do)) for v in outcome])
+    return _run_rejection(
+        model,
+        q,
+        [(rand_action(x), wanted) for x, wanted in do.items()],
+        outcome,
+        n,
+        seed,
+        max_rejections,
+        f"exceeded {max_rejections} rejections while enforcing do({dict(do)})",
+    )

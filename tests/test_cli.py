@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ctfrealize
 from ctfrealize.cli import main, parse_action_set
 from ctfrealize import ctf_rand_action, rand_action
 from ctfrealize.fixtures import fan_diagram
@@ -173,8 +176,12 @@ def test_help_lists_every_subcommand_flag():
 
 
 def test_console_entry_point_runs():
+    # the child process imports the package this test imports, also when
+    # it was found through pytest's pythonpath setting, not PYTHONPATH
+    src = str(Path(ctfrealize.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-m", "ctfrealize.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0

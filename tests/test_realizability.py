@@ -5,6 +5,7 @@ import pytest
 
 from ctfrealize import (
     ActionSet,
+    CausalDiagram,
     ContainmentViolation,
     CtfQuery,
     InterventionTracker,
@@ -416,6 +417,26 @@ def test_values_outside_the_domain_are_rejected():
                   query(response("Y", {"X": value}))):
             with pytest.raises(QueryError, match="outside domain"):
                 checker.realize(q)
+
+
+def test_domain_value_spelled_like_the_natural_tag_is_a_value():
+    # P(Y[X=v], Y) needs CtfRand(X->Y) to draw v and also not to be
+    # performed, whatever v is called
+    d = CausalDiagram(
+        ["X", "Y"],
+        domains={"X": ("Natural", "Other"), "Y": (0, 1)},
+        directed_edges=[("X", "Y")],
+        bidirected_edges=[("X", "Y")],
+    )
+    for value in ("Natural", "Other"):
+        verdict = ctf_realize(
+            query(response("Y", {"X": value}), response("Y")), d, maximal_action_set(d)
+        )
+        assert isinstance(verdict, NotRealizable), value
+        assert verdict.conflict.failure == NATURAL_CONFLICT_CTF
+        assert verdict.conflict.existing == value
+        assert verdict.conflict.required is NATURAL
+    assert str(NATURAL) == "Natural" and repr(NATURAL) == repr("Natural")
 
 
 def test_normalized_subscripts_align_algorithm_and_criterion():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ctfrealize import simulate
 from ctfrealize import (
     ActionError,
     ActionSet,
@@ -29,7 +30,6 @@ from ctfrealize import (
     sample_interventional,
     sample_observational,
     select,
-    select_unit,
 )
 from ctfrealize.fixtures import bow_model, fan_model, hub_split_model
 from ctfrealize.models import independent_exogenous
@@ -95,12 +95,6 @@ def test_skewed_exogenous_within_binomial_ci():
     ones = sum(exp.new_unit().read("X") for _ in range(n))
     sigma = (n * 0.1 * 0.9) ** 0.5
     assert abs(ones - n * 0.1) < 3 * sigma
-
-
-def test_select_unit_standalone():
-    rng = np.random.default_rng(3)
-    unit = select_unit(bow_model(), rng)
-    assert unit.read("X") in (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +356,86 @@ def test_execute_plan_rejection_cap():
     with pytest.raises(EstimationError, match="acceptance probability"):
         for _ in range(64):  # some attempt will reject at least once
             execute_plan(plan, model, exp, max_rejections=1)
+
+
+def fixture_plan(model, text):
+    q = parse_query(text, model.diagram)
+    return ctf_realize(q, model.diagram, maximal_action_set(model.diagram))
+
+
+@pytest.mark.parametrize("model, text, n, batches", [
+    (bow_model(), "P(Y[X=1], X)", 20_000, 1),
+    # many small batches: units drawn past the n-th acceptance of a block
+    # would add up to many standard deviations
+    (fan_model(), "P(Y[X=1], Z[X=0], W[X=1])", 10, 200),
+])
+def test_rejected_units_follow_the_geometric_law(model, text, n, batches):
+    # units drawn up to the n-th acceptance, less n: a sum of n geometric
+    # counts with mean n(1-p)/p and variance n(1-p)/p^2
+    plan = fixture_plan(model, text)
+    p = plan.acceptance_probability()
+    rejected = 0
+    for b in range(batches):
+        batch = draw_plan_batch(plan, model, n, seed=np.random.SeedSequence([28, b]))
+        assert type(batch.rejected_units) is int
+        rejected += batch.rejected_units
+    total = n * batches
+    sigma = (total * (1 - p)) ** 0.5 / p
+    assert abs(rejected - total * (1 - p) / p) < 5 * sigma
+
+
+def test_draw_plan_batch_rejection_cap():
+    model = bow_model()
+    plan = fixture_plan(model, "P(Y[X=1], X)")
+    with pytest.raises(EstimationError, match="acceptance probability"):
+        draw_plan_batch(plan, model, 64, seed=29, max_rejections=1)
+
+
+def test_rejection_runs_continue_across_blocks(monkeypatch):
+    # with 4-unit blocks only a run that spans blocks can reach 6 rejections;
+    # at acceptance 1/8 some sample of 2,000 has one
+    model = fan_model()
+    plan = fixture_plan(model, "P(Y[X=1], Z[X=0], W[X=1])")
+    monkeypatch.setattr(simulate, "MAX_BLOCK_UNITS", 4)
+    with pytest.raises(EstimationError, match="acceptance probability"):
+        draw_plan_batch(plan, model, 2_000, seed=30, max_rejections=6)
+    batch = draw_plan_batch(plan, model, 2_000, seed=30, max_rejections=200)
+    assert len(batch) == 2_000
+    exact = exact_distribution(model, plan.query)
+    assert exact.total_variation(batch.empirical()) < 0.05
+
+
+def test_block_executor_matches_unit_at_a_time_reference():
+    model = fan_model()
+    plan = fixture_plan(model, "P(Y[X=1], Z[X=0], W[X=1])")
+    n = 4_000
+    exp = Experiment(model, seed=31)
+    reference = [execute_plan(plan, model, exp)[0] for _ in range(n)]
+    batch = draw_plan_batch(plan, model, n, seed=32)
+    cells = set(reference) | set(batch.rows)
+    tv = 0.5 * sum(
+        abs(reference.count(c) - batch.rows.count(c)) / n for c in cells
+    )
+    assert tv < 0.05
+
+
+def test_batch_rows_are_tuples_of_domain_values():
+    model = fan_model()
+    plan = fixture_plan(model, "P(Y[X=1], Z[X=0], W[X=1])")
+    batches = [
+        draw_plan_batch(plan, model, 50, seed=33),
+        sample_observational(model, 50, seed=34),
+        sample_interventional(model, {"X": 0}, 50, seed=35, outcome=["Y", "W"]),
+    ]
+    for batch in batches:
+        for row in batch.rows:
+            assert type(row) is tuple
+            assert all(type(v) is int for v in row)
+
+
+def test_interventional_value_outside_the_domain_fails_at_once():
+    with pytest.raises(EstimationError, match="cannot draw"):
+        sample_interventional(bow_model(), {"X": 7}, 10, seed=36, outcome=["Y"])
 
 
 def test_estimate_trivial_and_errors():
