@@ -93,16 +93,11 @@ from .bandits import (
     brute_force_optimal,
     evaluate_strategy_exact,
     example3_problem,
-    mab_opt,
     run_epochs,
     tier_ett,
     tier_int,
     tier_obs,
     tier_opt,
-    ts_aug,
-    ts_ett,
-    ts_opt,
-    ts_standard,
 )
 from .fairness import (
     CanonicalScm,

@@ -19,7 +19,17 @@ Strategy tiers, each realizable with progressively richer actions:
          as opaque context: no consistency hot-start, no meaning
          attached to the D-stage (its input is drawn uniformly).
 
-Metrics (recorded per round, aggregated over epochs):
+Online learning: every algorithm runs in one epoch loop, driven by a
+small per-algorithm policy (D-stage chooser, reward-arm key, hot-start
+cell, final action). An epoch selects its units in one block, and each
+round makes its scalar ``rng.beta`` / ``rng.integers`` draws in the order
+a unit-at-a-time protocol would. A unit's outcome under the protocol
+depends only on its exogenous row u, since every action uses a constant
+device and draws nothing; so each distinct (row, D-input, arm) is played
+once, through a real ``Unit``, the first time its row is selected, and
+rounds look the outcome (z, x', d, y) and the metrics up from that memo.
+
+Metrics (one value per round, aggregated over epochs):
 
 * cumulative regret — per-round increments are the full-information
   oracle gap max_x E[Y|x,u] - E[Y|x_played,u], nonnegative by
@@ -38,9 +48,10 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -53,7 +64,6 @@ from .realizability import (
     ActionSet,
     ctf_rand_action,
     ctf_realize,
-    maximal_action_set,
     rand_action,
     read_action,
     select,
@@ -184,10 +194,8 @@ class ExactTables:
         e_full: dict[tuple, float] = {}
         p_core: dict[tuple, float] = {}
         e_core: dict[tuple, float] = {}
-        p_obs_xd: dict[tuple, float] = {}
-        e_obs_xd: dict[tuple, float] = {}
-        p_obs_zx: dict[tuple, float] = {}
-        e_obs_zx: dict[tuple, float] = {}
+        p_obs: dict[tuple, float] = {}
+        e_obs: dict[tuple, float] = {}
         e_natural = 0.0
 
         arms = problem.arms
@@ -211,11 +219,9 @@ class ExactTables:
             p_core[core] = p_core.get(core, 0.0) + p
             key = (z, xn)
             p_key[key] = p_key.get(key, 0.0) + p
-            p_obs_zx[key] = p_obs_zx.get(key, 0.0) + p
-            e_obs_zx[key] = e_obs_zx.get(key, 0.0) + p * y_nat
-            obs_key = (xn, nat[post])
-            p_obs_xd[obs_key] = p_obs_xd.get(obs_key, 0.0) + p
-            e_obs_xd[obs_key] = e_obs_xd.get(obs_key, 0.0) + p * y_nat
+            for cell in (key, key + (nat[post],)):
+                p_obs[cell] = p_obs.get(cell, 0.0) + p
+                e_obs[cell] = e_obs.get(cell, 0.0) + p * y_nat
             for x in arms:
                 e_zx[key + (x,)] = e_zx.get(key + (x,), 0.0) + p * y_x[x]
                 e_core[core + (x,)] = e_core.get(core + (x,), 0.0) + p * y_x[x]
@@ -232,10 +238,8 @@ class ExactTables:
         self._e_full = e_full
         self._p_core = p_core
         self._e_core = e_core
-        self._p_obs_xd = p_obs_xd
-        self._e_obs_xd = e_obs_xd
-        self._p_obs_zx = p_obs_zx
-        self._e_obs_zx = e_obs_zx
+        self._p_obs = p_obs
+        self._e_obs = e_obs
         self._core_pos = {u: i for i, u in enumerate(model.exogenous_vars)}
 
     # -- unit-level -------------------------------------------------------
@@ -271,15 +275,12 @@ class ExactTables:
 
     # -- observational conditionals (hot-starts) ------------------------------
 
-    def obs_mean_given_xd(self, x: Value, d: Value) -> float:
-        if self._p_obs_xd.get((x, d), 0.0) == 0.0:
+    def obs_mean(self, cell: tuple) -> float:
+        """Natural-regime E[Y | Z=z, X=x] for the cell (z, x), or
+        E[Y | Z=z, X=x, D=d] for (z, x, d); z is None without a context."""
+        if self._p_obs.get(cell, 0.0) == 0.0:
             return 0.5  # unreachable cell under the natural regime
-        return self._e_obs_xd[(x, d)] / self._p_obs_xd[(x, d)]
-
-    def obs_mean_given_zx(self, z: Value, xn: Value) -> float:
-        if self._p_obs_zx.get((z, xn), 0.0) == 0.0:
-            return 0.5
-        return self._e_obs_zx[(z, xn)] / self._p_obs_zx[(z, xn)]
+        return self._e_obs[cell] / self._p_obs[cell]
 
     # -- first-stage values ---------------------------------------------------
 
@@ -604,6 +605,7 @@ class RunMetrics:
     cumulative_regret: np.ndarray  # (epochs, T)
     oap: np.ndarray                # (epochs, T)
     reward: np.ndarray             # (epochs, T) expected reward of the played arm
+    epoch_seconds: np.ndarray      # (epochs,) wall time of each epoch
 
     @staticmethod
     def _band(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -645,222 +647,178 @@ class RunMetrics:
         }
 
 
-@dataclass
-class _Round:
-    """One round's bookkeeping handed to the metrics recorder."""
+@dataclass(frozen=True)
+class _Policy:
+    """One algorithm's part in the shared epoch loop.
 
-    z: Value
-    x_nat: Value
-    d_input: Value | None  # value fixed as input to D (None: D untouched)
-    d_read: bool
-    d: Value | None
-    arm: Value
+    ``d_stage`` picks the input fixed into D before the reward decision:
+    "none" (D is left alone), "uniform" (one ``rng.integers`` draw) or
+    "thompson" (a posterior per (z, x', x'')). ``arm_key`` names the
+    solver cell of each reward arm from (z, x', x'', d, x), and
+    ``hot_cell`` the observational cell whose exact mean pins that arm
+    (never drawn, never updated), or None. ``final`` is "fix_y" (fix the
+    arm as input to the reward only) or "write" (erase and write the
+    decision, which also fixes D's input). ``gate`` is the tier whose
+    realizability licenses the protocol and whose actions it may use."""
 
-
-class _Recorder:
-    def __init__(self, tables: ExactTables, horizon: int):
-        self.tables = tables
-        self.regret = np.zeros(horizon)
-        self.oap = np.zeros(horizon)
-        self.reward = np.zeros(horizon)
-
-    def record(self, t: int, core: tuple, r: _Round) -> None:
-        tables = self.tables
-        mean = tables.reward_mean(r.arm, core)
-        self.regret[t] = tables.oracle_value(core) - mean
-        self.reward[t] = mean
-        s1 = tables.stage1_value(r.z, r.x_nat, r.d_input)
-        stage1_ok = s1 >= tables.stage1_optimal_value(r.z, r.x_nat) - VALUE_TOL
-        if r.d_input is not None and r.d_read:
-            best = max(
-                tables.mean_given_full(r.z, r.x_nat, r.d_input, r.d, x)
-                for x in tables.problem.arms
-            )
-            played = tables.mean_given_full(r.z, r.x_nat, r.d_input, r.d, r.arm)
-        else:
-            best = max(
-                tables.mean_given_zx(r.z, r.x_nat, x) for x in tables.problem.arms
-            )
-            played = tables.mean_given_zx(r.z, r.x_nat, r.arm)
-        stage2_ok = played >= best - VALUE_TOL
-        self.oap[t] = 1.0 if (stage1_ok and stage2_ok) else 0.0
+    gate: Callable[..., Strategy]
+    d_stage: str
+    arm_key: Callable[..., tuple]
+    hot_cell: Callable[..., tuple | None]
+    final: str
 
 
-def _constant_devices(problem: MabProblem) -> dict[Value, RandomDevice]:
-    dom = problem.model.diagram.domains[problem.decision]
-    return {x: RandomDevice.constant(dom, x) for x in dom}
+def _no_hot_cell(z, xn, x2, d, x):
+    return None
 
 
-def _epoch_ts_opt(
-    problem: MabProblem,
-    tables: ExactTables,
-    horizon: int,
-    rng: np.random.Generator,
-    seed: np.random.SeedSequence,
-    solver_factory: Callable[[], ThompsonSolver],
-) -> _Recorder:
-    """Two-stage sampler: D-arms keyed (z, x', x''), reward arms keyed
-    (z, x', x'', d, x); the consistency cell x = x' = x'' scores its
-    exact observational mean and is never updated."""
-    dec, rew, post, ctx = (
-        problem.decision, problem.reward, problem.post, problem.context
-    )
-    arms = problem.arms
-    actions = ActionSet(
-        [select(), *(read_action(v) for v in problem.model.diagram.variables),
-         ctf_rand_action(dec, [rew]), ctf_rand_action(dec, [post])],
-        problem.model.diagram,
-    )
-    experiment = Experiment(problem.model, actions, seed)
-    devices = _constant_devices(problem)
-    solver = solver_factory()
-    rec = _Recorder(tables, horizon)
-    for t in range(horizon):
-        unit = experiment.new_unit()
-        z = unit.read(ctx) if ctx else None
-        xn = unit.read(dec)
-        scores = [solver.draw(("D", z, xn, x2), rng) for x2 in arms]
-        x2 = arms[int(np.argmax(scores))]
-        unit.ctf_rand(dec, [post], devices[x2])
-        d = unit.read(post)
-        mu = []
-        for x in arms:
-            if x == xn == x2:
-                mu.append(tables.obs_mean_given_xd(x2, d))
-            else:
-                mu.append(solver.draw(("Y", z, xn, x2, d, x), rng))
-        arm = arms[int(np.argmax(mu))]
-        unit.ctf_rand(dec, [rew], devices[arm])
-        y = float(unit.read(rew))
-        solver.update(("D", z, xn, x2), y)
-        if not (arm == xn == x2):
-            solver.update(("Y", z, xn, x2, d, arm), y)
-        core = tables.core_of(unit.peek_exogenous())
-        rec.record(t, core, _Round(z, xn, x2, True, d, arm))
-    return rec
-
-
-def _epoch_ts_ett(
-    problem: MabProblem,
-    tables: ExactTables,
-    horizon: int,
-    rng: np.random.Generator,
-    seed: np.random.SeedSequence,
-) -> _Recorder:
-    dec, rew, ctx = problem.decision, problem.reward, problem.context
-    arms = problem.arms
-    actions = ActionSet(
-        [select(), *(read_action(v) for v in problem.model.diagram.variables),
-         ctf_rand_action(dec, [rew])],
-        problem.model.diagram,
-    )
-    experiment = Experiment(problem.model, actions, seed)
-    devices = _constant_devices(problem)
-    solver = ThompsonSolver()
-    rec = _Recorder(tables, horizon)
-    for t in range(horizon):
-        unit = experiment.new_unit()
-        z = unit.read(ctx) if ctx else None
-        xn = unit.read(dec)
-        mu = []
-        for x in arms:
-            if x == xn:
-                mu.append(tables.obs_mean_given_zx(z, xn))
-            else:
-                mu.append(solver.draw((z, xn, x), rng))
-        arm = arms[int(np.argmax(mu))]
-        unit.ctf_rand(dec, [rew], devices[arm])
-        y = float(unit.read(rew))
-        if arm != xn:
-            solver.update((z, xn, arm), y)
-        core = tables.core_of(unit.peek_exogenous())
-        rec.record(t, core, _Round(z, xn, None, False, None, arm))
-    return rec
-
-
-def _epoch_ts_standard(
-    problem: MabProblem,
-    tables: ExactTables,
-    horizon: int,
-    rng: np.random.Generator,
-    seed: np.random.SeedSequence,
-) -> _Recorder:
-    dec, rew = problem.decision, problem.reward
-    arms = problem.arms
-    actions = ActionSet(
-        [select(), read_action(rew), rand_action(dec)], problem.model.diagram
-    )
-    experiment = Experiment(problem.model, actions, seed)
-    devices = _constant_devices(problem)
-    solver = ThompsonSolver()
-    rec = _Recorder(tables, horizon)
-    for t in range(horizon):
-        unit = experiment.new_unit()
-        mu = [solver.draw((x,), rng) for x in arms]
-        arm = arms[int(np.argmax(mu))]
-        unit.rand(dec, devices[arm])
-        y = float(unit.read(rew))
-        solver.update((arm,), y)
-        exo = unit.peek_exogenous()
-        core = tables.core_of(exo)
-        # the erase-and-write also fixes the post-decision input to the arm
-        nat = problem.model.natural_values(
-            tuple(exo[u] for u in problem.model.exogenous_vars)
-        )
-        z = nat[problem.context] if problem.context else None
-        rec.record(t, core, _Round(z, nat[dec], arm, False, None, arm))
-    return rec
-
-
-def _epoch_ts_aug(
-    problem: MabProblem,
-    tables: ExactTables,
-    horizon: int,
-    rng: np.random.Generator,
-    seed: np.random.SeedSequence,
-) -> _Recorder:
-    """Contextual sampler that sees (z, x', d) as flat context: the
-    D-stage input is drawn uniformly (it means nothing to this learner)
-    and no cell is hot-started."""
-    dec, rew, post, ctx = (
-        problem.decision, problem.reward, problem.post, problem.context
-    )
-    arms = problem.arms
-    actions = ActionSet(
-        [select(), *(read_action(v) for v in problem.model.diagram.variables),
-         ctf_rand_action(dec, [rew]), ctf_rand_action(dec, [post])],
-        problem.model.diagram,
-    )
-    experiment = Experiment(problem.model, actions, seed)
-    devices = _constant_devices(problem)
-    solver = ThompsonSolver()
-    rec = _Recorder(tables, horizon)
-    for t in range(horizon):
-        unit = experiment.new_unit()
-        z = unit.read(ctx) if ctx else None
-        xn = unit.read(dec)
-        x2 = arms[int(rng.integers(len(arms)))]
-        unit.ctf_rand(dec, [post], devices[x2])
-        d = unit.read(post)
-        mu = [solver.draw((z, xn, d, x), rng) for x in arms]
-        arm = arms[int(np.argmax(mu))]
-        unit.ctf_rand(dec, [rew], devices[arm])
-        y = float(unit.read(rew))
-        solver.update((z, xn, d, arm), y)
-        core = tables.core_of(unit.peek_exogenous())
-        rec.record(t, core, _Round(z, xn, x2, True, d, arm))
-    return rec
-
-
-ALGORITHMS = ("ts", "ts-aug", "ts-ett", "ts-opt", "mab-opt")
-
-_GATE_TIERS = {
-    "ts": tier_int,  # write-only randomization
-    "ts-aug": tier_opt,
-    "ts-ett": tier_ett,
-    "ts-opt": tier_opt,
-    "mab-opt": tier_opt,
+_POLICIES = {
+    "ts": _Policy(tier_int, "none", lambda z, xn, x2, d, x: (x,), _no_hot_cell, "write"),
+    # (z, x', d) is opaque context: the D-input means nothing to this learner
+    "ts-aug": _Policy(tier_opt, "uniform", lambda z, xn, x2, d, x: (z, xn, d, x),
+                      _no_hot_cell, "fix_y"),
+    "ts-ett": _Policy(tier_ett, "none", lambda z, xn, x2, d, x: (z, xn, x),
+                      lambda z, xn, x2, d, x: (z, x) if x == xn else None, "fix_y"),
+    "ts-opt": _Policy(tier_opt, "thompson", lambda z, xn, x2, d, x: ("Y", z, xn, x2, d, x),
+                      lambda z, xn, x2, d, x: (z, x, d) if x == xn == x2 else None,
+                      "fix_y"),
 }
+# the two-stage sampler with a pluggable solver; ThompsonSolver gives ts-opt
+_POLICIES["mab-opt"] = _POLICIES["ts-opt"]
+
+ALGORITHMS = tuple(_POLICIES)
+
+
+class _Responses:
+    """What each selected unit does under one policy's protocol, and what
+    the round scores. Each distinct (exogenous row, D-input, arm) is
+    played once, on a fresh ``Unit`` with constant devices, when its row
+    is first selected; later rounds look the outcome up. Rows index
+    ``Experiment.support``, which every experiment on the model orders
+    alike, so one memo serves all epochs. ``played`` maps (row, D-input,
+    arm) to the (z, x', d, y) the unit showed, and the metric lists hold
+    one entry per (row, D-input, arm) in build order."""
+
+    def __init__(self, problem: MabProblem, tables: ExactTables, policy: _Policy):
+        self.problem = problem
+        self.tables = tables
+        self.policy = policy
+        self.d_inputs = (None,) if policy.d_stage == "none" else problem.arms
+        self._devices = {x: RandomDevice.constant(problem.arms, x) for x in problem.arms}
+        self.rows: dict[int, tuple] = {}
+        self.played: dict[tuple, tuple] = {}
+        self.regret: list[float] = []
+        self.reward: list[float] = []
+        self.oap: list[float] = []
+        self._optimal: dict[tuple, tuple[bool, ...]] = {}
+
+    def add_row(self, experiment: Experiment, i: int) -> tuple:
+        """Play row ``i`` of the experiment's support under every D-input
+        and arm. Returns (D-stage solver keys, one (arm cells, rewards,
+        metric offset) branch per D-input)."""
+        p, policy, tables = self.problem, self.policy, self.tables
+        unit = experiment.unit_at(i)
+        z = unit.read(p.context) if p.context else None
+        xn = unit.read(p.decision)
+        core = tables.core_of(unit.peek_exogenous())
+        oracle = tables.oracle_value(core)
+        branches = []
+        for x2 in self.d_inputs:
+            outcomes = [self._respond(experiment, i, x2, x) for x in p.arms]
+            d = outcomes[0][0]
+            cells = []
+            for x, (_, y) in zip(p.arms, outcomes):
+                self.played[(i, x2, x)] = (z, xn, d, y)
+                hot = policy.hot_cell(z, xn, x2, d, x)
+                cells.append((policy.arm_key(z, xn, x2, d, x),
+                              None if hot is None else tables.obs_mean(hot)))
+            branches.append((tuple(cells), tuple(y for _, y in outcomes), len(self.reward)))
+            for x, ok in zip(p.arms, self._optimal_arms(z, xn, x2, d)):
+                mean = tables.reward_mean(x, core)
+                self.regret.append(oracle - mean)
+                self.reward.append(mean)
+                self.oap.append(1.0 if ok else 0.0)
+        d_keys = ()
+        if policy.d_stage == "thompson":
+            d_keys = tuple(("D", z, xn, x2) for x2 in self.d_inputs)
+        row = self.rows[i] = (d_keys, tuple(branches))
+        return row
+
+    def _respond(self, experiment: Experiment, i: int, x2: Value | None, arm: Value):
+        """(d, y) of a fresh unit at row ``i`` that gets ``x2`` fixed into
+        D (and D read) unless x2 is None, then the final action with
+        ``arm``."""
+        p = self.problem
+        unit = experiment.unit_at(i)
+        d = None
+        if x2 is not None:
+            unit.ctf_rand(p.decision, [p.post], self._devices[x2])
+            d = unit.read(p.post)
+        if self.policy.final == "write":
+            unit.rand(p.decision, self._devices[arm])
+        else:
+            unit.ctf_rand(p.decision, [p.reward], self._devices[arm])
+        return d, float(unit.read(p.reward))
+
+    def _optimal_arms(self, z, xn, x2, d) -> tuple[bool, ...]:
+        """OAP of each arm, once per (z, x', x'', d): the D-stage choice
+        attains the best first-stage value for (z, x'), and the arm the
+        best conditional mean given what the round saw."""
+        key = (z, xn, x2, d)
+        if key not in self._optimal:
+            t, arms = self.tables, self.problem.arms
+            if x2 is None:
+                means = [t.mean_given_zx(z, xn, x) for x in arms]
+            else:
+                means = [t.mean_given_full(z, xn, x2, d, x) for x in arms]
+            best = max(means)
+            top = t.stage1_optimal_value(z, xn) - VALUE_TOL
+            flags = []
+            for x, mean in zip(arms, means):
+                # an erase-and-write also fixes the arm as D's input
+                d_input = x if x2 is None and self.policy.final == "write" else x2
+                flags.append(t.stage1_value(z, xn, d_input) >= top and mean >= best - VALUE_TOL)
+            self._optimal[key] = tuple(flags)
+        return self._optimal[key]
+
+
+def _play_epoch(
+    policy: _Policy,
+    responses: _Responses,
+    experiment: Experiment,
+    horizon: int,
+    rng: np.random.Generator,
+    solver: ThompsonSolver,
+) -> list[int]:
+    """One epoch of ``horizon`` rounds; returns each round's index into
+    the metric lists. Units are selected in one block; the solver's
+    draws and updates come in the same order as a unit-at-a-time
+    protocol would make them."""
+    draw, update = solver.draw, solver.update
+    thompson = policy.d_stage == "thompson"
+    uniform = policy.d_stage == "uniform"
+    rows = responses.rows
+    played = []
+    for i in experiment.select_rows(horizon).tolist():
+        d_keys, branches = rows.get(i) or responses.add_row(experiment, i)
+        if thompson:
+            scores = [draw(key, rng) for key in d_keys]
+            j = max(range(len(scores)), key=scores.__getitem__)
+        elif uniform:
+            j = int(rng.integers(len(branches)))
+        else:
+            j = 0
+        cells, rewards, offset = branches[j]
+        mu = [draw(key, rng) if pin is None else pin for key, pin in cells]
+        a = max(range(len(mu)), key=mu.__getitem__)
+        y = rewards[a]
+        if thompson:
+            update(d_keys[j], y)
+        key, pin = cells[a]
+        if pin is None:
+            update(key, y)
+        played.append(offset + a)
+    return played
 
 
 def run_epochs(
@@ -873,67 +831,37 @@ def run_epochs(
     tables: ExactTables | None = None,
 ) -> RunMetrics:
     """Run one algorithm for ``epochs`` independent epochs of ``horizon``
-    rounds. Epoch e uses the e-th spawn of the master seed, so results
-    are reproducible and epochs could run in parallel."""
+    rounds, each with a fresh solver from ``solver_factory`` (default
+    ThompsonSolver). Epoch e uses the e-th spawn of the master seed, so
+    results are reproducible and epochs could run in parallel."""
     if algo not in ALGORITHMS:
         raise EstimationError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
+    if horizon < 0 or epochs < 0:
+        raise EstimationError(f"horizon {horizon} and epochs {epochs} must be non-negative")
+    policy = _POLICIES[algo]
     tables = tables or ExactTables(problem)
-    check_strategy_realizable(problem, _GATE_TIERS[algo](problem, tables))
-    master = np.random.SeedSequence(seed)
-    regret = np.zeros((max(epochs, 1), max(horizon, 0)))
-    oap = np.zeros_like(regret)
-    reward = np.zeros_like(regret)
+    strategy = policy.gate(problem, tables)
+    check_strategy_realizable(problem, strategy)
+    actions = strategy.required_actions(problem)
+    responses = _Responses(problem, tables, policy)
     factory = solver_factory or ThompsonSolver
-    for e, ss in enumerate(master.spawn(max(epochs, 1))):
+    played = np.zeros((epochs, horizon), dtype=np.int64)
+    seconds = np.zeros(epochs)
+    for e, ss in enumerate(np.random.SeedSequence(seed).spawn(epochs)):
+        start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-        if horizon == 0:
-            continue
-        if algo in ("ts-opt", "mab-opt"):
-            rec = _epoch_ts_opt(problem, tables, horizon, rng, ss, factory)
-        elif algo == "ts-ett":
-            rec = _epoch_ts_ett(problem, tables, horizon, rng, ss)
-        elif algo == "ts-aug":
-            rec = _epoch_ts_aug(problem, tables, horizon, rng, ss)
-        else:
-            rec = _epoch_ts_standard(problem, tables, horizon, rng, ss)
-        regret[e] = np.cumsum(rec.regret)
-        oap[e] = rec.oap
-        reward[e] = rec.reward
+        experiment = Experiment(problem.model, actions, ss)
+        played[e] = _play_epoch(policy, responses, experiment, horizon, rng, factory())
+        seconds[e] = time.perf_counter() - start
     return RunMetrics(
         algo=algo,
         horizon=horizon,
         epochs=epochs,
         seed=seed,
-        cumulative_regret=regret[:epochs] if epochs else regret[:0],
-        oap=oap[:epochs] if epochs else oap[:0],
-        reward=reward[:epochs] if epochs else reward[:0],
-    )
-
-
-# Named entry points for the four samplers.
-
-def ts_opt(problem, horizon, epochs=1, seed=0, tables=None) -> RunMetrics:
-    return run_epochs("ts-opt", problem, horizon, epochs, seed, tables=tables)
-
-
-def ts_ett(problem, horizon, epochs=1, seed=0, tables=None) -> RunMetrics:
-    return run_epochs("ts-ett", problem, horizon, epochs, seed, tables=tables)
-
-
-def ts_standard(problem, horizon, epochs=1, seed=0, tables=None) -> RunMetrics:
-    return run_epochs("ts", problem, horizon, epochs, seed, tables=tables)
-
-
-def ts_aug(problem, horizon, epochs=1, seed=0, tables=None) -> RunMetrics:
-    return run_epochs("ts-aug", problem, horizon, epochs, seed, tables=tables)
-
-
-def mab_opt(problem, solver_factory, horizon, epochs=1, seed=0, tables=None) -> RunMetrics:
-    """The two-stage sampler with a pluggable per-arm solver (draw /
-    update / hot_start); the Thompson solver reproduces ts_opt."""
-    return run_epochs(
-        "mab-opt", problem, horizon, epochs, seed, solver_factory=solver_factory,
-        tables=tables,
+        cumulative_regret=np.cumsum(np.array(responses.regret)[played], axis=1),
+        oap=np.array(responses.oap)[played],
+        reward=np.array(responses.reward)[played],
+        epoch_seconds=seconds,
     )
 
 

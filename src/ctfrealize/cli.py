@@ -289,8 +289,9 @@ def cmd_bandit(args) -> int:
         "subcommand": "bandit", "algo": args.algo, "problem": args.problem,
         "T": args.T, "epochs": args.epochs, "seed": seed,
     }
-    _write_summary(out / "summary.json", config, metrics.summary())
     s = metrics.summary()
+    _write_summary(out / "summary.json", config,
+                   {**s, "elapsed_s": metrics.epoch_seconds.tolist()})
     print(
         f"{args.algo}: terminal reward {s['terminal_mean_reward']:.4f}, "
         f"final CR {s['final_cumulative_regret']:.2f}, "

@@ -285,8 +285,6 @@ def batch_metrics(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 L2_PENALTY = "l2_penalty"
 L3_PENALTY = "l3_penalty"
 
-ACCEPTANCE_FLOOR = 1e-5
-
 
 def sample_constrained_scms(
     constraint: str,

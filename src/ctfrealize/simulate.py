@@ -277,17 +277,30 @@ class Experiment:
         self._shared_rng = np.random.Generator(np.random.PCG64(shared_ss))
         self._count = 0
         support = model.exogenous_support()
-        self._support_values = [u for u, _ in support]
+        # exogenous assignments in model.exogenous_support() order
+        self.support = [u for u, _ in support]
         probs = np.array([p for _, p in support], dtype=float)
         self._support_cum = np.cumsum(probs / probs.sum())
+
+    def select_rows(self, k: int) -> np.ndarray:
+        """Select k fresh units at once: their indices into ``support``,
+        the same stream as k calls to ``new_unit``."""
+        picked = np.searchsorted(self._support_cum, self._select_rng.random(k), side="right")
+        self._count += k
+        return np.minimum(picked, len(self.support) - 1)
+
+    def unit_at(self, row: int) -> Unit:
+        """A unit with the exogenous assignment ``support[row]``, all
+        mechanisms unfired, acting through this experiment's device
+        stream and action set."""
+        return Unit(self._count, self.model, self.support[row], self._shared_rng, self.actions)
 
     def new_unit(self) -> Unit:
         """Select a fresh unit: exogenous draw from the population, all
         mechanisms unfired."""
         i = int(np.searchsorted(self._support_cum, self._select_rng.random(), side="right"))
-        u = self._support_values[min(i, len(self._support_values) - 1)]
         self._count += 1
-        return Unit(self._count, self.model, u, self._shared_rng, self.actions)
+        return self.unit_at(min(i, len(self.support) - 1))
 
     @property
     def units_drawn(self) -> int:
@@ -435,10 +448,9 @@ def _run_rejection(
             )
         devices.append(RandomDevice.constant(domain, required))
     experiment = Experiment(model, seed=seed)
-    support = experiment._support_values
 
     def evaluate(i: int) -> tuple[Value, ...]:
-        unit = Unit(0, model, support[i], experiment._shared_rng)
+        unit = experiment.unit_at(i)
         for (action, _), device in zip(interventions, devices):
             _perform(unit, action, device)
         return tuple(unit.read(v) for v in reads)
@@ -453,15 +465,12 @@ def _run_rejection(
     )
     p = 1.0 / math.prod(sizes.tolist())
     limit = max(max_rejections, 1)
-    last = len(support) - 1
     accepted = []
     need, run, rejected = n, 0, 0  # run: rejections since the last acceptance
     while need:
         # the mean units for `need` acceptances plus three standard deviations
         k = min(MAX_BLOCK_UNITS, math.ceil((need + 3 * math.sqrt(need * (1 - p)) + 1) / p))
-        picked = np.searchsorted(
-            experiment._support_cum, experiment._select_rng.random(k), side="right"
-        )
+        picked = experiment.select_rows(k)
         draws = experiment._shared_rng.integers(sizes, size=(k, len(sizes)))
         hits = np.flatnonzero((draws == required).all(axis=1))[:need]
         ends = hits if len(hits) == need else np.append(hits, k)
@@ -473,7 +482,7 @@ def _run_rejection(
         rejected += used - len(hits)
         run = int(runs[-1])
         need -= len(hits)
-        accepted.append(np.minimum(picked[hits], last))
+        accepted.append(picked[hits])
     chosen = np.concatenate(accepted).tolist()
     for i in set(chosen).difference(rows):
         rows[i] = evaluate(i)
@@ -522,8 +531,9 @@ def sample_interventional(
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> SampleBatch:
     """Randomize each regime variable, keep units whose draws hit the
-    requested values, and read the outcome variables."""
-    outcome = tuple(outcome or model.diagram.variables)
+    requested values, and read the outcome variables (by default every
+    variable outside the regime)."""
+    outcome = tuple(outcome or [v for v in model.diagram.variables if v not in do])
     q = query(*[response(v, dict(do)) for v in outcome])
     return _run_rejection(
         model,

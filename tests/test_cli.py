@@ -104,6 +104,16 @@ def test_bandit_outputs(tmp_path):
     assert header == "iteration,mean,ci95_low,ci95_high"
 
 
+def test_bandit_summary_reports_seconds_per_epoch(tmp_path):
+    assert run_cli(
+        ["bandit", "--algo", "ts-opt", "--T", "50", "--epochs", "2", "--seed", "5"],
+        tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert len(doc["elapsed_s"]) == 2
+    assert all(isinstance(s, float) and s > 0 for s in doc["elapsed_s"])
+
+
 def test_bandit_reruns_are_byte_identical(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"

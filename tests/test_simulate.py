@@ -78,6 +78,19 @@ def test_select_unit_frequencies():
         assert abs(c - n * p) < 3 * sigma, key
 
 
+def test_block_selection_is_the_new_unit_stream():
+    model = example3_problem().model
+    for seed in (0, 1, 2):
+        block = Experiment(model, seed=seed)
+        single = Experiment(model, seed=seed)
+        rows = block.select_rows(500)
+        singles = [single.new_unit().peek_exogenous() for _ in range(500)]
+        assert [dict(zip(model.exogenous_vars, block.support[i])) for i in rows] == singles
+        assert block.units_drawn == single.units_drawn == 500
+        # and the streams stay aligned past the block
+        assert block.new_unit().peek_exogenous() == single.new_unit().peek_exogenous()
+
+
 def test_point_mass_exogenous_always_same_unit():
     d = CausalDiagram(["X"], directed_edges=[])
     mech = {"X": Mechanism.tabulate((), ("U",), (), ((0, 1),), lambda u: u)}
@@ -475,6 +488,16 @@ def test_interventional_estimator_concentrates():
     exact = interventional_distribution(model, ["Y"], {"X": 1})
     for event, p in exact.as_dict().items():
         assert estimate(batch, event) == pytest.approx(p, abs=0.02)
+
+
+def test_interventional_default_outcome_leaves_out_the_regime():
+    model = bow_model()
+    small = sample_interventional(model, {"X": 1}, 10, seed=1)
+    assert [t.variable for t in small.query.terms] == ["Y"]
+    assert len(small) == 10
+    batch = sample_interventional(model, {"X": 1}, 20_000, seed=24)
+    exact = interventional_distribution(model, ["Y"], {"X": 1})
+    assert exact.total_variation(batch.empirical()) < 0.02
 
 
 def test_agent_exogeneity_over_all_drawn_units():
