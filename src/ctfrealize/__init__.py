@@ -21,16 +21,7 @@ from .errors import (
     QueryError,
     QuerySyntaxError,
 )
-from .graphs import (
-    CausalDiagram,
-    ancestors,
-    children,
-    descendants,
-    mutilate,
-    parents,
-    topological_order,
-    variable_set,
-)
+from .graphs import CausalDiagram, variable_set
 from .models import Mechanism, ScmModel, independent_exogenous, validate_scm
 from .queries import (
     CtfQuery,
@@ -48,7 +39,6 @@ from .engine import (
     exact_l3_probability,
     interventional_distribution,
     nde,
-    truncated_factorization,
 )
 from .realizability import (
     Action,

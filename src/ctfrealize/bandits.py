@@ -106,12 +106,6 @@ class MabProblem:
     def post_domain(self) -> tuple[Value, ...]:
         return self.model.diagram.domains[self.post]
 
-    @property
-    def context_domain(self) -> tuple[Value, ...]:
-        if self.context is None:
-            return (None,)
-        return self.model.diagram.domains[self.context]
-
 
 # ---------------------------------------------------------------------------
 # The shipped problem
@@ -169,8 +163,9 @@ def example3_problem() -> MabProblem:
 class ExactTables:
     """Everything the harness needs in closed form, by one enumeration of
     the exogenous support: tier conditionals, first-stage values, the
-    per-unit oracle, and the observational conditionals used for
-    hot-starting."""
+    per-unit oracle, the observational conditionals used for
+    hot-starting, and the per-row responses that exact strategy
+    evaluation sums over."""
 
     def __init__(self, problem: MabProblem):
         self.problem = problem
@@ -197,6 +192,7 @@ class ExactTables:
         p_obs: dict[tuple, float] = {}
         e_obs: dict[tuple, float] = {}
         e_natural = 0.0
+        rows = []
 
         arms = problem.arms
         for u, p in model.exogenous_support():
@@ -215,6 +211,7 @@ class ExactTables:
                 x2: eval_potential_response(model, u, response(post, {dec: x2}))
                 for x2 in arms
             }
+            rows.append((p, z, xn, nat[post], d_x, y_x))
             e_natural += p * y_nat
             p_core[core] = p_core.get(core, 0.0) + p
             key = (z, xn)
@@ -232,6 +229,9 @@ class ExactTables:
                     e_full[fk + (x,)] = e_full.get(fk + (x,), 0.0) + p * y_x[x]
 
         self.natural_value = e_natural
+        # one (p, z, x', natural d, {x'': d under x''}, {x: y under x}) per
+        # support row of positive weight, in support order
+        self.rows = rows
         self._p_key = p_key
         self._e_zx = e_zx
         self._p_d = p_d
@@ -414,30 +414,17 @@ def evaluate_strategy_exact(
     if check_realizability:
         check_strategy_realizable(problem, strategy)
     tables = tables or ExactTables(problem)
-    model = problem.model
-    dec, rew, post, ctx = (
-        problem.decision, problem.reward, problem.post, problem.context
-    )
     total = 0.0
-    for u, p in model.exogenous_support():
-        if p == 0.0:
-            continue
-        nat = model.natural_values(u)
-        z = nat[ctx] if ctx else None
-        xn = nat[dec]
+    for p, z, xn, d_nat, d_x, y_x in tables.rows:
         s1 = strategy.d_stage[(z, xn)]
         if s1 == SKIP_D:
             key = (z, xn)
         elif s1 == READ_D:
-            key = (z, xn, nat[post])
+            key = (z, xn, d_nat)
         else:
-            d = eval_potential_response(model, u, response(post, {dec: s1[1]}))
-            key = (z, xn, d)
+            key = (z, xn, d_x[s1[1]])
         act = strategy.y_stage[key]
-        arm = xn if act == ACT_NONE else act[1]
-        total += p * float(
-            eval_potential_response(model, u, response(rew, {dec: arm}))
-        )
+        total += p * y_x[xn if act == ACT_NONE else act[1]]
     return total
 
 
@@ -557,41 +544,29 @@ def brute_force_optimal(
 # ---------------------------------------------------------------------------
 
 class ThompsonSolver:
-    """Beta-Bernoulli posterior per arm key. Hot-started keys are pinned:
-    they always score their exact observational mean and ignore updates."""
+    """Beta-Bernoulli posterior per arm key, each starting at Beta(1, 1).
+    Hot-started cells never reach the solver: the epoch loop scores them
+    with their exact observational mean and does not update them."""
 
     def __init__(self):
-        self.alpha: dict = {}
-        self.beta: dict = {}
-        self.pinned: dict = {}
-
-    def ensure(self, key) -> None:
-        if key not in self.alpha and key not in self.pinned:
-            self.alpha[key] = 1.0
-            self.beta[key] = 1.0
-
-    def hot_start(self, key, mean: float) -> None:
-        self.pinned[key] = float(mean)
-        self.alpha.pop(key, None)
-        self.beta.pop(key, None)
+        self.posterior: dict = {}  # key -> [alpha, beta]
 
     def draw(self, key, rng: np.random.Generator) -> float:
-        if key in self.pinned:
-            return self.pinned[key]
-        self.ensure(key)
-        return float(rng.beta(self.alpha[key], self.beta[key]))
+        ab = self.posterior.get(key)
+        if ab is None:
+            ab = self.posterior[key] = [1.0, 1.0]
+        return float(rng.beta(ab[0], ab[1]))
 
     def update(self, key, reward: float) -> None:
-        if key in self.pinned:
-            return
-        self.ensure(key)
-        self.alpha[key] += reward
-        self.beta[key] += 1.0 - reward
+        ab = self.posterior.get(key)
+        if ab is None:
+            ab = self.posterior[key] = [1.0, 1.0]
+        ab[0] += reward
+        ab[1] += 1.0 - reward
 
     def pulls(self, key) -> int:
-        if key in self.pinned:
-            return 0
-        return int(self.alpha.get(key, 1.0) + self.beta.get(key, 1.0) - 2.0)
+        alpha, beta = self.posterior.get(key, (1.0, 1.0))
+        return int(alpha + beta - 2.0)
 
 
 @dataclass

@@ -45,13 +45,7 @@ from .realizability import (
 from .mediators import ctf_procedures
 from . import bandits
 from . import fairness
-from .fixtures import (
-    builtin_names,
-    expanded_from_dict,
-    load_fixture,
-    resolve_diagram,
-    resolve_model,
-)
+from .fixtures import builtin_names, resolve_diagram, resolve_expanded, resolve_model
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -335,7 +329,7 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_procedures(args) -> int:
-    expanded = expanded_from_dict(load_fixture(args.expanded))
+    expanded = resolve_expanded(args.expanded)
     acts = ctf_procedures(expanded, args.variable)
     out = _out_dir(args)
     listed = [str(a) for a in acts]
@@ -415,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fairness)
 
     p = sub.add_parser("procedures", help="feasible input randomizations")
-    p.add_argument("--expanded", required=True, help="expanded-diagram fixture path")
+    p.add_argument("--expanded", required=True,
+                   help="built-in expanded-diagram name or fixture path")
     p.add_argument("--variable", required=True)
     common_out(p)
     p.set_defaults(func=cmd_procedures)

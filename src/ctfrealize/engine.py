@@ -138,31 +138,6 @@ def interventional_distribution(
     return exact_distribution(model, CtfQuery(terms))
 
 
-def truncated_factorization(
-    model: ScmModel,
-    outcome: Sequence[str],
-    do: Mapping[str, Value] | None = None,
-) -> dict[tuple[Value, ...], float]:
-    """Independent route to the interventional joint: sum the exogenous
-    weight of every full endogenous assignment consistent with the
-    intervention and the mechanisms, then marginalize onto ``outcome``.
-    Used to cross-check the submodel-evaluation route."""
-    do = dict(do or {})
-    diagram = model.diagram
-    outcome = tuple(outcome)
-    doms = [diagram.domains[v] for v in outcome]
-    out: dict[tuple, float] = {row: 0.0 for row in itertools.product(*doms)}
-    order = diagram.topological_order()
-    for u, p in model.exogenous_support():
-        if p == 0.0:
-            continue
-        values: dict[str, Value] = {}
-        for v in order:
-            values[v] = do[v] if v in do else model.evaluate(v, values, u)
-        out[tuple(values[v] for v in outcome)] += p
-    return out
-
-
 def nde(
     model: ScmModel,
     x: Value,

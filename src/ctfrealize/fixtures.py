@@ -25,18 +25,22 @@ Document layout::
       }
     }
 
-Built-in fixtures cover the structural shapes the test-suite and the
-worked examples rely on; ``builtin_names()`` lists them and the CLI
-accepts either a name or a path.
+Built-in fixtures are names, not files: each one is defined only by
+its Python builder below, and ``builtin_names()`` lists them. They
+cover the structural shapes the test-suite and the worked examples rely
+on. Fixture files are user input in the layout above (``*_to_dict``
+writes it), and the CLI accepts either a built-in name or a path.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from .bandits import example3_problem
 from .errors import ModelError
+from .fairness import example2_scm
 from .graphs import CausalDiagram
 from .mediators import ExpandedDiagram, MediatorNode
 from .models import Mechanism, ScmModel, independent_exogenous
@@ -463,18 +467,10 @@ def expanded_mediator_model() -> ScmModel:
     return ScmModel(d, names, doms, dist, mech)
 
 
-_BUILTIN_DIAGRAMS = {
-    "bow": bow_diagram,
-    "chain": chain_diagram,
-    "hub_conflict": hub_conflict_diagram,
-    "hub_split": hub_split_diagram,
-    "collider_hub": collider_hub_diagram,
-    "fan": fan_diagram,
-    "mediation": mediation_diagram,
-    "mab_template": mab_template_diagram,
-}
+# -- the registry -------------------------------------------------------------
 
-_BUILTIN_MODELS = {
+# Every built-in fixture, by name: the builder is its only definition.
+_BUILTINS: dict[str, Callable[[], ScmModel | CausalDiagram | ExpandedDiagram]] = {
     "bow": bow_model,
     "chain": chain_model,
     "hub_conflict": hub_conflict_model,
@@ -482,67 +478,68 @@ _BUILTIN_MODELS = {
     "collider_hub": collider_hub_model,
     "fan": fan_model,
     "mediation": mediation_model,
+    "bandit_example": lambda: example3_problem().model,
+    "admissions": lambda: example2_scm().to_model(),
+    "mab_template": mab_template_diagram,
+    "expanded_elicit": expanded_elicit,
+    "expanded_two_mediators": expanded_two_mediators,
+    "expanded_chained_mediators": expanded_chained_mediators,
+}
+
+_KINDS = {
+    ScmModel: "a model",
+    CausalDiagram: "a graph-only diagram",
+    ExpandedDiagram: "an expanded diagram",
 }
 
 
 def builtin_names() -> list[str]:
-    names = set(_BUILTIN_DIAGRAMS) | {"bandit_example", "admissions"}
-    return sorted(names)
+    return sorted(_BUILTINS)
+
+
+def builtin(name: str) -> ScmModel | CausalDiagram | ExpandedDiagram:
+    """Build the named fixture: a model, a graph-only diagram or an
+    expanded diagram."""
+    if name not in _BUILTINS:
+        raise ModelError(f"no built-in fixture named {name!r}; known: {builtin_names()}")
+    return _BUILTINS[name]()
+
+
+def _builtin_of(name: str, kind: type):
+    fixture = builtin(name)
+    if not isinstance(fixture, kind):
+        raise ModelError(f"built-in {name!r} is {_KINDS[type(fixture)]}, not {_KINDS[kind]}")
+    return fixture
 
 
 def builtin_diagram(name: str) -> CausalDiagram:
-    if name in _BUILTIN_DIAGRAMS:
-        return _BUILTIN_DIAGRAMS[name]()
-    return builtin_model(name).diagram
+    """The diagram of any built-in; the base diagram of an expanded one."""
+    fixture = builtin(name)
+    if isinstance(fixture, ScmModel):
+        return fixture.diagram
+    if isinstance(fixture, ExpandedDiagram):
+        return fixture.base
+    return fixture
 
 
 def builtin_model(name: str) -> ScmModel:
-    if name == "bandit_example":
-        from .bandits import example3_problem
-
-        return example3_problem().model
-    if name == "admissions":
-        from .fairness import example2_scm
-
-        return example2_scm().to_model()
-    if name in _BUILTIN_MODELS:
-        return _BUILTIN_MODELS[name]()
-    raise ModelError(f"no built-in model named {name!r}; "
-                     f"known: {builtin_names()}")
+    return _builtin_of(name, ScmModel)
 
 
 def resolve_diagram(spec: str) -> CausalDiagram:
     """A built-in name, or a path to a fixture JSON."""
-    if spec in _BUILTIN_DIAGRAMS or spec in ("bandit_example", "admissions"):
+    if spec in _BUILTINS:
         return builtin_diagram(spec)
     return diagram_from_dict(load_fixture(spec))
 
 
 def resolve_model(spec: str) -> ScmModel:
-    if spec in _BUILTIN_MODELS or spec in ("bandit_example", "admissions"):
+    if spec in _BUILTINS:
         return builtin_model(spec)
     return model_from_dict(load_fixture(spec))
 
 
-def write_builtin_fixture_files(directory: str | Path) -> list[Path]:
-    """Materialize every built-in fixture as a JSON document."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in builtin_names():
-        try:
-            doc = model_to_dict(builtin_model(name), name)
-        except ModelError:
-            doc = diagram_to_dict(builtin_diagram(name), name)
-        path = directory / f"{name}.json"
-        save_fixture(doc, path)
-        written.append(path)
-    for name, builder in {
-        "expanded_elicit": expanded_elicit,
-        "expanded_two_mediators": expanded_two_mediators,
-        "expanded_chained_mediators": expanded_chained_mediators,
-    }.items():
-        path = directory / f"{name}.json"
-        save_fixture(expanded_to_dict(builder(), name), path)
-        written.append(path)
-    return written
+def resolve_expanded(spec: str) -> ExpandedDiagram:
+    if spec in _BUILTINS:
+        return _builtin_of(spec, ExpandedDiagram)
+    return expanded_from_dict(load_fixture(spec))

@@ -221,33 +221,3 @@ def variable_set(diagram: CausalDiagram, names: Iterable[str]) -> tuple[str, ...
             raise GraphError(f"duplicate variable {n!r} in set")
         seen.append(n)
     return tuple(seen)
-
-
-# Functional aliases matching the operation-level API.
-
-def children(diagram: CausalDiagram, v: str) -> tuple[str, ...]:
-    return diagram.children(v)
-
-
-def parents(diagram: CausalDiagram, v: str) -> tuple[str, ...]:
-    return diagram.parents(v)
-
-
-def ancestors(diagram: CausalDiagram, v: str) -> tuple[str, ...]:
-    return diagram.ancestors(v)
-
-
-def descendants(diagram: CausalDiagram, v: str) -> tuple[str, ...]:
-    return diagram.descendants(v)
-
-
-def mutilate(
-    diagram: CausalDiagram,
-    cut_into: Iterable[str] = (),
-    cut_out_of: Iterable[str] = (),
-) -> CausalDiagram:
-    return diagram.mutilate(cut_into, cut_out_of)
-
-
-def topological_order(diagram: CausalDiagram) -> tuple[str, ...]:
-    return diagram.topological_order()

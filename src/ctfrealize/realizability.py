@@ -45,13 +45,14 @@ from .queries import (
 class _Natural:
     """The tag meaning: the action must not be performed. A private
     object, so that no domain value (not even the string "Natural") can
-    equal it. It prints as the string it replaced did, which keeps
-    plan, conflict and CLI text unchanged."""
+    equal it. Its repr, ``<natural>``, is no domain value's repr, so
+    conflict text (which shows tags with ``!r``) tells it from a value;
+    ``str`` gives "Natural", as in ``plan.json``."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
-        return "'Natural'"
+        return "<natural>"
 
     def __str__(self) -> str:
         return "Natural"

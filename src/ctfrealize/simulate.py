@@ -98,9 +98,6 @@ class RandomDevice:
     def constant(cls, values: Sequence[Value], value: Value) -> "RandomDevice":
         return cls(values, [1.0 if v == value else 0.0 for v in values])
 
-    def has_full_support(self) -> bool:
-        return all(p > 0 for p in self.probs)
-
     def prob_of(self, value: Value) -> float:
         for v, p in zip(self.values, self.probs):
             if v == value:

@@ -293,7 +293,6 @@ def test_single_epoch_band_collapses(problem, tables):
 def test_thompson_posterior_counts_match_updates():
     solver = ThompsonSolver()
     rng = np.random.default_rng(0)
-    solver.hot_start("pinned", 0.7)
     routed = {"a": 0, "b": 0}
     for _ in range(200):
         key = "a" if rng.random() < 0.3 else "b"
@@ -302,8 +301,6 @@ def test_thompson_posterior_counts_match_updates():
         routed[key] += 1
     assert solver.pulls("a") == routed["a"]
     assert solver.pulls("b") == routed["b"]
-    solver.update("pinned", 1.0)
-    assert solver.draw("pinned", rng) == 0.7  # pinned cells ignore updates
 
 
 def test_mab_opt_matches_ts_opt_with_thompson_solver(problem, tables):

@@ -151,6 +151,22 @@ def test_procedures_subcommand(tmp_path):
     assert set(doc["actions"]) == {"CtfRand(X->{T,Y,Z})", "CtfRand(X->{T,Z})"}
 
 
+def test_procedures_takes_a_builtin_expanded_name(tmp_path):
+    assert run_cli(
+        ["procedures", "--expanded", "expanded_chained_mediators", "--variable", "X"],
+        tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert set(doc["actions"]) == {"CtfRand(X->{T,Y,Z})", "CtfRand(X->{T,Z})"}
+
+
+def test_graph_only_builtin_is_not_a_model(tmp_path, capsys):
+    assert run_cli(
+        ["eval", "--model", "mab_template", "--query", "P(Y)"], tmp_path
+    ) == 1
+    assert "'mab_template' is a graph-only diagram, not a model" in capsys.readouterr().err
+
+
 def test_help_lists_every_subcommand_flag():
     import io
     from contextlib import redirect_stdout

@@ -15,7 +15,6 @@ from ctfrealize import (
     nde,
     query,
     response,
-    truncated_factorization,
 )
 from ctfrealize.bandits import example3_problem
 from ctfrealize.fixtures import (
@@ -52,6 +51,24 @@ def brute_force_probability(model, terms_with_values):
         if ok:
             total += p
     return total
+
+
+def truncated_factorization(model, outcome, do=None):
+    """Independent route to the interventional joint: sum the exogenous
+    weight of every full endogenous assignment consistent with the
+    intervention and the mechanisms, then marginalize onto ``outcome``."""
+    do = dict(do or {})
+    order = model.diagram.topological_order()
+    doms = [model.diagram.domains[v] for v in outcome]
+    out = {row: 0.0 for row in itertools.product(*doms)}
+    for u, p in model.exogenous_support():
+        if p == 0.0:
+            continue
+        values = {}
+        for v in order:
+            values[v] = do[v] if v in do else model.evaluate(v, values, u)
+        out[tuple(values[v] for v in outcome)] += p
+    return out
 
 
 def test_conflicting_responses_brute_force():

@@ -1,53 +1,18 @@
-import json
-from pathlib import Path
-
 import pytest
 
 from ctfrealize.errors import ModelError
 from ctfrealize.fixtures import (
-    builtin_diagram,
     builtin_model,
-    builtin_names,
-    diagram_from_dict,
     expanded_from_dict,
     expanded_to_dict,
     expanded_two_mediators,
     hub_split_model,
     load_fixture,
-    model_from_dict,
     model_to_dict,
     resolve_diagram,
     resolve_model,
     save_fixture,
 )
-
-PACKAGED = Path(__file__).resolve().parents[1] / "src" / "ctfrealize" / "fixtures"
-
-
-def test_packaged_fixture_files_load():
-    files = sorted(PACKAGED.glob("*.json"))
-    assert len(files) >= 12
-    for path in files:
-        doc = load_fixture(path)
-        if "expanded" in doc:
-            expanded_from_dict(doc)
-        elif "mechanisms" in doc:
-            model = model_from_dict(doc)
-            assert model.diagram.variables
-        else:
-            assert diagram_from_dict(doc).variables
-
-
-def test_packaged_files_match_builders():
-    for name in builtin_names():
-        doc = load_fixture(PACKAGED / f"{name}.json")
-        try:
-            built = model_to_dict(builtin_model(name), name)
-        except ModelError:
-            from ctfrealize.fixtures import diagram_to_dict
-
-            built = diagram_to_dict(builtin_diagram(name), name)
-        assert doc == json.loads(json.dumps(built))
 
 
 def test_model_round_trip_through_file(tmp_path):

@@ -1,11 +1,23 @@
+import json
+
 import pytest
 
-from ctfrealize import CausalDiagram, Mechanism, ModelError, ScmModel, validate_scm
+from ctfrealize import (
+    CausalDiagram,
+    ExpandedDiagram,
+    Mechanism,
+    ModelError,
+    ScmModel,
+    validate_scm,
+)
 from ctfrealize.bandits import example3_problem
 from ctfrealize.fixtures import (
-    bow_model,
+    builtin,
     builtin_names,
     diagram_from_dict,
+    diagram_to_dict,
+    expanded_from_dict,
+    expanded_to_dict,
     model_from_dict,
     model_to_dict,
 )
@@ -88,12 +100,27 @@ def test_mechanism_total_lookup_errors_on_missing_key():
         m((1,), ())
 
 
-def test_fixture_round_trip_preserves_model():
-    model = bow_model()
-    doc = model_to_dict(model, "bow")
-    back = model_from_dict(doc)
-    assert back.diagram == model.diagram
-    assert back.exogenous_dist == model.exogenous_dist
-    for v in model.mechanisms:
-        assert back.mechanisms[v].table == model.mechanisms[v].table
-    assert diagram_from_dict(doc) == model.diagram
+@pytest.mark.parametrize("name", builtin_names())
+def test_fixture_round_trip_preserves_model(name):
+    # builder -> document -> JSON text -> document -> loader gives the
+    # builder's fixture back, for models, graph-only and expanded diagrams
+    fixture = builtin(name)
+    if isinstance(fixture, ScmModel):
+        doc = json.loads(json.dumps(model_to_dict(fixture, name)))
+        back = model_from_dict(doc)
+        assert back.diagram == fixture.diagram
+        assert back.exogenous_dist == fixture.exogenous_dist
+        assert back.mechanisms.keys() == fixture.mechanisms.keys()
+        for v, m in fixture.mechanisms.items():
+            b = back.mechanisms[v]
+            assert (b.parents, b.exogenous, b.table) == (m.parents, m.exogenous, m.table), v
+        assert diagram_from_dict(doc) == fixture.diagram
+    elif isinstance(fixture, ExpandedDiagram):
+        back = expanded_from_dict(json.loads(json.dumps(expanded_to_dict(fixture, name))))
+        assert back.base == fixture.base
+        assert back.mediators == fixture.mediators
+        assert back.elicit_natural == fixture.elicit_natural
+        assert back.randomizable == fixture.randomizable
+    else:
+        doc = json.loads(json.dumps(diagram_to_dict(fixture, name)))
+        assert diagram_from_dict(doc) == fixture

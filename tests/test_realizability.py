@@ -436,7 +436,11 @@ def test_domain_value_spelled_like_the_natural_tag_is_a_value():
         assert verdict.conflict.failure == NATURAL_CONFLICT_CTF
         assert verdict.conflict.existing == value
         assert verdict.conflict.required is NATURAL
-    assert str(NATURAL) == "Natural" and repr(NATURAL) == repr("Natural")
+        # the tag and the value print differently in the conflict text
+        text = verdict.conflict.describe()
+        assert f"needs tag {NATURAL!r}" in text and f"carries {value!r}" in text
+        assert repr(NATURAL) != repr(value)
+    assert str(NATURAL) == "Natural"
 
 
 def test_normalized_subscripts_align_algorithm_and_criterion():
