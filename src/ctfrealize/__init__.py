@@ -44,11 +44,9 @@ from .realizability import (
     Action,
     ActionSet,
     Conflict,
-    InterventionTracker,
     NotRealizable,
     RealizabilityChecker,
     RealizationPlan,
-    compatible,
     ctf_rand_action,
     ctf_realize,
     maximal_action_set,

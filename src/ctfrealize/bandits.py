@@ -95,6 +95,8 @@ class MabProblem:
             raise ModelError(f"{self.post!r} must be a child of {self.decision!r}")
         if self.reward not in d.descendants(self.decision):
             raise ModelError(f"{self.reward!r} must be downstream of {self.decision!r}")
+        if self.post in d.ancestors(self.reward):
+            raise ModelError(f"{self.post!r} must not feed the reward {self.reward!r}")
         if set(d.domains[self.reward]) - {0, 1}:
             raise ModelError("reward must be binary 0/1")
 

@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .errors import CtfRealizeError
+from .errors import CtfRealizeError, QueryError
 from .graphs import CausalDiagram
 from .queries import parse_query
 from .engine import exact_distribution, exact_l3_probability
@@ -202,6 +202,11 @@ def cmd_realize(args) -> int:
 def cmd_eval(args) -> int:
     model = resolve_model(args.model)
     q = parse_query(args.query, model.diagram)
+    if not q.is_valued() and any(v is not None for v in q.values()):
+        raise QueryError(
+            f"{q} values only some of its terms: value every term for a "
+            "probability, or none for the joint distribution"
+        )
     out = _out_dir(args)
     config = {"subcommand": "eval", "model": args.model, "query": args.query}
     if q.is_valued():
@@ -268,12 +273,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bandit(args) -> int:
-    if args.problem == "example3":
-        problem = bandits.example3_problem()
-    else:
-        from .bandits import MabProblem
-
-        problem = MabProblem(resolve_model(args.problem))
+    problem = bandits.MabProblem(resolve_model(args.problem))
     seed = _seed(args)
     metrics = bandits.run_epochs(args.algo, problem, args.T, args.epochs, seed)
     out = _out_dir(args)
@@ -394,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bandit", help="run a bandit algorithm")
     p.add_argument("--algo", choices=list(bandits.ALGORITHMS), required=True)
-    p.add_argument("--problem", default="example3",
-                   help="'example3' or a model fixture path")
+    p.add_argument("--problem", default="bandit_example",
+                   help="built-in model name or model fixture path")
     p.add_argument("--T", type=int, default=2000)
     p.add_argument("--epochs", type=int, default=200)
     common_out(p)

@@ -18,6 +18,7 @@ inverted back to X.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -149,11 +150,10 @@ def inverse_image_classes(model: ScmModel, w: str, x: str) -> dict[Value, set[Va
     if tuple(m.parents) != (x,):
         return None
     classes: dict[Value, Value] = {}  # w value -> unique x value
-    import itertools as _it
 
     exo_doms = [model.exogenous_domains[e] for e in m.exogenous]
     for xv in model.diagram.domains[x]:
-        for evals in _it.product(*[tuple(d) for d in exo_doms]):
+        for evals in itertools.product(*[tuple(d) for d in exo_doms]):
             wv = m((xv,), evals)
             if wv in classes and classes[wv] != xv:
                 return None
@@ -187,8 +187,6 @@ def verify_counterfactual_mediator(
         for wv in ws:
             class_of[wv] = xv
 
-    import itertools as _it
-
     my = model.mechanisms[y]
     others = tuple(p for p in my.parents if p != w)
     other_doms = [d.domains[p] for p in others]
@@ -203,8 +201,8 @@ def verify_counterfactual_mediator(
     for ws in classes.values():
         ws = sorted(ws, key=repr)
         for wa, wb in zip(ws, ws[1:]):
-            for other_vals in _it.product(*[tuple(t) for t in other_doms]):
-                for evals in _it.product(*[tuple(t) for t in exo_doms]):
+            for other_vals in itertools.product(*[tuple(t) for t in other_doms]):
+                for evals in itertools.product(*[tuple(t) for t in exo_doms]):
                     if y_value(wa, other_vals, evals) != y_value(wb, other_vals, evals):
                         return False
 
@@ -212,7 +210,7 @@ def verify_counterfactual_mediator(
     # fixed setting of y's other parents
     for u, p in model.exogenous_support():
         for xv, ws in sorted(classes.items(), key=lambda kv: repr(kv[0])):
-            for other_vals in _it.product(*[tuple(t) for t in other_doms]):
+            for other_vals in itertools.product(*[tuple(t) for t in other_doms]):
                 fixed = dict(zip(others, other_vals))
                 via_x = eval_potential_response(
                     model, u, response(y, {x: xv, **fixed})

@@ -8,7 +8,7 @@ several entries of one regime as long as the explicit target sets are
 disjoint, which is how a nested term like "Y receiving x' directly
 while the mediator runs under x" is written.
 
-Text form (formal grammar in the package README):
+Text form (the grammar is in ``parse_query``'s docstring):
 
     P(Y[X=1], X)            two terms: Y under do(X=1), and natural X
     P(Y[X=1]=1, X=0)        the same terms with event values attached
@@ -304,6 +304,21 @@ def _coerce(token: str, domain: Sequence[Value]) -> Value:
 
 def parse_query(text: str, diagram: CausalDiagram) -> CtfQuery:
     """Parse query text against a diagram's variables and domains.
+
+    Grammar (whitespace may separate tokens; "P(" and "->" are single
+    tokens)::
+
+        query  := "P(" terms ")" | terms
+        terms  := term ("," term)*
+        term   := name ["[" entry ("," entry)* "]"] ["=" value]
+        entry  := name "=" value ["->" (name | "{" name ("," name)* "}")]
+        value  := name
+        name   := one or more letters, digits, "_", "." or "'"
+
+    A term's name is its variable, an entry's name the regime variable,
+    and a name after "->" a child that receives the value (no arrow: every
+    child does). A value token is looked up in the variable's domain as
+    text first, then as an integer.
 
     Raises QuerySyntaxError (with position) for malformed text and
     QueryError for unknown variables, out-of-domain values and

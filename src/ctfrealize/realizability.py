@@ -13,24 +13,30 @@ randomization actions on V are forced and with which tag:
   action that could override their input is tagged Natural (meaning:
   must not be performed).
 
-A query is realizable iff no action ends up with two different tags and
-no output variable needs its own mechanism erased by a whole-variable
-randomization. On success the procedure emits an executable plan:
-perform the value-tagged randomizations step by step, discard the unit
-whenever a drawn value misses its tag, then read the outputs.
+A query is realizable iff no action ends up with two different tags, no
+output variable needs its own mechanism erased by a whole-variable
+randomization, and every output can be read. On success the procedure
+emits an executable plan: perform the value-tagged randomizations step
+by step, discard the unit whenever a drawn value misses its tag, then
+read the outputs.
 
 Tags are per-action and depend only on the term, so conflicts are
-always witnessed by a pair of terms; ``RealizabilityChecker`` caches
-per-term requirements to make large enumerations cheap.
+always witnessed by a pair of terms. ``RealizabilityChecker`` compiles
+each term's requirements once, keyed by action id (the action's
+position in plan order). ``realize`` decides with an order-free union
+of the terms' tags. Only a failing query takes the ordered reference
+merge (variables in topological order, terms in query order), which
+reports the first clash it meets; every ``Conflict``, whatever its
+failure class, is built at that one site.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ActionError, ContainmentViolation, QueryError
 from .graphs import CausalDiagram, Value
@@ -208,7 +214,7 @@ def maximal_action_set(diagram: CausalDiagram) -> ActionSet:
 
 
 # ---------------------------------------------------------------------------
-# Trackers, conflicts, plans
+# Conflicts, plans
 # ---------------------------------------------------------------------------
 
 # Failure classes, mirroring the FAIL sites of the decision procedure.
@@ -219,30 +225,6 @@ NATURAL_CONFLICT_CTF = "natural-conflict-ctf-rand"
 NATURAL_CONFLICT_RAND = "natural-conflict-rand"
 OUTPUT_ERASED = "output-erased-by-rand"
 READ_UNAVAILABLE = "read-unavailable"
-
-
-class TagRecord(NamedTuple):
-    tag: object  # a domain value, or NATURAL
-    term_index: int
-    child: str | None
-
-
-class InterventionTracker:
-    """Per variable, the map action -> tag accumulated while scanning the
-    query. At most one tag per action; a second, different tag is a
-    conflict."""
-
-    def __init__(self):
-        self.tags: dict[str, dict[Action, TagRecord]] = {}
-
-    def get(self, action: Action) -> TagRecord | None:
-        return self.tags.get(action.var or "", {}).get(action)
-
-    def set(self, action: Action, record: TagRecord) -> None:
-        self.tags.setdefault(action.var or "", {})[action] = record
-
-    def for_var(self, v: str) -> dict[Action, TagRecord]:
-        return self.tags.get(v, {})
 
 
 @dataclass(frozen=True)
@@ -416,13 +398,23 @@ class RealizationPlan:
 
 @dataclass
 class _TermRequirements:
-    """Action tags a single term forces, keyed by source variable."""
+    """Action tags a single term forces. ``by_var`` maps each source
+    variable to its (action id, tag, child) entries in merge order; the
+    child is None for a whole-variable randomization tagged Natural. A
+    term fails alone when no action can fix its value v of variable V as
+    input to a child; ``failure`` is then (V, v, child), and the entries
+    stop at V."""
 
-    by_var: dict[str, list[tuple[Action, object, str]]] = field(default_factory=dict)
-    failure: Conflict | None = None  # a term can fail alone (no action usable)
+    by_var: dict[str, list[tuple[int, object, str | None]]]
+    failure: tuple[str, Value, str] | None = None
     # the same tags keyed by action id; one term never tags an action twice
     # with different tags, since a variable is either fixed or natural in it
-    tags: dict[int, object] = field(default_factory=dict)
+    tags: dict[int, object] = field(init=False)
+
+    def __post_init__(self):
+        self.tags = {
+            i: tag for entries in self.by_var.values() for i, tag, _ in entries
+        }
 
 
 class RealizabilityChecker:
@@ -455,21 +447,17 @@ class RealizabilityChecker:
         return {a: i for i, a in enumerate(self._randomizations)}
 
     @cached_property
-    def _rand(self) -> dict[str, Action]:
-        return {a.var: a for a in self._randomizations if a.kind == RAND}
+    def _rand(self) -> dict[str, int]:
+        """The id of each variable's whole-variable randomization."""
+        return {a.var: i for i, a in enumerate(self._randomizations) if a.kind == RAND}
 
     # -- per-term requirement tags -------------------------------------
 
-    def _term_key(self, term: PotentialResponse) -> tuple:
-        return (term.variable, frozenset(term.regime))
-
     def term_requirements(self, term: PotentialResponse) -> _TermRequirements:
-        key = self._term_key(term)
-        cached = self._term_cache.get(key)
-        if cached is not None:
-            return cached
-        req = self._compute_term_requirements(term)
-        self._term_cache[key] = req
+        key = (term.variable, frozenset(term.regime))
+        req = self._term_cache.get(key)
+        if req is None:
+            req = self._term_cache[key] = self._compute_term_requirements(term)
         return req
 
     def _compute_term_requirements(self, term: PotentialResponse) -> _TermRequirements:
@@ -484,33 +472,18 @@ class RealizabilityChecker:
         w = term.variable
         # ancestors of W once the regime variables' mechanisms are bypassed
         relevant = set(self.diagram.ancestors(w, cut_into=regime_vars))
-        req = _TermRequirements()
+        by_var: dict[str, list[tuple[int, object, str | None]]] = {}
         for v in self.topo:
             if v == w or v not in relevant:
                 continue
-            entries = req.by_var.setdefault(v, [])
+            entries = by_var.setdefault(v, [])
             if v in regime_vars:
-                fail = self._value_pass(v, assignment[v], relevant, regime_vars, entries)
-                if fail is not None:
-                    req.failure = Conflict(
-                        variable=v,
-                        failure=NO_ACTION,
-                        action=None,
-                        required=assignment[v],
-                        existing=None,
-                        term_index=-1,
-                        prior_term_index=None,
-                        child=fail,
-                    )
-                    return req
+                child = self._value_pass(v, assignment[v], relevant, regime_vars, entries)
+                if child is not None:
+                    return _TermRequirements(by_var, (v, assignment[v], child))
             else:
                 self._natural_pass(v, relevant, regime_vars, entries)
-        req.tags = {
-            self._id[action]: tag
-            for entries in req.by_var.values()
-            for action, tag, _ in entries
-        }
-        return req
+        return _TermRequirements(by_var)
 
     def _value_pass(
         self,
@@ -527,11 +500,12 @@ class RealizabilityChecker:
             if c not in relevant or c in regime_vars:
                 continue
             action = self.actions.smallest_covering(v, c)
-            if action is None:
-                action = self._rand.get(v)
-                if action is None:
-                    return c
-            entries.append((action, value, c))
+            if action is not None:
+                entries.append((self._id[action], value, c))
+            elif v in self._rand:
+                entries.append((self._rand[v], value, c))
+            else:
+                return c
         return None
 
     def _natural_pass(
@@ -547,7 +521,7 @@ class RealizabilityChecker:
             touched = True
             for action in self.actions.ctf_rands_for(v):
                 if c in action.targets:  # type: ignore[operator]
-                    entries.append((action, NATURAL, c))
+                    entries.append((self._id[action], NATURAL, c))
         if touched and v in self._rand:
             entries.append((self._rand[v], NATURAL, None))
 
@@ -603,8 +577,7 @@ class RealizabilityChecker:
                 if tags.setdefault(i, tag) != tag:
                     return None
         for t in q.terms:
-            rand = self._rand.get(t.variable)
-            if rand is not None and tags.get(self._id[rand], NATURAL) is not NATURAL:
+            if tags.get(self._rand.get(t.variable), NATURAL) is not NATURAL:
                 return None
             if not self.actions.has_read(t.variable):
                 return None
@@ -623,77 +596,43 @@ class RealizabilityChecker:
     ) -> RealizationPlan | NotRealizable:
         """The reference merge: variables in topological order, terms in
         query order, so the first clash met is the reported conflict."""
-        tracker = InterventionTracker()
+        merged: dict[int, tuple[object, int]] = {}
+        clash = self._first_clash(q, reqs, merged)
+        if clash is not None:
+            return NotRealizable(q, Conflict(*clash), self.diagram)
+        return self._plan(q, {i: tag for i, (tag, _) in merged.items()})
+
+    def _first_clash(
+        self,
+        q: CtfQuery,
+        reqs: Sequence[_TermRequirements],
+        merged: dict[int, tuple[object, int]],
+    ) -> tuple | None:
+        """Merge every term's tags into ``merged`` (action id -> tag and
+        the index of the term that set it) in the reference order. Returns
+        the fields of the first conflict, in Conflict's order, or None."""
         outputs: dict[str, list[int]] = {}
         for ti, t in enumerate(q.terms):
             outputs.setdefault(t.variable, []).append(ti)
-
         for v in self.topo:
             for ti, req in enumerate(reqs):
-                conflict = self._merge(v, req, tracker, ti)
-                if conflict is not None:
-                    return NotRealizable(q, conflict, self.diagram)
-            # output checks for v
+                if req.failure is not None and req.failure[0] == v:
+                    _, value, child = req.failure
+                    return v, NO_ACTION, None, value, None, ti, None, child
+                for i, tag, child in req.by_var.get(v, ()):
+                    existing, prior = merged.setdefault(i, (tag, ti))
+                    if existing != tag:
+                        action = self._randomizations[i]
+                        failure = self._conflict_class(action, tag)
+                        return v, failure, action, tag, existing, ti, prior, child
             for ti in outputs.get(v, ()):
-                rand = self._rand.get(v)
-                rec = tracker.get(rand) if rand is not None else None
-                if rec is not None and rec.tag is not NATURAL:
-                    conflict = Conflict(
-                        variable=v,
-                        failure=OUTPUT_ERASED,
-                        action=rand,
-                        required=None,
-                        existing=rec.tag,
-                        term_index=ti,
-                        prior_term_index=rec.term_index,
-                        child=None,
-                    )
-                    return NotRealizable(q, conflict, self.diagram)
+                i = self._rand.get(v)
+                existing, prior = merged.get(i, (NATURAL, None))
+                if existing is not NATURAL:
+                    action = self._randomizations[i]
+                    return v, OUTPUT_ERASED, action, None, existing, ti, prior, None
                 if not self.actions.has_read(v):
-                    conflict = Conflict(
-                        variable=v,
-                        failure=READ_UNAVAILABLE,
-                        action=read_action(v),
-                        required=None,
-                        existing=None,
-                        term_index=ti,
-                        prior_term_index=None,
-                        child=None,
-                    )
-                    return NotRealizable(q, conflict, self.diagram)
-        return self._plan(q, {
-            self._id[action]: rec.tag
-            for recs in tracker.tags.values()
-            for action, rec in recs.items()
-        })
-
-    def _merge(
-        self,
-        v: str,
-        req: _TermRequirements,
-        tracker: InterventionTracker,
-        term_index: int,
-    ) -> Conflict | None:
-        """Merge the tags one term forces on v's actions into the
-        tracker; returns the first conflict, leaving the tracker holding
-        the tags merged before it."""
-        if req.failure is not None and req.failure.variable == v:
-            return replace(req.failure, term_index=term_index)
-        for action, tag, child in req.by_var.get(v, ()):
-            existing = tracker.get(action)
-            if existing is None:
-                tracker.set(action, TagRecord(tag, term_index, child))
-            elif existing.tag != tag:
-                return Conflict(
-                    variable=v,
-                    failure=self._conflict_class(action, tag),
-                    action=action,
-                    required=tag,
-                    existing=existing.tag,
-                    term_index=term_index,
-                    prior_term_index=existing.term_index,
-                    child=child,
-                )
+                    return v, READ_UNAVAILABLE, read_action(v), None, None, ti, None, None
         return None
 
     @staticmethod
@@ -711,21 +650,6 @@ def ctf_realize(
     """Decide realizability of the query under the feasible actions; on
     success return the executable plan, otherwise a structured witness."""
     return RealizabilityChecker(diagram, actions).realize(q)
-
-
-def compatible(
-    v: str,
-    term: PotentialResponse,
-    tracker: InterventionTracker,
-    diagram: CausalDiagram,
-    actions: ActionSet,
-    term_index: int = 0,
-) -> InterventionTracker | Conflict:
-    """Merge the requirements variable ``v`` inherits from one term into
-    the tracker; returns the updated tracker, or the conflict."""
-    checker = RealizabilityChecker(diagram, actions)
-    conflict = checker._merge(v, checker.term_requirements(term), tracker, term_index)
-    return tracker if conflict is None else conflict
 
 
 def realizable_by_criterion(

@@ -8,6 +8,7 @@ from ctfrealize import (
     CausalDiagram,
     EstimationError,
     Mechanism,
+    ModelError,
     QueryError,
     ScmModel,
     ctf_realize,
@@ -242,6 +243,26 @@ def test_natural_plus_forced_reward_joint_is_rejected(problem):
     verdict = ctf_realize(q, problem.model.diagram,
                           maximal_action_set(problem.model.diagram))
     assert not verdict
+
+
+def test_post_decision_variable_feeding_the_reward_is_rejected():
+    # D is read before the reward arm is fixed; a D that feeds Y would pay
+    # the learner a y that the exact tables do not score
+    d = CausalDiagram(
+        ["X", "D", "Y"],
+        directed_edges=[("X", "D"), ("D", "Y"), ("X", "Y")],
+        bidirected_edges=[("X", "Y")],
+    )
+    names, doms, dist = independent_exogenous({"UX": (0, 1), "UD": (0, 1)})
+    mech = {
+        "X": Mechanism.tabulate((), ("UX",), (), ((0, 1),), lambda u: u),
+        "D": Mechanism.tabulate(("X",), ("UD",), ((0, 1),), ((0, 1),),
+                                lambda x, u: x ^ u),
+        "Y": Mechanism.tabulate(("X", "D"), ("UX",), ((0, 1), (0, 1)), ((0, 1),),
+                                lambda x, dv, u: x ^ dv ^ u),
+    }
+    with pytest.raises(ModelError, match="must not feed the reward"):
+        MabProblem(ScmModel(d, names, doms, dist, mech))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,14 @@ def test_eval_valued_and_distribution(tmp_path, capsys):
     assert (tmp_path / "distribution.csv").exists()
 
 
+def test_eval_rejects_a_partly_valued_query(tmp_path, capsys):
+    assert run_cli(
+        ["eval", "--model", "bow", "--query", "P(Y[X=1]=1, X)"], tmp_path
+    ) == 1
+    assert "value every term" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_sample_writes_csv_and_summary(tmp_path):
     assert run_cli(
         ["sample", "--model", "bow", "--query", "P(Y[X=1], X)",
@@ -102,6 +110,23 @@ def test_bandit_outputs(tmp_path):
         assert (tmp_path / name).exists()
     header = (tmp_path / "cr.csv").read_text().splitlines()[0]
     assert header == "iteration,mean,ci95_low,ci95_high"
+
+
+def test_bandit_problem_is_a_builtin_model_name(tmp_path):
+    assert run_cli(
+        ["bandit", "--algo", "ts", "--problem", "bandit_example", "--T", "40",
+         "--epochs", "2", "--seed", "4"],
+        tmp_path / "named",
+    ) == 0
+    assert run_cli(
+        ["bandit", "--algo", "ts", "--T", "40", "--epochs", "2", "--seed", "4"],
+        tmp_path / "default",
+    ) == 0
+    doc = json.loads((tmp_path / "default" / "summary.json").read_text())
+    assert doc["config"]["problem"] == "bandit_example"
+    for name in ("cr.csv", "oap.csv"):
+        named = (tmp_path / "named" / name).read_bytes()
+        assert named == (tmp_path / "default" / name).read_bytes()
 
 
 def test_bandit_summary_reports_seconds_per_epoch(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -8,12 +9,10 @@ from ctfrealize import (
     CausalDiagram,
     ContainmentViolation,
     CtfQuery,
-    InterventionTracker,
     NotRealizable,
     QueryError,
     RealizabilityChecker,
     RealizationPlan,
-    compatible,
     ctf_rand_action,
     ctf_realize,
     maximal_action_set,
@@ -26,11 +25,15 @@ from ctfrealize import (
     select,
 )
 from ctfrealize.realizability import (
+    CTF_RAND,
     NATURAL,
     NATURAL_CONFLICT_CTF,
+    NATURAL_CONFLICT_RAND,
     NO_ACTION,
     OUTPUT_ERASED,
+    READ_UNAVAILABLE,
     VALUE_CONFLICT_CTF,
+    VALUE_CONFLICT_RAND,
     Conflict,
 )
 from ctfrealize.fixtures import (
@@ -223,30 +226,32 @@ def test_smallest_covering_is_unique_minimum():
 
 
 # ---------------------------------------------------------------------------
-# compatible() at the operation level
+# Tags and conflicts of single terms
 # ---------------------------------------------------------------------------
 
-def test_compatible_tags_and_conflicts():
+def test_natural_read_clashes_with_an_earlier_fixed_input():
     bow = bow_diagram()
-    actions = maximal_action_set(bow)
-    tracker = InterventionTracker()
-    out = compatible("X", response("Y", {"X": 1}), tracker, bow, actions, 0)
-    assert isinstance(out, InterventionTracker)
-    rec = tracker.get(ctf_rand_action("X", ["Y"]))
-    assert rec.tag == 1
-    conflict = compatible("X", response("Y"), tracker, bow, actions, 1)
-    assert isinstance(conflict, Conflict)
-    assert conflict.failure == NATURAL_CONFLICT_CTF
+    verdict = ctf_realize(
+        query(response("Y", {"X": 1}), response("Y")), bow, maximal_action_set(bow)
+    )
+    assert isinstance(verdict, NotRealizable)
+    assert verdict.conflict == Conflict(
+        variable="X",
+        failure=NATURAL_CONFLICT_CTF,
+        action=ctf_rand_action("X", ["Y"]),
+        required=NATURAL,
+        existing=1,
+        term_index=1,
+        prior_term_index=0,
+        child="Y",
+    )
 
 
-def test_compatible_no_relevant_children_leaves_tracker_unchanged():
+def test_fixed_input_tags_only_the_covering_action():
     fan = fan_diagram()
-    actions = maximal_action_set(fan)
-    tracker = InterventionTracker()
-    # Z has no children at all, so nothing is required of it
-    out = compatible("Z", response("Y", {"X": 1}), tracker, fan, actions)
-    assert isinstance(out, InterventionTracker)
-    assert tracker.for_var("Z") == {}
+    plan = ctf_realize(query(response("Y", {"X": 1})), fan, maximal_action_set(fan))
+    assert isinstance(plan, RealizationPlan)
+    assert plan.tags == ((ctf_rand_action("X", ["Y"]), 1),)
 
 
 def test_no_action_available_failure():
@@ -316,11 +321,20 @@ def test_layer_degeneration_reads_plus_rand():
     )
 
 
+# sha256 of describe(), and of repr(conflict) for a failing query, over
+# every pair of test_fast_merge_matches_ordered_merge, as the decision
+# procedure gave them before its ordered merge moved to action ids
+FAST_MERGE_DIGEST = "6cee7be8c58330e69dd48f32146ad5f6f1b21cd27a2234ba79ce884296fcac55"
+
+
 def test_fast_merge_matches_ordered_merge():
     # realize decides with an order-free union of the terms' tags and
     # falls back to the ordered merge only to locate a conflict; on every
     # pair the two paths must give the same verdict, conflict and plan
+    digest = hashlib.sha256()
+    classes = set()
     for diagram in itertools.islice(enumerate_mixed_graphs(4), 100, 1400, 300):
+        first = diagram.variables[0]
         rands = [rand_action(v) for v in diagram.variables]
         maximal = maximal_action_set(diagram)
         terms = enumerate_terms(diagram)
@@ -333,6 +347,9 @@ def test_fast_merge_matches_ordered_merge():
                 [select(), *(read_action(v) for v in diagram.variables[1:])]
                 + rands
             ),
+            # no randomization of the first variable: its value can have no
+            # action to fix it
+            ActionSet(a for a in maximal if a.kind != CTF_RAND or a.var != first),
         ):
             checker = RealizabilityChecker(diagram, actions)
             with warnings.catch_warnings():
@@ -343,10 +360,19 @@ def test_fast_merge_matches_ordered_merge():
                     reqs = [checker.term_requirements(t) for t in nq.terms]
                     ordered = checker._realize_ordered(nq, reqs)
                     assert bool(fast) == bool(ordered), q
+                    text = fast.describe()
                     if fast:
-                        assert fast.describe() == ordered.describe(), q
+                        assert text == ordered.describe(), q
                     else:
                         assert fast.conflict == ordered.conflict, q
+                        classes.add(fast.conflict.failure)
+                        text += f"\n{fast.conflict!r}"
+                    digest.update(text.encode() + b"\n")
+    assert classes == {
+        VALUE_CONFLICT_CTF, VALUE_CONFLICT_RAND, NO_ACTION, NATURAL_CONFLICT_CTF,
+        NATURAL_CONFLICT_RAND, OUTPUT_ERASED, READ_UNAVAILABLE,
+    }
+    assert digest.hexdigest() == FAST_MERGE_DIGEST
 
 
 def test_verdicts_are_deterministic():
