@@ -235,8 +235,13 @@ def cmd_sample(args) -> int:
 
     model = resolve_model(args.model)
     q = parse_query(args.query, model.diagram)
+    if any(v is not None for v in q.values()):
+        raise QueryError(
+            f"{q} assigns event values, but sample draws the joint "
+            "distribution of its terms: drop the values"
+        )
     actions = _resolve_actions(args, model.diagram)
-    verdict = ctf_realize(q.unvalued(), model.diagram, actions)
+    verdict = ctf_realize(q, model.diagram, actions)
     if not verdict:
         print(f"NOT REALIZABLE: {verdict.describe()}")
         return EXIT_NOT_REALIZABLE

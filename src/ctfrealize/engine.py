@@ -5,17 +5,29 @@ one exogenous assignment u is computed by recursively firing mechanisms
 in the regime-modified model, and probabilities are sums of exogenous
 weights over the assignments where every term hits its event value.
 No Monte Carlo; comparison tolerance for probabilities is 1e-10.
+
+``exact_l3_probability`` and ``exact_distribution`` run on the model's
+compiled form (``ScmModel.compile()``): a term is evaluated on every
+exogenous row at once by indexing the coded mechanism arrays with the
+parents' code arrays, and weights are accumulated one row at a time in
+support order, so results equal the per-row loop bit for bit.
+``eval_potential_response`` is that per-row loop, kept as the oracle the
+compiled path is tested against. A row that reaches a missing table
+entry is replayed through it, so the error raised is the per-row one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import QueryError
-from .graphs import CausalDiagram, Value
-from .models import ScmModel
+import numpy as np
+
+from .errors import ModelError, QueryError
+from .graphs import Value
+from .models import CompiledScm, ScmModel
 from .queries import CtfQuery, PotentialResponse, RegimeEntry, response
 
 DIST_TOL = 1e-10
@@ -64,19 +76,63 @@ def eval_potential_response(
     return natural(term.variable)
 
 
+def _term_codes(compiled: CompiledScm, term: PotentialResponse) -> np.ndarray:
+    """The term's value codes on every compiled row (-1 where a row reads
+    a missing table entry)."""
+    fixed = []
+    for e in term.regime:
+        code = compiled.codes[e.var][e.value]  # the query was validated
+        if e.targets is None:
+            fixed.append(((e.var, None), code))
+        else:
+            fixed.extend(((e.var, c), code) for c in e.targets)
+    return compiled.values(term.variable, frozenset(fixed))
+
+
+def _check_missing(
+    model: ScmModel, compiled: CompiledScm, terms, codes: list[np.ndarray]
+) -> None:
+    """Raise the per-row loop's error if it would read a missing table
+    entry: on a row, the loop evaluates the terms in order and, for a
+    probability, stops at the first term that misses its event value.
+    The first such row is replayed through the per-row oracle."""
+    reached = np.ones(len(compiled.rows), dtype=bool)
+    missing = np.zeros(len(compiled.rows), dtype=bool)
+    for t, c in zip(terms, codes):
+        missing |= reached & (c < 0)
+        if t.value is not None:
+            reached &= c == compiled.codes[t.variable][t.value]
+    if not missing.any():
+        return
+    u = compiled.rows[int(np.argmax(missing))]
+    for t in terms:
+        eval_potential_response(model, u, t)
+    raise ModelError(f"exogenous row {u!r} reads a missing mechanism table entry")
+
+
+def _ordered_sum(weights: Sequence[float]) -> float:
+    # a plain loop, not sum(): from Python 3.12 sum() compensates float
+    # rounding, and the result must equal the per-row loop's bit for bit
+    total = 0.0
+    for p in weights:
+        total += p
+    return total
+
+
 def exact_l3_probability(model: ScmModel, q: CtfQuery) -> float:
     """Probability that every term takes its assigned event value: the
     exogenous-weighted count of assignments where all indicators fire."""
     if not q.is_valued():
         raise QueryError("query must assign a value to every term")
     q.validate(model.diagram)
-    total = 0.0
-    for u, p in model.exogenous_support():
-        if p == 0.0:
-            continue
-        if all(eval_potential_response(model, u, t) == t.value for t in q.terms):
-            total += p
-    return total
+    compiled = model.compile()
+    codes = [_term_codes(compiled, t) for t in q.terms]
+    if not compiled.total:
+        _check_missing(model, compiled, q.terms, codes)
+    hit = np.ones(len(compiled.rows), dtype=bool)
+    for t, c in zip(q.terms, codes):
+        hit &= c == compiled.codes[t.variable][t.value]
+    return _ordered_sum(compiled.weights[hit].tolist())
 
 
 @dataclass(frozen=True)
@@ -116,15 +172,24 @@ def exact_distribution(model: ScmModel, q: CtfQuery) -> ExactDistribution:
     """Full joint over term values; rows in domain product order."""
     q = q.unvalued()
     q.validate(model.diagram)
+    compiled = model.compile()
     doms = [model.diagram.domains[t.variable] for t in q.terms]
-    probs: dict[tuple, float] = {row: 0.0 for row in itertools.product(*doms)}
-    for u, p in model.exogenous_support():
-        if p == 0.0:
-            continue
-        row = tuple(eval_potential_response(model, u, t) for t in q.terms)
-        probs[row] += p
-    support = tuple(probs)
-    return ExactDistribution(q.terms, support, tuple(probs[r] for r in support))
+    codes = [_term_codes(compiled, t) for t in q.terms]
+    if not compiled.total:
+        _check_missing(model, compiled, q.terms, codes)
+    shape = tuple(len(d) for d in doms)
+    if codes:
+        cells = np.ravel_multi_index(codes, shape)
+    else:
+        cells = np.zeros(len(compiled.rows), dtype=np.intp)
+    # bincount adds the weights into each cell one row at a time, in
+    # support order, as the per-row loop does (and gives integer zeros when
+    # there are no rows)
+    probs = np.bincount(cells, weights=compiled.weights, minlength=math.prod(shape))
+    probs = probs.astype(float, copy=False)
+    return ExactDistribution(
+        q.terms, tuple(itertools.product(*doms)), tuple(probs.tolist())
+    )
 
 
 def interventional_distribution(

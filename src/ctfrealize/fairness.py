@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EstimationError, ModelError
 from .graphs import CausalDiagram
 from .models import Mechanism, ScmModel
-from .queries import CtfQuery, query, response
+from .queries import query, response
 from .engine import exact_l3_probability
 from .realizability import (
     ActionSet,
@@ -83,30 +83,35 @@ class CanonicalScm:
         return self.type_probs[4 * i + j]
 
     def to_model(self) -> ScmModel:
-        diagram = CausalDiagram(
-            ["X", "Y", "Z"],
-            directed_edges=[("X", "Y"), ("X", "Z")],
-            bidirected_edges=[("Y", "Z")],
-        )
-        exo_vars = ("U_X", "U_YZ")
-        exo_domains = {"U_X": (0, 1), "U_YZ": tuple(range(16))}
         dist = {}
         for ux in (0, 1):
             p_ux = self.p_x1 if ux == 1 else 1.0 - self.p_x1
             for t in range(16):
                 dist[(ux, t)] = p_ux * self.type_probs[t]
-        mech = {
-            "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-            "Y": Mechanism.tabulate(
-                ("X",), ("U_YZ",), ((0, 1),), (tuple(range(16)),),
-                lambda x, t: _respond(RESPONSE_TYPES[t // 4], x),
-            ),
-            "Z": Mechanism.tabulate(
-                ("X",), ("U_YZ",), ((0, 1),), (tuple(range(16)),),
-                lambda x, t: _respond(RESPONSE_TYPES[t % 4], x),
-            ),
-        }
-        return ScmModel(diagram, exo_vars, exo_domains, dist, mech)
+        return ScmModel(_DIAGRAM, _EXO_VARS, _EXO_DOMAINS, dist, _MECHANISMS)
+
+
+# Every canonical table shares the diagram and the three mechanisms; only
+# the exogenous weights differ. Sharing the mechanism objects lets each
+# compiled model reuse their coded arrays.
+_DIAGRAM = CausalDiagram(
+    ["X", "Y", "Z"],
+    directed_edges=[("X", "Y"), ("X", "Z")],
+    bidirected_edges=[("Y", "Z")],
+)
+_EXO_VARS = ("U_X", "U_YZ")
+_EXO_DOMAINS = {"U_X": (0, 1), "U_YZ": tuple(range(16))}
+_MECHANISMS = {
+    "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
+    "Y": Mechanism.tabulate(
+        ("X",), ("U_YZ",), ((0, 1),), (tuple(range(16)),),
+        lambda x, t: _respond(RESPONSE_TYPES[t // 4], x),
+    ),
+    "Z": Mechanism.tabulate(
+        ("X",), ("U_YZ",), ((0, 1),), (tuple(range(16)),),
+        lambda x, t: _respond(RESPONSE_TYPES[t % 4], x),
+    ),
+}
 
 
 def example2_scm() -> CanonicalScm:
@@ -159,11 +164,15 @@ def _admission_actions(model: ScmModel) -> ActionSet:
     )
 
 
-def _coupled_query(x_for_z: int) -> CtfQuery:
-    return query(
-        response("Y", {"X": 1}, 1),
-        response("Z", {"X": x_for_z}, 0),
-    )
+# The queries are built once: every exact evaluation reuses them.
+# _COUPLED[x] is P(Y_x1=1, Z_x=0).
+_COUPLED = {
+    x: query(response("Y", {"X": 1}, 1), response("Z", {"X": x}, 0)) for x in (0, 1)
+}
+_Y1_X1 = query(response("Y", {"X": 1}, 1))
+_Z0_X1 = query(response("Z", {"X": 1}, 0))
+_Z0_X0 = query(response("Z", {"X": 0}, 0))
+_JOINT_X0 = query(response("Y", {"X": 0}, 1), response("Z", {"X": 0}, 0))
 
 
 def assert_audit_realizable(model: ScmModel) -> None:
@@ -171,7 +180,7 @@ def assert_audit_realizable(model: ScmModel) -> None:
     two per-model input randomizations before any sampled estimate is
     trusted."""
     verdict = ctf_realize(
-        _coupled_query(0).unvalued(), model.diagram, _admission_actions(model)
+        _COUPLED[0].unvalued(), model.diagram, _admission_actions(model)
     )
     if not verdict:
         raise EstimationError(
@@ -189,19 +198,19 @@ def mu_ctf(
     estimated by executing the two-randomization plan n times per term."""
     model = scm.to_model()
     if exact:
-        a = exact_l3_probability(model, _coupled_query(1))
-        b = exact_l3_probability(model, _coupled_query(0))
+        a = exact_l3_probability(model, _COUPLED[1])
+        b = exact_l3_probability(model, _COUPLED[0])
         return FairnessReport(
             mu_ctf=abs(a - b),
-            mu_int1=mu_int(scm, 1),
-            mu_int2=mu_int(scm, 2),
+            mu_int1=_surrogate(model, 1),
+            mu_int2=_surrogate(model, 2),
             exact=True,
         )
     assert_audit_realizable(model)
     actions = _admission_actions(model)
     estimates = []
     for i, x_for_z in enumerate((1, 0)):
-        q = _coupled_query(x_for_z)
+        q = _COUPLED[x_for_z]
         plan = ctf_realize(q.unvalued(), model.diagram, actions)
         assert plan, plan.describe()
         batch = draw_plan_batch(
@@ -212,8 +221,8 @@ def mu_ctf(
     se = np.sqrt(a * (1 - a) / n + b * (1 - b) / n)
     return FairnessReport(
         mu_ctf=abs(a - b),
-        mu_int1=mu_int(scm, 1),
-        mu_int2=mu_int(scm, 2),
+        mu_int1=_surrogate(model, 1),
+        mu_int2=_surrogate(model, 2),
         exact=False,
         n=n,
         ci95=(abs(a - b) - 1.96 * se, abs(a - b) + 1.96 * se),
@@ -224,19 +233,18 @@ def mu_int(scm: CanonicalScm, variant: int) -> float:
     """Single-regime surrogates: variant 1 is the product form
     P(Y=1;do x1) * |P(Z=0;do x1) - P(Z=0;do x0)|; variant 2 contrasts the
     same-regime joints |P(Y=1,Z=0;do x1) - P(Y=1,Z=0;do x0)|."""
-    model = scm.to_model()
+    return _surrogate(scm.to_model(), variant)
+
+
+def _surrogate(model: ScmModel, variant: int) -> float:
     if variant == 1:
-        p_y1 = exact_l3_probability(model, query(response("Y", {"X": 1}, 1)))
-        z1 = exact_l3_probability(model, query(response("Z", {"X": 1}, 0)))
-        z0 = exact_l3_probability(model, query(response("Z", {"X": 0}, 0)))
+        p_y1 = exact_l3_probability(model, _Y1_X1)
+        z1 = exact_l3_probability(model, _Z0_X1)
+        z0 = exact_l3_probability(model, _Z0_X0)
         return abs(p_y1 * z1 - p_y1 * z0)
     if variant == 2:
-        j1 = exact_l3_probability(
-            model, query(response("Y", {"X": 1}, 1), response("Z", {"X": 1}, 0))
-        )
-        j0 = exact_l3_probability(
-            model, query(response("Y", {"X": 0}, 1), response("Z", {"X": 0}, 0))
-        )
+        j1 = exact_l3_probability(model, _COUPLED[1])
+        j0 = exact_l3_probability(model, _JOINT_X0)
         return abs(j1 - j0)
     raise EstimationError(f"unknown surrogate variant {variant!r}")
 
@@ -329,13 +337,12 @@ def sample_constrained_scms(
             )
     rows = np.concatenate(kept_rows)[:n]
     ctf, int1, int2 = batch_metrics(rows)
-    out = []
-    for i in range(n):
-        scm = CanonicalScm(tuple(float(p) for p in rows[i]))
-        out.append(
-            (scm, FairnessReport(float(ctf[i]), float(int1[i]), float(int2[i])))
+    return [
+        (CanonicalScm(tuple(probs)), FairnessReport(c, i1, i2))
+        for probs, c, i1, i2 in zip(
+            rows.tolist(), ctf.tolist(), int1.tolist(), int2.tolist()
         )
-    return out
+    ]
 
 
 def violation_fraction(

@@ -4,17 +4,31 @@ Mechanisms are explicit lookup tables rather than closures, so the
 exogenous domain can be enumerated exhaustively for exact evaluation
 and models round-trip through the JSON fixture format. Models are
 immutable after construction and safe to share across threads.
+
+``ScmModel.compile()`` turns a model into integer tables once, on first
+use, and caches them on the model; each mechanism's coded array is
+cached on the ``Mechanism`` itself, so models that share mechanism
+objects share their arrays. The caches are filled lazily and never
+change a result, so a model stays safe to share: two threads that
+compile it at once at worst build the same tables twice.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ModelError
 from .graphs import CausalDiagram, Value
 
 PROB_TOL = 1e-12
+
+# Largest exogenous support, or coded mechanism table, that is enumerated or
+# compiled; a bigger one raises ModelError before it is built.
+MAX_TABLE_ROWS = 10**6
 
 
 class Mechanism:
@@ -32,6 +46,7 @@ class Mechanism:
         self.parents = tuple(parents)
         self.exogenous = tuple(exogenous)
         self.table = dict(table)
+        self._coded: tuple[tuple, np.ndarray, bool] | None = None
 
     @classmethod
     def tabulate(
@@ -59,6 +74,52 @@ class Mechanism:
                 f"(parents {self.parents}, exogenous {self.exogenous})"
             ) from None
 
+    def coded(
+        self,
+        input_domains: tuple[tuple[Value, ...], ...],
+        output_domain: tuple[Value, ...],
+    ) -> tuple[np.ndarray, bool]:
+        """The table as an integer array over value codes (a value's index
+        in its domain), and whether it has an entry for every input in
+        the domains. Axis i is indexed by the code of input i, parents
+        then exogenous; an entry is the output's code, or -1 where the
+        table has no entry. Every axis has one extra last slot holding -1,
+        so indexing with the code -1 (an input that itself reached a
+        missing entry) reads -1 again. Cached, keyed by the domains it was
+        coded against."""
+        key = (input_domains, output_domain)
+        if self._coded is not None and self._coded[0] == key:
+            return self._coded[1:]
+        shape = tuple(len(d) + 1 for d in input_domains)
+        size = math.prod(shape)
+        if size > MAX_TABLE_ROWS:
+            raise ModelError(
+                f"coded table of {size} entries for mechanism (parents "
+                f"{self.parents}, exogenous {self.exogenous}) exceeds the "
+                f"cap of {MAX_TABLE_ROWS}"
+            )
+        out = np.full(shape, -1, dtype=np.intp)
+        index = [{x: i for i, x in enumerate(d)} for d in input_domains]
+        codes = {x: i for i, x in enumerate(output_domain)}
+        filled = 0
+        for inputs, value in self.table.items():
+            if len(inputs) != len(index):
+                continue
+            try:
+                at = tuple(ix[x] for ix, x in zip(index, inputs))
+            except KeyError:
+                continue  # an input outside its domain is never looked up
+            if value not in codes:
+                raise ModelError(
+                    f"mechanism (parents {self.parents}, exogenous "
+                    f"{self.exogenous}) outputs {value!r} outside its domain"
+                )
+            out[at] = codes[value]
+            filled += 1
+        total = filled == math.prod(len(d) for d in input_domains)
+        self._coded = (key, out, total)
+        return out, total
+
 
 class ScmModel:
     """An SCM: diagram, exogenous joint distribution, one mechanism per
@@ -82,6 +143,13 @@ class ScmModel:
         self.exogenous_dist = {tuple(k): float(p) for k, p in exogenous_dist.items()}
         self.mechanisms = dict(mechanisms)
         self._exo_index = {u: i for i, u in enumerate(self.exogenous_vars)}
+        self._compiled: CompiledScm | None = None
+
+    def compile(self) -> "CompiledScm":
+        """The model as integer tables (built on first call, then cached)."""
+        if self._compiled is None:
+            self._compiled = CompiledScm(self)
+        return self._compiled
 
     # -- enumeration helpers ----------------------------------------------
 
@@ -110,7 +178,98 @@ class ScmModel:
 
 
 def _sort_key(assignment: tuple):
-    return tuple(repr(x) for x in assignment)
+    return tuple(map(repr, assignment))
+
+
+class CompiledScm:
+    """An ``ScmModel`` as integer tables, for evaluating a variable under a
+    regime on every exogenous row at once.
+
+    - ``codes[v]`` maps each value in v's domain to its index there;
+    - ``rows`` are the exogenous assignments of nonzero weight, in
+      ``exogenous_support()`` order, ``exogenous_codes`` the same rows as
+      an (R, |U|) code array, and ``weights`` their probabilities;
+    - ``mechanisms[v]`` is v's table as ``Mechanism.coded`` gives it, and
+      ``total`` says that every table has all its entries, so no row can
+      read a missing one.
+
+    ``values`` memoizes its result per (variable, regime); the memo only
+    grows, and an entry never changes once written.
+    """
+
+    def __init__(self, model: ScmModel):
+        if len(model.exogenous_dist) > MAX_TABLE_ROWS:
+            raise ModelError(
+                f"exogenous support of {len(model.exogenous_dist)} rows "
+                f"exceeds the cap of {MAX_TABLE_ROWS}"
+            )
+        diagram = model.diagram
+        self.codes = {
+            v: {x: i for i, x in enumerate(d)} for v, d in diagram.domains.items()
+        }
+        support = [(u, p) for u, p in model.exogenous_support() if p != 0.0]
+        self.rows = [u for u, _ in support]
+        self.weights = np.array([p for _, p in support], dtype=float)
+        n_exo = len(model.exogenous_vars)
+        if any(len(u) != n_exo for u in self.rows):
+            raise ModelError(
+                "an exogenous assignment of nonzero weight has the wrong arity"
+            )
+        coded = []
+        for e, column in zip(model.exogenous_vars, zip(*self.rows)):
+            index = {x: i for i, x in enumerate(model.exogenous_domains[e])}
+            try:
+                coded.append([index[x] for x in column])
+            except KeyError as err:
+                raise ModelError(
+                    f"exogenous value {err.args[0]!r} of nonzero weight is outside "
+                    f"the domain of {e!r}"
+                ) from None
+        self.exogenous_codes = np.array(coded, dtype=np.intp).reshape(
+            n_exo, len(self.rows)
+        ).T
+        self.mechanisms: dict[str, np.ndarray] = {}
+        self._inputs: dict[str, tuple[tuple[str, ...], tuple[np.ndarray, ...]]] = {}
+        self.total = True
+        for v, m in model.mechanisms.items():
+            if v not in diagram:
+                continue
+            domains = tuple(diagram.domains[p] for p in m.parents) + tuple(
+                model.exogenous_domains[e] for e in m.exogenous
+            )
+            self.mechanisms[v], total = m.coded(domains, diagram.domains[v])
+            self.total &= total
+            columns = tuple(
+                self.exogenous_codes[:, model._exo_index[e]] for e in m.exogenous
+            )
+            self._inputs[v] = (m.parents, columns)
+        self._memo: dict[tuple[str, frozenset], np.ndarray] = {}
+
+    def values(self, variable: str, regime: frozenset) -> np.ndarray:
+        """Codes of ``variable`` on every row, in the submodel where
+        ``regime`` fixes inputs. ``regime`` holds ((var, child), code)
+        pairs: var's value is fed to child's mechanism only, or, with child
+        None, var is replaced by the constant. A row whose evaluation reads
+        a missing table entry gets -1."""
+        return self._natural(variable, dict(regime), regime)
+
+    def _natural(self, v: str, fixed: dict, regime: frozenset) -> np.ndarray:
+        out = self._memo.get((v, regime))
+        if out is not None:
+            return out
+        if (v, None) in fixed:
+            out = np.full(len(self.rows), fixed[(v, None)], dtype=np.intp)
+        else:
+            parents, columns = self._inputs[v]
+            index = [
+                fixed[(p, v)] if (p, v) in fixed else self._natural(p, fixed, regime)
+                for p in parents
+            ]
+            out = self.mechanisms[v][(*index, *columns)]
+            if out.ndim == 0:  # no input varies with the row
+                out = np.full(len(self.rows), out, dtype=np.intp)
+        self._memo[(v, regime)] = out
+        return out
 
 
 def independent_exogenous(
@@ -121,6 +280,11 @@ def independent_exogenous(
     per-variable weights are given). Returns (names, domains, dist)."""
     names = tuple(domains)
     doms = {u: tuple(domains[u]) for u in names}
+    size = math.prod(len(d) for d in doms.values())
+    if size > MAX_TABLE_ROWS:
+        raise ModelError(
+            f"exogenous support of {size} rows exceeds the cap of {MAX_TABLE_ROWS}"
+        )
     weights = weights or {}
     dist: dict[tuple, float] = {}
     per_var = []

@@ -236,3 +236,13 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
+
+
+def test_sample_rejects_event_values(tmp_path, capsys):
+    assert run_cli(
+        ["sample", "--model", "bow", "--query", "P(Y[X=1]=1, X=0)",
+         "--maximal", "--n", "50", "--seed", "1"],
+        tmp_path,
+    ) == 1
+    assert "sample draws the joint" in capsys.readouterr().err
+    assert not (tmp_path / "samples.csv").exists()

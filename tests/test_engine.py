@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import pytest
 
@@ -6,7 +7,10 @@ from ctfrealize import (
     CausalDiagram,
     CtfQuery,
     Mechanism,
+    ModelError,
+    PotentialResponse,
     QueryError,
+    RegimeEntry,
     ScmModel,
     eval_potential_response,
     exact_distribution,
@@ -16,16 +20,26 @@ from ctfrealize import (
     query,
     response,
 )
+from ctfrealize import models
 from ctfrealize.bandits import example3_problem
+from ctfrealize.fairness import (
+    L2_PENALTY,
+    L3_PENALTY,
+    FairnessReport,
+    mu_ctf,
+    sample_constrained_scms,
+)
 from ctfrealize.fixtures import (
     bow_model,
+    builtin,
+    builtin_names,
     chain_model,
     fan_model,
     hub_split_model,
     mediation_diagram,
     mediation_model,
 )
-from ctfrealize.models import independent_exogenous
+from ctfrealize.models import MAX_TABLE_ROWS, independent_exogenous
 
 DIST_TOL = 1e-10
 
@@ -280,3 +294,218 @@ def test_nde_requires_mediation_structure():
         nde(bow_model(), 0, 1, 1)
     with pytest.raises(QueryError):
         nde(mediation_model(), 1, 1, 1)  # contrast values must differ
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against the per-row oracle
+# ---------------------------------------------------------------------------
+
+def per_row_values(model, term):
+    """The term's value on each nonzero-weight support row, by the per-row
+    oracle, with the row weights."""
+    return [
+        (eval_potential_response(model, u, term), p)
+        for u, p in model.exogenous_support()
+        if p != 0.0
+    ]
+
+
+def per_row_probability(rows_by_term, values):
+    # the per-row loop: rows in support order, terms in query order
+    total = 0.0
+    for cells in zip(*rows_by_term):
+        if all(v == want for (v, _), want in zip(cells, values)):
+            total += cells[0][1]
+    return total
+
+
+def per_row_distribution(model, terms, rows_by_term):
+    doms = [model.diagram.domains[t.variable] for t in terms]
+    probs = {row: 0.0 for row in itertools.product(*doms)}
+    for cells in zip(*rows_by_term):
+        probs[tuple(v for v, _ in cells)] += cells[0][1]
+    return tuple(probs), tuple(probs.values())
+
+
+def terms_with_two_regime_variables(diagram):
+    """Every term whose regime fixes at most two other variables, each at
+    every value of its domain."""
+    out = []
+    for v in diagram.variables:
+        others = [a for a in diagram.variables if a != v]
+        for k in (0, 1, 2):
+            for regime_vars in itertools.combinations(others, k):
+                doms = [diagram.domains[a] for a in regime_vars]
+                for values in itertools.product(*doms):
+                    out.append(response(v, dict(zip(regime_vars, values))))
+    return out
+
+
+BUILTIN_MODELS = [n for n in builtin_names() if isinstance(builtin(n), ScmModel)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_compiled_engine_equals_per_row_oracle(name):
+    model = builtin(name)
+    terms = terms_with_two_regime_variables(model.diagram)
+    rows = {t: per_row_values(model, t) for t in terms}
+    for t in terms:
+        for value in model.diagram.domains[t.variable]:
+            got = exact_l3_probability(model, CtfQuery((t.with_value(value),)))
+            assert got == per_row_probability([rows[t]], [value]), (name, str(t), value)
+    domains = model.diagram.domains
+    for a, b in itertools.combinations(terms, 2):
+        dist = exact_distribution(model, CtfQuery((a, b)))
+        expected = per_row_distribution(model, (a, b), (rows[a], rows[b]))
+        assert (dist.support, dist.probabilities) == expected, (name, str(a), str(b))
+        values = (domains[a.variable][0], domains[b.variable][-1])
+        q = CtfQuery((a.with_value(values[0]), b.with_value(values[1])))
+        assert exact_l3_probability(model, q) == per_row_probability(
+            (rows[a], rows[b]), values
+        ), (name, str(q))
+
+
+def mediation_path_terms():
+    """Terms of the mediation model whose regime feeds X to a subset of
+    its children, optionally with Z fixed for Y, fully or on its edge."""
+    out = []
+    edge_values = [None, 0, 1]
+    for variable in ("Z", "Y"):
+        z_entries = [()] if variable == "Z" else [()] + [
+            (RegimeEntry("Z", z, targets),)
+            for z in (0, 1) for targets in (None, frozenset({"Y"}))
+        ]
+        for to_z, to_y in itertools.product(edge_values, edge_values):
+            by_value: dict[int, set[str]] = {}
+            for child, x in (("Z", to_z), ("Y", to_y)):
+                if x is not None:
+                    by_value.setdefault(x, set()).add(child)
+            x_entries = tuple(
+                RegimeEntry("X", x, frozenset(children)) for x, children in by_value.items()
+            )
+            for z in z_entries:
+                out.append(PotentialResponse(variable, x_entries + z))
+    return out
+
+
+@pytest.mark.parametrize("direct_effect", [True, False])
+def test_compiled_path_restricted_terms_equal_per_row_oracle(direct_effect):
+    model = mediation_model(direct_effect=direct_effect)
+    terms = mediation_path_terms()
+    rows = {t: per_row_values(model, t) for t in terms}
+    for t in terms:
+        for value in (0, 1):
+            got = exact_l3_probability(model, CtfQuery((t.with_value(value),)))
+            assert got == per_row_probability([rows[t]], [value]), str(t)
+    for a, b in itertools.combinations(terms, 2):
+        dist = exact_distribution(model, CtfQuery((a, b)))
+        expected = per_row_distribution(model, (a, b), (rows[a], rows[b]))
+        assert (dist.support, dist.probabilities) == expected, (str(a), str(b))
+    for x, xp in ((0, 1), (1, 0)):
+        for y in (0, 1):
+            nested = PotentialResponse("Y", (
+                RegimeEntry("X", xp, frozenset({"Y"})),
+                RegimeEntry("X", x, frozenset({"Z"})),
+            ))
+            do_x = response("Y", {"X": x})
+            expected = (
+                per_row_probability([per_row_values(model, nested)], [y])
+                - per_row_probability([per_row_values(model, do_x)], [y])
+            )
+            assert nde(model, x, xp, y) == expected
+
+
+@pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
+def test_compiled_fairness_probabilities_equal_per_row_oracle(constraint):
+    queries = (
+        query(response("Y", {"X": 1}, 1), response("Z", {"X": 1}, 0)),
+        query(response("Y", {"X": 1}, 1), response("Z", {"X": 0}, 0)),
+        query(response("Y", {"X": 0}, 1), response("Z", {"X": 0}, 0)),
+        query(response("Y", {"X": 1}, 1)),
+        query(response("Z", {"X": 1}, 0)),
+        query(response("Z", {"X": 0}, 0)),
+    )
+    tables = sample_constrained_scms(
+        constraint, 200, 0.01, seed=zlib.crc32(constraint.encode())
+    )
+    for scm, _ in tables:
+        model = scm.to_model()
+        oracle = {}
+        for q in queries:
+            rows = [per_row_values(model, t) for t in q.terms]
+            oracle[q] = per_row_probability(rows, q.values())
+            assert exact_l3_probability(model, q) == oracle[q], (scm.type_probs, str(q))
+        a, b, j0, y1, z1, z0 = (oracle[q] for q in queries)
+        assert mu_ctf(scm) == FairnessReport(
+            abs(a - b), abs(y1 * z1 - y1 * z0), abs(a - j0), exact=True
+        )
+
+
+def missing_entry_model(weight_of_reaching_row):
+    """X copies U; Y's table lacks the X=1 entry, which only the U=1 row
+    reaches, with the given weight."""
+    d = CausalDiagram(["X", "Y"], directed_edges=[("X", "Y")])
+    mech = {
+        "X": Mechanism.tabulate((), ("U",), (), ((0, 1),), lambda u: u),
+        "Y": Mechanism(("X",), (), {(0,): 1}),
+    }
+    w = weight_of_reaching_row
+    return ScmModel(d, ("U",), {"U": (0, 1)}, {(0,): 1.0 - w, (1,): w}, mech)
+
+
+def test_regime_value_outside_domain_raises_query_error():
+    bow = bow_model()
+    with pytest.raises(QueryError, match="outside domain"):
+        exact_l3_probability(bow, query(response("Y", {"X": 2}, 1)))
+    with pytest.raises(QueryError, match="outside domain"):
+        exact_distribution(bow, query(response("Y", {"X": 2})))
+
+
+def test_missing_entry_on_a_weighted_row_raises_the_per_row_error():
+    model = missing_entry_model(0.5)
+    u = (1,)
+    with pytest.raises(ModelError) as per_row:
+        eval_potential_response(model, u, response("Y"))
+    for call in (
+        lambda: exact_l3_probability(model, query(response("Y", value=1))),
+        lambda: exact_distribution(model, query(response("X"), response("Y"))),
+    ):
+        with pytest.raises(ModelError) as compiled:
+            call()
+        assert str(compiled.value) == str(per_row.value)
+    # the per-row loop stops at the first term that misses its value, so
+    # it never evaluates Y on the row where X is 1
+    assert exact_l3_probability(
+        model, query(response("X", value=0), response("Y", value=1))
+    ) == 0.5
+
+
+def test_missing_entry_on_a_zero_weight_row_is_skipped():
+    model = missing_entry_model(0.0)
+    assert exact_l3_probability(model, query(response("Y", value=1))) == 1.0
+    dist = exact_distribution(model, query(response("X"), response("Y")))
+    assert dist.as_dict() == {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0}
+
+
+def test_table_size_cap_raises_before_building():
+    cap = f"exceeds the cap of {MAX_TABLE_ROWS}"
+    with pytest.raises(ModelError, match=f"10000000 rows {cap}$"):
+        independent_exogenous({f"U{i}": range(10) for i in range(7)})
+    # Y's coded table would have 41**4 entries, although its dict is empty
+    parents = ("A", "B", "C", "D")
+    d = CausalDiagram(
+        [*parents, "Y"],
+        domains={v: range(40) for v in parents},
+        directed_edges=[(p, "Y") for p in parents],
+    )
+    mech = {p: Mechanism((), ("U",), {(0,): 0, (1,): 1}) for p in parents}
+    mech["Y"] = Mechanism(parents, (), {})
+    names, doms, dist = independent_exogenous({"U": (0, 1)})
+    with pytest.raises(ModelError, match=f"{41**4} entries .* {cap}$"):
+        ScmModel(d, names, doms, dist, mech).compile()
+
+
+def test_support_size_cap_raises_at_compile(monkeypatch):
+    monkeypatch.setattr(models, "MAX_TABLE_ROWS", 3)
+    with pytest.raises(ModelError, match="support of 4 rows exceeds the cap of 3"):
+        bow_model().compile()

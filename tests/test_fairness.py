@@ -1,3 +1,6 @@
+import hashlib
+import zlib
+
 import numpy as np
 import pytest
 
@@ -180,3 +183,18 @@ def test_constrained_samplers_contrast():
         assert sum(scm.type_probs) == pytest.approx(1.0, abs=1e-9)
     assert violation_fraction(l3) <= 0.05
     assert violation_fraction(l2) >= 0.25
+
+
+def test_sampled_tables_are_unchanged():
+    # sha256 of repr([(type_probs, report), ...]) for 50 tables per
+    # constraint, as the sampler gave them when it built each table from
+    # tuple(float(p) for p in row)
+    digests = {
+        L3_PENALTY: "03b83bcbd16434169b09a8a7e9fdce1a21227bcdbef39e50b0ec4e7b15e25831",
+        L2_PENALTY: "8853f7c1f74c327c763f17fdb59f5e06d2539fc48b5a65b7a5bece09c4a8780b",
+    }
+    for constraint, digest in digests.items():
+        out = sample_constrained_scms(constraint, 50, 0.01, seed=zlib.crc32(b"sampler-rows"))
+        assert all(type(p) is float for scm, _ in out for p in scm.type_probs)
+        text = repr([(scm.type_probs, report) for scm, report in out])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
