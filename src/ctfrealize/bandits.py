@@ -24,10 +24,13 @@ small per-algorithm policy (D-stage chooser, reward-arm key, hot-start
 cell, final action). An epoch selects its units in one block, and each
 round makes its scalar ``rng.beta`` / ``rng.integers`` draws in the order
 a unit-at-a-time protocol would. A unit's outcome under the protocol
-depends only on its exogenous row u, since every action uses a constant
-device and draws nothing; so each distinct (row, D-input, arm) is played
-once, through a real ``Unit``, the first time its row is selected, and
-rounds look the outcome (z, x', d, y) and the metrics up from that memo.
+depends only on its exogenous row u, since every action fixes a chosen
+value and draws nothing. So the outcome (z, x', d, y) of each (row,
+D-input, arm) is read off the row's entry in ``ExactTables.rows``, which
+one ``engine.exact_rows`` call fills, the first time the row is
+selected; later rounds look it and the metrics up from that memo. The
+``Unit`` simulator stays the oracle: the tests play every row, D-input
+and arm on fresh units and require the same outcome.
 
 Metrics (one value per round, aggregated over epochs):
 
@@ -59,7 +62,7 @@ from .errors import EstimationError, ModelError, QueryError
 from .graphs import CausalDiagram, Value
 from .models import Mechanism, ScmModel, independent_exogenous
 from .queries import CtfQuery, response
-from .engine import eval_potential_response
+from .engine import exact_rows
 from .realizability import (
     ActionSet,
     ctf_rand_action,
@@ -68,7 +71,7 @@ from .realizability import (
     read_action,
     select,
 )
-from .simulate import Experiment, RandomDevice
+from .simulate import Experiment
 
 VALUE_TOL = 1e-9
 
@@ -91,6 +94,10 @@ class MabProblem:
                 raise ModelError(f"problem variable {v!r} not in the model")
         if self.context is not None and self.context not in d:
             raise ModelError(f"context variable {self.context!r} not in the model")
+        if self.context is not None and self.context in d.descendants(self.decision):
+            raise ModelError(
+                f"context {self.context!r} must not descend from {self.decision!r}"
+            )
         if self.post not in d.children(self.decision):
             raise ModelError(f"{self.post!r} must be a child of {self.decision!r}")
         if self.reward not in d.descendants(self.decision):
@@ -163,11 +170,18 @@ def example3_problem() -> MabProblem:
 # ---------------------------------------------------------------------------
 
 class ExactTables:
-    """Everything the harness needs in closed form, by one enumeration of
-    the exogenous support: tier conditionals, first-stage values, the
+    """Everything the harness needs in closed form, by one pass over the
+    exogenous support: tier conditionals, first-stage values, the
     per-unit oracle, the observational conditionals used for
     hot-starting, and the per-row responses that exact strategy
-    evaluation sums over."""
+    evaluation and the online loop read.
+
+    The per-row values come from one ``exact_rows`` call. The sums sit in
+    one table keyed by (cell, slot): a cell is ("obs", z, x') or ("obs",
+    z, x', d) under the natural regime, ("fix", z, x', x'', d) with x''
+    fixed into D, or ("core", core); the slot "p" holds its weight, "y"
+    its weighted natural reward and ("y", x) its weighted reward under
+    arm x. Each sum adds its rows in support order."""
 
     def __init__(self, problem: MabProblem):
         self.problem = problem
@@ -184,73 +198,43 @@ class ExactTables:
             )
         )
         core_idx = [model.exogenous_vars.index(u) for u in self.core_vars]
-
-        p_key: dict[tuple, float] = {}
-        e_zx: dict[tuple, float] = {}
-        p_d: dict[tuple, float] = {}
-        e_full: dict[tuple, float] = {}
-        p_core: dict[tuple, float] = {}
-        e_core: dict[tuple, float] = {}
-        p_obs: dict[tuple, float] = {}
-        e_obs: dict[tuple, float] = {}
-        e_natural = 0.0
-        rows = []
-
         arms = problem.arms
-        for u, p in model.exogenous_support():
-            if p == 0.0:
-                continue
-            nat = model.natural_values(u)
-            z = nat[ctx] if ctx else None
-            xn = nat[dec]
-            y_nat = float(nat[rew])
+        terms = [response(v) for v in (ctx, dec, post, rew) if v]
+        terms += [response(post, {dec: x2}) for x2 in arms]
+        terms += [response(rew, {dec: x}) for x in arms]
+        support, weights, columns = exact_rows(model, CtfQuery(tuple(terms)))
+        if not ctx:
+            columns.insert(0, [None] * len(support))
+        sums: dict[tuple, float] = {}
+        e_natural = 0.0
+        # each exogenous row of positive weight, in support order, maps to
+        # (p, core, z, x', natural d, {x'': d under x''}, {x: y under x})
+        self.rows: dict[tuple, tuple] = {}
+        for u, p, z, xn, d_nat, y_nat, *rest in zip(support, weights.tolist(), *columns):
             core = tuple(u[i] for i in core_idx)
-            y_x = {
-                x: float(eval_potential_response(model, u, response(rew, {dec: x})))
-                for x in arms
-            }
-            d_x = {
-                x2: eval_potential_response(model, u, response(post, {dec: x2}))
-                for x2 in arms
-            }
-            rows.append((p, z, xn, nat[post], d_x, y_x))
-            e_natural += p * y_nat
-            p_core[core] = p_core.get(core, 0.0) + p
-            key = (z, xn)
-            p_key[key] = p_key.get(key, 0.0) + p
-            for cell in (key, key + (nat[post],)):
-                p_obs[cell] = p_obs.get(cell, 0.0) + p
-                e_obs[cell] = e_obs.get(cell, 0.0) + p * y_nat
-            for x in arms:
-                e_zx[key + (x,)] = e_zx.get(key + (x,), 0.0) + p * y_x[x]
-                e_core[core + (x,)] = e_core.get(core + (x,), 0.0) + p * y_x[x]
-            for x2 in arms:
-                fk = (z, xn, x2, d_x[x2])
-                p_d[fk] = p_d.get(fk, 0.0) + p
-                for x in arms:
-                    e_full[fk + (x,)] = e_full.get(fk + (x,), 0.0) + p * y_x[x]
-
+            d_x = dict(zip(arms, rest[:len(arms)]))
+            y_x = {x: float(y) for x, y in zip(arms, rest[len(arms):])}
+            self.rows[u] = (p, core, z, xn, d_nat, d_x, y_x)
+            e_natural += p * float(y_nat)
+            gains = [("p", p), ("y", p * float(y_nat))]
+            gains += [(("y", x), p * y_x[x]) for x in arms]
+            cells = [("obs", z, xn), ("obs", z, xn, d_nat), ("core", core)]
+            cells += [("fix", z, xn, x2, d_x[x2]) for x2 in arms]
+            for cell in cells:
+                for slot, w in gains:
+                    sums[cell, slot] = sums.get((cell, slot), 0.0) + w
         self.natural_value = e_natural
-        # one (p, z, x', natural d, {x'': d under x''}, {x: y under x}) per
-        # support row of positive weight, in support order
-        self.rows = rows
-        self._p_key = p_key
-        self._e_zx = e_zx
-        self._p_d = p_d
-        self._e_full = e_full
-        self._p_core = p_core
-        self._e_core = e_core
-        self._p_obs = p_obs
-        self._e_obs = e_obs
-        self._core_pos = {u: i for i, u in enumerate(model.exogenous_vars)}
+        self._sums = sums
+        # the (z, x') keys in first-seen order, which interventional_value sums in
+        self._keys = list(dict.fromkeys(r[2:4] for r in self.rows.values()))
 
     # -- unit-level -------------------------------------------------------
 
-    def core_of(self, exogenous: Mapping[str, Value]) -> tuple:
-        return tuple(exogenous[u] for u in self.core_vars)
+    def _mean(self, cell: tuple, arm: Value) -> float:
+        return self._sums[(cell, ("y", arm))] / self._sums[(cell, "p")]
 
     def reward_mean(self, arm: Value, core: tuple) -> float:
-        return self._e_core[core + (arm,)] / self._p_core[core]
+        return self._mean(("core", core), arm)
 
     def oracle_value(self, core: tuple) -> float:
         return max(self.reward_mean(x, core) for x in self.problem.arms)
@@ -258,31 +242,30 @@ class ExactTables:
     # -- tier conditionals --------------------------------------------------
 
     def mean_given_zx(self, z: Value, xn: Value, arm: Value) -> float:
-        return self._e_zx[(z, xn, arm)] / self._p_key[(z, xn)]
+        return self._mean(("obs", z, xn), arm)
 
     def mean_given_full(self, z, xn, x2, d, arm) -> float:
-        return self._e_full[(z, xn, x2, d, arm)] / self._p_d[(z, xn, x2, d)]
+        return self._mean(("fix", z, xn, x2, d), arm)
 
     def d_dist(self, z, xn, x2) -> dict[Value, float]:
-        tot = self._p_key[(z, xn)]
+        tot = self.key_prob((z, xn))
         return {
-            d: self._p_d.get((z, xn, x2, d), 0.0) / tot
+            d: self._sums.get((("fix", z, xn, x2, d), "p"), 0.0) / tot
             for d in self.problem.post_domain
         }
 
     def interventional_value(self, arm: Value) -> float:
-        return sum(
-            self._e_zx[k + (arm,)] for k in self._p_key
-        )
+        return sum(self._sums[(("obs",) + k, ("y", arm))] for k in self._keys)
 
     # -- observational conditionals (hot-starts) ------------------------------
 
     def obs_mean(self, cell: tuple) -> float:
         """Natural-regime E[Y | Z=z, X=x] for the cell (z, x), or
         E[Y | Z=z, X=x, D=d] for (z, x, d); z is None without a context."""
-        if self._p_obs.get(cell, 0.0) == 0.0:
+        p = self._sums.get((("obs",) + cell, "p"), 0.0)
+        if p == 0.0:
             return 0.5  # unreachable cell under the natural regime
-        return self._e_obs[cell] / self._p_obs[cell]
+        return self._sums[(("obs",) + cell, "y")] / p
 
     # -- first-stage values ---------------------------------------------------
 
@@ -307,10 +290,10 @@ class ExactTables:
         return max(options)
 
     def keys(self) -> list[tuple]:
-        return sorted(self._p_key, key=repr)
+        return sorted(self._keys, key=repr)
 
     def key_prob(self, key: tuple) -> float:
-        return self._p_key[key]
+        return self._sums[(("obs",) + key, "p")]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +400,7 @@ def evaluate_strategy_exact(
         check_strategy_realizable(problem, strategy)
     tables = tables or ExactTables(problem)
     total = 0.0
-    for p, z, xn, d_nat, d_x, y_x in tables.rows:
+    for p, _, z, xn, d_nat, d_x, y_x in tables.rows.values():
         s1 = strategy.d_stage[(z, xn)]
         if s1 == SKIP_D:
             key = (z, xn)
@@ -668,48 +651,41 @@ ALGORITHMS = tuple(_POLICIES)
 
 class _Responses:
     """What each selected unit does under one policy's protocol, and what
-    the round scores. Each distinct (exogenous row, D-input, arm) is
-    played once, on a fresh ``Unit`` with constant devices, when its row
-    is first selected; later rounds look the outcome up. Rows index
-    ``Experiment.support``, which every experiment on the model orders
-    alike, so one memo serves all epochs. ``played`` maps (row, D-input,
-    arm) to the (z, x', d, y) the unit showed, and the metric lists hold
-    one entry per (row, D-input, arm) in build order."""
+    the round scores. A unit's outcome depends only on its exogenous row,
+    so ``add_row`` reads it off the row's entry in ``ExactTables.rows``
+    the first time the row is selected, and later rounds look it up.
+    Rows index ``Experiment.support``, which every experiment on the
+    model orders alike, so one memo serves all epochs. The metric lists
+    hold one entry per (row, D-input, arm) in build order."""
 
     def __init__(self, problem: MabProblem, tables: ExactTables, policy: _Policy):
         self.problem = problem
         self.tables = tables
         self.policy = policy
         self.d_inputs = (None,) if policy.d_stage == "none" else problem.arms
-        self._devices = {x: RandomDevice.constant(problem.arms, x) for x in problem.arms}
         self.rows: dict[int, tuple] = {}
-        self.played: dict[tuple, tuple] = {}
         self.regret: list[float] = []
         self.reward: list[float] = []
         self.oap: list[float] = []
         self._optimal: dict[tuple, tuple[bool, ...]] = {}
 
-    def add_row(self, experiment: Experiment, i: int) -> tuple:
-        """Play row ``i`` of the experiment's support under every D-input
-        and arm. Returns (D-stage solver keys, one (arm cells, rewards,
-        metric offset) branch per D-input)."""
+    def add_row(self, i: int, u: tuple) -> tuple:
+        """Score row ``i``, whose exogenous assignment is ``u``, under every
+        D-input and arm. Returns (D-stage solver keys, one (arm cells,
+        rewards, metric offset) branch per D-input)."""
         p, policy, tables = self.problem, self.policy, self.tables
-        unit = experiment.unit_at(i)
-        z = unit.read(p.context) if p.context else None
-        xn = unit.read(p.decision)
-        core = tables.core_of(unit.peek_exogenous())
+        _, core, z, xn, _, d_x, y_x = tables.rows[u]
         oracle = tables.oracle_value(core)
+        rewards = tuple(y_x[x] for x in p.arms)
         branches = []
         for x2 in self.d_inputs:
-            outcomes = [self._respond(experiment, i, x2, x) for x in p.arms]
-            d = outcomes[0][0]
+            d = None if x2 is None else d_x[x2]
             cells = []
-            for x, (_, y) in zip(p.arms, outcomes):
-                self.played[(i, x2, x)] = (z, xn, d, y)
+            for x in p.arms:
                 hot = policy.hot_cell(z, xn, x2, d, x)
                 cells.append((policy.arm_key(z, xn, x2, d, x),
                               None if hot is None else tables.obs_mean(hot)))
-            branches.append((tuple(cells), tuple(y for _, y in outcomes), len(self.reward)))
+            branches.append((tuple(cells), rewards, len(self.reward)))
             for x, ok in zip(p.arms, self._optimal_arms(z, xn, x2, d)):
                 mean = tables.reward_mean(x, core)
                 self.regret.append(oracle - mean)
@@ -720,22 +696,6 @@ class _Responses:
             d_keys = tuple(("D", z, xn, x2) for x2 in self.d_inputs)
         row = self.rows[i] = (d_keys, tuple(branches))
         return row
-
-    def _respond(self, experiment: Experiment, i: int, x2: Value | None, arm: Value):
-        """(d, y) of a fresh unit at row ``i`` that gets ``x2`` fixed into
-        D (and D read) unless x2 is None, then the final action with
-        ``arm``."""
-        p = self.problem
-        unit = experiment.unit_at(i)
-        d = None
-        if x2 is not None:
-            unit.ctf_rand(p.decision, [p.post], self._devices[x2])
-            d = unit.read(p.post)
-        if self.policy.final == "write":
-            unit.rand(p.decision, self._devices[arm])
-        else:
-            unit.ctf_rand(p.decision, [p.reward], self._devices[arm])
-        return d, float(unit.read(p.reward))
 
     def _optimal_arms(self, z, xn, x2, d) -> tuple[bool, ...]:
         """OAP of each arm, once per (z, x', x'', d): the D-stage choice
@@ -774,10 +734,10 @@ def _play_epoch(
     draw, update = solver.draw, solver.update
     thompson = policy.d_stage == "thompson"
     uniform = policy.d_stage == "uniform"
-    rows = responses.rows
+    rows, support = responses.rows, experiment.support
     played = []
     for i in experiment.select_rows(horizon).tolist():
-        d_keys, branches = rows.get(i) or responses.add_row(experiment, i)
+        d_keys, branches = rows.get(i) or responses.add_row(i, support[i])
         if thompson:
             scores = [draw(key, rng) for key in d_keys]
             j = max(range(len(scores)), key=scores.__getitem__)
@@ -817,9 +777,7 @@ def run_epochs(
         raise EstimationError(f"horizon {horizon} and epochs {epochs} must be non-negative")
     policy = _POLICIES[algo]
     tables = tables or ExactTables(problem)
-    strategy = policy.gate(problem, tables)
-    check_strategy_realizable(problem, strategy)
-    actions = strategy.required_actions(problem)
+    check_strategy_realizable(problem, policy.gate(problem, tables))
     responses = _Responses(problem, tables, policy)
     factory = solver_factory or ThompsonSolver
     played = np.zeros((epochs, horizon), dtype=np.int64)
@@ -827,7 +785,7 @@ def run_epochs(
     for e, ss in enumerate(np.random.SeedSequence(seed).spawn(epochs)):
         start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-        experiment = Experiment(problem.model, actions, ss)
+        experiment = Experiment(problem.model, seed=ss)
         played[e] = _play_epoch(policy, responses, experiment, horizon, rng, factory())
         seconds[e] = time.perf_counter() - start
     return RunMetrics(

@@ -278,7 +278,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bandit(args) -> int:
-    problem = bandits.MabProblem(resolve_model(args.problem))
+    model = resolve_model(args.problem)
+    problem = bandits.MabProblem(model, context="Z" if "Z" in model.diagram else None)
     seed = _seed(args)
     metrics = bandits.run_epochs(args.algo, problem, args.T, args.epochs, seed)
     out = _out_dir(args)
@@ -400,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bandit", help="run a bandit algorithm")
     p.add_argument("--algo", choices=list(bandits.ALGORITHMS), required=True)
     p.add_argument("--problem", default="bandit_example",
-                   help="built-in model name or model fixture path")
+                   help="built-in model name or model fixture path; a "
+                   "variable named Z is the context")
     p.add_argument("--T", type=int, default=2000)
     p.add_argument("--epochs", type=int, default=200)
     common_out(p)

@@ -6,11 +6,13 @@ in the regime-modified model, and probabilities are sums of exogenous
 weights over the assignments where every term hits its event value.
 No Monte Carlo; comparison tolerance for probabilities is 1e-10.
 
-``exact_l3_probability`` and ``exact_distribution`` run on the model's
-compiled form (``ScmModel.compile()``): a term is evaluated on every
-exogenous row at once by indexing the coded mechanism arrays with the
-parents' code arrays, and weights are accumulated one row at a time in
-support order, so results equal the per-row loop bit for bit.
+``exact_l3_probability``, ``exact_distribution`` and ``exact_rows`` run
+on the model's compiled form (``ScmModel.compile()``): a term is
+evaluated on every exogenous row at once by indexing the coded mechanism
+arrays with the parents' code arrays, and weights are accumulated one
+row at a time in support order, so results equal the per-row loop bit
+for bit. ``exact_rows`` hands the per-row term values themselves to a
+caller that sums its own cells, as ``bandits.ExactTables`` does.
 ``eval_potential_response`` is that per-row loop, kept as the oracle the
 compiled path is tested against. A row that reaches a missing table
 entry is replayed through it, so the error raised is the per-row one.
@@ -89,23 +91,29 @@ def _term_codes(compiled: CompiledScm, term: PotentialResponse) -> np.ndarray:
     return compiled.values(term.variable, frozenset(fixed))
 
 
-def _check_missing(
-    model: ScmModel, compiled: CompiledScm, terms, codes: list[np.ndarray]
-) -> None:
-    """Raise the per-row loop's error if it would read a missing table
-    entry: on a row, the loop evaluates the terms in order and, for a
+def _prepare(model: ScmModel, q: CtfQuery) -> tuple[CompiledScm, list[np.ndarray]]:
+    """Validate the query on the model; return the compiled model and
+    each term's codes on every compiled row.
+
+    Raises the per-row loop's error if that loop would read a missing
+    table entry: on a row, it evaluates the terms in order and, for a
     probability, stops at the first term that misses its event value.
     The first such row is replayed through the per-row oracle."""
+    q.validate(model.diagram)
+    compiled = model.compile()
+    codes = [_term_codes(compiled, t) for t in q.terms]
+    if compiled.total:
+        return compiled, codes
     reached = np.ones(len(compiled.rows), dtype=bool)
     missing = np.zeros(len(compiled.rows), dtype=bool)
-    for t, c in zip(terms, codes):
+    for t, c in zip(q.terms, codes):
         missing |= reached & (c < 0)
         if t.value is not None:
             reached &= c == compiled.codes[t.variable][t.value]
     if not missing.any():
-        return
+        return compiled, codes
     u = compiled.rows[int(np.argmax(missing))]
-    for t in terms:
+    for t in q.terms:
         eval_potential_response(model, u, t)
     raise ModelError(f"exogenous row {u!r} reads a missing mechanism table entry")
 
@@ -119,16 +127,27 @@ def _ordered_sum(weights: Sequence[float]) -> float:
     return total
 
 
+def exact_rows(
+    model: ScmModel, q: CtfQuery
+) -> tuple[list[tuple], np.ndarray, list[list[Value]]]:
+    """Every term's value on every exogenous row of nonzero weight: the
+    rows in ``exogenous_support()`` order, their weights, and one value
+    column per term. Event values in ``q`` are ignored."""
+    q = q.unvalued()
+    compiled, codes = _prepare(model, q)
+    columns = []
+    for t, c in zip(q.terms, codes):
+        domain = model.diagram.domains[t.variable]
+        columns.append([domain[k] for k in c.tolist()])
+    return list(compiled.rows), compiled.weights.copy(), columns
+
+
 def exact_l3_probability(model: ScmModel, q: CtfQuery) -> float:
     """Probability that every term takes its assigned event value: the
     exogenous-weighted count of assignments where all indicators fire."""
     if not q.is_valued():
         raise QueryError("query must assign a value to every term")
-    q.validate(model.diagram)
-    compiled = model.compile()
-    codes = [_term_codes(compiled, t) for t in q.terms]
-    if not compiled.total:
-        _check_missing(model, compiled, q.terms, codes)
+    compiled, codes = _prepare(model, q)
     hit = np.ones(len(compiled.rows), dtype=bool)
     for t, c in zip(q.terms, codes):
         hit &= c == compiled.codes[t.variable][t.value]
@@ -171,12 +190,8 @@ class ExactDistribution:
 def exact_distribution(model: ScmModel, q: CtfQuery) -> ExactDistribution:
     """Full joint over term values; rows in domain product order."""
     q = q.unvalued()
-    q.validate(model.diagram)
-    compiled = model.compile()
+    compiled, codes = _prepare(model, q)
     doms = [model.diagram.domains[t.variable] for t in q.terms]
-    codes = [_term_codes(compiled, t) for t in q.terms]
-    if not compiled.total:
-        _check_missing(model, compiled, q.terms, codes)
     shape = tuple(len(d) for d in doms)
     if codes:
         cells = np.ravel_multi_index(codes, shape)

@@ -43,7 +43,7 @@ from .errors import ModelError
 from .fairness import example2_scm
 from .graphs import CausalDiagram
 from .mediators import ExpandedDiagram, MediatorNode
-from .models import Mechanism, ScmModel, independent_exogenous
+from .models import Mechanism, ScmModel, independent_exogenous, validate_scm
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +123,17 @@ def model_from_dict(doc: dict[str, Any]) -> ScmModel:
     for v, spec in doc["mechanisms"].items():
         table = {tuple(row["inputs"]): row["value"] for row in spec["rows"]}
         mechanisms[v] = Mechanism(spec["parents"], spec["exogenous"], table)
-    return ScmModel(
+    model = ScmModel(
         diagram=diagram,
         exogenous_vars=exo["variables"],
         exogenous_domains={u: tuple(d) for u, d in exo["domains"].items()},
         exogenous_dist=dist,
         mechanisms=mechanisms,
     )
+    problems = validate_scm(model)
+    if problems:
+        raise ModelError("invalid model fixture: " + "; ".join(problems))
+    return model
 
 
 def expanded_from_dict(doc: dict[str, Any]) -> ExpandedDiagram:

@@ -12,6 +12,7 @@ from ctfrealize import (
     QueryError,
     ScmModel,
     ctf_realize,
+    eval_potential_response,
     maximal_action_set,
     query,
     response,
@@ -201,6 +202,84 @@ def test_normal_form_is_not_beaten_by_the_wider_strategy_space(problem, tables):
     assert best <= normal_best + 1e-12
 
 
+def per_row_sums(prob):
+    """The per-row reference for ExactTables: each row fired through
+    ``natural_values`` and ``eval_potential_response``, each conditional
+    sum kept in its own dict and added up in support order."""
+    model, arms = prob.model, prob.arms
+    dec, rew, post, ctx = prob.decision, prob.reward, prob.post, prob.context
+    core_vars = tuple(
+        u for u in model.exogenous_vars
+        if any(u in model.mechanisms[v].exogenous
+               for v in model.diagram.variables if v != rew)
+    )
+    ref = {name: {} for name in
+           ("key", "zx", "d", "full", "core_p", "core_e", "obs_p", "obs_e")}
+
+    def add(name, cell, w):
+        ref[name][cell] = ref[name].get(cell, 0.0) + w
+
+    natural, rows = 0.0, {}
+    for u, p in model.exogenous_support():
+        if p == 0.0:
+            continue
+        nat = model.natural_values(u)
+        z, xn, y_nat = (nat[ctx] if ctx else None), nat[dec], float(nat[rew])
+        core = tuple(model.exo_value(u, e) for e in core_vars)
+        y_x = {x: float(eval_potential_response(model, u, response(rew, {dec: x})))
+               for x in arms}
+        d_x = {x2: eval_potential_response(model, u, response(post, {dec: x2}))
+               for x2 in arms}
+        rows[u] = (p, core, z, xn, nat[post], d_x, y_x)
+        natural += p * y_nat
+        add("core_p", core, p)
+        add("key", (z, xn), p)
+        for cell in ((z, xn), (z, xn, nat[post])):
+            add("obs_p", cell, p)
+            add("obs_e", cell, p * y_nat)
+        for x in arms:
+            add("zx", (z, xn, x), p * y_x[x])
+            add("core_e", core + (x,), p * y_x[x])
+        for x2 in arms:
+            add("d", (z, xn, x2, d_x[x2]), p)
+            for x in arms:
+                add("full", (z, xn, x2, d_x[x2], x), p * y_x[x])
+    return natural, rows, ref
+
+
+@pytest.mark.parametrize("make_problem", [
+    example3_problem, unconfounded_problem, context_problem, constant_reward_problem,
+])
+def test_exact_tables_equal_the_per_row_sums(make_problem):
+    prob = make_problem()
+    t = ExactTables(prob)
+    natural, rows, ref = per_row_sums(prob)
+    arms = prob.arms
+    assert t.natural_value == natural
+    assert t.rows == rows and list(t.rows) == list(rows)
+    assert t.keys() == sorted(ref["key"], key=repr)
+    for x in arms:
+        assert t.interventional_value(x) == sum(ref["zx"][k + (x,)] for k in ref["key"])
+    for (z, xn), pk in ref["key"].items():
+        assert t.key_prob((z, xn)) == pk
+        for x in arms:
+            assert t.mean_given_zx(z, xn, x) == ref["zx"][(z, xn, x)] / pk
+        for x2 in arms:
+            assert t.d_dist(z, xn, x2) == {
+                d: ref["d"].get((z, xn, x2, d), 0.0) / pk for d in prob.post_domain
+            }
+    for cell, pd in ref["d"].items():
+        for x in arms:
+            assert t.mean_given_full(*cell, x) == ref["full"][cell + (x,)] / pd
+    for cell, po in ref["obs_p"].items():
+        assert t.obs_mean(cell) == ref["obs_e"][cell] / po
+    assert t.obs_mean(("unseen", None)) == 0.5
+    for core, pc in ref["core_p"].items():
+        means = [ref["core_e"][core + (x,)] / pc for x in arms]
+        assert [t.reward_mean(x, core) for x in arms] == means
+        assert t.oracle_value(core) == max(means)
+
+
 # ---------------------------------------------------------------------------
 # Realizability gate
 # ---------------------------------------------------------------------------
@@ -263,6 +342,24 @@ def test_post_decision_variable_feeding_the_reward_is_rejected():
     }
     with pytest.raises(ModelError, match="must not feed the reward"):
         MabProblem(ScmModel(d, names, doms, dist, mech))
+
+
+def test_context_downstream_of_the_decision_is_rejected():
+    d = CausalDiagram(
+        ["X", "Z", "D", "Y"],
+        directed_edges=[("X", "Z"), ("X", "D"), ("X", "Y")],
+    )
+    names, doms, dist = independent_exogenous({"UX": (0, 1)})
+    mech = {
+        "X": Mechanism.tabulate((), ("UX",), (), ((0, 1),), lambda u: u),
+        "Z": Mechanism.tabulate(("X",), (), ((0, 1),), (), lambda x: x),
+        "D": Mechanism.tabulate(("X",), (), ((0, 1),), (), lambda x: x),
+        "Y": Mechanism.tabulate(("X",), (), ((0, 1),), (), lambda x: x),
+    }
+    model = ScmModel(d, names, doms, dist, mech)
+    with pytest.raises(ModelError, match="'Z' must not descend from 'X'"):
+        MabProblem(model, context="Z")
+    MabProblem(model)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +475,8 @@ def fresh_unit_protocol(problem, actions, u, policy, x2, arm):
 
 @pytest.mark.parametrize("make_problem", [example3_problem, context_problem])
 def test_memoized_responses_match_fresh_units(make_problem):
+    # the loop reads each unit's outcome off its exact-table row; a fresh
+    # unit played through the protocol must show the same (z, x', d, y)
     prob = make_problem()
     t = ExactTables(prob)
     for algo in ("ts", "ts-ett", "ts-aug", "ts-opt"):
@@ -385,14 +484,21 @@ def test_memoized_responses_match_fresh_units(make_problem):
         actions = policy.gate(prob, t).required_actions(prob)
         experiment = Experiment(prob.model, actions, seed=1)
         memo = _Responses(prob, t, policy)
-        for i in range(len(experiment.support)):
-            memo.add_row(experiment, i)
         d_inputs = (None,) if policy.d_stage == "none" else prob.arms
-        assert len(memo.played) == len(experiment.support) * len(d_inputs) * len(prob.arms)
-        for (i, x2, arm), seen in memo.played.items():
-            u = experiment.support[i]
-            assert seen == fresh_unit_protocol(prob, actions, u, policy, x2, arm), \
-                (algo, u, x2, arm)
+        checked = 0
+        for i, u in enumerate(experiment.support):
+            _, _, z, xn, _, d_x, _ = t.rows[u]
+            _, branches = memo.add_row(i, u)
+            assert len(branches) == len(d_inputs)
+            for x2, (cells, rewards, _) in zip(d_inputs, branches):
+                d = None if x2 is None else d_x[x2]
+                for arm, (key, _), y in zip(prob.arms, cells, rewards):
+                    assert key == policy.arm_key(z, xn, x2, d, arm)
+                    assert (z, xn, d, y) == fresh_unit_protocol(
+                        prob, actions, u, policy, x2, arm
+                    ), (algo, u, x2, arm)
+                    checked += 1
+        assert checked == len(experiment.support) * len(d_inputs) * len(prob.arms)
 
 
 def test_standard_sampler_regret_is_linear(problem, tables):

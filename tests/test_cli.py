@@ -9,7 +9,8 @@ import pytest
 import ctfrealize
 from ctfrealize.cli import main, parse_action_set
 from ctfrealize import ctf_rand_action, rand_action
-from ctfrealize.fixtures import fan_diagram
+from ctfrealize.fixtures import bow_model, fan_diagram, model_to_dict, save_fixture
+from test_bandits import context_problem
 
 
 def run_cli(args, tmp_path):
@@ -70,6 +71,15 @@ def test_eval_valued_and_distribution(tmp_path, capsys):
     assert (tmp_path / "distribution.csv").exists()
 
 
+def test_eval_rejects_a_model_file_without_a_mechanism(tmp_path, capsys):
+    doc = model_to_dict(bow_model(), "bow")
+    del doc["mechanisms"]["Y"]
+    path = tmp_path / "model.json"
+    save_fixture(doc, path)
+    assert run_cli(["eval", "--model", str(path), "--query", "P(Y=1)"], tmp_path) == 1
+    assert "no mechanism for 'Y'" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_partly_valued_query(tmp_path, capsys):
     assert run_cli(
         ["eval", "--model", "bow", "--query", "P(Y[X=1]=1, X)"], tmp_path
@@ -127,6 +137,19 @@ def test_bandit_problem_is_a_builtin_model_name(tmp_path):
     for name in ("cr.csv", "oap.csv"):
         named = (tmp_path / "named" / name).read_bytes()
         assert named == (tmp_path / "default" / name).read_bytes()
+
+
+def test_bandit_reads_z_as_the_context(tmp_path):
+    # ts-ett that sees z reaches its 0.40 tier; blind to z the tier is 0.30
+    path = tmp_path / "context.json"
+    save_fixture(model_to_dict(context_problem().model, "context"), path)
+    assert run_cli(
+        ["bandit", "--algo", "ts-ett", "--problem", str(path), "--T", "1000",
+         "--epochs", "4", "--seed", "0"],
+        tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["terminal_mean_reward"] > 0.35
 
 
 def test_bandit_summary_reports_seconds_per_epoch(tmp_path):

@@ -21,6 +21,7 @@ from ctfrealize import (
     response,
 )
 from ctfrealize import models
+from ctfrealize.engine import exact_rows
 from ctfrealize.bandits import example3_problem
 from ctfrealize.fairness import (
     L2_PENALTY,
@@ -310,6 +311,14 @@ def per_row_values(model, term):
     ]
 
 
+def assert_exact_rows_equal(model, terms, rows):
+    # exact_rows gives every term's per-row values in one call
+    support, weights, columns = exact_rows(model, CtfQuery(tuple(terms)))
+    assert support == [u for u, p in model.exogenous_support() if p != 0.0]
+    for t, column in zip(terms, columns, strict=True):
+        assert list(zip(column, weights.tolist())) == rows[t], str(t)
+
+
 def per_row_probability(rows_by_term, values):
     # the per-row loop: rows in support order, terms in query order
     total = 0.0
@@ -349,6 +358,7 @@ def test_compiled_engine_equals_per_row_oracle(name):
     model = builtin(name)
     terms = terms_with_two_regime_variables(model.diagram)
     rows = {t: per_row_values(model, t) for t in terms}
+    assert_exact_rows_equal(model, terms, rows)
     for t in terms:
         for value in model.diagram.domains[t.variable]:
             got = exact_l3_probability(model, CtfQuery((t.with_value(value),)))
@@ -393,6 +403,7 @@ def test_compiled_path_restricted_terms_equal_per_row_oracle(direct_effect):
     model = mediation_model(direct_effect=direct_effect)
     terms = mediation_path_terms()
     rows = {t: per_row_values(model, t) for t in terms}
+    assert_exact_rows_equal(model, terms, rows)
     for t in terms:
         for value in (0, 1):
             got = exact_l3_probability(model, CtfQuery((t.with_value(value),)))
