@@ -50,6 +50,7 @@ from .realizability import (
     ctf_rand_action,
     ctf_realize,
     maximal_action_set,
+    parse_action_set,
     rand_action,
     read_action,
     realizable_by_criterion,

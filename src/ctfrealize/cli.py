@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from typing import Any
@@ -33,12 +32,10 @@ from .graphs import CausalDiagram
 from .queries import parse_query
 from .engine import exact_distribution, exact_l3_probability
 from .realizability import (
-    Action,
     ActionSet,
-    ctf_rand_action,
     ctf_realize,
     maximal_action_set,
-    rand_action,
+    parse_action_set,
     read_action,
     select,
 )
@@ -52,62 +49,11 @@ EXIT_INPUT = 1
 EXIT_RUNTIME = 2
 EXIT_NOT_REALIZABLE = 3
 
-_ACTION_RE = re.compile(
-    r"(?P<kind>Select|Read|Rand|CtfRand)"
-    r"(?:\((?P<var>[A-Za-z0-9_.']+)"
-    r"(?:->(?:\{(?P<many>[A-Za-z0-9_.',\s]+)\}|(?P<one>[A-Za-z0-9_.']+)))?\))?",
-)
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts, cur, depth = [], [], 0
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
-def parse_action_set(text: str, diagram: CausalDiagram) -> ActionSet:
-    """Comma-separated actions, e.g.
-    ``Rand(X), CtfRand(X->{Z,W}), CtfRand(X->Z), Read(X), Select``."""
-    actions: list[Action] = []
-    for part in _split_top_level(text):
-        m = _ACTION_RE.fullmatch(part)
-        if not m:
-            raise CtfRealizeError(f"cannot parse action {part!r}")
-        kind = m.group("kind")
-        var = m.group("var")
-        if kind == "Select":
-            actions.append(select())
-        elif kind == "Read":
-            actions.append(read_action(var))
-        elif kind == "Rand":
-            actions.append(rand_action(var))
-        else:
-            if m.group("many"):
-                targets = [t.strip() for t in m.group("many").split(",")]
-            elif m.group("one"):
-                targets = [m.group("one")]
-            else:
-                raise CtfRealizeError(f"CtfRand needs targets: {part!r}")
-            actions.append(ctf_rand_action(var, targets))
-    if not actions:
-        raise CtfRealizeError("empty action set")
-    return ActionSet(actions, diagram)
-
 
 def _resolve_actions(args, diagram: CausalDiagram) -> ActionSet:
-    if getattr(args, "maximal", False):
+    if args.maximal:
         return maximal_action_set(diagram)
-    if not getattr(args, "actions", None):
+    if not args.actions:
         raise CtfRealizeError("provide --actions or --maximal")
     acts = parse_action_set(args.actions, diagram)
     if not args.no_implicit_reads:
@@ -371,14 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; recorded in outputs (random if omitted)")
 
+    def action_flags(p):
+        p.add_argument("--actions", help="e.g. \"Rand(X), CtfRand(X->{Z,W})\"")
+        p.add_argument("--maximal", action="store_true",
+                       help="use the per-child maximal action set")
+        p.add_argument("--no-implicit-reads", action="store_true",
+                       help="do not add Select/Read(V) to --actions automatically")
+
     p = sub.add_parser("realize", help="decide realizability of a query")
     p.add_argument("--graph", required=True, help="fixture path or built-in name")
     p.add_argument("--query", required=True, help="e.g. \"P(Y[X=1], X)\"")
-    p.add_argument("--actions", help="e.g. \"Rand(X), CtfRand(X->{Z,W})\"")
-    p.add_argument("--maximal", action="store_true",
-                   help="use the per-child maximal action set")
-    p.add_argument("--no-implicit-reads", action="store_true",
-                   help="do not add Select/Read(V) to --actions automatically")
+    action_flags(p)
     common_out(p)
     p.set_defaults(func=cmd_realize)
 
@@ -391,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="execute the plan and write sample rows")
     p.add_argument("--model", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--actions")
-    p.add_argument("--maximal", action="store_true")
-    p.add_argument("--no-implicit-reads", action="store_true")
+    action_flags(p)
     p.add_argument("--n", type=int, default=1000)
     common_out(p)
     p.set_defaults(func=cmd_sample)

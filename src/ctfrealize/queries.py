@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import QueryError, QuerySyntaxError
 from .graphs import CausalDiagram, Value
@@ -107,8 +107,7 @@ class PotentialResponse:
             for e in self.regime:
                 s = f"{e.var}={e.value}"
                 if e.targets is not None:
-                    tgt = sorted(e.targets)
-                    s += "->" + (tgt[0] if len(tgt) == 1 else "{" + ",".join(tgt) + "}")
+                    s += "->" + targets_text(e.targets)
                 parts.append(s)
             sub = "[" + ", ".join(parts) + "]"
         val = f"={self.value}" if self.value is not None else ""
@@ -251,6 +250,7 @@ def counterfactual_ancestors(
 # Parser
 # ---------------------------------------------------------------------------
 
+T = TypeVar("T")
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.'")
 
 
@@ -264,10 +264,8 @@ class _Scanner:
             self.pos += 1
 
     def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(ch, self.pos):
+        if not self.try_take(ch):
             raise QuerySyntaxError(f"expected {ch!r}", self.text, self.pos)
-        self.pos += len(ch)
 
     def try_take(self, ch: str) -> bool:
         self.skip_ws()
@@ -285,9 +283,17 @@ class _Scanner:
             raise QuerySyntaxError("expected a name", self.text, self.pos)
         return self.text[start:self.pos]
 
-    def done(self) -> bool:
+    def items(self, item: Callable[[], T]) -> list[T]:
+        """``item ("," item)*``: one or more comma-separated items."""
+        found = [item()]
+        while self.try_take(","):
+            found.append(item())
+        return found
+
+    def end(self) -> None:
         self.skip_ws()
-        return self.pos >= len(self.text)
+        if self.pos < len(self.text):
+            raise QuerySyntaxError("trailing input", self.text, self.pos)
 
 
 def _coerce(token: str, domain: Sequence[Value]) -> Value:
@@ -308,39 +314,39 @@ def parse_query(text: str, diagram: CausalDiagram) -> CtfQuery:
     Grammar (whitespace may separate tokens; "P(" and "->" are single
     tokens)::
 
-        query  := "P(" terms ")" | terms
-        terms  := term ("," term)*
-        term   := name ["[" entry ("," entry)* "]"] ["=" value]
-        entry  := name "=" value ["->" (name | "{" name ("," name)* "}")]
-        value  := name
-        name   := one or more letters, digits, "_", "." or "'"
+        query   := "P(" terms ")" | terms
+        terms   := term ("," term)*
+        term    := name ["[" entry ("," entry)* "]"] ["=" value]
+        entry   := name "=" value ["->" targets]
+        targets := name | "{" name ("," name)* "}"
+        value   := name
+        name    := one or more letters, digits, "_", "." or "'"
 
     A term's name is its variable, an entry's name the regime variable,
     and a name after "->" a child that receives the value (no arrow: every
     child does). A value token is looked up in the variable's domain as
     text first, then as an integer.
 
+    Action sets (``realizability.parse_action_set``) are read by the same
+    scanner, with the same ``targets``::
+
+        actions := action ("," action)*
+        action  := kind ["(" name ["->" targets] ")"]
+        kind    := "Select" | "Read" | "Rand" | "CtfRand"
+
+    e.g. ``Select, Read(Y), Rand(X), CtfRand(X->{Z,W})``; only CtfRand
+    takes targets, and only Select takes no variable.
+
     Raises QuerySyntaxError (with position) for malformed text and
     QueryError for unknown variables, out-of-domain values and
     self-interventions.
     """
     sc = _Scanner(text)
-    sc.skip_ws()
-    wrapped = False
-    if sc.text.startswith("P", sc.pos) and sc.text[sc.pos + 1: sc.pos + 2] == "(":
-        sc.pos += 1
-        sc.expect("(")
-        wrapped = True
-
-    terms: list[PotentialResponse] = []
-    while True:
-        terms.append(_parse_term(sc, diagram))
-        if not sc.try_take(","):
-            break
+    wrapped = sc.try_take("P(")
+    terms = sc.items(lambda: _parse_term(sc, diagram))
     if wrapped:
         sc.expect(")")
-    if not sc.done():
-        raise QuerySyntaxError("trailing input", sc.text, sc.pos)
+    sc.end()
 
     q = CtfQuery(tuple(terms))
     q.validate(diagram)
@@ -353,10 +359,7 @@ def _parse_term(sc: _Scanner, diagram: CausalDiagram) -> PotentialResponse:
         raise QueryError(f"unknown variable {var!r}")
     entries: list[RegimeEntry] = []
     if sc.try_take("["):
-        while True:
-            entries.append(_parse_entry(sc, diagram))
-            if not sc.try_take(","):
-                break
+        entries = sc.items(lambda: _parse_entry(sc, diagram))
         sc.expect("]")
     value: Value | None = None
     if sc.try_take("="):
@@ -370,14 +373,22 @@ def _parse_entry(sc: _Scanner, diagram: CausalDiagram) -> RegimeEntry:
         raise QueryError(f"unknown regime variable {var!r}")
     sc.expect("=")
     value = _coerce(sc.name(), diagram.domains[var])
-    targets: frozenset[str] | None = None
-    if sc.try_take("->"):
-        if sc.try_take("{"):
-            names = [sc.name()]
-            while sc.try_take(","):
-                names.append(sc.name())
-            sc.expect("}")
-        else:
-            names = [sc.name()]
-        targets = frozenset(names)
+    targets = parse_targets(sc) if sc.try_take("->") else None
     return RegimeEntry(var, value, targets)
+
+
+def parse_targets(sc: _Scanner) -> frozenset[str]:
+    """The children named after "->": one name, or names in braces. The
+    inverse of ``targets_text``."""
+    if not sc.try_take("{"):
+        return frozenset([sc.name()])
+    names = sc.items(sc.name)
+    sc.expect("}")
+    return frozenset(names)
+
+
+def targets_text(targets: Iterable[str]) -> str:
+    """A target set as written after "->": a lone name bare, several
+    sorted in braces."""
+    names = sorted(targets)
+    return names[0] if len(names) == 1 else "{" + ",".join(names) + "}"

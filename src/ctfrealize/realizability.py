@@ -38,13 +38,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ActionError, ContainmentViolation, QueryError
+from .errors import ActionError, ContainmentViolation, QueryError, QuerySyntaxError
 from .graphs import CausalDiagram, Value
 from .queries import (
     CtfQuery,
     PotentialResponse,
+    _Scanner,
     counterfactual_ancestors,
     normalize_term,
+    parse_targets,
+    targets_text,
 )
 
 
@@ -78,6 +81,8 @@ SELECT = "select"
 READ = "read"
 RAND = "rand"
 CTF_RAND = "ctf_rand"
+# each kind as action text spells it (see parse_action_set)
+_TEXT = {SELECT: "Select", READ: "Read", RAND: "Rand", CTF_RAND: "CtfRand"}
 
 
 @dataclass(frozen=True)
@@ -87,15 +92,17 @@ class Action:
     targets: frozenset[str] | None = None
 
     def __post_init__(self):
-        if self.kind not in (SELECT, READ, RAND, CTF_RAND):
+        if self.kind not in _TEXT:
             raise ActionError(f"unknown action kind {self.kind!r}")
         if self.kind == SELECT and self.var is not None:
-            raise ActionError("select takes no variable")
+            raise ActionError("Select takes no variable")
         if self.kind in (READ, RAND) and self.var is None:
-            raise ActionError(f"{self.kind} needs a variable")
+            raise ActionError(f"{_TEXT[self.kind]} needs a variable")
         if self.kind == CTF_RAND:
             if self.var is None or not self.targets:
-                raise ActionError("ctf_rand needs a variable and nonempty targets")
+                raise ActionError("CtfRand needs a variable and nonempty targets")
+        elif self.targets is not None:
+            raise ActionError(f"{_TEXT[self.kind]} takes no targets")
 
     def sort_key(self):
         return (
@@ -107,13 +114,9 @@ class Action:
     def __str__(self) -> str:
         if self.kind == SELECT:
             return "Select"
-        if self.kind == READ:
-            return f"Read({self.var})"
-        if self.kind == RAND:
-            return f"Rand({self.var})"
-        tgt = sorted(self.targets or ())
-        inner = tgt[0] if len(tgt) == 1 else "{" + ",".join(tgt) + "}"
-        return f"CtfRand({self.var}->{inner})"
+        if self.kind == CTF_RAND:
+            return f"CtfRand({self.var}->{targets_text(self.targets)})"
+        return f"{_TEXT[self.kind]}({self.var})"
 
 
 def select() -> Action:
@@ -135,7 +138,8 @@ def ctf_rand_action(v: str, targets: Iterable[str]) -> Action:
 class ActionSet:
     """Set of feasible physical actions; validates the containment
     property (input-randomizations of one variable are nested or
-    disjoint) and checks ctf-rand targets against a diagram."""
+    disjoint) and checks each action's variable and ctf-rand targets
+    against a diagram."""
 
     def __init__(self, actions: Iterable[Action], diagram: CausalDiagram | None = None):
         self.actions: tuple[Action, ...] = tuple(
@@ -143,6 +147,8 @@ class ActionSet:
         )
         by_var: dict[str, list[Action]] = {}
         for a in self.actions:
+            if diagram is not None and a.var is not None and a.var not in diagram:
+                raise ActionError(f"{a}: unknown variable {a.var!r}")
             if a.kind == CTF_RAND:
                 assert a.var is not None and a.targets is not None
                 if diagram is not None:
@@ -200,6 +206,33 @@ class ActionSet:
 
     def __repr__(self) -> str:
         return "ActionSet(" + ", ".join(str(a) for a in self.actions) + ")"
+
+
+_KINDS = {text: kind for kind, text in _TEXT.items()}
+
+
+def parse_action_set(text: str, diagram: CausalDiagram) -> ActionSet:
+    """Parse comma-separated actions, e.g. ``Rand(X), CtfRand(X->{Z,W}),
+    Read(X), Select``, with the query scanner (the grammar is in
+    ``parse_query``'s docstring). Raises QuerySyntaxError (with position)
+    for malformed text and ActionError for a misused kind, an unknown
+    variable or a target that is not a child."""
+    sc = _Scanner(text)
+
+    def action() -> Action:
+        word = sc.name()
+        if word not in _KINDS:
+            raise QuerySyntaxError(f"unknown action {word!r}", text, sc.pos - len(word))
+        var = targets = None
+        if sc.try_take("("):
+            var = sc.name()
+            targets = parse_targets(sc) if sc.try_take("->") else None
+            sc.expect(")")
+        return Action(_KINDS[word], var, targets)
+
+    actions = sc.items(action)
+    sc.end()
+    return ActionSet(actions, diagram)
 
 
 def maximal_action_set(diagram: CausalDiagram) -> ActionSet:
@@ -327,7 +360,6 @@ class RealizationPlan:
     query: CtfQuery
     diagram: CausalDiagram
     tags: tuple[tuple[Action, object], ...]
-    output_map: dict[int, str]
 
     realizable = True
 
@@ -343,7 +375,9 @@ class RealizationPlan:
         steps = []
         for v in self.diagram.topological_order():
             interventions = tuple(performed.get(v, ()))
-            reads = tuple(ti for ti, w in self.output_map.items() if w == v)
+            reads = tuple(
+                ti for ti, t in enumerate(self.query.terms) if t.variable == v
+            )
             if interventions or reads:
                 steps.append(PlanStep(v, interventions, reads))
         return tuple(steps)
@@ -588,7 +622,6 @@ class RealizabilityChecker:
             query=q,
             diagram=self.diagram,
             tags=tuple([(self._randomizations[i], tags[i]) for i in sorted(tags)]),
-            output_map={ti: t.variable for ti, t in enumerate(q.terms)},
         )
 
     def _realize_ordered(

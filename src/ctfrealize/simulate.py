@@ -121,7 +121,7 @@ class Unit:
 
     __slots__ = (
         "unit_id", "_model", "_actions", "_u", "_rng",
-        "_status", "_values", "_inputs", "_overrides", "_performed",
+        "_status", "_values", "_overrides", "_performed",
     )
 
     def __init__(
@@ -139,7 +139,6 @@ class Unit:
         self._rng = rng
         self._status: dict[str, str] = {}
         self._values: dict[str, Value] = {}
-        self._inputs: dict[str, dict[str, Value]] = {}
         self._overrides: dict[str, list[tuple[frozenset[str], Value]]] = {}
         self._performed: set = set()
 
@@ -167,7 +166,6 @@ class Unit:
         value = self._model.evaluate(v, inputs, self._u)
         self._status[v] = FIRED
         self._values[v] = value
-        self._inputs[v] = inputs
         return value
 
     def _check_allowed(self, action) -> None:
@@ -295,9 +293,7 @@ class Experiment:
     def new_unit(self) -> Unit:
         """Select a fresh unit: exogenous draw from the population, all
         mechanisms unfired."""
-        i = int(np.searchsorted(self._support_cum, self._select_rng.random(), side="right"))
-        self._count += 1
-        return self.unit_at(min(i, len(self.support) - 1))
+        return self.unit_at(int(self.select_rows(1)[0]))
 
     @property
     def units_drawn(self) -> int:
@@ -405,7 +401,7 @@ def draw_plan_batch(
         model,
         plan.query,
         plan.required_actions(),
-        [plan.output_map[i] for i in range(len(plan.query.terms))],
+        [t.variable for t in plan.query.terms],
         n,
         seed,
         max_rejections,

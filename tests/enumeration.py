@@ -8,48 +8,57 @@ two regime variables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from ctfrealize import CausalDiagram, CtfQuery, PotentialResponse, RegimeEntry
 
 NAMES = ("A", "B", "C", "D")
 
 
-def _canonical_form(n, edges, bidirected):
-    """Lexicographically smallest relabeling over all node permutations."""
-    best = None
-    nodes = range(n)
-    for perm in itertools.permutations(nodes):
-        e = tuple(sorted((perm[a], perm[b]) for a, b in edges))
-        be = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in bidirected))
-        key = (e, be)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def enumerate_mixed_graphs(max_nodes: int = 4):
-    """Yield one CausalDiagram per isomorphism class of (DAG, bidirected
-    set) with 1..max_nodes binary variables."""
+    """Iterate over one CausalDiagram per isomorphism class of (DAG,
+    bidirected set) with 1..max_nodes binary variables. The classes are
+    built once per session and shared by every caller."""
+    return iter(_mixed_graphs(max_nodes))
+
+
+@functools.cache
+def _mixed_graphs(max_nodes: int) -> tuple[CausalDiagram, ...]:
+    graphs = []
     for n in range(1, max_nodes + 1):
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         unordered = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        perms = list(itertools.permutations(range(n)))
         seen = set()
         # enumerate DAGs as subsets of ordered pairs that are acyclic
         for mask in range(2 ** len(pairs)):
             edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
             if not _acyclic(n, edges):
                 continue
+            # the class key is the lexicographically smallest relabeling of
+            # (edges, bidirected): the smallest edges, then the smallest
+            # bidirected set over the relabelings that give those edges
+            relabeled = [(_relabel(p, edges), p) for p in perms]
+            best = min(e for e, _ in relabeled)
+            keep = [p for e, p in relabeled if e == best]
             for bmask in range(2 ** len(unordered)):
                 bidir = [unordered[k] for k in range(len(unordered)) if bmask >> k & 1]
-                key = _canonical_form(n, edges, bidir)
+                key = (best, min(_relabel(p, bidir, undirected=True) for p in keep))
                 if key in seen:
                     continue
                 seen.add(key)
-                yield CausalDiagram(
+                graphs.append(CausalDiagram(
                     NAMES[:n],
                     directed_edges=[(NAMES[a], NAMES[b]) for a, b in edges],
                     bidirected_edges=[(NAMES[a], NAMES[b]) for a, b in bidir],
-                )
+                ))
+    return tuple(graphs)
+
+
+def _relabel(perm, edges, undirected=False):
+    if undirected:
+        return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+    return tuple(sorted((perm[a], perm[b]) for a, b in edges))
 
 
 def _acyclic(n, edges) -> bool:

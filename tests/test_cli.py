@@ -27,6 +27,66 @@ def test_parse_action_set():
         parse_action_set("Twist(X)", fan)
 
 
+def test_realize_with_actions(tmp_path):
+    assert run_cli(
+        ["realize", "--graph", "fan", "--query", "P(Y[X=1], Z)",
+         "--actions", "CtfRand(X->Y)"],
+        tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "plan.json").read_text())
+    # Select and every Read are added to the given actions
+    assert doc["config"]["actions"] == [
+        "CtfRand(X->Y)", "Read(W)", "Read(X)", "Read(Y)", "Read(Z)", "Select",
+    ]
+    assert doc["steps"][0]["interventions"] == [{"action": "CtfRand(X->Y)", "required": 1}]
+    assert doc["do_not_perform"] == []
+    # the whole-variable randomization would erase Z's natural input
+    assert run_cli(
+        ["realize", "--graph", "fan", "--query", "P(Y[X=1], Z)",
+         "--actions", "Rand(X)"],
+        tmp_path,
+    ) == 3
+
+
+def test_no_implicit_reads_leaves_outputs_unreadable(tmp_path):
+    args = ["realize", "--graph", "fan", "--query", "P(Y[X=1])",
+            "--actions", "Select, CtfRand(X->Y), Read(X)"]
+    assert run_cli(args + ["--no-implicit-reads"], tmp_path) == 3
+    doc = json.loads((tmp_path / "plan.json").read_text())
+    assert doc["conflict"]["class"] == "read-unavailable"
+    assert doc["conflict"]["variable"] == "Y"
+    assert run_cli(args, tmp_path) == 0
+
+
+def test_sample_with_actions(tmp_path):
+    assert run_cli(
+        ["sample", "--model", "fan", "--query", "P(Y[X=1], Z)",
+         "--actions", "CtfRand(X->Y)", "--n", "50", "--seed", "2"],
+        tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["accepted"] == 50
+
+
+@pytest.mark.parametrize("actions, message", [
+    ("Rand(Q), CtfRand(X->Y)", "unknown variable 'Q'"),
+    ("Read(Q), CtfRand(X->Y)", "unknown variable 'Q'"),
+    ("Select(X)", "Select takes no variable"),
+    ("Rand(X->Y)", "Rand takes no targets"),
+    ("Read(Y->X)", "Read takes no targets"),
+    ("CtfRand(X)", "CtfRand needs a variable and nonempty targets"),
+    ("Rand", "Rand needs a variable"),
+    ("CtfRand(X->Y) Rand(X)", "trailing input at position 14"),
+])
+def test_bad_action_text_is_an_input_error(tmp_path, capsys, actions, message):
+    assert run_cli(
+        ["realize", "--graph", "fan", "--query", "P(Y[X=1])", "--actions", actions],
+        tmp_path,
+    ) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_realize_exit_codes(tmp_path):
     assert run_cli(
         ["realize", "--graph", "hub_conflict",
@@ -235,7 +295,9 @@ def test_help_lists_every_subcommand_flag():
     for sub, flags in {
         "bandit": ["--algo", "--problem", "--T", "--epochs"],
         "fairness": ["--constraint", "--n", "--epsilon"],
-        "sample": ["--model", "--query", "--n"],
+        # realize and sample share their action flags, help text included
+        "sample": ["--model", "--query", "--n", "--actions", "--maximal",
+                   "--no-implicit-reads", "per-child maximal action set"],
         "eval": ["--model", "--query"],
         "procedures": ["--expanded", "--variable"],
     }.items():

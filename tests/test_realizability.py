@@ -6,6 +6,7 @@ import pytest
 
 from ctfrealize import (
     ActionSet,
+    ActionError,
     CausalDiagram,
     ContainmentViolation,
     CtfQuery,
@@ -16,6 +17,7 @@ from ctfrealize import (
     ctf_rand_action,
     ctf_realize,
     maximal_action_set,
+    parse_action_set,
     parse_query,
     query,
     rand_action,
@@ -36,7 +38,10 @@ from ctfrealize.realizability import (
     VALUE_CONFLICT_RAND,
     Conflict,
 )
+from ctfrealize.errors import QuerySyntaxError
 from ctfrealize.fixtures import (
+    builtin_diagram,
+    builtin_names,
     bow_diagram,
     chain_diagram,
     collider_hub_diagram,
@@ -211,6 +216,52 @@ def test_containment_violation_rejected():
             [ctf_rand_action("X", ["Y", "Z"]), ctf_rand_action("X", ["Z", "W"])],
             fan,
         )
+
+
+def test_every_action_variable_must_be_in_the_diagram():
+    fan = fan_diagram()
+    for action in (rand_action("Q"), read_action("Q"), ctf_rand_action("Q", ["Y"])):
+        with pytest.raises(ActionError, match="unknown variable 'Q'"):
+            ActionSet([select(), action], fan)
+    # without a diagram there is nothing to check against
+    assert len(ActionSet([rand_action("Q")])) == 1
+
+
+def test_action_text_round_trips_on_every_builtin_diagram():
+    for name in builtin_names():
+        d = builtin_diagram(name)
+        maximal = maximal_action_set(d)
+        # every Rand(v), and a CtfRand into all of v's children (braces)
+        wider = [rand_action(v) for v in d.variables] + [
+            ctf_rand_action(v, d.children(v)) for v in d.variables if d.children(v)
+        ]
+        for acts in (maximal, ActionSet([*maximal, *wider], d)):
+            text = ", ".join(map(str, acts))
+            assert parse_action_set(text, d).actions == acts.actions, (name, text)
+
+
+def test_action_text_takes_whitespace_and_braces():
+    fan = fan_diagram()
+    acts = parse_action_set(" Select ,Read( Y ),CtfRand(X -> { W , Z }) ", fan)
+    assert acts.actions == ActionSet(
+        [select(), read_action("Y"), ctf_rand_action("X", ["Z", "W"])]
+    ).actions
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("Twist(X)", 0),  # unknown kind
+    ("Rand(X), Twist(X)", 9),
+    ("Rand(X) Read(Y)", 8),  # no comma
+    ("Rand(X", 6),
+    ("CtfRand(X->{Y,Z)", 15),
+    ("CtfRand(X->)", 11),
+    ("Rand(X),", 8),
+    ("", 0),
+])
+def test_malformed_action_text_reports_its_position(text, pos):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_action_set(text, fan_diagram())
+    assert err.value.pos == pos
 
 
 def test_smallest_covering_is_unique_minimum():
