@@ -64,7 +64,6 @@ from .mediators import (
 )
 from .simulate import (
     Experiment,
-    RandomDevice,
     SampleBatch,
     Unit,
     draw_plan_batch,

@@ -643,8 +643,6 @@ _POLICIES = {
                       lambda z, xn, x2, d, x: (z, x, d) if x == xn == x2 else None,
                       "fix_y"),
 }
-# the two-stage sampler with a pluggable solver; ThompsonSolver gives ts-opt
-_POLICIES["mab-opt"] = _POLICIES["ts-opt"]
 
 ALGORITHMS = tuple(_POLICIES)
 
@@ -764,13 +762,12 @@ def run_epochs(
     horizon: int,
     epochs: int,
     seed: int,
-    solver_factory: Callable[[], ThompsonSolver] | None = None,
     tables: ExactTables | None = None,
 ) -> RunMetrics:
     """Run one algorithm for ``epochs`` independent epochs of ``horizon``
-    rounds, each with a fresh solver from ``solver_factory`` (default
-    ThompsonSolver). Epoch e uses the e-th spawn of the master seed, so
-    results are reproducible and epochs could run in parallel."""
+    rounds, each with a fresh ThompsonSolver. Epoch e uses the e-th
+    spawn of the master seed, so results are reproducible and epochs
+    could run in parallel."""
     if algo not in ALGORITHMS:
         raise EstimationError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
     if horizon < 0 or epochs < 0:
@@ -779,14 +776,13 @@ def run_epochs(
     tables = tables or ExactTables(problem)
     check_strategy_realizable(problem, policy.gate(problem, tables))
     responses = _Responses(problem, tables, policy)
-    factory = solver_factory or ThompsonSolver
     played = np.zeros((epochs, horizon), dtype=np.int64)
     seconds = np.zeros(epochs)
     for e, ss in enumerate(np.random.SeedSequence(seed).spawn(epochs)):
         start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
         experiment = Experiment(problem.model, seed=ss)
-        played[e] = _play_epoch(policy, responses, experiment, horizon, rng, factory())
+        played[e] = _play_epoch(policy, responses, experiment, horizon, rng, ThompsonSolver())
         seconds[e] = time.perf_counter() - start
     return RunMetrics(
         algo=algo,

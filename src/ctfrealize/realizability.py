@@ -406,7 +406,7 @@ class RealizationPlan:
 
     def acceptance_probability(self) -> float:
         """Probability a unit survives all rejection checks under uniform
-        devices (tags are drawn independently)."""
+        draws (tags are drawn independently)."""
         p = 1.0
         for action, _ in self.required_actions():
             p *= 1.0 / len(self.diagram.domains[action.var])

@@ -19,20 +19,22 @@ needed to produce it, with memoization, so agents need not act in
 topological order. Eager firing would only differ on malformed action
 sequences that a realization plan never produces.
 
+Randomization draws uniformly from the variable's domain, as the
+agent's coin does, unless the caller writes a value.
+
 ``draw_plan_batch``, ``sample_observational`` and
 ``sample_interventional`` share one rejection executor that draws units
 in array blocks: selection by ``searchsorted`` over the exogenous CDF,
-every uniform device of the block in one ``integers`` call, and
+every uniform draw of the block in one ``integers`` call, and
 acceptance as a row-wise match of the draws against the required
-values. This is exact, not an approximation. The devices are uniform
-and drawn independently of the unit, and an accepted unit's draws equal
-the required values, so its output row depends only on its exogenous
+values. This is exact, not an approximation. The draws are uniform and
+independent of the unit, and an accepted unit's draws equal the
+required values, so its output row depends only on its exogenous
 assignment ``u``. The executor therefore evaluates each distinct
-accepted ``u`` once, through a ``Unit`` whose devices are constant at
-the required values, and copies that row to every accepted unit with
-the same ``u``. ``Unit`` stays the only evaluator of mechanisms, and
-``execute_plan`` keeps the unit-at-a-time procedure as the reference
-and as the only path that takes custom devices.
+accepted ``u`` once, on a ``Unit`` with the required values written,
+and copies that row to every accepted unit with the same ``u``.
+``Unit`` stays the only evaluator of mechanisms, and ``execute_plan``
+keeps the unit-at-a-time procedure as the reference.
 """
 
 from __future__ import annotations
@@ -63,54 +65,23 @@ ERASED = "erased"
 
 DEFAULT_MAX_REJECTIONS = 10**6
 # units per array block of the rejection executor: caps its memory (a
-# block holds one device draw per unit and randomization) whatever the
+# block holds one draw per unit and randomization) whatever the
 # acceptance probability
 MAX_BLOCK_UNITS = 1 << 16
 
 
-class RandomDevice:
-    """Randomizing device for one variable: a distribution over its
-    domain. Uniform by default; a constant device is the deterministic
-    write special case."""
+class _Draw:
+    """The default of ``Unit.rand``/``ctf_rand``: draw uniformly. A
+    private object, so that every domain value (``None`` included) can
+    be written."""
 
-    def __init__(self, values: Sequence[Value], probs: Sequence[float] | None = None):
-        self.values = tuple(values)
-        self._uniform = probs is None
-        if probs is None:
-            probs = [1.0 / len(self.values)] * len(self.values)
-        if len(probs) != len(self.values):
-            raise ActionError("device probabilities do not match its values")
-        total = float(sum(probs))
-        if abs(total - 1.0) > 1e-9 or min(probs) < 0:
-            raise ActionError("device probabilities must be a distribution")
-        self.probs = tuple(float(p) for p in probs)
-        self._constant_index: int | None = None
-        for i, p in enumerate(self.probs):
-            if p == 1.0:
-                self._constant_index = i
-        self._cum = np.cumsum(self.probs)
+    __slots__ = ()
 
-    @classmethod
-    def uniform(cls, values: Sequence[Value]) -> "RandomDevice":
-        return cls(values)
+    def __repr__(self) -> str:
+        return "<draw>"
 
-    @classmethod
-    def constant(cls, values: Sequence[Value], value: Value) -> "RandomDevice":
-        return cls(values, [1.0 if v == value else 0.0 for v in values])
 
-    def prob_of(self, value: Value) -> float:
-        for v, p in zip(self.values, self.probs):
-            if v == value:
-                return p
-        return 0.0
-
-    def draw(self, rng: np.random.Generator) -> Value:
-        if self._constant_index is not None:
-            return self.values[self._constant_index]
-        if self._uniform:
-            return self.values[int(rng.integers(len(self.values)))]
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return self.values[min(i, len(self.values) - 1)]
+_DRAW = _Draw()
 
 
 class Unit:
@@ -120,19 +91,17 @@ class Unit:
     metrics instrumentation, not part of the acting agent's view."""
 
     __slots__ = (
-        "unit_id", "_model", "_actions", "_u", "_rng",
+        "_model", "_actions", "_u", "_rng",
         "_status", "_values", "_overrides", "_performed",
     )
 
     def __init__(
         self,
-        unit_id: int,
         model: ScmModel,
         u: tuple,
         rng: np.random.Generator,
         actions: ActionSet | None = None,
     ):
-        self.unit_id = unit_id
         self._model = model
         self._actions = actions
         self._u = u
@@ -140,7 +109,7 @@ class Unit:
         self._status: dict[str, str] = {}
         self._values: dict[str, Value] = {}
         self._overrides: dict[str, list[tuple[frozenset[str], Value]]] = {}
-        self._performed: set = set()
+        self._performed: set[tuple[str, frozenset[str]]] = set()  # CtfRand (x, targets)
 
     # -- internals ---------------------------------------------------------
 
@@ -172,10 +141,15 @@ class Unit:
         if self._actions is not None and action not in self._actions:
             raise ActionError(f"{action} is not in the feasible action set")
 
-    def _device(self, v: str, device: RandomDevice | None) -> RandomDevice:
-        if device is None:
-            return RandomDevice.uniform(self._model.diagram.domains[v])
-        return device
+    def _value(self, x: str, value: Value) -> Value:
+        """The value to randomize x to: ``value`` if written, which must
+        lie in x's domain, else a uniform draw from the domain."""
+        domain = self._model.diagram.domains[x]
+        if value is _DRAW:
+            return domain[int(self._rng.integers(len(domain)))]
+        if value not in domain:
+            raise ActionError(f"{value!r} is not in the domain of {x!r}")
+        return value
 
     # -- physical actions ----------------------------------------------------
 
@@ -186,9 +160,10 @@ class Unit:
             raise ActionError(f"unknown variable {v!r}")
         return self._fire(v)
 
-    def rand(self, x: str, device: RandomDevice | None = None) -> Value:
-        """Erase the unit's mechanism for x and substitute a drawn value,
-        which every child and later read of x will see."""
+    def rand(self, x: str, value: Value = _DRAW) -> Value:
+        """Erase the unit's mechanism for x and substitute ``value`` (by
+        default a uniform draw), which every child and later read of x
+        will see."""
         self._check_allowed(rand_action(x))
         st = self.status(x)
         if st != UNFIRED:
@@ -196,21 +171,20 @@ class Unit:
                 f"mechanism for {x!r} already {st}; a unit undergoes each "
                 "mechanism at most once"
             )
-        value = self._device(x, device).draw(self._rng)
+        value = self._value(x, value)
         self._status[x] = ERASED
         self._values[x] = value
-        self._performed.add(("rand", x))
         return value
 
     def ctf_rand(
         self,
         x: str,
         targets: Iterable[str],
-        device: RandomDevice | None = None,
+        value: Value = _DRAW,
     ) -> Value:
-        """Fix a drawn value as input to the target children of x. The
-        natural mechanism of x is untouched; reading x still yields the
-        unit's own value."""
+        """Fix ``value`` (by default a uniform draw) as input to the
+        target children of x. The natural mechanism of x is untouched;
+        reading x still yields the unit's own value."""
         tset = frozenset(targets)
         if not tset:
             raise ActionError("input randomization needs at least one target")
@@ -220,7 +194,7 @@ class Unit:
                 f"targets {sorted(tset - children)} are not children of {x!r}"
             )
         self._check_allowed(ctf_rand_action(x, tset))
-        key = ("ctf_rand", x, tset)
+        key = (x, tset)
         if key in self._performed:
             raise FCEViolation(
                 f"input randomization of {x!r} toward {sorted(tset)} was "
@@ -240,7 +214,7 @@ class Unit:
                     f"targets {sorted(tset)} overlap existing randomization "
                     f"{sorted(existing)} of {x!r} without nesting"
                 )
-        value = self._device(x, device).draw(self._rng)
+        value = self._value(x, value)
         self._overrides.setdefault(x, []).append((tset, value))
         self._performed.add(key)
         return value
@@ -288,7 +262,7 @@ class Experiment:
         """A unit with the exogenous assignment ``support[row]``, all
         mechanisms unfired, acting through this experiment's device
         stream and action set."""
-        return Unit(self._count, self.model, self.support[row], self._shared_rng, self.actions)
+        return Unit(self.model, self.support[row], self._shared_rng, self.actions)
 
     def new_unit(self) -> Unit:
         """Select a fresh unit: exogenous draw from the population, all
@@ -323,66 +297,53 @@ class SampleBatch:
         return {k: v / n for k, v in out.items()}
 
 
-def _perform(unit: Unit, action: Action, device: RandomDevice) -> Value:
+def _perform(unit: Unit, action: Action, value: Value = _DRAW) -> Value:
     if action.kind == RAND:
-        return unit.rand(action.var, device)  # type: ignore[arg-type]
+        return unit.rand(action.var, value)  # type: ignore[arg-type]
     if action.kind == CTF_RAND:
-        return unit.ctf_rand(action.var, action.targets, device)  # type: ignore[arg-type]
+        return unit.ctf_rand(action.var, action.targets, value)  # type: ignore[arg-type]
     raise ActionError(f"plan contains non-randomizing {action}")
+
+
+def _required_codes(
+    model: ScmModel, interventions: Sequence[tuple[Action, Value]]
+) -> list[int]:
+    """Each required value's index in its variable's domain. A value
+    outside the domain can never be drawn, so it raises."""
+    codes = []
+    for action, required in interventions:
+        domain = model.diagram.domains[action.var]
+        if required not in domain:
+            raise EstimationError(f"{action} cannot draw required value {required!r}")
+        codes.append(domain.index(required))
+    return codes
 
 
 def execute_plan(
     plan: RealizationPlan,
-    model: ScmModel,
-    rng: np.random.Generator | Experiment,
+    experiment: Experiment,
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
-    devices: Mapping[tuple, RandomDevice] | None = None,
 ) -> tuple[tuple[Value, ...], int]:
     """Draw one i.i.d. sample row for the plan's query.
 
-    Units are selected, randomized per the plan, discarded whenever a
-    drawn value misses its required tag, and read out. Returns the row
-    (ordered like the query terms) and the number of discarded units.
+    Units are selected from the experiment, randomized per the plan by
+    uniform draws, discarded whenever a draw misses its required value,
+    and read out. Returns the row (ordered like the query terms) and the
+    number of discarded units.
     """
-    if isinstance(rng, Experiment):
-        experiment = rng
-    else:
-        experiment = Experiment(model, actions=None, seed=np.random.SeedSequence(
-            int(rng.integers(0, 2**63 - 1))
-        ))
-    devices = devices or {}
+    interventions = plan.required_actions()
+    _required_codes(experiment.model, interventions)
     rejected = 0
     while True:
         unit = experiment.new_unit()
-        ok = True
-        for step in plan.steps:
-            for action, required in step.interventions:
-                dev = devices.get((action.kind, action.var, action.targets))
-                if dev is None:
-                    dev = RandomDevice.uniform(model.diagram.domains[action.var])
-                if dev.prob_of(required) <= 0.0:
-                    raise EstimationError(
-                        f"device for {action} cannot draw required value "
-                        f"{required!r}"
-                    )
-                if _perform(unit, action, dev) != required:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            values: dict[int, Value] = {}
-            for step in plan.steps:
-                for ti in step.read_terms:
-                    values[ti] = unit.read(step.variable)
-            row = tuple(values[i] for i in range(len(plan.query.terms)))
-            return row, rejected
+        if all(_perform(unit, action) == required for action, required in interventions):
+            return tuple(unit.read(t.variable) for t in plan.query.terms), rejected
         rejected += 1
         if rejected >= max_rejections:
             accept = plan.acceptance_probability()
             raise EstimationError(
                 f"exceeded {max_rejections} rejected units for one sample; "
-                f"uniform-device acceptance probability is about {accept:.3g}"
+                f"uniform-draw acceptance probability is about {accept:.3g}"
             )
 
 
@@ -406,7 +367,7 @@ def draw_plan_batch(
         seed,
         max_rejections,
         f"exceeded {max_rejections} rejected units for one sample; "
-        f"uniform-device acceptance probability is about {accept:.3g}",
+        f"uniform-draw acceptance probability is about {accept:.3g}",
     )
 
 
@@ -420,8 +381,8 @@ def _run_rejection(
     max_rejections: int,
     cap_message: str,
 ) -> SampleBatch:
-    """The rejection executor: select units, randomize them with uniform
-    devices as ``interventions`` says, keep a unit only if every draw
+    """The rejection executor: select units, randomize them by uniform
+    draws as ``interventions`` says, keep a unit only if every draw
     equals its required value, and read ``reads`` from the kept ones.
 
     Units come in array blocks sized from the acceptance probability so
@@ -432,29 +393,22 @@ def _run_rejection(
     batch = SampleBatch(q)
     if n <= 0:
         return batch
-    domains = [model.diagram.domains[action.var] for action, _ in interventions]
-    devices = []
-    for (action, required), domain in zip(interventions, domains):
-        if not any(v == required for v in domain):
-            raise EstimationError(
-                f"device for {action} cannot draw required value {required!r}"
-            )
-        devices.append(RandomDevice.constant(domain, required))
+    required = np.array(_required_codes(model, interventions), dtype=np.int64)
     experiment = Experiment(model, seed=seed)
 
     def evaluate(i: int) -> tuple[Value, ...]:
         unit = experiment.unit_at(i)
-        for (action, _), device in zip(interventions, devices):
-            _perform(unit, action, device)
+        for action, value in interventions:
+            _perform(unit, action, value)
         return tuple(unit.read(v) for v in reads)
 
     # the plan checks (single use, containment, targets, action kinds)
     # depend on the plan alone, so performing it once checks every unit
     rows = {0: evaluate(0)}
 
-    sizes = np.array([len(d) for d in domains], dtype=np.int64)
-    required = np.array(
-        [d.index(r) for (_, r), d in zip(interventions, domains)], dtype=np.int64
+    sizes = np.array(
+        [len(model.diagram.domains[action.var]) for action, _ in interventions],
+        dtype=np.int64,
     )
     p = 1.0 / math.prod(sizes.tolist())
     limit = max(max_rejections, 1)

@@ -63,7 +63,6 @@ from ctfrealize.fixtures import (
 from enumeration import enumerate_mixed_graphs, enumerate_terms
 from test_engine import nde_oracle
 from test_simulate import (
-    const,
     random_action_sequence_respects_fce,
     supersede_model,
     unit_with,
@@ -241,9 +240,9 @@ def test_criterion_05_supersede_semantics():
     for u in ((0,), (1,)):
         for x, xp, xpp in itertools.product((0, 1), repeat=3):
             unit = unit_with(model, u)
-            unit.rand("X", const(model, "X", x))
-            unit.ctf_rand("X", ["Z", "T", "B"], const(model, "X", xp))
-            unit.ctf_rand("X", ["T", "B"], const(model, "X", xpp))
+            unit.rand("X", x)
+            unit.ctf_rand("X", ["Z", "T", "B"], xp)
+            unit.ctf_rand("X", ["T", "B"], xpp)
             assert unit.read("Y") == x
             assert unit.read("Z") == xp
             assert unit.read("T") == xpp

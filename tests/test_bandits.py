@@ -41,7 +41,7 @@ from ctfrealize.bandits import (
 )
 from ctfrealize.bandits import _POLICIES, _Responses  # the loop's policies and memo
 from ctfrealize.models import independent_exogenous
-from ctfrealize.simulate import Experiment, RandomDevice, Unit
+from ctfrealize.simulate import Experiment, Unit
 
 
 @pytest.fixture(scope="module")
@@ -421,13 +421,6 @@ def test_thompson_posterior_counts_match_updates():
     assert solver.pulls("b") == routed["b"]
 
 
-def test_mab_opt_matches_ts_opt_with_thompson_solver(problem, tables):
-    a = run_epochs("ts-opt", problem, 150, 2, seed=5, tables=tables)
-    b = run_epochs("mab-opt", problem, 150, 2, seed=5,
-                   solver_factory=ThompsonSolver, tables=tables)
-    assert np.array_equal(a.cumulative_regret, b.cumulative_regret)
-
-
 # sha256 of the cumulative-regret, OAP and reward arrays (float64 bytes, in
 # that order) for seed 3, 300 rounds, 2 epochs, computed at commit 8a60c42
 # with the unit-at-a-time loops and per-round metric recorder
@@ -454,7 +447,7 @@ def fresh_unit_protocol(problem, actions, u, policy, x2, arm):
     read z and x', fix x2 into D and read d, act with the arm, read y."""
 
     def fresh():
-        return Unit(0, problem.model, u, np.random.default_rng(0), actions)
+        return Unit(problem.model, u, np.random.default_rng(0), actions)
 
     unit = fresh()
     # an erase-and-write destroys the natural x'; metrics read it off a twin
@@ -462,14 +455,13 @@ def fresh_unit_protocol(problem, actions, u, policy, x2, arm):
     z = seen.read(problem.context) if problem.context else None
     xn = seen.read(problem.decision)
     d = None
-    dom = problem.arms
     if x2 is not None:
-        unit.ctf_rand(problem.decision, [problem.post], RandomDevice.constant(dom, x2))
+        unit.ctf_rand(problem.decision, [problem.post], x2)
         d = unit.read(problem.post)
     if policy.final == "write":
-        unit.rand(problem.decision, RandomDevice.constant(dom, arm))
+        unit.rand(problem.decision, arm)
     else:
-        unit.ctf_rand(problem.decision, [problem.reward], RandomDevice.constant(dom, arm))
+        unit.ctf_rand(problem.decision, [problem.reward], arm)
     return z, xn, d, float(unit.read(problem.reward))
 
 

@@ -413,7 +413,7 @@ def test_fast_merge_matches_ordered_merge():
                     assert bool(fast) == bool(ordered), q
                     text = fast.describe()
                     if fast:
-                        assert text == ordered.describe(), q
+                        assert fast == ordered, q
                     else:
                         assert fast.conflict == ordered.conflict, q
                         classes.add(fast.conflict.failure)

@@ -11,8 +11,9 @@ from ctfrealize import (
     Experiment,
     FCEViolation,
     Mechanism,
-    RandomDevice,
+    RealizationPlan,
     ScmModel,
+    Unit,
     ctf_rand_action,
     ctf_realize,
     draw_plan_batch,
@@ -52,10 +53,6 @@ def supersede_model():
         "B": Mechanism.tabulate(("X",), (), ((0, 1),), (), lambda x: x),
     }
     return ScmModel(d, names, doms, dist, mech)
-
-
-def const(model, var, value):
-    return RandomDevice.constant(model.diagram.domains[var], value)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def test_read_after_input_randomization_preserves_natural_decision():
         unit = exp.new_unit()
         u = unit.peek_exogenous()
         nat = model.natural_values((u["U_XY"],))
-        forced = unit.ctf_rand("X", ["Y"], const(model, "X", 1))
+        forced = unit.ctf_rand("X", ["Y"], 1)
         assert forced == 1
         assert unit.read("X") == nat["X"]
         assert unit.read("Y") == model.evaluate("Y", {"X": 1}, (u["U_XY"],))
@@ -142,7 +139,7 @@ def test_read_after_whole_variable_randomization_returns_assigned():
     model = bow_model()
     exp = Experiment(model, seed=6)
     unit = exp.new_unit()
-    assigned = unit.rand("X", const(model, "X", 1))
+    assigned = unit.rand("X", 1)
     assert assigned == 1
     assert unit.read("X") == 1
 
@@ -155,10 +152,8 @@ def test_rand_distribution_and_constant_device():
     ones = sum(drawn)
     sigma = (n * 0.25) ** 0.5
     assert abs(ones - n / 2) < 3 * sigma
-    # constant device is the deterministic write
-    assert all(
-        exp.new_unit().rand("X", const(model, "X", 0)) == 0 for _ in range(10)
-    )
+    # a written value is the deterministic write
+    assert all(exp.new_unit().rand("X", 0) == 0 for _ in range(10))
 
 
 def test_second_rand_raises():
@@ -219,9 +214,7 @@ def test_ctf_rand_validations():
 
 
 def unit_with(model, u, seed=0):
-    from ctfrealize import Unit
-
-    return Unit(0, model, u, np.random.default_rng(seed), None)
+    return Unit(model, u, np.random.default_rng(seed), None)
 
 
 def test_triple_randomization_supersede_semantics():
@@ -231,9 +224,9 @@ def test_triple_randomization_supersede_semantics():
     for u in ((0,), (1,)):
         for x, xp, xpp in [(1, 0, 1), (0, 1, 0), (1, 1, 0)]:
             unit = unit_with(model, u)
-            unit.rand("X", const(model, "X", x))
-            unit.ctf_rand("X", ["Z", "T", "B"], const(model, "X", xp))
-            unit.ctf_rand("X", ["T", "B"], const(model, "X", xpp))
+            unit.rand("X", x)
+            unit.ctf_rand("X", ["Z", "T", "B"], xp)
+            unit.ctf_rand("X", ["T", "B"], xpp)
             assert unit.read("Y") == x
             assert unit.read("Z") == xp
             assert unit.read("T") == xpp
@@ -246,7 +239,7 @@ def test_whole_children_ctf_rand_keeps_natural_readable():
     for _ in range(10):
         unit = exp.new_unit()
         nat = unit.peek_exogenous()["U_X"]
-        unit.ctf_rand("X", ["Y", "Z", "T", "B"], const(model, "X", 1 - nat))
+        unit.ctf_rand("X", ["Y", "Z", "T", "B"], 1 - nat)
         assert unit.read("X") == nat
         assert unit.read("Y") == 1 - nat
 
@@ -256,8 +249,76 @@ def test_ctf_rand_leaves_non_target_children_natural():
     exp = Experiment(model, seed=16)
     unit = exp.new_unit()
     nat = unit.peek_exogenous()["U_X"]
-    unit.ctf_rand("X", ["Y"], const(model, "X", 1 - nat))
+    unit.ctf_rand("X", ["Y"], 1 - nat)
     assert unit.read("Z") == nat
+
+
+def copy_model(domain):
+    """X, natural value u, copied into its child Y; both take ``domain``."""
+    d = CausalDiagram(
+        ["X", "Y"],
+        domains={"X": domain, "Y": domain},
+        directed_edges=[("X", "Y")],
+        allow_constant=["X", "Y"],
+    )
+    names, doms, dist = independent_exogenous({"U_X": domain})
+    mech = {
+        "X": Mechanism.tabulate((), ("U_X",), (), (domain,), lambda u: u),
+        "Y": Mechanism.tabulate(("X",), (), (domain,), (), lambda x: x),
+    }
+    return ScmModel(d, names, doms, dist, mech)
+
+
+def test_written_value_outside_the_domain_leaves_the_unit_untouched():
+    model = bow_model()
+    for u in ((0,), (1,)):
+        nat = model.natural_values(u)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        unit = Unit(model, u, rng, None)
+        with pytest.raises(ActionError, match="not in the domain"):
+            unit.rand("X", 7)
+        with pytest.raises(ActionError, match="not in the domain"):
+            unit.ctf_rand("X", ["Y"], "1")
+        assert rng.bit_generator.state == state
+        assert unit.read("X") == nat["X"]
+        assert unit.read("Y") == nat["Y"]
+        unit = Unit(model, u, rng, None)
+        with pytest.raises(ActionError):
+            unit.ctf_rand("X", ["Y"], 7)
+        with pytest.raises(ActionError):
+            unit.rand("X", None)
+        # neither failed call counts as performed
+        assert unit.ctf_rand("X", ["Y"], 1 - nat["X"]) == 1 - nat["X"]
+        assert unit.rand("X", nat["X"]) == nat["X"]
+        assert unit.read("Y") == model.evaluate("Y", {"X": 1 - nat["X"]}, u)
+
+
+def test_every_domain_value_can_be_written():
+    # None and "draw" are values like any other, not a request for a draw
+    domain = (None, "draw", 0)
+    model = copy_model(domain)
+    for u in domain:
+        for value in domain:
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            unit = Unit(model, (u,), rng, None)
+            assert unit.ctf_rand("X", ["Y"], value) is value
+            assert unit.read("Y") is value
+            assert unit.read("X") is u
+            unit = Unit(model, (u,), rng, None)
+            assert unit.rand("X", value) is value
+            assert unit.read("X") is value and unit.read("Y") is value
+            assert rng.bit_generator.state == state
+
+
+def test_one_value_domain_draws_nothing():
+    model = copy_model(("only",))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert Unit(model, ("only",), rng, None).rand("X") == "only"
+    assert Unit(model, ("only",), rng, None).ctf_rand("X", ["Y"]) == "only"
+    assert rng.bit_generator.state == state
 
 
 def random_action_sequence_respects_fce(model, rng, n_sequences):
@@ -368,7 +429,7 @@ def test_execute_plan_rejection_cap():
     exp = Experiment(model, seed=21)
     with pytest.raises(EstimationError, match="acceptance probability"):
         for _ in range(64):  # some attempt will reject at least once
-            execute_plan(plan, model, exp, max_rejections=1)
+            execute_plan(plan, exp, max_rejections=1)
 
 
 def fixture_plan(model, text):
@@ -423,7 +484,7 @@ def test_block_executor_matches_unit_at_a_time_reference():
     plan = fixture_plan(model, "P(Y[X=1], Z[X=0], W[X=1])")
     n = 4_000
     exp = Experiment(model, seed=31)
-    reference = [execute_plan(plan, model, exp)[0] for _ in range(n)]
+    reference = [execute_plan(plan, exp)[0] for _ in range(n)]
     batch = draw_plan_batch(plan, model, n, seed=32)
     cells = set(reference) | set(batch.rows)
     tv = 0.5 * sum(
@@ -518,7 +579,7 @@ def test_agent_exogeneity_over_all_drawn_units():
 
     exp = CountingExperiment(model, seed=25)
     for _ in range(8_000):
-        execute_plan(plan, model, exp)
+        execute_plan(plan, exp)
     n = len(exp.seen)
     weights = dict(model.exogenous_support())
     for value, p in [((k[0]), v) for k, v in weights.items()]:
@@ -544,10 +605,14 @@ def test_do_sigma_equivalence():
         assert freq == pytest.approx(p, abs=0.02)
 
 
-def test_device_without_support_for_required_tag():
+def test_required_value_outside_the_domain_cannot_be_drawn():
     model = bow_model()
-    q = parse_query("P(Y[X=1], X)", model.diagram)
-    plan = ctf_realize(q, model.diagram, maximal_action_set(model.diagram))
-    bad = {("ctf_rand", "X", frozenset({"Y"})): const(model, "X", 0)}
+    plan = fixture_plan(model, "P(Y[X=1], X)")
+    ((action, _),) = plan.tags
+    bad = RealizationPlan(plan.query, plan.diagram, ((action, 7),))
+    exp = Experiment(model, seed=27)
     with pytest.raises(EstimationError, match="cannot draw"):
-        execute_plan(plan, model, Experiment(model, seed=27), devices=bad)
+        execute_plan(bad, exp)
+    assert exp.units_drawn == 0  # checked before the first unit
+    with pytest.raises(EstimationError, match="cannot draw"):
+        draw_plan_batch(bad, model, 10, seed=27)
