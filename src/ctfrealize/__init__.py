@@ -77,15 +77,14 @@ from .bandits import (
     MabProblem,
     RunMetrics,
     Strategy,
+    StrategyForm,
+    TIERS,
     ThompsonSolver,
+    best_strategy,
     brute_force_optimal,
     evaluate_strategy_exact,
     example3_problem,
     run_epochs,
-    tier_ett,
-    tier_int,
-    tier_obs,
-    tier_opt,
 )
 from .fairness import (
     CanonicalScm,

@@ -6,22 +6,28 @@ confounding among them. D never feeds Y; its role is informational — a
 unit's D under a forced input reveals part of the confounder before the
 reward decision is made.
 
-Strategy tiers, each realizable with progressively richer actions:
+Strategy tiers are forms (``StrategyForm``, one ``TIERS`` entry each):
+what the strategy observes and which physical actions it takes. Each
+tier's sampling distribution needs one action more than the tier before:
 
-* obs  — follow the natural behaviour (no actions);
-* int  — observe z, erase-and-write the best fixed arm;
+* obs  — follow the natural behaviour (reads only);
+* int  — observe z, erase-and-write the best fixed arm (``Rand(X)``);
 * ett  — observe z and the natural decision x', then fix the best arm
-         as input to the reward mechanism only;
+         as input to the reward mechanism only (``CtfRand(X->Y)``);
 * opt  — additionally fix a chosen input to D first, observe D, and
-         only then fix the reward arm: a two-stage plan whose sampling
-         distribution P(Y_x, X, Z, D_x'') is itself realizable;
-* aug  — same physical protocol as opt, but the learner treats (x', d)
-         as opaque context: no consistency hot-start, no meaning
-         attached to the D-stage (its input is drawn uniformly).
+         only then fix the reward arm (``CtfRand(X->D)`` too): a
+         two-stage plan whose sampling distribution P(Y_x, X, Z, D_x'')
+         is itself realizable.
+
+``best_strategy`` builds any tier's optimum with one argmax per (z, x')
+key over ``ExactTables``. The ``ts-aug`` learner plays the opt form's
+protocol but treats (x', d) as opaque context: no consistency
+hot-start, no meaning attached to the D-stage (its input is drawn
+uniformly).
 
 Online learning: every algorithm runs in one epoch loop, driven by a
-small per-algorithm policy (D-stage chooser, reward-arm key, hot-start
-cell, final action). An epoch selects its units in one block, and each
+small per-algorithm policy (its strategy form, D-stage chooser,
+reward-arm key, hot-start cell). An epoch selects its units in one block, and each
 round makes its scalar ``rng.beta`` / ``rng.integers`` draws in the order
 a unit-at-a-time protocol would. A unit's outcome under the protocol
 depends only on its exogenous row u, since every action fixes a chosen
@@ -330,74 +336,84 @@ class Strategy:
     the final action: ACT_NONE (let the natural decision stand),
     act_write(x) (erase-and-write) or act_fix_y(x) (fix x as input to
     the reward mechanism only).
-
-    ``observes`` lists which of {"z", "x_nat", "d"} the rule actually
-    conditions on; it determines the sampling distribution whose
-    realizability gates execution.
     """
 
     name: str
     d_stage: Mapping[tuple, tuple]
     y_stage: Mapping[tuple, tuple]
-    observes: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True)
+class StrategyForm:
+    """What a family of strategies observes and does.
+
+    ``sees_x``: the rule observes the natural decision x'. ``fixes_d``:
+    it fixes an input x'' into D and reads d before the final action.
+    ``final``: "none" (the natural decision stands), "write"
+    (erase-and-write the arm) or "fix_y" (fix the arm as input to the
+    reward only). The context z is observed when the problem has one and
+    the form acts (``final != "none"``). The form determines the
+    sampling distribution whose realizability gates execution, and the
+    actions that realize it."""
+
+    name: str
+    sees_x: bool = False
+    fixes_d: bool = False
+    final: str = "none"
 
     def sampling_query(self, problem: MabProblem) -> CtfQuery:
         """The joint the strategy needs samples from while learning, with
         representative distinct regime values."""
-        arms = problem.arms
-        terms = []
-        y_kinds = {a[0] for a in self.y_stage.values()}
-        if y_kinds <= {"none"}:
-            terms.append(response(problem.reward))
+        arms, dec = problem.arms, problem.decision
+        if self.final == "none":
+            terms = [response(problem.reward)]
         else:
-            terms.append(response(problem.reward, {problem.decision: arms[0]}))
-        if "x_nat" in self.observes:
-            terms.append(response(problem.decision))
-        if "z" in self.observes and problem.context:
+            terms = [response(problem.reward, {dec: arms[0]})]
+        if self.sees_x:
+            terms.append(response(dec))
+        if self.final != "none" and problem.context:
             terms.append(response(problem.context))
-        d_kinds = {a[0] for a in self.d_stage.values()}
-        if "d" in self.observes:
-            if d_kinds == {"read"}:
-                terms.append(response(problem.post))
-            elif "fix" in d_kinds:
-                alt = arms[1] if len(arms) > 1 else arms[0]
-                terms.append(response(problem.post, {problem.decision: alt}))
+        if self.fixes_d:
+            alt = arms[1] if len(arms) > 1 else arms[0]
+            terms.append(response(problem.post, {dec: alt}))
         return CtfQuery(tuple(terms))
 
     def required_actions(self, problem: MabProblem) -> ActionSet:
         acts = [select()]
         acts += [read_action(v) for v in problem.model.diagram.variables]
-        y_kinds = {a[0] for a in self.y_stage.values()}
-        if "write" in y_kinds:
+        if self.final == "write":
             acts.append(rand_action(problem.decision))
-        if "fix_y" in y_kinds:
+        if self.final == "fix_y":
             acts.append(ctf_rand_action(problem.decision, [problem.reward]))
-        if any(a[0] == "fix" for a in self.d_stage.values()):
+        if self.fixes_d:
             acts.append(ctf_rand_action(problem.decision, [problem.post]))
         return ActionSet(acts, problem.model.diagram)
 
 
-def check_strategy_realizable(problem: MabProblem, strategy: Strategy) -> None:
-    """Raise unless the strategy's sampling distribution is realizable
-    with the actions it uses."""
-    q = strategy.sampling_query(problem)
-    verdict = ctf_realize(q, problem.model.diagram, strategy.required_actions(problem))
+TIERS = {
+    "obs": StrategyForm("obs"),
+    "int": StrategyForm("int", final="write"),
+    "ett": StrategyForm("ett", sees_x=True, final="fix_y"),
+    "opt": StrategyForm("opt", sees_x=True, fixes_d=True, final="fix_y"),
+}
+
+
+def check_strategy_realizable(problem: MabProblem, form: StrategyForm) -> None:
+    """Raise unless the form's sampling distribution is realizable with
+    the actions it uses."""
+    q = form.sampling_query(problem)
+    verdict = ctf_realize(q, problem.model.diagram, form.required_actions(problem))
     if not verdict:
         raise QueryError(
-            f"strategy {strategy.name!r} needs samples from {q}, which is "
+            f"strategy {form.name!r} needs samples from {q}, which is "
             f"not realizable: {verdict.describe()}"
         )
 
 
 def evaluate_strategy_exact(
-    problem: MabProblem,
-    strategy: Strategy,
-    tables: ExactTables | None = None,
-    check_realizability: bool = True,
+    problem: MabProblem, strategy: Strategy, tables: ExactTables | None = None
 ) -> float:
     """Exact expected per-round reward of following the strategy."""
-    if check_realizability:
-        check_strategy_realizable(problem, strategy)
     tables = tables or ExactTables(problem)
     total = 0.0
     for p, _, z, xn, d_nat, d_x, y_x in tables.rows.values():
@@ -413,75 +429,42 @@ def evaluate_strategy_exact(
     return total
 
 
-def tier_obs(problem: MabProblem, tables: ExactTables | None = None) -> Strategy:
+def best_strategy(
+    problem: MabProblem, form: StrategyForm, tables: ExactTables | None = None
+) -> Strategy:
+    """The best strategy of the form, by one argmax per (z, x') key; ties
+    go to the first arm. A strategy's value is a sum over keys of terms
+    that depend only on that key's choices, so the per-key argmax is the
+    form's optimum."""
     tables = tables or ExactTables(problem)
-    d_stage = {k: SKIP_D for k in tables.keys()}
-    y_stage = {k: ACT_NONE for k in tables.keys()}
-    return Strategy("obs", d_stage, y_stage, frozenset())
+    arms, keys = problem.arms, tables.keys()
+    act = act_write if form.final == "write" else act_fix_y
+    d_stage: dict[tuple, tuple] = {}
+    y_stage: dict[tuple, tuple] = {}
 
+    def mean(z, xn, x):
+        if form.sees_x:
+            return tables.mean_given_zx(z, xn, x)
+        # blind to x': average the (z, x') conditionals over x'
+        same_z = [k for k in keys if k[0] == z]
+        num = sum(tables.key_prob(k) * tables.mean_given_zx(*k, x) for k in same_z)
+        return num / sum(tables.key_prob(k) for k in same_z)
 
-def tier_int(problem: MabProblem, tables: ExactTables | None = None) -> Strategy:
-    """Best fixed write per context value, marginalizing the natural
-    decision (which this tier does not observe)."""
-    tables = tables or ExactTables(problem)
-    d_stage = {k: SKIP_D for k in tables.keys()}
-    y_stage = {}
-    for z in {k[0] for k in tables.keys()}:
-        num = {x: 0.0 for x in problem.arms}
-        den = 0.0
-        for k in tables.keys():
-            if k[0] != z:
-                continue
-            den += tables.key_prob(k)
-            for x in problem.arms:
-                num[x] += tables.key_prob(k) * tables.mean_given_zx(k[0], k[1], x)
-        best = max(problem.arms, key=lambda x: (num[x] / den, -problem.arms.index(x)))
-        for k in tables.keys():
-            if k[0] == z:
-                y_stage[k] = act_write(best)
-    observes = frozenset({"z"}) if problem.context else frozenset()
-    return Strategy("int", d_stage, y_stage, observes)
-
-
-def tier_ett(problem: MabProblem, tables: ExactTables | None = None) -> Strategy:
-    tables = tables or ExactTables(problem)
-    d_stage = {k: SKIP_D for k in tables.keys()}
-    y_stage = {}
-    for k in tables.keys():
-        best = max(
-            problem.arms,
-            key=lambda x: (tables.mean_given_zx(k[0], k[1], x), -problem.arms.index(x)),
-        )
-        y_stage[k] = act_fix_y(best)
-    observes = {"x_nat"} | ({"z"} if problem.context else set())
-    return Strategy("ett", d_stage, y_stage, frozenset(observes))
-
-
-def tier_opt(problem: MabProblem, tables: ExactTables | None = None) -> Strategy:
-    tables = tables or ExactTables(problem)
-    d_stage = {}
-    y_stage = {}
-    for k in tables.keys():
-        z, xn = k
-        best_d = max(
-            problem.arms,
-            key=lambda x2: (tables.stage1_value(z, xn, x2), -problem.arms.index(x2)),
-        )
-        d_stage[k] = fix_d(best_d)
-        for d in problem.post_domain:
-            if tables.d_dist(z, xn, best_d).get(d, 0.0) == 0.0:
-                y_stage[(z, xn, d)] = act_fix_y(problem.arms[0])
-                continue
-            best = max(
-                problem.arms,
-                key=lambda x: (
-                    tables.mean_given_full(z, xn, best_d, d, x),
-                    -problem.arms.index(x),
-                ),
-            )
-            y_stage[(z, xn, d)] = act_fix_y(best)
-    observes = {"x_nat", "d"} | ({"z"} if problem.context else set())
-    return Strategy("opt", d_stage, y_stage, frozenset(observes))
+    for z, xn in keys:
+        if form.final == "none":
+            d_stage[(z, xn)], y_stage[(z, xn)] = SKIP_D, ACT_NONE
+        elif not form.fixes_d:
+            d_stage[(z, xn)] = SKIP_D
+            y_stage[(z, xn)] = act(max(arms, key=lambda x: mean(z, xn, x)))
+        else:
+            x2 = max(arms, key=lambda a: tables.stage1_value(z, xn, a))
+            d_stage[(z, xn)] = fix_d(x2)
+            for d, pd in tables.d_dist(z, xn, x2).items():
+                best = arms[0] if pd == 0.0 else max(
+                    arms, key=lambda x: tables.mean_given_full(z, xn, x2, d, x)
+                )
+                y_stage[(z, xn, d)] = act(best)
+    return Strategy(form.name, d_stage, y_stage)
 
 
 MAX_BRUTE_FORCE = 10**6
@@ -513,11 +496,8 @@ def brute_force_optimal(
             y_stage = {
                 (k[0], k[1], d): act_fix_y(x) for (k, d), x in zip(tau_cells, tau)
             }
-            strat = Strategy("normal-form", d_stage, y_stage,
-                             frozenset({"x_nat", "d"} | ({"z"} if problem.context else set())))
-            value = evaluate_strategy_exact(
-                problem, strat, tables, check_realizability=False
-            )
+            strat = Strategy("normal-form", d_stage, y_stage)
+            value = evaluate_strategy_exact(problem, strat, tables)
             if best is None or value > best[1] + VALUE_TOL:
                 best = (strat, value)
     assert best is not None
@@ -611,21 +591,21 @@ class RunMetrics:
 class _Policy:
     """One algorithm's part in the shared epoch loop.
 
-    ``d_stage`` picks the input fixed into D before the reward decision:
-    "none" (D is left alone), "uniform" (one ``rng.integers`` draw) or
-    "thompson" (a posterior per (z, x', x'')). ``arm_key`` names the
-    solver cell of each reward arm from (z, x', x'', d, x), and
-    ``hot_cell`` the observational cell whose exact mean pins that arm
-    (never drawn, never updated), or None. ``final`` is "fix_y" (fix the
-    arm as input to the reward only) or "write" (erase and write the
-    decision, which also fixes D's input). ``gate`` is the tier whose
-    realizability licenses the protocol and whose actions it may use."""
+    ``form`` is the strategy form the algorithm learns within: its
+    realizability gates the run, and its ``final`` says how the arm is
+    played ("fix_y" fixes it as input to the reward only, "write" erases
+    and writes the decision, which also fixes D's input). ``d_stage``
+    picks the input fixed into D before the reward decision: "none" (D
+    is left alone), "uniform" (one ``rng.integers`` draw) or "thompson"
+    (a posterior per (z, x', x'')). ``arm_key`` names the solver cell of
+    each reward arm from (z, x', x'', d, x), and ``hot_cell`` the
+    observational cell whose exact mean pins that arm (never drawn,
+    never updated), or None."""
 
-    gate: Callable[..., Strategy]
+    form: StrategyForm
     d_stage: str
     arm_key: Callable[..., tuple]
     hot_cell: Callable[..., tuple | None]
-    final: str
 
 
 def _no_hot_cell(z, xn, x2, d, x):
@@ -633,15 +613,14 @@ def _no_hot_cell(z, xn, x2, d, x):
 
 
 _POLICIES = {
-    "ts": _Policy(tier_int, "none", lambda z, xn, x2, d, x: (x,), _no_hot_cell, "write"),
+    "ts": _Policy(TIERS["int"], "none", lambda z, xn, x2, d, x: (x,), _no_hot_cell),
     # (z, x', d) is opaque context: the D-input means nothing to this learner
-    "ts-aug": _Policy(tier_opt, "uniform", lambda z, xn, x2, d, x: (z, xn, d, x),
-                      _no_hot_cell, "fix_y"),
-    "ts-ett": _Policy(tier_ett, "none", lambda z, xn, x2, d, x: (z, xn, x),
-                      lambda z, xn, x2, d, x: (z, x) if x == xn else None, "fix_y"),
-    "ts-opt": _Policy(tier_opt, "thompson", lambda z, xn, x2, d, x: ("Y", z, xn, x2, d, x),
-                      lambda z, xn, x2, d, x: (z, x, d) if x == xn == x2 else None,
-                      "fix_y"),
+    "ts-aug": _Policy(TIERS["opt"], "uniform", lambda z, xn, x2, d, x: (z, xn, d, x),
+                      _no_hot_cell),
+    "ts-ett": _Policy(TIERS["ett"], "none", lambda z, xn, x2, d, x: (z, xn, x),
+                      lambda z, xn, x2, d, x: (z, x) if x == xn else None),
+    "ts-opt": _Policy(TIERS["opt"], "thompson", lambda z, xn, x2, d, x: ("Y", z, xn, x2, d, x),
+                      lambda z, xn, x2, d, x: (z, x, d) if x == xn == x2 else None),
 }
 
 ALGORITHMS = tuple(_POLICIES)
@@ -711,7 +690,7 @@ class _Responses:
             flags = []
             for x, mean in zip(arms, means):
                 # an erase-and-write also fixes the arm as D's input
-                d_input = x if x2 is None and self.policy.final == "write" else x2
+                d_input = x if x2 is None and self.policy.form.final == "write" else x2
                 flags.append(t.stage1_value(z, xn, d_input) >= top and mean >= best - VALUE_TOL)
             self._optimal[key] = tuple(flags)
         return self._optimal[key]
@@ -774,7 +753,7 @@ def run_epochs(
         raise EstimationError(f"horizon {horizon} and epochs {epochs} must be non-negative")
     policy = _POLICIES[algo]
     tables = tables or ExactTables(problem)
-    check_strategy_realizable(problem, policy.gate(problem, tables))
+    check_strategy_realizable(problem, policy.form)
     responses = _Responses(problem, tables, policy)
     played = np.zeros((epochs, horizon), dtype=np.int64)
     seconds = np.zeros(epochs)

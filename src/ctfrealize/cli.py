@@ -229,8 +229,9 @@ def cmd_bandit(args) -> int:
     seed = _seed(args)
     metrics = bandits.run_epochs(args.algo, problem, args.T, args.epochs, seed)
     out = _out_dir(args)
-    bandits.write_metric_csv(out / "cr.csv", metrics, "cr")
-    bandits.write_metric_csv(out / "oap.csv", metrics, "oap")
+    if args.format in ("csv", "both"):
+        bandits.write_metric_csv(out / "cr.csv", metrics, "cr")
+        bandits.write_metric_csv(out / "oap.csv", metrics, "oap")
     config = {
         "subcommand": "bandit", "algo": args.algo, "problem": args.problem,
         "T": args.T, "epochs": args.epochs, "seed": seed,
@@ -253,14 +254,15 @@ def cmd_fairness(args) -> int:
         constraint, args.n, args.epsilon, seed=seed
     )
     out = _out_dir(args)
-    _write_csv(
-        out / "mu_ctf_histogram.csv",
-        ["mu_ctf", "mu_int1", "mu_int2"],
-        [
-            [f"{r.mu_ctf:.10g}", f"{r.mu_int1:.10g}", f"{r.mu_int2:.10g}"]
-            for _, r in samples
-        ],
-    )
+    if args.format in ("csv", "both"):
+        _write_csv(
+            out / "mu_ctf_histogram.csv",
+            ["mu_ctf", "mu_int1", "mu_int2"],
+            [
+                [f"{r.mu_ctf:.10g}", f"{r.mu_int1:.10g}", f"{r.mu_int2:.10g}"]
+                for _, r in samples
+            ],
+        )
     frac = fairness.violation_fraction(samples)
     config = {
         "subcommand": "fairness", "constraint": args.constraint, "n": args.n,

@@ -303,12 +303,11 @@ def bandit_runs(bandit_problem, bandit_tables):
 
 def test_criterion_07_exact_strategy_values(bandit_problem, bandit_tables):
     values = {}
-    for name, tier in (
-        ("obs", bd.tier_obs), ("int", bd.tier_int),
-        ("ett", bd.tier_ett), ("opt", bd.tier_opt),
-    ):
+    for name, form in bd.TIERS.items():
+        bd.check_strategy_realizable(bandit_problem, form)
         values[name] = bd.evaluate_strategy_exact(
-            bandit_problem, tier(bandit_problem, bandit_tables), bandit_tables
+            bandit_problem, bd.best_strategy(bandit_problem, form, bandit_tables),
+            bandit_tables,
         )
     assert values["obs"] == pytest.approx(0.65, abs=1e-12)
     assert values["int"] == pytest.approx(0.70, abs=1e-12)

@@ -21,26 +21,26 @@ from ctfrealize.bandits import (
     ACT_NONE,
     READ_D,
     SKIP_D,
+    TIERS,
     ExactTables,
     MabProblem,
     Strategy,
+    StrategyForm,
     ThompsonSolver,
     act_fix_y,
     act_write,
+    best_strategy,
     brute_force_optimal,
     check_strategy_realizable,
     evaluate_strategy_exact,
     example3_problem,
     fix_d,
     run_epochs,
-    tier_ett,
-    tier_int,
-    tier_obs,
-    tier_opt,
     write_metric_csv,
 )
 from ctfrealize.bandits import _POLICIES, _Responses  # the loop's policies and memo
 from ctfrealize.models import independent_exogenous
+from ctfrealize.realizability import NO_ACTION, OUTPUT_ERASED
 from ctfrealize.simulate import Experiment, Unit
 
 
@@ -117,19 +117,38 @@ def constant_reward_problem():
     return MabProblem(ScmModel(d, names, doms, dist, mech))
 
 
+def gated_post_problem():
+    """Example 3 with D = x and u3: only the input x'' = 1 makes D reveal
+    the mood bit, so the D-stage choice matters."""
+    base = example3_problem().model
+    mech = dict(base.mechanisms)
+    mech["D"] = Mechanism.tabulate(("X",), ("U3",), ((0, 1),), ((0, 1),),
+                                   lambda x, u3: x & u3)
+    return MabProblem(ScmModel(base.diagram, base.exogenous_vars,
+                               base.exogenous_domains, base.exogenous_dist, mech))
+
+
+PROBLEMS = (example3_problem, unconfounded_problem, context_problem,
+            constant_reward_problem, gated_post_problem)
+
+
+def tier_values(prob, tables):
+    return {
+        name: evaluate_strategy_exact(prob, best_strategy(prob, form, tables), tables)
+        for name, form in TIERS.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # Exact values
 # ---------------------------------------------------------------------------
 
 def test_tier_values_match_published_numbers(problem, tables):
-    assert evaluate_strategy_exact(problem, tier_obs(problem, tables), tables) \
-        == pytest.approx(0.65, abs=1e-12)
-    assert evaluate_strategy_exact(problem, tier_int(problem, tables), tables) \
-        == pytest.approx(0.70, abs=1e-12)
-    assert evaluate_strategy_exact(problem, tier_ett(problem, tables), tables) \
-        == pytest.approx(0.75, abs=1e-12)
-    assert evaluate_strategy_exact(problem, tier_opt(problem, tables), tables) \
-        == pytest.approx(0.80, abs=1e-12)
+    values = tier_values(problem, tables)
+    assert values["obs"] == pytest.approx(0.65, abs=1e-12)
+    assert values["int"] == pytest.approx(0.70, abs=1e-12)
+    assert values["ett"] == pytest.approx(0.75, abs=1e-12)
+    assert values["opt"] == pytest.approx(0.80, abs=1e-12)
 
 
 def test_interventional_arm_values(problem, tables):
@@ -144,19 +163,23 @@ def test_brute_force_certifies_the_opt_tier(problem, tables):
 
 
 def test_dominance_over_lower_tiers():
-    for prob in (example3_problem(), unconfounded_problem()):
+    # obs <= int is not asserted: natural behaviour can beat the best fixed arm
+    for make_problem in PROBLEMS:
+        prob = make_problem()
         t = ExactTables(prob)
         _, best = brute_force_optimal(prob, t)
-        for tier in (tier_obs, tier_int):
-            v = evaluate_strategy_exact(prob, tier(prob, t), t)
-            assert best >= v - 1e-12
+        v = tier_values(prob, t)
+        assert v["obs"] <= v["ett"] + 1e-12, make_problem.__name__
+        assert v["int"] <= v["ett"] + 1e-12, make_problem.__name__
+        assert v["ett"] <= v["opt"] + 1e-12, make_problem.__name__
+        assert v["opt"] <= best + 1e-12, make_problem.__name__
 
 
 def test_no_confounding_means_write_tier_ties_the_optimum():
     prob = unconfounded_problem()
     t = ExactTables(prob)
     _, best = brute_force_optimal(prob, t)
-    int_v = evaluate_strategy_exact(prob, tier_int(prob, t), t)
+    int_v = evaluate_strategy_exact(prob, best_strategy(prob, TIERS["int"], t), t)
     assert best == pytest.approx(int_v, abs=1e-12)
 
 
@@ -164,8 +187,8 @@ def test_arm_with_no_effect_makes_all_strategies_tie():
     prob = constant_reward_problem()
     t = ExactTables(prob)
     _, best = brute_force_optimal(prob, t)
-    for tier in (tier_obs, tier_int, tier_ett, tier_opt):
-        v = evaluate_strategy_exact(prob, tier(prob, t), t)
+    for form in TIERS.values():
+        v = evaluate_strategy_exact(prob, best_strategy(prob, form, t), t)
         assert v == pytest.approx(best, abs=1e-12)
 
 
@@ -196,10 +219,55 @@ def test_normal_form_is_not_beaten_by_the_wider_strategy_space(problem, tables):
         for _, c in zip(keys, combo):
             y_stage.update(c[1])
         strat = Strategy("cross-oracle", d_stage, y_stage)
-        v = evaluate_strategy_exact(problem, strat, tables,
-                                    check_realizability=False)
+        v = evaluate_strategy_exact(problem, strat, tables)
         best = max(best, v)
     assert best <= normal_best + 1e-12
+
+
+def form_strategies(prob, form, tables):
+    """Every strategy the form allows: per key of what it observes of
+    (z, x'), each allowed D choice, then each final action of the form's
+    kind on every information key that choice leads to."""
+    arms, keys = prob.arms, tables.keys()
+    if form.final == "none":
+        finals = [ACT_NONE]
+    else:
+        act = act_write if form.final == "write" else act_fix_y
+        finals = [act(x) for x in arms]
+    d_options = [fix_d(x2) for x2 in arms] if form.fixes_d else [SKIP_D]
+
+    def seen(key):
+        z, xn = key
+        return (z if form.final != "none" else None, xn if form.sees_x else None)
+
+    seen_keys = list(dict.fromkeys(seen(k) for k in keys))
+    per_key = []
+    for _ in seen_keys:
+        cell = []
+        for d_opt in d_options:
+            ds = [None] if d_opt == SKIP_D else list(prob.post_domain)
+            for ys in itertools.product(finals, repeat=len(ds)):
+                cell.append((d_opt, dict(zip(ds, ys))))
+        per_key.append(cell)
+    for combo in itertools.product(*per_key):
+        choice = dict(zip(seen_keys, combo))
+        d_stage, y_stage = {}, {}
+        for k in keys:
+            d_opt, ys = choice[seen(k)]
+            d_stage[k] = d_opt
+            for d, y in ys.items():
+                y_stage[k if d is None else k + (d,)] = y
+        yield Strategy(form.name, d_stage, y_stage)
+
+
+@pytest.mark.parametrize("make_problem", PROBLEMS)
+def test_best_strategy_attains_the_form_maximum(make_problem):
+    prob = make_problem()
+    t = ExactTables(prob)
+    values = tier_values(prob, t)
+    for name, form in TIERS.items():
+        best = max(evaluate_strategy_exact(prob, s, t) for s in form_strategies(prob, form, t))
+        assert values[name] == pytest.approx(best, abs=1e-12), name
 
 
 def per_row_sums(prob):
@@ -299,22 +367,45 @@ def test_double_post_decision_context_is_rejected(problem):
 
 
 def test_gate_passes_every_tier(problem, tables):
-    for tier in (tier_obs, tier_int, tier_ett, tier_opt):
-        check_strategy_realizable(problem, tier(problem, tables))
+    for form in TIERS.values():
+        check_strategy_realizable(problem, form)
 
 
 def test_gate_rejects_unrealizable_strategy(problem, tables):
     # observing the natural decision while erase-and-writing it needs
     # samples of (Y_x, X) with only whole-variable randomization: the
     # natural readout is destroyed, so the gate must refuse to run this
-    broken = Strategy(
-        "write-after-observing",
-        {k: SKIP_D for k in tables.keys()},
-        {k: act_write(0) for k in tables.keys()},
-        observes=frozenset({"x_nat"}),
-    )
+    broken = StrategyForm("write-after-observing", sees_x=True, final="write")
     with pytest.raises(QueryError, match="not realizable"):
         check_strategy_realizable(problem, broken)
+
+
+def test_tier_queries_and_randomizations_are_pinned(problem):
+    rands = [set(), {"Rand(X)"}, {"CtfRand(X->Y)"}, {"CtfRand(X->D)", "CtfRand(X->Y)"}]
+    for prob, texts in (
+        (problem, ["P(Y)", "P(Y[X=0])", "P(Y[X=0], X)", "P(Y[X=0], X, D[X=1])"]),
+        (context_problem(),
+         ["P(Y)", "P(Y[X=0], Z)", "P(Y[X=0], X, Z)", "P(Y[X=0], X, Z, D[X=1])"]),
+    ):
+        plain = {"Select"} | {f"Read({v})" for v in prob.model.diagram.variables}
+        for form, text, rand in zip(TIERS.values(), texts, rands):
+            assert str(form.sampling_query(prob)) == text
+            assert {str(a) for a in form.required_actions(prob)} == plain | rand
+
+
+@pytest.mark.parametrize("make_problem", PROBLEMS)
+def test_tier_ladder_is_tight(make_problem):
+    # each richer tier needs its extra physical action: its sampling
+    # distribution is not realizable with the previous tier's actions
+    prob = make_problem()
+    for lower, form, failure in (
+        ("obs", "int", NO_ACTION),
+        ("int", "ett", OUTPUT_ERASED),
+        ("ett", "opt", NO_ACTION),
+    ):
+        verdict = ctf_realize(TIERS[form].sampling_query(prob), prob.model.diagram,
+                              TIERS[lower].required_actions(prob))
+        assert not verdict and verdict.conflict.failure == failure, (form, lower)
 
 
 def test_natural_plus_forced_reward_joint_is_rejected(problem):
@@ -451,14 +542,14 @@ def fresh_unit_protocol(problem, actions, u, policy, x2, arm):
 
     unit = fresh()
     # an erase-and-write destroys the natural x'; metrics read it off a twin
-    seen = fresh() if policy.final == "write" else unit
+    seen = fresh() if policy.form.final == "write" else unit
     z = seen.read(problem.context) if problem.context else None
     xn = seen.read(problem.decision)
     d = None
     if x2 is not None:
         unit.ctf_rand(problem.decision, [problem.post], x2)
         d = unit.read(problem.post)
-    if policy.final == "write":
+    if policy.form.final == "write":
         unit.rand(problem.decision, arm)
     else:
         unit.ctf_rand(problem.decision, [problem.reward], arm)
@@ -473,7 +564,7 @@ def test_memoized_responses_match_fresh_units(make_problem):
     t = ExactTables(prob)
     for algo in ("ts", "ts-ett", "ts-aug", "ts-opt"):
         policy = _POLICIES[algo]
-        actions = policy.gate(prob, t).required_actions(prob)
+        actions = policy.form.required_actions(prob)
         experiment = Experiment(prob.model, actions, seed=1)
         memo = _Responses(prob, t, policy)
         d_inputs = (None,) if policy.d_stage == "none" else prob.arms

@@ -247,6 +247,20 @@ def test_fairness_outputs(tmp_path):
     assert len(rows) == 51
 
 
+@pytest.mark.parametrize("args, csvs", [
+    (["bandit", "--algo", "ts", "--T", "40", "--epochs", "2", "--seed", "4"],
+     ("cr.csv", "oap.csv")),
+    (["fairness", "--constraint", "l3", "--n", "5", "--epsilon", "0.01", "--seed", "4"],
+     ("mu_ctf_histogram.csv",)),
+], ids=["bandit", "fairness"])
+def test_json_format_writes_no_csv(tmp_path, args, csvs):
+    assert run_cli(args + ["--format", "json"], tmp_path / "json") == 0
+    assert (tmp_path / "json" / "summary.json").exists()
+    assert not any((tmp_path / "json" / name).exists() for name in csvs)
+    assert run_cli(args, tmp_path / "default") == 0
+    assert all((tmp_path / "default" / name).exists() for name in csvs)
+
+
 def test_procedures_subcommand(tmp_path):
     from ctfrealize.fixtures import expanded_to_dict, expanded_chained_mediators, save_fixture
 
