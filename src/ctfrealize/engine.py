@@ -14,8 +14,8 @@ row at a time in support order, so results equal the per-row loop bit
 for bit. ``exact_rows`` hands the per-row term values themselves to a
 caller that sums its own cells, as ``bandits.ExactTables`` does.
 ``eval_potential_response`` is that per-row loop, kept as the oracle the
-compiled path is tested against. A row that reaches a missing table
-entry is replayed through it, so the error raised is the per-row one.
+compiled path is tested against. A compiled model is total: compiling
+raises on a missing table entry, even one that no row reaches.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelError, QueryError
+from .errors import QueryError
 from .graphs import Value
 from .models import CompiledScm, ScmModel
 from .queries import CtfQuery, PotentialResponse, RegimeEntry, response
@@ -79,8 +79,7 @@ def eval_potential_response(
 
 
 def _term_codes(compiled: CompiledScm, term: PotentialResponse) -> np.ndarray:
-    """The term's value codes on every compiled row (-1 where a row reads
-    a missing table entry)."""
+    """The term's value codes on every compiled row."""
     fixed = []
     for e in term.regime:
         code = compiled.codes[e.var][e.value]  # the query was validated
@@ -93,29 +92,10 @@ def _term_codes(compiled: CompiledScm, term: PotentialResponse) -> np.ndarray:
 
 def _prepare(model: ScmModel, q: CtfQuery) -> tuple[CompiledScm, list[np.ndarray]]:
     """Validate the query on the model; return the compiled model and
-    each term's codes on every compiled row.
-
-    Raises the per-row loop's error if that loop would read a missing
-    table entry: on a row, it evaluates the terms in order and, for a
-    probability, stops at the first term that misses its event value.
-    The first such row is replayed through the per-row oracle."""
+    each term's codes on every compiled row."""
     q.validate(model.diagram)
     compiled = model.compile()
-    codes = [_term_codes(compiled, t) for t in q.terms]
-    if compiled.total:
-        return compiled, codes
-    reached = np.ones(len(compiled.rows), dtype=bool)
-    missing = np.zeros(len(compiled.rows), dtype=bool)
-    for t, c in zip(q.terms, codes):
-        missing |= reached & (c < 0)
-        if t.value is not None:
-            reached &= c == compiled.codes[t.variable][t.value]
-    if not missing.any():
-        return compiled, codes
-    u = compiled.rows[int(np.argmax(missing))]
-    for t in q.terms:
-        eval_potential_response(model, u, t)
-    raise ModelError(f"exogenous row {u!r} reads a missing mechanism table entry")
+    return compiled, [_term_codes(compiled, t) for t in q.terms]
 
 
 def _ordered_sum(weights: Sequence[float]) -> float:

@@ -200,10 +200,11 @@ def mu_ctf(
     if exact:
         a = exact_l3_probability(model, _COUPLED[1])
         b = exact_l3_probability(model, _COUPLED[0])
+        j0 = exact_l3_probability(model, _JOINT_X0)
         return FairnessReport(
             mu_ctf=abs(a - b),
             mu_int1=_surrogate(model, 1),
-            mu_int2=_surrogate(model, 2),
+            mu_int2=abs(a - j0),  # mu_int(2): a is P(Y=1, Z=0; do x1)
             exact=True,
         )
     assert_audit_realizable(model)

@@ -27,7 +27,7 @@ from .graphs import CausalDiagram, Value
 from .models import ScmModel
 from .queries import response
 from .engine import eval_potential_response
-from .realizability import Action, ActionSet, ctf_rand_action
+from .realizability import Action, ActionSet, ctf_rand_action, overlap_without_nesting
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,8 @@ def ctf_procedures(expanded: ExpandedDiagram, x: str) -> ActionSet:
     # ones must nest (checked against parents in mediators_of already)
     for i, a in enumerate(meds):
         for b in meds[i + 1:]:
-            shared = a.served_children & b.served_children
-            if shared and not (
-                a.served_children <= b.served_children
-                or b.served_children <= a.served_children
-            ):
+            if overlap_without_nesting(a.served_children, b.served_children):
+                shared = a.served_children & b.served_children
                 raise MediatorStructureError(
                     f"children {sorted(shared)} perceive {x!r} through both "
                     f"{a.name!r} and {b.name!r}"

@@ -46,7 +46,7 @@ class Mechanism:
         self.parents = tuple(parents)
         self.exogenous = tuple(exogenous)
         self.table = dict(table)
-        self._coded: tuple[tuple, np.ndarray, bool] | None = None
+        self._coded: tuple[tuple, np.ndarray] | None = None
 
     @classmethod
     def tabulate(
@@ -69,28 +69,29 @@ class Mechanism:
         try:
             return self.table[key]
         except KeyError:
-            raise ModelError(
-                f"mechanism table missing entry for inputs {key!r} "
-                f"(parents {self.parents}, exogenous {self.exogenous})"
-            ) from None
+            raise self._missing(key) from None
+
+    def _missing(self, key: tuple) -> ModelError:
+        return ModelError(
+            f"mechanism table missing entry for inputs {key!r} "
+            f"(parents {self.parents}, exogenous {self.exogenous})"
+        )
 
     def coded(
         self,
         input_domains: tuple[tuple[Value, ...], ...],
         output_domain: tuple[Value, ...],
-    ) -> tuple[np.ndarray, bool]:
+    ) -> np.ndarray:
         """The table as an integer array over value codes (a value's index
-        in its domain), and whether it has an entry for every input in
-        the domains. Axis i is indexed by the code of input i, parents
-        then exogenous; an entry is the output's code, or -1 where the
-        table has no entry. Every axis has one extra last slot holding -1,
-        so indexing with the code -1 (an input that itself reached a
-        missing entry) reads -1 again. Cached, keyed by the domains it was
-        coded against."""
+        in its domain): axis i is indexed by the code of input i, parents
+        then exogenous, and an entry is the output's code. A compiled
+        model is total: an input in the domains with no entry raises the
+        error ``__call__`` gives for it, the first such input in domain
+        product order. Cached, keyed by the domains it was coded against."""
         key = (input_domains, output_domain)
         if self._coded is not None and self._coded[0] == key:
-            return self._coded[1:]
-        shape = tuple(len(d) + 1 for d in input_domains)
+            return self._coded[1]
+        shape = tuple(len(d) for d in input_domains)
         size = math.prod(shape)
         if size > MAX_TABLE_ROWS:
             raise ModelError(
@@ -98,27 +99,22 @@ class Mechanism:
                 f"{self.parents}, exogenous {self.exogenous}) exceeds the "
                 f"cap of {MAX_TABLE_ROWS}"
             )
-        out = np.full(shape, -1, dtype=np.intp)
-        index = [{x: i for i, x in enumerate(d)} for d in input_domains]
         codes = {x: i for i, x in enumerate(output_domain)}
-        filled = 0
-        for inputs, value in self.table.items():
-            if len(inputs) != len(index):
-                continue
+        flat = []
+        for inputs in itertools.product(*input_domains):
             try:
-                at = tuple(ix[x] for ix, x in zip(index, inputs))
+                value = self.table[inputs]
             except KeyError:
-                continue  # an input outside its domain is never looked up
+                raise self._missing(inputs) from None
             if value not in codes:
                 raise ModelError(
                     f"mechanism (parents {self.parents}, exogenous "
                     f"{self.exogenous}) outputs {value!r} outside its domain"
                 )
-            out[at] = codes[value]
-            filled += 1
-        total = filled == math.prod(len(d) for d in input_domains)
-        self._coded = (key, out, total)
-        return out, total
+            flat.append(codes[value])
+        out = np.array(flat, dtype=np.intp).reshape(shape)
+        self._coded = (key, out)
+        return out
 
 
 class ScmModel:
@@ -189,9 +185,9 @@ class CompiledScm:
     - ``rows`` are the exogenous assignments of nonzero weight, in
       ``exogenous_support()`` order, ``exogenous_codes`` the same rows as
       an (R, |U|) code array, and ``weights`` their probabilities;
-    - ``mechanisms[v]`` is v's table as ``Mechanism.coded`` gives it, and
-      ``total`` says that every table has all its entries, so no row can
-      read a missing one.
+    - ``mechanisms[v]`` is v's table as ``Mechanism.coded`` gives it.
+
+    A compiled model is total: compiling raises on a missing table entry.
 
     ``values`` memoizes its result per (variable, regime); the memo only
     grows, and an entry never changes once written.
@@ -230,15 +226,13 @@ class CompiledScm:
         ).T
         self.mechanisms: dict[str, np.ndarray] = {}
         self._inputs: dict[str, tuple[tuple[str, ...], tuple[np.ndarray, ...]]] = {}
-        self.total = True
         for v, m in model.mechanisms.items():
             if v not in diagram:
                 continue
             domains = tuple(diagram.domains[p] for p in m.parents) + tuple(
                 model.exogenous_domains[e] for e in m.exogenous
             )
-            self.mechanisms[v], total = m.coded(domains, diagram.domains[v])
-            self.total &= total
+            self.mechanisms[v] = m.coded(domains, diagram.domains[v])
             columns = tuple(
                 self.exogenous_codes[:, model._exo_index[e]] for e in m.exogenous
             )
@@ -249,8 +243,7 @@ class CompiledScm:
         """Codes of ``variable`` on every row, in the submodel where
         ``regime`` fixes inputs. ``regime`` holds ((var, child), code)
         pairs: var's value is fed to child's mechanism only, or, with child
-        None, var is replaced by the constant. A row whose evaluation reads
-        a missing table entry gets -1."""
+        None, var is replaced by the constant."""
         return self._natural(variable, dict(regime), regime)
 
     def _natural(self, v: str, fixed: dict, regime: frozenset) -> np.ndarray:

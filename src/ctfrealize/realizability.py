@@ -135,6 +135,12 @@ def ctf_rand_action(v: str, targets: Iterable[str]) -> Action:
     return Action(CTF_RAND, v, frozenset(targets))
 
 
+def overlap_without_nesting(a: frozenset, b: frozenset) -> bool:
+    """Whether two input-randomization target sets break containment:
+    the sets of one variable must be nested or disjoint."""
+    return bool(a & b) and not (a <= b or b <= a)
+
+
 class ActionSet:
     """Set of feasible physical actions; validates the containment
     property (input-randomizations of one variable are nested or
@@ -160,10 +166,7 @@ class ActionSet:
                 by_var.setdefault(a.var, []).append(a)
         for var, acts in by_var.items():
             for a, b in itertools.combinations(acts, 2):
-                inter = a.targets & b.targets  # type: ignore[operator]
-                if inter and not (
-                    a.targets <= b.targets or b.targets <= a.targets  # type: ignore[operator]
-                ):
+                if overlap_without_nesting(a.targets, b.targets):  # type: ignore[arg-type]
                     raise ContainmentViolation(
                         f"{a} and {b} overlap without nesting"
                     )
@@ -402,7 +405,8 @@ class RealizationPlan:
         return tuple(notes)
 
     def required_actions(self) -> tuple[tuple[Action, Value], ...]:
-        return tuple(iv for step in self.steps for iv in step.interventions)
+        """The performed actions with their required draws, in plan order."""
+        return tuple((a, tag) for a, tag in self.tags if tag is not NATURAL)
 
     def acceptance_probability(self) -> float:
         """Probability a unit survives all rejection checks under uniform

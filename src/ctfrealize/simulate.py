@@ -56,6 +56,7 @@ from .realizability import (
     ActionSet,
     RealizationPlan,
     ctf_rand_action,
+    overlap_without_nesting,
     rand_action,
 )
 
@@ -208,8 +209,7 @@ class Unit:
                     f"receive a new input for {x!r}"
                 )
         for existing, _ in self._overrides.get(x, ()):
-            inter = existing & tset
-            if inter and not (existing <= tset or tset <= existing):
+            if overlap_without_nesting(existing, tset):
                 raise ContainmentViolation(
                     f"targets {sorted(tset)} overlap existing randomization "
                     f"{sorted(existing)} of {x!r} without nesting"
@@ -362,7 +362,6 @@ def draw_plan_batch(
         model,
         plan.query,
         plan.required_actions(),
-        [t.variable for t in plan.query.terms],
         n,
         seed,
         max_rejections,
@@ -375,7 +374,6 @@ def _run_rejection(
     model: ScmModel,
     q: CtfQuery,
     interventions: Sequence[tuple[Action, Value]],
-    reads: Sequence[str],
     n: int,
     seed: int | np.random.SeedSequence | None,
     max_rejections: int,
@@ -383,7 +381,8 @@ def _run_rejection(
 ) -> SampleBatch:
     """The rejection executor: select units, randomize them by uniform
     draws as ``interventions`` says, keep a unit only if every draw
-    equals its required value, and read ``reads`` from the kept ones.
+    equals its required value, and read the variables of ``q``'s terms
+    from the kept ones.
 
     Units come in array blocks sized from the acceptance probability so
     that one block usually covers the batch, up to MAX_BLOCK_UNITS.
@@ -395,6 +394,7 @@ def _run_rejection(
         return batch
     required = np.array(_required_codes(model, interventions), dtype=np.int64)
     experiment = Experiment(model, seed=seed)
+    reads = [t.variable for t in q.terms]
 
     def evaluate(i: int) -> tuple[Value, ...]:
         unit = experiment.unit_at(i)
@@ -466,7 +466,7 @@ def sample_observational(
     """Select units and read every variable naturally."""
     variables = tuple(variables or model.diagram.variables)
     q = query(*[response(v) for v in variables])
-    return _run_rejection(model, q, (), variables, n, seed, DEFAULT_MAX_REJECTIONS, "")
+    return _run_rejection(model, q, (), n, seed, DEFAULT_MAX_REJECTIONS, "")
 
 
 def sample_interventional(
@@ -486,7 +486,6 @@ def sample_interventional(
         model,
         q,
         [(rand_action(x), wanted) for x, wanted in do.items()],
-        outcome,
         n,
         seed,
         max_rejections,

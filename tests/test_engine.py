@@ -19,6 +19,7 @@ from ctfrealize import (
     nde,
     query,
     response,
+    validate_scm,
 )
 from ctfrealize import models
 from ctfrealize.engine import exact_rows
@@ -472,37 +473,33 @@ def test_regime_value_outside_domain_raises_query_error():
         exact_distribution(bow, query(response("Y", {"X": 2})))
 
 
-def test_missing_entry_on_a_weighted_row_raises_the_per_row_error():
-    model = missing_entry_model(0.5)
-    u = (1,)
+@pytest.mark.parametrize("weight", [0.5, 0.0])
+def test_partial_table_is_rejected_at_compile(weight):
+    model = missing_entry_model(weight)
     with pytest.raises(ModelError) as per_row:
-        eval_potential_response(model, u, response("Y"))
+        eval_potential_response(model, (1,), response("Y"))
+    # compiling raises whether or not a weighted row reaches the gap, and
+    # even for a query that never reads Y
     for call in (
-        lambda: exact_l3_probability(model, query(response("Y", value=1))),
+        lambda: exact_l3_probability(
+            model, query(response("X", value=0), response("Y", value=1))
+        ),
         lambda: exact_distribution(model, query(response("X"), response("Y"))),
+        lambda: exact_rows(model, query(response("X"))),
     ):
         with pytest.raises(ModelError) as compiled:
             call()
         assert str(compiled.value) == str(per_row.value)
-    # the per-row loop stops at the first term that misses its value, so
-    # it never evaluates Y on the row where X is 1
-    assert exact_l3_probability(
-        model, query(response("X", value=0), response("Y", value=1))
-    ) == 0.5
-
-
-def test_missing_entry_on_a_zero_weight_row_is_skipped():
-    model = missing_entry_model(0.0)
-    assert exact_l3_probability(model, query(response("Y", value=1))) == 1.0
-    dist = exact_distribution(model, query(response("X"), response("Y")))
-    assert dist.as_dict() == {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0}
+    assert "mechanism for 'Y' missing table row (1,)" in validate_scm(model)
+    # the per-row oracle raises only where a row reaches the gap
+    assert [eval_potential_response(model, (u,), response("X")) for u in (0, 1)] == [0, 1]
 
 
 def test_table_size_cap_raises_before_building():
     cap = f"exceeds the cap of {MAX_TABLE_ROWS}"
     with pytest.raises(ModelError, match=f"10000000 rows {cap}$"):
         independent_exogenous({f"U{i}": range(10) for i in range(7)})
-    # Y's coded table would have 41**4 entries, although its dict is empty
+    # Y's coded table would have 40**4 entries, although its dict is empty
     parents = ("A", "B", "C", "D")
     d = CausalDiagram(
         [*parents, "Y"],
@@ -512,7 +509,7 @@ def test_table_size_cap_raises_before_building():
     mech = {p: Mechanism((), ("U",), {(0,): 0, (1,): 1}) for p in parents}
     mech["Y"] = Mechanism(parents, (), {})
     names, doms, dist = independent_exogenous({"U": (0, 1)})
-    with pytest.raises(ModelError, match=f"{41**4} entries .* {cap}$"):
+    with pytest.raises(ModelError, match=f"{40**4} entries .* {cap}$"):
         ScmModel(d, names, doms, dist, mech).compile()
 
 

@@ -15,6 +15,7 @@ from ctfrealize import (
     response,
     validate_scm,
 )
+from ctfrealize import fairness
 from ctfrealize.fairness import (
     L2_PENALTY,
     L3_PENALTY,
@@ -52,6 +53,18 @@ def test_exact_metric_values():
     assert report.mu_ctf == pytest.approx(0.10, abs=1e-12)
     assert mu_int(scm, 1) == pytest.approx(0.0, abs=1e-12)
     assert mu_int(scm, 2) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_exact_report_evaluates_each_probability_once(monkeypatch):
+    calls = []
+
+    def counting(model, q):
+        calls.append(str(q))
+        return exact_l3_probability(model, q)
+
+    monkeypatch.setattr(fairness, "exact_l3_probability", counting)
+    mu_ctf(example2_scm(), exact=True)
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_zero_effect_on_aid_screen_gives_zero_disparity():

@@ -426,6 +426,26 @@ def test_fast_merge_matches_ordered_merge():
     assert digest.hexdigest() == FAST_MERGE_DIGEST
 
 
+def test_required_actions_are_the_performed_steps():
+    # required_actions reads the performed tags straight from the plan's
+    # tags; the steps list the same actions, per variable in plan order
+    checked = 0
+    for diagram in itertools.islice(enumerate_mixed_graphs(4), 0, None, 200):
+        actions = maximal_action_set(diagram).union(
+            ActionSet([rand_action(v) for v in diagram.variables])
+        )
+        checker = RealizabilityChecker(diagram, actions)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for q in queries_of_size(enumerate_terms(diagram), 2):
+                plan = checker.realize(q)
+                if plan:
+                    steps = tuple(iv for s in plan.steps for iv in s.interventions)
+                    assert plan.required_actions() == steps, q
+                    checked += 1
+    assert checked > 1000
+
+
 def test_verdicts_are_deterministic():
     g1 = hub_conflict_diagram()
     q = parse_query("P(Z[X=0], W[T=0])", g1)
