@@ -15,7 +15,15 @@ for bit. ``exact_rows`` hands the per-row term values themselves to a
 caller that sums its own cells, as ``bandits.ExactTables`` does.
 ``eval_potential_response`` is that per-row loop, kept as the oracle the
 compiled path is tested against. A compiled model is total: compiling
-raises on a missing table entry, even one that no row reaches.
+raises on a missing mechanism or table entry, even one that no row
+reaches.
+
+``exact_l3_probability`` keeps each valued query's event mask on the
+compiled model, after the query has been validated; a later call with
+an equal query sums the weights under the stored mask. A model from
+``ScmModel.reweighted`` with the same rows of nonzero weight shares
+these masks (and the term codes) with its base, so evaluating one query
+on many reweightings of one model computes the mask once.
 """
 
 from __future__ import annotations
@@ -91,10 +99,10 @@ def _term_codes(compiled: CompiledScm, term: PotentialResponse) -> np.ndarray:
 
 
 def _prepare(model: ScmModel, q: CtfQuery) -> tuple[CompiledScm, list[np.ndarray]]:
-    """Validate the query on the model; return the compiled model and
-    each term's codes on every compiled row."""
-    q.validate(model.diagram)
+    """Compile the model and validate the query on it; return the compiled
+    model and each term's codes on every compiled row."""
     compiled = model.compile()
+    q.validate(model.diagram)
     return compiled, [_term_codes(compiled, t) for t in q.terms]
 
 
@@ -125,12 +133,19 @@ def exact_rows(
 def exact_l3_probability(model: ScmModel, q: CtfQuery) -> float:
     """Probability that every term takes its assigned event value: the
     exogenous-weighted count of assignments where all indicators fire."""
-    if not q.is_valued():
-        raise QueryError("query must assign a value to every term")
-    compiled, codes = _prepare(model, q)
-    hit = np.ones(len(compiled.rows), dtype=bool)
-    for t, c in zip(q.terms, codes):
-        hit &= c == compiled.codes[t.variable][t.value]
+    compiled = model.compile()
+    try:
+        hit = compiled.masks.get(q)
+    except TypeError:  # an unhashable value, outside every domain: validate says so
+        hit = None
+    if hit is None:
+        if not q.is_valued():
+            raise QueryError("query must assign a value to every term")
+        q.validate(model.diagram)
+        hit = np.ones(len(compiled.rows), dtype=bool)
+        for t in q.terms:
+            hit &= _term_codes(compiled, t) == compiled.codes[t.variable][t.value]
+        compiled.masks[q] = hit  # only a validated query's mask is kept
     return _ordered_sum(compiled.weights[hit].tolist())
 
 

@@ -88,12 +88,14 @@ class CanonicalScm:
             p_ux = self.p_x1 if ux == 1 else 1.0 - self.p_x1
             for t in range(16):
                 dist[(ux, t)] = p_ux * self.type_probs[t]
-        return ScmModel(_DIAGRAM, _EXO_VARS, _EXO_DOMAINS, dist, _MECHANISMS)
+        return _BASE.reweighted(dist)
 
 
-# Every canonical table shares the diagram and the three mechanisms; only
-# the exogenous weights differ. Sharing the mechanism objects lets each
-# compiled model reuse their coded arrays.
+# Every canonical table shares the diagram, the exogenous domains and the
+# three mechanisms; only the exogenous weights differ. Each table is the
+# base model below reweighted, so a table whose 32 rows all have nonzero
+# weight shares the base's compiled rows, term codes and event masks; a
+# table with a zero weight is compiled afresh.
 _DIAGRAM = CausalDiagram(
     ["X", "Y", "Z"],
     directed_edges=[("X", "Y"), ("X", "Z")],
@@ -112,6 +114,10 @@ _MECHANISMS = {
         lambda x, t: _respond(RESPONSE_TYPES[t % 4], x),
     ),
 }
+_BASE = ScmModel(
+    _DIAGRAM, _EXO_VARS, _EXO_DOMAINS,
+    {(ux, t): 1.0 / 32 for ux in (0, 1) for t in range(16)}, _MECHANISMS,
+)
 
 
 def example2_scm() -> CanonicalScm:

@@ -8,16 +8,21 @@ immutable after construction and safe to share across threads.
 ``ScmModel.compile()`` turns a model into integer tables once, on first
 use, and caches them on the model; each mechanism's coded array is
 cached on the ``Mechanism`` itself, so models that share mechanism
-objects share their arrays. The caches are filled lazily and never
-change a result, so a model stays safe to share: two threads that
-compile it at once at worst build the same tables twice.
+objects share their arrays. ``ScmModel.reweighted(dist)`` is the same
+model under new exogenous weights. When its rows of nonzero weight are
+the base model's, it shares the base's compiled tables and their memos
+(rows, codes, coded mechanisms, per-regime term codes, event masks) and
+builds only its weight vector; any other row set is compiled afresh.
+The caches are filled lazily and never change a result, so a model
+stays safe to share: two threads that compile it at once at worst
+build the same tables twice.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -140,11 +145,33 @@ class ScmModel:
         self.mechanisms = dict(mechanisms)
         self._exo_index = {u: i for i, u in enumerate(self.exogenous_vars)}
         self._compiled: CompiledScm | None = None
+        self._base: ScmModel | None = None
+
+    def reweighted(self, exogenous_dist: Mapping[tuple, float]) -> "ScmModel":
+        """This model with new exogenous weights: the same diagram,
+        exogenous variables, domains and ``Mechanism`` objects. Its
+        ``compile()`` shares the base's compiled tables when the rows of
+        nonzero weight are the same, and compiles afresh otherwise. The
+        base is this model, or its base if it is itself reweighted, so
+        repeated reweighting keeps no chain of models alive."""
+        model = ScmModel.__new__(ScmModel)
+        model.__dict__.update(self.__dict__)
+        model.exogenous_dist = {tuple(k): float(p) for k, p in exogenous_dist.items()}
+        model._compiled = None
+        model._base = self._base or self
+        return model
 
     def compile(self) -> "CompiledScm":
         """The model as integer tables (built on first call, then cached)."""
         if self._compiled is None:
-            self._compiled = CompiledScm(self)
+            shared = None
+            if self._base is not None:
+                try:
+                    shared = self._base.compile()
+                except ModelError:  # a base row may be invalid where ours are not
+                    pass
+            compiled = shared.reweighted(self.exogenous_dist) if shared else None
+            self._compiled = compiled or CompiledScm(self)
         return self._compiled
 
     # -- enumeration helpers ----------------------------------------------
@@ -187,10 +214,18 @@ class CompiledScm:
       an (R, |U|) code array, and ``weights`` their probabilities;
     - ``mechanisms[v]`` is v's table as ``Mechanism.coded`` gives it.
 
-    A compiled model is total: compiling raises on a missing table entry.
+    A compiled model is total: compiling raises on a missing mechanism or
+    table entry.
 
-    ``values`` memoizes its result per (variable, regime); the memo only
-    grows, and an entry never changes once written.
+    ``values`` memoizes its result per (variable, regime), and ``masks``
+    holds each valued query's event mask over the rows (the engine fills
+    it); both memos only grow, and an entry never changes once written.
+
+    ``reweighted`` gives the tables of a model with the same structure
+    and new weights: everything above but ``weights`` is shared, memos
+    included, so a query evaluated on one model is a lookup on the other.
+    It applies only when the rows of nonzero weight are the same set;
+    any other reweighting is compiled afresh.
     """
 
     def __init__(self, model: ScmModel):
@@ -224,6 +259,9 @@ class CompiledScm:
         self.exogenous_codes = np.array(coded, dtype=np.intp).reshape(
             n_exo, len(self.rows)
         ).T
+        for v in diagram.variables:
+            if v not in model.mechanisms:
+                raise ModelError(f"no mechanism for {v!r}")
         self.mechanisms: dict[str, np.ndarray] = {}
         self._inputs: dict[str, tuple[tuple[str, ...], tuple[np.ndarray, ...]]] = {}
         for v, m in model.mechanisms.items():
@@ -238,6 +276,21 @@ class CompiledScm:
             )
             self._inputs[v] = (m.parents, columns)
         self._memo: dict[tuple[str, frozenset], np.ndarray] = {}
+        self.masks: dict[Hashable, np.ndarray] = {}  # keyed by valued query
+
+    def reweighted(self, exogenous_dist: Mapping[tuple, float]) -> "CompiledScm | None":
+        """These tables under new weights, or None when the rows of nonzero
+        weight in ``exogenous_dist`` are not exactly ``rows``."""
+        if len(exogenous_dist) > MAX_TABLE_ROWS:
+            return None
+        weights = [exogenous_dist.get(u, 0.0) for u in self.rows]
+        nonzero = len(exogenous_dist) - list(exogenous_dist.values()).count(0.0)
+        if 0.0 in weights or nonzero != len(weights):
+            return None
+        out = CompiledScm.__new__(CompiledScm)
+        out.__dict__.update(self.__dict__)
+        out.weights = np.array(weights, dtype=float)
+        return out
 
     def values(self, variable: str, regime: frozenset) -> np.ndarray:
         """Codes of ``variable`` on every row, in the submodel where

@@ -1,6 +1,7 @@
 import itertools
 import zlib
 
+import numpy as np
 import pytest
 
 from ctfrealize import (
@@ -27,7 +28,9 @@ from ctfrealize.bandits import example3_problem
 from ctfrealize.fairness import (
     L2_PENALTY,
     L3_PENALTY,
+    CanonicalScm,
     FairnessReport,
+    example2_scm,
     mu_ctf,
     sample_constrained_scms,
 )
@@ -495,6 +498,19 @@ def test_partial_table_is_rejected_at_compile(weight):
     assert [eval_potential_response(model, (u,), response("X")) for u in (0, 1)] == [0, 1]
 
 
+def test_missing_mechanism_is_rejected_at_compile():
+    d = CausalDiagram(["X", "Y"], directed_edges=[("X", "Y")])
+    mech = {"X": Mechanism.tabulate((), ("U",), (), ((0, 1),), lambda u: u)}
+    model = ScmModel(d, ("U",), {"U": (0, 1)}, {(0,): 0.5, (1,): 0.5}, mech)
+    assert "no mechanism for 'Y'" in validate_scm(model)
+    # even a query that never reads Y raises
+    for q in (query(response("X", value=1)), query(response("Y", value=1))):
+        with pytest.raises(ModelError, match="^no mechanism for 'Y'$"):
+            exact_l3_probability(model, q)
+    with pytest.raises(ModelError, match="^no mechanism for 'Y'$"):
+        model.compile()
+
+
 def test_table_size_cap_raises_before_building():
     cap = f"exceeds the cap of {MAX_TABLE_ROWS}"
     with pytest.raises(ModelError, match=f"10000000 rows {cap}$"):
@@ -517,3 +533,107 @@ def test_support_size_cap_raises_at_compile(monkeypatch):
     monkeypatch.setattr(models, "MAX_TABLE_ROWS", 3)
     with pytest.raises(ModelError, match="support of 4 rows exceeds the cap of 3"):
         bow_model().compile()
+
+
+# ---------------------------------------------------------------------------
+# Reweighted models against freshly built ones
+# ---------------------------------------------------------------------------
+
+def fresh(model, dist):
+    return ScmModel(
+        model.diagram, model.exogenous_vars, model.exogenous_domains, dist,
+        model.mechanisms,
+    )
+
+
+def assert_same_results(model, other):
+    """Every single term at every value, consecutive pairs valued and
+    unvalued, and all terms' rows: ``==`` on both models."""
+    terms = terms_with_two_regime_variables(model.diagram)
+    domains = model.diagram.domains
+    for t in terms:
+        for value in domains[t.variable]:
+            q = CtfQuery((t.with_value(value),))
+            assert exact_l3_probability(model, q) == exact_l3_probability(other, q), str(q)
+    for a, b in zip(terms, terms[1:]):
+        q = CtfQuery((a, b))
+        assert exact_distribution(model, q) == exact_distribution(other, q), str(q)
+        valued = CtfQuery((a.with_value(domains[a.variable][0]),
+                           b.with_value(domains[b.variable][-1])))
+        assert exact_l3_probability(model, valued) == exact_l3_probability(other, valued)
+    every_term = CtfQuery(tuple(terms))
+    mine, theirs = exact_rows(model, every_term), exact_rows(other, every_term)
+    assert mine[0] == theirs[0] and mine[2] == theirs[2]
+    assert mine[1].tolist() == theirs[1].tolist()
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_reweighted_model_equals_fresh_model(name):
+    model = builtin(name)
+    support = [u for u, _ in model.exogenous_support()]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    # warm the base's memos, so the reweighted models read shared entries
+    assert_same_results(model, fresh(model, model.exogenous_dist))
+    reweighted = model
+    for _ in range(2):  # the second reweights the first
+        w = dict(zip(support, rng.dirichlet(np.ones(len(support))).tolist()))
+        reweighted = reweighted.reweighted(w)
+        assert reweighted.compile().rows is model.compile().rows
+        assert_same_results(reweighted, fresh(model, w))
+    # zero every other row: a different row set compiles afresh
+    w = dict(zip(support, rng.dirichlet(np.ones(len(support))).tolist()))
+    for u in support[::2]:
+        w[u] = 0.0
+    reweighted = model.reweighted(w)
+    assert reweighted.compile().rows is not model.compile().rows
+    assert_same_results(reweighted, fresh(model, w))
+
+
+@pytest.mark.parametrize("p_x1", [0.0, 0.3, 1.0])
+def test_reweighted_canonical_table_equals_fresh_model(p_x1):
+    model = CanonicalScm(example2_scm().type_probs, p_x1).to_model()
+    shared = p_x1 not in (0.0, 1.0)
+    base = CanonicalScm(example2_scm().type_probs).to_model()
+    assert (model.compile().rows is base.compile().rows) == shared
+    assert_same_results(model, fresh(model, model.exogenous_dist))
+
+
+def test_reweighted_model_rejects_invalid_queries_on_every_call():
+    model = bow_model()
+    support = [u for u, _ in model.exogenous_support()]
+    reweighted = model.reweighted(dict(zip(support, (0.1, 0.2, 0.3, 0.4))))
+    invalid = [
+        (query(response("Y", value=2)), "outside domain of 'Y'"),
+        (query(response("Y", value=[1])), r"value \[1\] outside domain of 'Y'"),
+        (query(response("Y", {"X": 2}, 1)), "outside domain of 'X'"),
+        (query(response("W", value=1)), "unknown variable 'W'"),
+        (query(response("Y", {"W": 0}, 1)), "unknown regime variable 'W'"),
+        # the one invalid query whose mask could be computed unvalidated
+        (query(PotentialResponse("Y", (RegimeEntry("X", 1, frozenset({"X"})),), 1)),
+         r"targets \['X'\] are not children of 'X'"),
+    ]
+    for warm in (False, True):
+        if warm:  # valid queries fill the shared mask memo
+            for m in (model, reweighted):
+                for y in (0, 1):
+                    exact_l3_probability(m, query(response("Y", {"X": 1}, y)))
+                    exact_l3_probability(m, query(response("Y", value=y)))
+        for q, message in invalid:
+            for _ in range(2):
+                with pytest.raises(QueryError, match=message):
+                    exact_l3_probability(reweighted, q)
+
+
+def test_reweighted_row_outside_domain_compiles_as_fresh_model():
+    model = bow_model()
+    support = [u for u, _ in model.exogenous_support()]
+    bad = ("outside",) * len(support[0])
+    w = {u: 0.2 for u in support} | {bad: 0.2}
+    with pytest.raises(ModelError, match="outside the domain") as expected:
+        fresh(model, w).compile()
+    with pytest.raises(ModelError) as got:
+        model.reweighted(w).compile()
+    assert str(got.value) == str(expected.value)
+    # zeroing the bad row gives a valid model, though its base is not
+    zeroed = {u: 0.25 for u in support} | {bad: 0.0}
+    assert_same_results(fresh(model, w).reweighted(zeroed), fresh(model, zeroed))
