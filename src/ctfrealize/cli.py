@@ -134,7 +134,7 @@ def cmd_realize(args) -> int:
             "terms": [
                 str(q.terms[i])
                 for i in (verdict.conflict.term_index, verdict.conflict.prior_term_index)
-                if i is not None and i >= 0
+                if i is not None
             ],
         },
         "criterion_witness": (

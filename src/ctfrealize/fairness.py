@@ -32,10 +32,11 @@ import numpy as np
 from .errors import EstimationError, ModelError
 from .graphs import CausalDiagram
 from .models import Mechanism, ScmModel
-from .queries import query, response
+from .queries import CtfQuery, query, response
 from .engine import exact_l3_probability
 from .realizability import (
     ActionSet,
+    RealizationPlan,
     ctf_rand_action,
     ctf_realize,
     read_action,
@@ -181,17 +182,21 @@ _Z0_X0 = query(response("Z", {"X": 0}, 0))
 _JOINT_X0 = query(response("Y", {"X": 0}, 1), response("Z", {"X": 0}, 0))
 
 
+def _audit_plan(model: ScmModel, q: CtfQuery) -> RealizationPlan:
+    """The plan that samples the cross-regime joint of ``q`` with the two
+    per-model input randomizations; raises EstimationError when there is
+    none, since no sampled estimate of it could be trusted."""
+    verdict = ctf_realize(q.unvalued(), model.diagram, _admission_actions(model))
+    if not verdict:
+        raise EstimationError(f"audit query is not realizable: {verdict.describe()}")
+    return verdict
+
+
 def assert_audit_realizable(model: ScmModel) -> None:
     """The cross-regime joint P(Y_x1, Z_x0) must be sampleable with the
     two per-model input randomizations before any sampled estimate is
     trusted."""
-    verdict = ctf_realize(
-        _COUPLED[0].unvalued(), model.diagram, _admission_actions(model)
-    )
-    if not verdict:
-        raise EstimationError(
-            f"audit query is not realizable: {verdict.describe()}"
-        )
+    _audit_plan(model, _COUPLED[0])
 
 
 def mu_ctf(
@@ -213,13 +218,9 @@ def mu_ctf(
             mu_int2=abs(a - j0),  # mu_int(2): a is P(Y=1, Z=0; do x1)
             exact=True,
         )
-    assert_audit_realizable(model)
-    actions = _admission_actions(model)
+    plans = [_audit_plan(model, _COUPLED[x_for_z]) for x_for_z in (1, 0)]
     estimates = []
-    for i, x_for_z in enumerate((1, 0)):
-        q = _COUPLED[x_for_z]
-        plan = ctf_realize(q.unvalued(), model.diagram, actions)
-        assert plan, plan.describe()
+    for i, plan in enumerate(plans):
         batch = draw_plan_batch(
             plan, model, n, seed=np.random.SeedSequence([seed or 0, i])
         )

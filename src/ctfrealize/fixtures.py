@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .bandits import example3_problem
-from .errors import ModelError
+from .errors import GraphError, ModelError
 from .fairness import example2_scm
 from .graphs import CausalDiagram
 from .mediators import ExpandedDiagram, MediatorNode
@@ -105,6 +105,8 @@ def expanded_to_dict(expanded: ExpandedDiagram, name: str = "") -> dict[str, Any
 
 
 def diagram_from_dict(doc: dict[str, Any]) -> CausalDiagram:
+    if "variables" not in doc:
+        raise GraphError("fixture has no 'variables' key")
     return CausalDiagram(
         variables=doc["variables"],
         domains={v: tuple(d) for v, d in doc.get("domains", {}).items()},
@@ -158,8 +160,18 @@ def expanded_from_dict(doc: dict[str, Any]) -> ExpandedDiagram:
 
 
 def load_fixture(path: str | Path) -> dict[str, Any]:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in a fixture file. A file that cannot be read, is
+    not JSON or holds no object raises ModelError naming the path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise ModelError(f"cannot read fixture {str(path)!r}: {e.strerror or e}") from None
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ModelError(f"fixture {str(path)!r} is not JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ModelError(f"fixture {str(path)!r} holds no JSON object")
+    return doc
 
 
 def save_fixture(doc: dict[str, Any], path: str | Path) -> None:

@@ -90,10 +90,11 @@ def ctf_procedures(expanded: ExpandedDiagram, x: str) -> ActionSet:
     whole-children action; each valid mediator yields the action over
     the children it serves.
 
-    Raises MediatorStructureError when a mediator of x has an ordinary
-    variable (not x, not another mediator of x) as parent, when two
-    mediators' served sets overlap without nesting, or when a child of x
-    is served by two sibling mediators.
+    Raises MediatorStructureError when a mediator chain breaks the tree
+    structure (see ``mediators_of``), when a mediator of x serves a
+    variable that is not a child of x, when two mediators' served sets
+    overlap without nesting, or when a child of x is served by two
+    sibling mediators.
     """
     base = expanded.base
     if x not in base:
@@ -106,13 +107,7 @@ def ctf_procedures(expanded: ExpandedDiagram, x: str) -> ActionSet:
             actions.append(ctf_rand_action(x, children))
 
     meds = expanded.mediators_of(x)
-    names = {m.name for m in meds}
     for m in meds:
-        if m.parent != x and m.parent not in names:
-            raise MediatorStructureError(
-                f"mediator {m.name!r} descends through ordinary variable "
-                f"{m.parent!r}: its value cannot be inverted back to {x!r}"
-            )
         if not m.served_children <= children:
             raise MediatorStructureError(
                 f"mediator {m.name!r} serves {sorted(m.served_children - children)}, "

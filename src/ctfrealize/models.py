@@ -215,7 +215,7 @@ class CompiledScm:
     - ``mechanisms[v]`` is v's table as ``Mechanism.coded`` gives it.
 
     A compiled model is total: compiling raises on a missing mechanism or
-    table entry.
+    table entry, and on a mechanism input the model does not declare.
 
     ``values`` memoizes its result per (variable, regime), and ``masks``
     holds each valued query's event mask over the rows (the engine fills
@@ -267,6 +267,9 @@ class CompiledScm:
         for v, m in model.mechanisms.items():
             if v not in diagram:
                 continue
+            problems = _input_problems(model, v, m)
+            if problems:
+                raise ModelError(problems[0])
             domains = tuple(diagram.domains[p] for p in m.parents) + tuple(
                 model.exogenous_domains[e] for e in m.exogenous
             )
@@ -384,6 +387,22 @@ def _independent(model: ScmModel, us_a: tuple[str, ...], us_b: tuple[str, ...]) 
     return True
 
 
+def _input_problems(model: ScmModel, v: str, m: Mechanism) -> list[str]:
+    """What is wrong with the inputs of v's mechanism m: parents other
+    than the diagram declares, or an undeclared exogenous variable.
+    ``validate_scm`` lists them all; compiling raises the first."""
+    problems = []
+    declared = tuple(model.diagram.parents(v))
+    if sorted(m.parents) != sorted(declared):
+        problems.append(
+            f"mechanism for {v!r} reads parents {m.parents}, diagram declares {declared}"
+        )
+    for e in m.exogenous:
+        if e not in model._exo_index:
+            problems.append(f"mechanism for {v!r} reads undeclared exogenous {e!r}")
+    return problems
+
+
 def validate_scm(model: ScmModel) -> list[str]:
     """Check every model invariant; returns a list of violation messages
     (empty means valid). Violations are data, not exceptions."""
@@ -398,31 +417,24 @@ def validate_scm(model: ScmModel) -> list[str]:
         if v not in diagram:
             problems.append(f"mechanism for undeclared variable {v!r}")
             continue
-        declared = tuple(diagram.parents(v))
-        if tuple(sorted(m.parents)) != tuple(sorted(declared)):
-            problems.append(
-                f"mechanism for {v!r} reads parents {m.parents}, "
-                f"diagram declares {declared}"
-            )
-        for e in m.exogenous:
-            if e not in model._exo_index:
-                problems.append(f"mechanism for {v!r} reads undeclared exogenous {e!r}")
-        # totality and range of the table
-        pdoms = [diagram.domains.get(p, ()) for p in m.parents]
-        edoms = [model.exogenous_domains.get(e, ()) for e in m.exogenous]
-        expected = 1
-        for d in pdoms + edoms:
-            expected *= max(len(d), 0)
-        keys_ok = True
-        for key in itertools.product(*[tuple(d) for d in pdoms + edoms]):
-            if key not in m.table:
-                problems.append(f"mechanism for {v!r} missing table row {key!r}")
-                keys_ok = False
-                break
-        if keys_ok and len(m.table) != expected:
-            problems.append(
-                f"mechanism for {v!r} has {len(m.table)} rows, expected {expected}"
-            )
+        problems.extend(_input_problems(model, v, m))
+        # totality of the table, when every input has a domain
+        domains = [diagram.domains.get(p) for p in m.parents] + [
+            model.exogenous_domains.get(e) for e in m.exogenous
+        ]
+        if None not in domains:
+            keys_ok = True
+            for key in itertools.product(*domains):
+                if key not in m.table:
+                    problems.append(f"mechanism for {v!r} missing table row {key!r}")
+                    keys_ok = False
+                    break
+            expected = math.prod(len(d) for d in domains)
+            if keys_ok and len(m.table) != expected:
+                problems.append(
+                    f"mechanism for {v!r} has {len(m.table)} rows, expected {expected}"
+                )
+        # range of the table
         dom = set(diagram.domains.get(v, ()))
         for key, val in m.table.items():
             if val not in dom:

@@ -77,13 +77,6 @@ class PotentialResponse:
     def is_full_do(self) -> bool:
         return all(e.is_full() for e in self.regime)
 
-    def regime_vars(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for e in self.regime:
-            if e.var not in seen:
-                seen.append(e.var)
-        return tuple(seen)
-
     def assignment(self) -> dict[str, Value]:
         """var -> value for full-do regimes."""
         if not self.is_full_do():

@@ -23,11 +23,12 @@ read the outputs.
 Tags are per-action and depend only on the term, so conflicts are
 always witnessed by a pair of terms. ``RealizabilityChecker`` compiles
 each term's requirements once, keyed by action id (the action's
-position in plan order). ``realize`` decides with an order-free union
-of the terms' tags. Only a failing query takes the ordered reference
-merge (variables in topological order, terms in query order), which
-reports the first clash it meets; every ``Conflict``, whatever its
-failure class, is built at that one site.
+position in plan order), and warns about each dropped subscript once,
+when it first prepares the term. ``realize`` decides with an order-free
+union of the terms' tags. Only a failing query takes the ordered
+reference merge (variables in topological order, terms in query
+order), which names the first clash it meets; every ``Conflict``,
+whatever its failure class, is built from it.
 """
 
 from __future__ import annotations
@@ -563,41 +564,37 @@ class RealizabilityChecker:
         if touched and v in self._rand:
             entries.append((self._rand[v], NATURAL, None))
 
-    def _prepare(
-        self, t: PotentialResponse
-    ) -> tuple[PotentialResponse, tuple[str, ...], _TermRequirements | None]:
+    def _prepare(self, t: PotentialResponse) -> tuple[PotentialResponse, _TermRequirements]:
         """One query term validated and normalized (as CtfQuery.validate
-        and CtfQuery.normalized do it), with its requirements, or None
-        for a path-restricted term. Stored in self._prepared, where
-        realize finds it for every later query with this term."""
+        and CtfQuery.normalized do it), with its requirements, stored in
+        self._prepared for every later query with this term. A dropped
+        subscript warns here, once, at realize's caller; a path-restricted
+        term raises before anything is stored."""
         CtfQuery((t,)).validate(self.diagram)
         kept, messages = normalize_term(t, self.diagram)
-        req = self.term_requirements(kept) if kept.is_full_do() else None
-        hit = self._prepared[t] = (kept, messages, req)
+        hit = kept, self.term_requirements(kept)
+        for message in messages:
+            warnings.warn(message, stacklevel=3)
+        self._prepared[t] = hit
         return hit
 
     # -- merging terms ---------------------------------------------------
 
     def realize(self, q: CtfQuery) -> RealizationPlan | NotRealizable:
-        # validate every term before the first warning, as CtfQuery.validate
-        # followed by CtfQuery.normalized would
+        terms, reqs = [], []
         try:
-            prepared = [self._prepared.get(t) or self._prepare(t) for t in q.terms]
+            for t in q.terms:  # not a comprehension: _prepare warns at a fixed depth
+                kept, req = self._prepared.get(t) or self._prepare(t)
+                terms.append(kept)
+                reqs.append(req)
         except TypeError:  # an unhashable value, which no domain holds
             q.validate(self.diagram)
             raise
-        changed = False
-        for (kept, messages, _), t in zip(prepared, q.terms):
-            for message in messages:
-                warnings.warn(message, stacklevel=2)
-            changed = changed or kept is not t
-        if changed:
-            q = CtfQuery(tuple([kept for kept, _, _ in prepared]))
-        # a path-restricted term has no requirements: term_requirements raises
-        reqs = [req or self.term_requirements(kept) for kept, _, req in prepared]
+        if tuple(terms) != q.terms:
+            q = CtfQuery(tuple(terms))
         tags = self._union_tags(q, reqs)
         if tags is None:
-            return self._realize_ordered(q, reqs)
+            return NotRealizable(q, Conflict(*self._first_clash(q, reqs)), self.diagram)
         return self._plan(q, tags)
 
     def _union_tags(
@@ -606,7 +603,8 @@ class RealizabilityChecker:
         """All terms' tags by action id, or None where the ordered merge
         finds a conflict: a term failing alone, two terms tagging one
         action differently, or an output erased or unreadable. This
-        only decides; _realize_ordered says which conflict comes first."""
+        only decides; _first_clash names the conflict, the first one the
+        reference order meets."""
         tags: dict[int, object] = {}
         for req in reqs:
             if req.failure is not None:
@@ -628,26 +626,12 @@ class RealizabilityChecker:
             tags=tuple([(self._randomizations[i], tags[i]) for i in sorted(tags)]),
         )
 
-    def _realize_ordered(
-        self, q: CtfQuery, reqs: Sequence[_TermRequirements]
-    ) -> RealizationPlan | NotRealizable:
-        """The reference merge: variables in topological order, terms in
-        query order, so the first clash met is the reported conflict."""
+    def _first_clash(self, q: CtfQuery, reqs: Sequence[_TermRequirements]) -> tuple | None:
+        """The reference merge: every term's tags by action id, with the
+        index of the term that set each, variables in topological order,
+        terms in query order. Returns the fields of the first conflict it
+        meets, in Conflict's order, or None when there is none."""
         merged: dict[int, tuple[object, int]] = {}
-        clash = self._first_clash(q, reqs, merged)
-        if clash is not None:
-            return NotRealizable(q, Conflict(*clash), self.diagram)
-        return self._plan(q, {i: tag for i, (tag, _) in merged.items()})
-
-    def _first_clash(
-        self,
-        q: CtfQuery,
-        reqs: Sequence[_TermRequirements],
-        merged: dict[int, tuple[object, int]],
-    ) -> tuple | None:
-        """Merge every term's tags into ``merged`` (action id -> tag and
-        the index of the term that set it) in the reference order. Returns
-        the fields of the first conflict, in Conflict's order, or None."""
         outputs: dict[str, list[int]] = {}
         for ti, t in enumerate(q.terms):
             outputs.setdefault(t.variable, []).append(ti)

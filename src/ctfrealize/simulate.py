@@ -250,13 +250,15 @@ class Experiment:
         self.support = [u for u, _ in support]
         probs = np.array([p for _, p in support], dtype=float)
         self._support_cum = np.cumsum(probs / probs.sum())
+        # a draw past the rounded total lands here, never on a zero weight
+        self._last_row = int(np.flatnonzero(probs)[-1])
 
     def select_rows(self, k: int) -> np.ndarray:
         """Select k fresh units at once: their indices into ``support``,
         the same stream as k calls to ``new_unit``."""
         picked = np.searchsorted(self._support_cum, self._select_rng.random(k), side="right")
         self._count += k
-        return np.minimum(picked, len(self.support) - 1)
+        return np.minimum(picked, self._last_row)
 
     def unit_at(self, row: int) -> Unit:
         """A unit with the exogenous assignment ``support[row]``, all
@@ -461,11 +463,9 @@ def sample_observational(
     model: ScmModel,
     n: int,
     seed: int | np.random.SeedSequence | None = None,
-    variables: Sequence[str] | None = None,
 ) -> SampleBatch:
     """Select units and read every variable naturally."""
-    variables = tuple(variables or model.diagram.variables)
-    q = query(*[response(v) for v in variables])
+    q = query(*[response(v) for v in model.diagram.variables])
     return _run_rejection(model, q, (), n, seed, DEFAULT_MAX_REJECTIONS, "")
 
 
@@ -475,7 +475,6 @@ def sample_interventional(
     n: int,
     seed: int | np.random.SeedSequence | None = None,
     outcome: Sequence[str] | None = None,
-    max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> SampleBatch:
     """Randomize each regime variable, keep units whose draws hit the
     requested values, and read the outcome variables (by default every
@@ -488,6 +487,6 @@ def sample_interventional(
         [(rand_action(x), wanted) for x, wanted in do.items()],
         n,
         seed,
-        max_rejections,
-        f"exceeded {max_rejections} rejections while enforcing do({dict(do)})",
+        DEFAULT_MAX_REJECTIONS,
+        f"exceeded {DEFAULT_MAX_REJECTIONS} rejections while enforcing do({dict(do)})",
     )

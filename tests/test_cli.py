@@ -140,6 +140,27 @@ def test_eval_rejects_a_model_file_without_a_mechanism(tmp_path, capsys):
     assert "no mechanism for 'Y'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, content, message", [
+    ("eval --model {path} --query P(Y)", None,
+     "cannot read fixture '{path}': No such file or directory"),
+    ("realize --graph {path} --query P(Y) --maximal", '{"edges": []}',
+     "fixture has no 'variables' key"),
+    ("eval --model {path} --query P(Y)", "{not json", "fixture '{path}' is not JSON: "),
+    ("realize --graph {path} --query P(Y) --maximal", "{not json",
+     "fixture '{path}' is not JSON: "),
+    ("procedures --expanded {path} --variable X", "[]",
+     "fixture '{path}' holds no JSON object"),
+])
+def test_bad_fixture_file_is_an_input_error(tmp_path, capsys, command, content, message):
+    path = tmp_path / "fixture.json"
+    if content is not None:
+        path.write_text(content)
+    assert run_cli(command.format(path=path).split(), tmp_path) == 1
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_eval_rejects_a_partly_valued_query(tmp_path, capsys):
     assert run_cli(
         ["eval", "--model", "bow", "--query", "P(Y[X=1]=1, X)"], tmp_path

@@ -1,4 +1,5 @@
 import itertools
+import re
 import zlib
 
 import numpy as np
@@ -509,6 +510,28 @@ def test_missing_mechanism_is_rejected_at_compile():
             exact_l3_probability(model, q)
     with pytest.raises(ModelError, match="^no mechanism for 'Y'$"):
         model.compile()
+
+
+@pytest.mark.parametrize("parents, exogenous, message", [
+    (("X",), ("U", "U_Q"), "mechanism for 'Y' reads undeclared exogenous 'U_Q'"),
+    (("X", "W"), ("U",),
+     "mechanism for 'Y' reads parents ('X', 'W'), diagram declares ('X',)"),
+])
+def test_undeclared_mechanism_input_is_rejected_at_compile(parents, exogenous, message):
+    d = CausalDiagram(["X", "Y"], directed_edges=[("X", "Y")])
+    mech = {
+        "X": Mechanism.tabulate((), ("U",), (), ((0, 1),), lambda u: u),
+        "Y": Mechanism.tabulate(
+            parents, exogenous, [(0, 1)] * len(parents), [(0, 1)] * len(exogenous),
+            lambda x, *rest: x,
+        ),
+    }
+    model = ScmModel(d, ("U",), {"U": (0, 1)}, {(0,): 0.5, (1,): 0.5}, mech)
+    # the fault alone, with no row count against an empty domain after it
+    assert validate_scm(model) == [message]
+    for q in (query(response("X", value=1)), query(response("Y", value=1))):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            exact_l3_probability(model, q)
 
 
 def test_table_size_cap_raises_before_building():

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from ctfrealize import (
+    ActionSet,
     CausalDiagram,
     EstimationError,
     Mechanism,
     ModelError,
     ScmModel,
+    ctf_realize,
     exact_l3_probability,
     query,
+    rand_action,
+    read_action,
     response,
+    select,
     validate_scm,
 )
 from ctfrealize import fairness
@@ -107,6 +112,26 @@ def test_vectorized_metrics_match_engine():
 
 def test_audit_query_is_realizable_with_per_model_randomizations():
     assert_audit_realizable(example2_scm().to_model())
+
+
+def test_sampled_metric_realizes_each_coupled_query_once(monkeypatch):
+    realized = []
+
+    def counting_realize(q, diagram, actions):
+        realized.append(str(q))
+        return ctf_realize(q, diagram, actions)
+
+    monkeypatch.setattr(fairness, "ctf_realize", counting_realize)
+    mu_ctf(example2_scm(), exact=False, n=100, seed=6)
+    assert realized == ["P(Y[X=1], Z[X=1])", "P(Y[X=1], Z[X=0])"]
+    # with Rand(X) alone, Z[X=0] beside Y[X=1] is not realizable: an
+    # EstimationError that names the conflict, also under python -O
+    monkeypatch.setattr(fairness, "_admission_actions", lambda model: ActionSet(
+        [select(), *(read_action(v) for v in "XYZ"), rand_action("X")], model.diagram
+    ))
+    with pytest.raises(EstimationError, match="audit query is not realizable: "
+                       "conflict at X: Rand"):
+        mu_ctf(example2_scm(), exact=False, n=100, seed=6)
 
 
 def test_sampled_metric_concentrates():

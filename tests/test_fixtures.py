@@ -37,5 +37,5 @@ def test_resolver_accepts_names_and_paths(tmp_path):
     assert resolve_diagram("bow").variables == ("X", "Y")
     with pytest.raises(ModelError):
         builtin_model("mab_template")  # graph-only fixture
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ModelError, match="missing.json': No such file or directory"):
         resolve_diagram(str(tmp_path / "missing.json"))

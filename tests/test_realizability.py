@@ -178,6 +178,8 @@ def test_criterion_examples():
     assert ok and pair is None
 
 
+# enumerated terms carry irrelevant subscripts, whose drop warns
+@pytest.mark.filterwarnings("ignore:dropping irrelevant subscript")
 def test_criterion_matches_algorithm_on_three_node_graphs():
     # the acceptance suite does <= 4 nodes; keep a fast version here
     for diagram in enumerate_mixed_graphs(3):
@@ -380,8 +382,9 @@ FAST_MERGE_DIGEST = "6cee7be8c58330e69dd48f32146ad5f6f1b21cd27a2234ba79ce884296f
 
 def test_fast_merge_matches_ordered_merge():
     # realize decides with an order-free union of the terms' tags and
-    # falls back to the ordered merge only to locate a conflict; on every
-    # pair the two paths must give the same verdict, conflict and plan
+    # runs the ordered merge only to name a conflict; on every pair the
+    # ordered merge must find a clash exactly when the union does, and
+    # its first clash must be the reported conflict
     digest = hashlib.sha256()
     classes = set()
     for diagram in itertools.islice(enumerate_mixed_graphs(4), 100, 1400, 300):
@@ -409,13 +412,11 @@ def test_fast_merge_matches_ordered_merge():
                     fast = checker.realize(q)
                     nq = q.normalized(diagram)
                     reqs = [checker.term_requirements(t) for t in nq.terms]
-                    ordered = checker._realize_ordered(nq, reqs)
-                    assert bool(fast) == bool(ordered), q
+                    clash = checker._first_clash(nq, reqs)
+                    assert bool(fast) == (clash is None), q
                     text = fast.describe()
-                    if fast:
-                        assert fast == ordered, q
-                    else:
-                        assert fast.conflict == ordered.conflict, q
+                    if not fast:
+                        assert fast.conflict == Conflict(*clash), q
                         classes.add(fast.conflict.failure)
                         text += f"\n{fast.conflict!r}"
                     digest.update(text.encode() + b"\n")
@@ -504,6 +505,36 @@ def test_path_restricted_terms_are_rejected_by_the_decision_procedure():
     term = PotentialResponse("Y", (RegimeEntry("X", 1, frozenset({"Y"})),))
     with pytest.raises(QueryError, match="expanded diagram"):
         ctf_realize(CtfQuery((term,)), fan, maximal_action_set(fan))
+    # nothing is stored for the term, so a reused checker raises every time
+    checker = RealizabilityChecker(fan, maximal_action_set(fan))
+    for q in (CtfQuery((term,)), CtfQuery((response("X"), term)), CtfQuery((term,))):
+        with pytest.raises(QueryError, match="expanded diagram"):
+            checker.realize(q)
+    assert checker.realize(query(response("Y", {"X": 1})))
+
+
+def test_dropped_subscript_warns_once_per_checker_at_the_caller():
+    fan = fan_diagram()
+    q = query(response("Y", {"Z": 0}), response("X"))
+    checker = RealizabilityChecker(fan, maximal_action_set(fan))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = checker.realize(q)
+    assert [str(w.message) for w in caught] == [
+        "dropping irrelevant subscript Z=0 from term Y[Z=0]: 'Z' is not an "
+        "ancestor of 'Y'"
+    ]
+    assert caught[0].filename == __file__
+    # the prepared term is reused, also inside another query, without a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = checker.realize(q)
+        checker.realize(query(response("Z"), response("Y", {"Z": 0})))
+    assert caught == []
+    assert again == first and str(first.query) == "P(Y, X)"
+    # ctf_realize builds a fresh checker, which warns again
+    with pytest.warns(UserWarning, match="irrelevant subscript Z=0"):
+        ctf_realize(q, fan, maximal_action_set(fan))
 
 
 def test_values_outside_the_domain_are_rejected():

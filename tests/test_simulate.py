@@ -35,6 +35,7 @@ from ctfrealize import (
 from ctfrealize.fixtures import bow_model, fan_model, hub_split_model
 from ctfrealize.models import independent_exogenous
 from ctfrealize.bandits import example3_problem
+from ctfrealize.fairness import CanonicalScm
 
 
 def supersede_model():
@@ -94,6 +95,27 @@ def test_point_mass_exogenous_always_same_unit():
     model = ScmModel(d, ("U",), {"U": (0, 1)}, {(0,): 1.0, (1,): 0.0}, mech)
     exp = Experiment(model, seed=1)
     assert all(exp.new_unit().read("X") == 0 for _ in range(50))
+
+
+def test_a_draw_past_the_rounded_total_selects_a_row_of_positive_weight(monkeypatch):
+    # P(X=1) = 0, so the support ends in 16 rows of weight 0 (U_X = 1); the
+    # cumulative weights of this table end at the largest double below 1,
+    # so that draw passes every row
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        table = rng.dirichlet(np.ones(16))
+    model = CanonicalScm(tuple(float(p) for p in table), p_x1=0.0).to_model()
+    exp = Experiment(model, seed=0)
+
+    class LargestDraw:
+        def random(self, k):
+            return np.full(k, np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(exp, "_select_rng", LargestDraw())
+    row = int(exp.select_rows(1)[0])
+    assert exp.support[row] == (0, 9)  # the last row of positive weight
+    assert model.exogenous_dist[exp.support[row]] > 0
+    assert exp.unit_at(row).read("X") == 0
 
 
 def test_skewed_exogenous_within_binomial_ci():
