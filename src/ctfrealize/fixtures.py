@@ -104,25 +104,71 @@ def expanded_to_dict(expanded: ExpandedDiagram, name: str = "") -> dict[str, Any
     return doc
 
 
+# The layout above as shapes for _fits, to check each section on reading
+_VALUE = (str, int, float, type(None))
+_NAMES = [str]
+_PAIRS = [[str, str]]
+_DOMAINS = {str: [_VALUE]}
+_EXOGENOUS = {
+    "variables": _NAMES, "domains": _DOMAINS, "dist": [{"values": [_VALUE], "p": (int, float)}],
+}
+_MECHANISMS = {str: {
+    "parents": _NAMES, "exogenous": _NAMES, "rows": [{"inputs": [_VALUE], "value": _VALUE}],
+}}
+_MEDIATORS = [{"name": str, "parent": str, "serves": _NAMES}]
+
+
+def _fits(x: Any, shape: Any) -> bool:
+    """Whether a JSON value has the shape: a type or tuple of types; [s], a
+    list of items of shape s; [s, t], a list of exactly those two items;
+    {str: s}, an object whose values have shape s; {key: s, ...}, an
+    object with at least those keys."""
+    if isinstance(shape, list):
+        if not isinstance(x, list):
+            return False
+        items = shape * len(x) if len(shape) == 1 else shape
+        return len(x) == len(items) and all(map(_fits, x, items))
+    if isinstance(shape, dict):
+        if not isinstance(x, dict):
+            return False
+        pairs = [(k, shape[str]) for k in x] if str in shape else shape.items()
+        return all(k in x and _fits(x[k], s) for k, s in pairs)
+    return isinstance(x, shape)
+
+
+def _section(doc: dict, name: str, shape: Any, error: type, default: Any = None) -> Any:
+    """The section ``name`` (dotted when nested) of ``doc``, or ``default``
+    when it is absent. Raises ``error`` naming the section when it is
+    absent with no default, or does not fit ``shape``."""
+    key = name.rpartition(".")[2]
+    if key not in doc and default is None:
+        raise error(f"fixture has no {name!r} key")
+    value = doc.get(key, default)
+    if not _fits(value, shape):
+        raise error(f"fixture section {name!r} is malformed")
+    return value
+
+
 def diagram_from_dict(doc: dict[str, Any]) -> CausalDiagram:
-    if "variables" not in doc:
-        raise GraphError("fixture has no 'variables' key")
+    variables = _section(doc, "variables", _NAMES, GraphError)
+    domains = _section(doc, "domains", _DOMAINS, GraphError, {})
+    edges = _section(doc, "edges", _PAIRS, GraphError, [])
+    bidirected = _section(doc, "bidirected", _PAIRS, GraphError, [])
     return CausalDiagram(
-        variables=doc["variables"],
-        domains={v: tuple(d) for v, d in doc.get("domains", {}).items()},
-        directed_edges=[tuple(e) for e in doc.get("edges", [])],
-        bidirected_edges=[tuple(e) for e in doc.get("bidirected", [])],
+        variables=variables,
+        domains={v: tuple(d) for v, d in domains.items()},
+        directed_edges=[tuple(e) for e in edges],
+        bidirected_edges=[tuple(e) for e in bidirected],
     )
 
 
 def model_from_dict(doc: dict[str, Any]) -> ScmModel:
-    if "exogenous" not in doc or "mechanisms" not in doc:
-        raise ModelError("fixture has no exogenous/mechanisms sections")
+    exo = _section(doc, "exogenous", _EXOGENOUS, ModelError)
+    specs = _section(doc, "mechanisms", _MECHANISMS, ModelError)
     diagram = diagram_from_dict(doc)
-    exo = doc["exogenous"]
     dist = {tuple(row["values"]): float(row["p"]) for row in exo["dist"]}
     mechanisms = {}
-    for v, spec in doc["mechanisms"].items():
+    for v, spec in specs.items():
         table = {tuple(row["inputs"]): row["value"] for row in spec["rows"]}
         mechanisms[v] = Mechanism(spec["parents"], spec["exogenous"], table)
     model = ScmModel(
@@ -140,7 +186,7 @@ def model_from_dict(doc: dict[str, Any]) -> ScmModel:
 
 def expanded_from_dict(doc: dict[str, Any]) -> ExpandedDiagram:
     base = diagram_from_dict(doc)
-    ex = doc.get("expanded", {})
+    ex = _section(doc, "expanded", {}, GraphError, {})
     mediators = tuple(
         MediatorNode(
             name=m["name"],
@@ -149,13 +195,13 @@ def expanded_from_dict(doc: dict[str, Any]) -> ExpandedDiagram:
             invertible=bool(m.get("invertible", True)),
             randomizable=bool(m.get("randomizable", True)),
         )
-        for m in ex.get("mediators", [])
+        for m in _section(ex, "expanded.mediators", _MEDIATORS, GraphError, [])
     )
     return ExpandedDiagram(
         base=base,
         mediators=mediators,
-        elicit_natural=frozenset(ex.get("elicit_natural", [])),
-        randomizable=frozenset(ex.get("randomizable", [])),
+        elicit_natural=frozenset(_section(ex, "expanded.elicit_natural", _NAMES, GraphError, [])),
+        randomizable=frozenset(_section(ex, "expanded.randomizable", _NAMES, GraphError, [])),
     )
 
 

@@ -6,13 +6,12 @@ and models round-trip through the JSON fixture format. Models are
 immutable after construction and safe to share across threads.
 
 ``ScmModel.compile()`` turns a model into integer tables once, on first
-use, and caches them on the model; each mechanism's coded array is
-cached on the ``Mechanism`` itself, so models that share mechanism
-objects share their arrays. ``ScmModel.reweighted(dist)`` is the same
-model under new exogenous weights. When its rows of nonzero weight are
-the base model's, it shares the base's compiled tables and their memos
-(rows, codes, coded mechanisms, per-regime term codes, event masks) and
-builds only its weight vector; any other row set is compiled afresh.
+use, and caches them on the model. ``ScmModel.reweighted(dist)`` is the
+same model under new exogenous weights, and the one way models share
+compiled tables: when its rows of nonzero weight are the base model's,
+it shares the base's compiled tables and their memos (rows, codes,
+coded mechanisms, per-regime term codes, event masks) and builds only
+its weight vector; any other row set is compiled afresh.
 The caches are filled lazily and never change a result, so a model
 stays safe to share: two threads that compile it at once at worst
 build the same tables twice.
@@ -51,7 +50,6 @@ class Mechanism:
         self.parents = tuple(parents)
         self.exogenous = tuple(exogenous)
         self.table = dict(table)
-        self._coded: tuple[tuple, np.ndarray] | None = None
 
     @classmethod
     def tabulate(
@@ -92,10 +90,7 @@ class Mechanism:
         then exogenous, and an entry is the output's code. A compiled
         model is total: an input in the domains with no entry raises the
         error ``__call__`` gives for it, the first such input in domain
-        product order. Cached, keyed by the domains it was coded against."""
-        key = (input_domains, output_domain)
-        if self._coded is not None and self._coded[0] == key:
-            return self._coded[1]
+        product order."""
         shape = tuple(len(d) for d in input_domains)
         size = math.prod(shape)
         if size > MAX_TABLE_ROWS:
@@ -117,9 +112,7 @@ class Mechanism:
                     f"{self.exogenous}) outputs {value!r} outside its domain"
                 )
             flat.append(codes[value])
-        out = np.array(flat, dtype=np.intp).reshape(shape)
-        self._coded = (key, out)
-        return out
+        return np.array(flat, dtype=np.intp).reshape(shape)
 
 
 class ScmModel:

@@ -1,17 +1,17 @@
 """Deciding whether a counterfactual joint can be physically sampled.
 
-The decision procedure walks the diagram in topological order and, for
-every variable V and every query term W under regime T, records which
-randomization actions on V are forced and with which tag:
+The decision procedure takes each query term W under regime T and
+walks, in topological order, every edge V -> C that W uses: C feeds W
+inside the regime-cut graph and is not itself fixed by T. The checker's
+covering table lists per edge the input-randomizations of V whose
+targets contain C, smallest first; containment makes the list a chain.
+Each used edge is tagged once:
 
-* V carries a value in T: each child of V that feeds W inside the
-  regime-cut graph (and is not itself fixed by T) must receive that
-  value, so the smallest available input-randomization covering the
-  child is tagged with the value; if none exists, whole-variable
-  randomization is the fallback.
-* V is untagged: those same children must receive V untouched, so every
-  action that could override their input is tagged Natural (meaning:
-  must not be performed).
+* V carries a value in T: C must receive that value, so the head of the
+  chain is tagged with it. With an empty chain whole-variable
+  randomization is the fallback; with neither, the term fails.
+* V is untagged: C must receive V untouched, so the whole chain, and
+  Rand(V) once per variable, is tagged Natural (must not be performed).
 
 A query is realizable iff no action ends up with two different tags, no
 output variable needs its own mechanism erased by a whole-variable
@@ -152,30 +152,13 @@ class ActionSet:
         self.actions: tuple[Action, ...] = tuple(
             sorted(set(actions), key=Action.sort_key)
         )
-        by_var: dict[str, list[Action]] = {}
-        for a in self.actions:
-            if diagram is not None and a.var is not None and a.var not in diagram:
-                raise ActionError(f"{a}: unknown variable {a.var!r}")
-            if a.kind == CTF_RAND:
-                assert a.var is not None and a.targets is not None
-                if diagram is not None:
-                    bad = a.targets - set(diagram.children(a.var))
-                    if bad:
-                        raise ActionError(
-                            f"{a}: targets {sorted(bad)} are not children of {a.var!r}"
-                        )
-                by_var.setdefault(a.var, []).append(a)
-        for var, acts in by_var.items():
-            for a, b in itertools.combinations(acts, 2):
-                if overlap_without_nesting(a.targets, b.targets):  # type: ignore[arg-type]
-                    raise ContainmentViolation(
-                        f"{a} and {b} overlap without nesting"
-                    )
-        self._ctf_by_var = {
-            var: sorted(acts, key=lambda a: (len(a.targets), a.sort_key()))  # type: ignore[arg-type]
-            for var, acts in by_var.items()
-        }
-        self._kinds = {(a.kind, a.var) for a in self.actions}
+        if diagram is not None:
+            _check_actions(self.actions, diagram)
+        ctf = [a for a in self.actions if a.kind == CTF_RAND]
+        for a, b in itertools.combinations(ctf, 2):
+            if a.var == b.var and overlap_without_nesting(a.targets, b.targets):  # type: ignore[arg-type]
+                raise ContainmentViolation(f"{a} and {b} overlap without nesting")
+        self._reads = {a.var for a in self.actions if a.kind == READ}
 
     def __contains__(self, action: Action) -> bool:
         return action in self.actions
@@ -187,29 +170,27 @@ class ActionSet:
         return len(self.actions)
 
     def has_read(self, v: str) -> bool:
-        return (READ, v) in self._kinds
-
-    def ctf_rands_for(self, v: str) -> list[Action]:
-        """Input-randomizations of v, smallest target set first."""
-        return self._ctf_by_var.get(v, [])
-
-    def smallest_covering(self, v: str, child: str) -> Action | None:
-        """The unique minimal input-randomization of v whose targets
-        contain ``child``; containment makes candidates totally ordered."""
-        covering = [a for a in self.ctf_rands_for(v) if child in a.targets]  # type: ignore[operator]
-        if not covering:
-            return None
-        for a, b in zip(covering, covering[1:]):
-            assert a.targets <= b.targets, (  # containment invariant
-                f"covering sets for {v!r}/{child!r} are not totally ordered"
-            )
-        return covering[0]
+        return v in self._reads
 
     def union(self, other: "ActionSet") -> "ActionSet":
         return ActionSet(tuple(self.actions) + tuple(other.actions))
 
     def __repr__(self) -> str:
         return "ActionSet(" + ", ".join(str(a) for a in self.actions) + ")"
+
+
+def _check_actions(actions: Iterable[Action], diagram: CausalDiagram) -> None:
+    """Raise ActionError for an action on a variable outside the diagram,
+    or an input-randomization whose targets are not all its children."""
+    for a in actions:
+        if a.var is not None and a.var not in diagram:
+            raise ActionError(f"{a}: unknown variable {a.var!r}")
+        if a.kind == CTF_RAND:
+            bad = a.targets - set(diagram.children(a.var))  # type: ignore[operator,arg-type]
+            if bad:
+                raise ActionError(
+                    f"{a}: targets {sorted(bad)} are not children of {a.var!r}"
+                )
 
 
 _KINDS = {text: kind for kind, text in _TEXT.items()}
@@ -262,6 +243,11 @@ NATURAL_CONFLICT_CTF = "natural-conflict-ctf-rand"
 NATURAL_CONFLICT_RAND = "natural-conflict-rand"
 OUTPUT_ERASED = "output-erased-by-rand"
 READ_UNAVAILABLE = "read-unavailable"
+# the class of two tags clashing on one action: (new tag is Natural, action kind)
+_CLASH = {
+    (False, CTF_RAND): VALUE_CONFLICT_CTF, (False, RAND): VALUE_CONFLICT_RAND,
+    (True, CTF_RAND): NATURAL_CONFLICT_CTF, (True, RAND): NATURAL_CONFLICT_RAND,
+}
 
 
 @dataclass(frozen=True)
@@ -458,7 +444,10 @@ class _TermRequirements:
 
 class RealizabilityChecker:
     """Caches per-term requirements for one (diagram, action set) pair so
-    that many queries over the same setting are cheap to decide."""
+    that many queries over the same setting are cheap to decide. Its
+    covering table, ``_covering``, is the one place that decides which
+    action fixes a variable's input to a child. The actions are checked
+    against the diagram at the first decision, not at construction."""
 
     def __init__(self, diagram: CausalDiagram, actions: ActionSet):
         self.diagram = diagram
@@ -475,6 +464,7 @@ class RealizabilityChecker:
         """The randomizing actions in plan order: by the variable's
         topological position, then by Action.sort_key (the action set's
         own order, which the stable sort keeps). Positions are action ids."""
+        _check_actions(self.actions, self.diagram)
         position = {v: k for k, v in enumerate(self.topo)}
         return tuple(sorted(
             (a for a in self.actions.actions if a.kind in (RAND, CTF_RAND)),
@@ -482,13 +472,21 @@ class RealizabilityChecker:
         ))
 
     @cached_property
-    def _id(self) -> dict[Action, int]:
-        return {a: i for i, a in enumerate(self._randomizations)}
-
-    @cached_property
     def _rand(self) -> dict[str, int]:
         """The id of each variable's whole-variable randomization."""
         return {a.var: i for i, a in enumerate(self._randomizations) if a.kind == RAND}
+
+    @cached_property
+    def _covering(self) -> dict[tuple[str, str], list[int]]:
+        """Per edge (v, c), the ids of v's input-randomizations whose
+        targets contain c, smallest target set first: a chain, by
+        containment, whose head is the smallest covering action."""
+        covering: dict[tuple[str, str], list[int]] = {}
+        by_size = sorted(enumerate(self._randomizations), key=lambda ia: len(ia[1].targets or ()))
+        for i, a in by_size:
+            for c in a.targets or ():
+                covering.setdefault((a.var, c), []).append(i)  # type: ignore[arg-type]
+        return covering
 
     # -- per-term requirement tags -------------------------------------
 
@@ -500,6 +498,8 @@ class RealizabilityChecker:
         return req
 
     def _compute_term_requirements(self, term: PotentialResponse) -> _TermRequirements:
+        """Tag the actions on each edge v -> c that W's ancestors use, once
+        per edge, as the module docstring says."""
         if not term.is_full_do():
             raise QueryError(
                 f"term {term} is path-restricted; the decision procedure "
@@ -507,62 +507,34 @@ class RealizabilityChecker:
                 "as variables of the expanded diagram instead)"
             )
         assignment = term.assignment()
-        regime_vars = set(assignment)
         w = term.variable
         # ancestors of W once the regime variables' mechanisms are bypassed
-        relevant = set(self.diagram.ancestors(w, cut_into=regime_vars))
+        relevant = set(self.diagram.ancestors(w, cut_into=set(assignment)))
+        covering, rand = self._covering, self._rand
         by_var: dict[str, list[tuple[int, object, str | None]]] = {}
         for v in self.topo:
             if v == w or v not in relevant:
                 continue
             entries = by_var.setdefault(v, [])
-            if v in regime_vars:
-                child = self._value_pass(v, assignment[v], relevant, regime_vars, entries)
-                if child is not None:
-                    return _TermRequirements(by_var, (v, assignment[v], child))
-            else:
-                self._natural_pass(v, relevant, regime_vars, entries)
+            tag = assignment.get(v, NATURAL)
+            touched = False
+            for c in self.diagram.children(v):
+                self.compat_visits += 1
+                if c not in relevant or c in assignment:
+                    continue
+                touched = True
+                chain = covering.get((v, c), ())
+                if tag is NATURAL:
+                    entries.extend((i, NATURAL, c) for i in chain)
+                elif chain:
+                    entries.append((chain[0], tag, c))
+                elif v in rand:
+                    entries.append((rand[v], tag, c))
+                else:
+                    return _TermRequirements(by_var, (v, tag, c))
+            if touched and tag is NATURAL and v in rand:
+                entries.append((rand[v], NATURAL, None))
         return _TermRequirements(by_var)
-
-    def _value_pass(
-        self,
-        v: str,
-        value: Value,
-        relevant: set[str],
-        regime_vars: set[str],
-        entries: list,
-    ) -> str | None:
-        """Tag the minimal action fixing v's input to each relevant child;
-        returns the child name if no action can do it."""
-        for c in self.diagram.children(v):
-            self.compat_visits += 1
-            if c not in relevant or c in regime_vars:
-                continue
-            action = self.actions.smallest_covering(v, c)
-            if action is not None:
-                entries.append((self._id[action], value, c))
-            elif v in self._rand:
-                entries.append((self._rand[v], value, c))
-            else:
-                return c
-        return None
-
-    def _natural_pass(
-        self, v: str, relevant: set[str], regime_vars: set[str], entries: list
-    ) -> None:
-        """Tag every action that could override v's input to a relevant
-        child as Natural (must not be performed)."""
-        touched = False
-        for c in self.diagram.children(v):
-            self.compat_visits += 1
-            if c not in relevant or c in regime_vars:
-                continue
-            touched = True
-            for action in self.actions.ctf_rands_for(v):
-                if c in action.targets:  # type: ignore[operator]
-                    entries.append((self._id[action], NATURAL, c))
-        if touched and v in self._rand:
-            entries.append((self._rand[v], NATURAL, None))
 
     def _prepare(self, t: PotentialResponse) -> tuple[PotentialResponse, _TermRequirements]:
         """One query term validated and normalized (as CtfQuery.validate
@@ -594,8 +566,9 @@ class RealizabilityChecker:
             q = CtfQuery(tuple(terms))
         tags = self._union_tags(q, reqs)
         if tags is None:
-            return NotRealizable(q, Conflict(*self._first_clash(q, reqs)), self.diagram)
-        return self._plan(q, tags)
+            return NotRealizable(q, self._first_clash(q, reqs), self.diagram)
+        rands = self._randomizations
+        return RealizationPlan(q, self.diagram, tuple([(rands[i], tags[i]) for i in sorted(tags)]))
 
     def _union_tags(
         self, q: CtfQuery, reqs: Sequence[_TermRequirements]
@@ -619,18 +592,11 @@ class RealizabilityChecker:
                 return None
         return tags
 
-    def _plan(self, q: CtfQuery, tags: dict[int, object]) -> RealizationPlan:
-        return RealizationPlan(
-            query=q,
-            diagram=self.diagram,
-            tags=tuple([(self._randomizations[i], tags[i]) for i in sorted(tags)]),
-        )
-
-    def _first_clash(self, q: CtfQuery, reqs: Sequence[_TermRequirements]) -> tuple | None:
+    def _first_clash(self, q: CtfQuery, reqs: Sequence[_TermRequirements]) -> Conflict | None:
         """The reference merge: every term's tags by action id, with the
         index of the term that set each, variables in topological order,
-        terms in query order. Returns the fields of the first conflict it
-        meets, in Conflict's order, or None when there is none."""
+        terms in query order. Returns the first conflict it meets, or
+        None when there is none."""
         merged: dict[int, tuple[object, int]] = {}
         outputs: dict[str, list[int]] = {}
         for ti, t in enumerate(q.terms):
@@ -639,30 +605,22 @@ class RealizabilityChecker:
             for ti, req in enumerate(reqs):
                 if req.failure is not None and req.failure[0] == v:
                     _, value, child = req.failure
-                    return v, NO_ACTION, None, value, None, ti, None, child
+                    return Conflict(v, NO_ACTION, None, value, None, ti, None, child)
                 for i, tag, child in req.by_var.get(v, ()):
                     existing, prior = merged.setdefault(i, (tag, ti))
                     if existing != tag:
                         action = self._randomizations[i]
-                        failure = self._conflict_class(action, tag)
-                        return v, failure, action, tag, existing, ti, prior, child
+                        failure = _CLASH[tag is NATURAL, action.kind]
+                        return Conflict(v, failure, action, tag, existing, ti, prior, child)
             for ti in outputs.get(v, ()):
                 i = self._rand.get(v)
                 existing, prior = merged.get(i, (NATURAL, None))
                 if existing is not NATURAL:
                     action = self._randomizations[i]
-                    return v, OUTPUT_ERASED, action, None, existing, ti, prior, None
+                    return Conflict(v, OUTPUT_ERASED, action, None, existing, ti, prior, None)
                 if not self.actions.has_read(v):
-                    return v, READ_UNAVAILABLE, read_action(v), None, None, ti, None, None
+                    return Conflict(v, READ_UNAVAILABLE, read_action(v), None, None, ti, None, None)
         return None
-
-    @staticmethod
-    def _conflict_class(action: Action, required_tag: object) -> str:
-        if required_tag is NATURAL:
-            return (
-                NATURAL_CONFLICT_CTF if action.kind == CTF_RAND else NATURAL_CONFLICT_RAND
-            )
-        return VALUE_CONFLICT_CTF if action.kind == CTF_RAND else VALUE_CONFLICT_RAND
 
 
 def ctf_realize(

@@ -150,6 +150,13 @@ def test_eval_rejects_a_model_file_without_a_mechanism(tmp_path, capsys):
      "fixture '{path}' is not JSON: "),
     ("procedures --expanded {path} --variable X", "[]",
      "fixture '{path}' holds no JSON object"),
+    ("realize --graph {path} --query P(Y) --maximal",
+     '{"variables": ["X", "Y"], "edges": [["X"]]}', "fixture section 'edges' is malformed"),
+    ("eval --model {path} --query P(Y)",
+     '{"variables": ["X", "Y"], "exogenous": {"variables": [], "domains": {}}, '
+     '"mechanisms": {}}', "fixture section 'exogenous' is malformed"),
+    ("realize --graph {path} --query P(Y) --maximal",
+     '{"variables": "XY", "edges": [["X", "Y"]]}', "fixture section 'variables' is malformed"),
 ])
 def test_bad_fixture_file_is_an_input_error(tmp_path, capsys, command, content, message):
     path = tmp_path / "fixture.json"

@@ -229,6 +229,24 @@ def test_every_action_variable_must_be_in_the_diagram():
     assert len(ActionSet([rand_action("Q")])) == 1
 
 
+def test_the_checker_rejects_actions_outside_its_diagram():
+    # a union is built without a diagram; the checker checks its actions
+    # at the first decision (not when it is built), and on every later one
+    bow = bow_diagram()
+    q = parse_query("P(Y[X=1])", bow)
+    for extra, message in (
+        (rand_action("Q"), r"Rand\(Q\): unknown variable 'Q'"),
+        (ctf_rand_action("Y", ["X"]),
+         r"CtfRand\(Y->X\): targets \['X'\] are not children of 'Y'"),
+    ):
+        checker = RealizabilityChecker(
+            bow, maximal_action_set(bow).union(ActionSet([extra]))
+        )
+        for _ in range(2):
+            with pytest.raises(ActionError, match=message):
+                checker.realize(q)
+
+
 def test_action_text_round_trips_on_every_builtin_diagram():
     for name in builtin_names():
         d = builtin_diagram(name)
@@ -266,16 +284,18 @@ def test_malformed_action_text_reports_its_position(text, pos):
     assert err.value.pos == pos
 
 
-def test_smallest_covering_is_unique_minimum():
+def test_each_input_is_fixed_by_its_smallest_covering_action():
+    # on the chain {Y,Z,W} > {Z,W} > {Z}, a fixed input to a child tags
+    # only the smallest action covering it; a natural read of the child
+    # tags every action that covers it Natural
     fan = fan_diagram()
-    acts = ActionSet(
-        [ctf_rand_action("X", ["Y", "Z", "W"]), ctf_rand_action("X", ["Z", "W"]),
-         ctf_rand_action("X", ["Z"])],
-        fan,
-    )
-    assert acts.smallest_covering("X", "Z") == ctf_rand_action("X", ["Z"])
-    assert acts.smallest_covering("X", "W") == ctf_rand_action("X", ["Z", "W"])
-    assert acts.smallest_covering("X", "Y") == ctf_rand_action("X", ["Y", "Z", "W"])
+    chain = [ctf_rand_action("X", t) for t in (["Z"], ["Z", "W"], ["Y", "Z", "W"])]
+    checker = RealizabilityChecker(fan, ActionSet(reads_and_select(fan) + chain, fan))
+    for c, smallest in (("Z", 0), ("W", 1), ("Y", 2)):
+        fixed = checker.realize(query(response(c, {"X": 1})))
+        assert fixed.tags == ((chain[smallest], 1),), c
+        natural = checker.realize(query(response(c)))
+        assert dict(natural.tags) == {a: NATURAL for a in chain[smallest:]}, c
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +436,7 @@ def test_fast_merge_matches_ordered_merge():
                     assert bool(fast) == (clash is None), q
                     text = fast.describe()
                     if not fast:
-                        assert fast.conflict == Conflict(*clash), q
+                        assert fast.conflict == clash, q
                         classes.add(fast.conflict.failure)
                         text += f"\n{fast.conflict!r}"
                     digest.update(text.encode() + b"\n")

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ctfrealize import (
     Experiment,
     FCEViolation,
     Mechanism,
+    RealizabilityChecker,
     RealizationPlan,
     ScmModel,
     Unit,
@@ -36,6 +39,8 @@ from ctfrealize.fixtures import bow_model, fan_model, hub_split_model
 from ctfrealize.models import independent_exogenous
 from ctfrealize.bandits import example3_problem
 from ctfrealize.fairness import CanonicalScm
+
+from enumeration import enumerate_terms, queries_of_size
 
 
 def supersede_model():
@@ -513,6 +518,55 @@ def test_block_executor_matches_unit_at_a_time_reference():
         abs(reference.count(c) - batch.rows.count(c)) / n for c in cells
     )
     assert tv < 0.05
+
+
+def plan_law(model, plan):
+    """The plan's law as the block executor evaluates it: each exogenous
+    row on a Unit with the required values written, weights added in
+    support order."""
+    law = {}
+    for u, p in model.exogenous_support():
+        unit = Unit(model, u, np.random.default_rng(0))
+        for action, value in plan.required_actions():
+            simulate._perform(unit, action, value)
+        row = tuple(unit.read(t.variable) for t in plan.query.terms)
+        law[row] = law.get(row, 0.0) + p
+    return law
+
+
+@pytest.mark.filterwarnings("ignore:dropping irrelevant subscript")
+def test_every_plan_law_equals_the_exact_distribution():
+    # every realizable single term and a seeded share of the pairs, under
+    # nested input randomizations: the unit must give each child the input
+    # of the smallest target set, as the checker's covering table assumes
+    fan, sup = fan_model(), supersede_model()
+
+    def actions(model, *extra):
+        d = model.diagram
+        return ActionSet([select(), *(read_action(v) for v in d.variables), *extra], d)
+
+    chain = [ctf_rand_action("X", t) for t in (["Z"], ["Z", "W"], ["Y", "Z", "W"])]
+    settings = [
+        (fan, actions(fan, *chain)),
+        (fan, actions(fan, *chain, rand_action("X"))),
+        (sup, actions(sup, ctf_rand_action("X", ["Z", "T", "B"]),
+                      ctf_rand_action("X", ["T", "B"]), rand_action("X"))),
+    ]
+    rng = random.Random(15)
+    plans = 0
+    for model, acts in settings:
+        checker = RealizabilityChecker(model.diagram, acts)
+        terms = enumerate_terms(model.diagram)
+        pairs = list(queries_of_size(terms, 2))
+        for q in [*queries_of_size(terms, 1), *rng.sample(pairs, 400)]:
+            plan = checker.realize(q)
+            if plan:
+                exact = exact_distribution(model, plan.query).as_dict()
+                law = plan_law(model, plan)
+                assert set(law) <= set(exact), q
+                assert all(law.get(c, 0.0) == p for c, p in exact.items()), q
+                plans += 1
+    assert plans > 1000
 
 
 def test_batch_rows_are_tuples_of_domain_values():
