@@ -21,7 +21,7 @@ from .errors import (
     QueryError,
     QuerySyntaxError,
 )
-from .graphs import CausalDiagram, variable_set
+from .graphs import CausalDiagram
 from .models import Mechanism, ScmModel, independent_exogenous, validate_scm
 from .queries import (
     CtfQuery,

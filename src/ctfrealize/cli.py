@@ -24,8 +24,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .errors import CtfRealizeError, QueryError
 from .graphs import CausalDiagram

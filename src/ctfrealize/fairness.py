@@ -31,22 +31,14 @@ import numpy as np
 
 from .errors import EstimationError, ModelError
 from .graphs import CausalDiagram
-from .models import Mechanism, ScmModel
+from .models import PROB_TOL, Mechanism, ScmModel
 from .queries import CtfQuery, query, response
 from .engine import exact_l3_probability
-from .realizability import (
-    ActionSet,
-    RealizationPlan,
-    ctf_rand_action,
-    ctf_realize,
-    read_action,
-    select,
-)
+from .realizability import RealizationPlan, ctf_realize, maximal_action_set
 from .simulate import draw_plan_batch, estimate
 
 RESPONSE_TYPES = ("always-approve", "approve-iff-x1", "approve-iff-x0", "always-reject")
 
-PROB_TOL = 1e-12
 DISCRIMINATION_THRESHOLD = 0.05  # reporting cut for "significant" disparity
 
 
@@ -163,14 +155,6 @@ class FairnessReport:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _admission_actions(model: ScmModel) -> ActionSet:
-    return ActionSet(
-        [select(), read_action("X"), read_action("Y"), read_action("Z"),
-         ctf_rand_action("X", ["Y"]), ctf_rand_action("X", ["Z"])],
-        model.diagram,
-    )
-
-
 # The queries are built once: every exact evaluation reuses them.
 # _COUPLED[x] is P(Y_x1=1, Z_x=0).
 _COUPLED = {
@@ -183,10 +167,11 @@ _JOINT_X0 = query(response("Y", {"X": 0}, 1), response("Z", {"X": 0}, 0))
 
 
 def _audit_plan(model: ScmModel, q: CtfQuery) -> RealizationPlan:
-    """The plan that samples the cross-regime joint of ``q`` with the two
-    per-model input randomizations; raises EstimationError when there is
+    """The plan that samples the cross-regime joint of ``q`` with the
+    diagram's maximal action set, whose two input randomizations fix X
+    separately for each screen; raises EstimationError when there is
     none, since no sampled estimate of it could be trusted."""
-    verdict = ctf_realize(q.unvalued(), model.diagram, _admission_actions(model))
+    verdict = ctf_realize(q.unvalued(), model.diagram, maximal_action_set(model.diagram))
     if not verdict:
         raise EstimationError(f"audit query is not realizable: {verdict.describe()}")
     return verdict
@@ -208,16 +193,10 @@ def mu_ctf(
     """|P(Y_x1=1, Z_x1=0) - P(Y_x1=1, Z_x0=0)|, exactly by enumeration or
     estimated by executing the two-randomization plan n times per term."""
     model = scm.to_model()
+    a, int1, int2 = _exact(model)
     if exact:
-        a = exact_l3_probability(model, _COUPLED[1])
         b = exact_l3_probability(model, _COUPLED[0])
-        j0 = exact_l3_probability(model, _JOINT_X0)
-        return FairnessReport(
-            mu_ctf=abs(a - b),
-            mu_int1=_surrogate(model, 1),
-            mu_int2=abs(a - j0),  # mu_int(2): a is P(Y=1, Z=0; do x1)
-            exact=True,
-        )
+        return FairnessReport(mu_ctf=abs(a - b), mu_int1=int1, mu_int2=int2, exact=True)
     plans = [_audit_plan(model, _COUPLED[x_for_z]) for x_for_z in (1, 0)]
     estimates = []
     for i, plan in enumerate(plans):
@@ -229,8 +208,8 @@ def mu_ctf(
     se = np.sqrt(a * (1 - a) / n + b * (1 - b) / n)
     return FairnessReport(
         mu_ctf=abs(a - b),
-        mu_int1=_surrogate(model, 1),
-        mu_int2=_surrogate(model, 2),
+        mu_int1=int1,
+        mu_int2=int2,
         exact=False,
         n=n,
         ci95=(abs(a - b) - 1.96 * se, abs(a - b) + 1.96 * se),
@@ -241,20 +220,21 @@ def mu_int(scm: CanonicalScm, variant: int) -> float:
     """Single-regime surrogates: variant 1 is the product form
     P(Y=1;do x1) * |P(Z=0;do x1) - P(Z=0;do x0)|; variant 2 contrasts the
     same-regime joints |P(Y=1,Z=0;do x1) - P(Y=1,Z=0;do x0)|."""
-    return _surrogate(scm.to_model(), variant)
+    if variant not in (1, 2):
+        raise EstimationError(f"unknown surrogate variant {variant!r}")
+    return _exact(scm.to_model())[variant]
 
 
-def _surrogate(model: ScmModel, variant: int) -> float:
-    if variant == 1:
-        p_y1 = exact_l3_probability(model, _Y1_X1)
-        z1 = exact_l3_probability(model, _Z0_X1)
-        z0 = exact_l3_probability(model, _Z0_X0)
-        return abs(p_y1 * z1 - p_y1 * z0)
-    if variant == 2:
-        j1 = exact_l3_probability(model, _COUPLED[1])
-        j0 = exact_l3_probability(model, _JOINT_X0)
-        return abs(j1 - j0)
-    raise EstimationError(f"unknown surrogate variant {variant!r}")
+def _exact(model: ScmModel) -> tuple[float, float, float]:
+    """(P(Y_x1=1, Z_x1=0), mu_int1, mu_int2) by the exact engine, each of
+    the five probabilities evaluated once; the first is also mu_int2's
+    same-regime joint under do(x1)."""
+    a = exact_l3_probability(model, _COUPLED[1])
+    j0 = exact_l3_probability(model, _JOINT_X0)
+    p_y1 = exact_l3_probability(model, _Y1_X1)
+    z1 = exact_l3_probability(model, _Z0_X1)
+    z0 = exact_l3_probability(model, _Z0_X0)
+    return a, abs(p_y1 * z1 - p_y1 * z0), abs(a - j0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +263,11 @@ def batch_metrics(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     engine computes one table at a time."""
     probs = np.atleast_2d(probs)
     m = _M
-    ctf = np.abs(probs @ (m["y1_x1"] * m["z0_x1"]) - probs @ (m["y1_x1"] * m["z0_x0"]))
-    int1 = np.abs(
-        (probs @ m["y1_x1"]) * (probs @ m["z0_x1"])
-        - (probs @ m["y1_x1"]) * (probs @ m["z0_x0"])
-    )
-    int2 = np.abs(
-        probs @ (m["y1_x1"] * m["z0_x1"]) - probs @ (m["y1_x0"] * m["z0_x0"])
-    )
+    a = probs @ (m["y1_x1"] * m["z0_x1"])  # P(Y_x1=1, Z_x1=0), as in _exact
+    y1 = probs @ m["y1_x1"]
+    ctf = np.abs(a - probs @ (m["y1_x1"] * m["z0_x0"]))
+    int1 = np.abs(y1 * (probs @ m["z0_x1"]) - y1 * (probs @ m["z0_x0"]))
+    int2 = np.abs(a - probs @ (m["y1_x0"] * m["z0_x0"]))
     return ctf, int1, int2
 
 
@@ -300,6 +277,8 @@ def batch_metrics(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 L2_PENALTY = "l2_penalty"
 L3_PENALTY = "l3_penalty"
+BATCH_SIZE = 50_000  # proposals per Dirichlet block; a seed's tables depend on it
+MAX_PROPOSALS = 50_000_000  # past this, a low acceptance rate is an error, not a wait
 
 
 def sample_constrained_scms(
@@ -307,8 +286,6 @@ def sample_constrained_scms(
     n: int,
     epsilon: float = 0.01,
     seed: int | None = 0,
-    batch_size: int = 50_000,
-    max_proposals: int = 50_000_000,
 ) -> list[tuple[CanonicalScm, FairnessReport]]:
     """Rejection-sample canonical tables from the flat Dirichlet prior on
     the 16-simplex, keeping those whose penalized score is at most
@@ -325,20 +302,20 @@ def sample_constrained_scms(
     kept_rows: list[np.ndarray] = []
     proposals = 0
     while sum(len(r) for r in kept_rows) < n:
-        if proposals >= max_proposals:
+        if proposals >= MAX_PROPOSALS:
             rate = sum(len(r) for r in kept_rows) / max(proposals, 1)
             raise EstimationError(
                 f"acceptance rate {rate:.2e} below floor after {proposals} "
                 f"proposals; raise epsilon (currently {epsilon})"
             )
-        block = rng.dirichlet(np.ones(16), size=batch_size)
-        proposals += batch_size
+        block = rng.dirichlet(np.ones(16), size=BATCH_SIZE)
+        proposals += BATCH_SIZE
         ctf, int1, int2 = batch_metrics(block)
         score = ctf if constraint == L3_PENALTY else int1 + int2
         kept = block[score <= epsilon]
         if len(kept):
             kept_rows.append(kept)
-        if proposals >= 20 * batch_size and not kept_rows:
+        if proposals >= 20 * BATCH_SIZE and not kept_rows:
             raise EstimationError(
                 f"no acceptances in {proposals} proposals; raise epsilon "
                 f"(currently {epsilon})"
@@ -353,12 +330,9 @@ def sample_constrained_scms(
     ]
 
 
-def violation_fraction(
-    reports: Sequence[tuple[CanonicalScm, FairnessReport]],
-    threshold: float = DISCRIMINATION_THRESHOLD,
-) -> float:
+def violation_fraction(reports: Sequence[tuple[CanonicalScm, FairnessReport]]) -> float:
     """Share of sampled tables whose true counterfactual disparity
-    exceeds the reporting threshold."""
+    exceeds DISCRIMINATION_THRESHOLD."""
     if not reports:
         return 0.0
-    return sum(1 for _, r in reports if r.mu_ctf > threshold) / len(reports)
+    return sum(1 for _, r in reports if r.mu_ctf > DISCRIMINATION_THRESHOLD) / len(reports)

@@ -115,14 +115,17 @@ _EXOGENOUS = {
 _MECHANISMS = {str: {
     "parents": _NAMES, "exogenous": _NAMES, "rows": [{"inputs": [_VALUE], "value": _VALUE}],
 }}
-_MEDIATORS = [{"name": str, "parent": str, "serves": _NAMES}]
+_MEDIATORS = [{
+    "name": str, "parent": str, "serves": _NAMES, "invertible?": bool, "randomizable?": bool,
+}]
 
 
 def _fits(x: Any, shape: Any) -> bool:
     """Whether a JSON value has the shape: a type or tuple of types; [s], a
     list of items of shape s; [s, t], a list of exactly those two items;
     {str: s}, an object whose values have shape s; {key: s, ...}, an
-    object with at least those keys."""
+    object with at least those keys, where a key ending in "?" may be
+    absent."""
     if isinstance(shape, list):
         if not isinstance(x, list):
             return False
@@ -131,8 +134,12 @@ def _fits(x: Any, shape: Any) -> bool:
     if isinstance(shape, dict):
         if not isinstance(x, dict):
             return False
-        pairs = [(k, shape[str]) for k in x] if str in shape else shape.items()
-        return all(k in x and _fits(x[k], s) for k, s in pairs)
+        if str in shape:
+            return all(_fits(v, shape[str]) for v in x.values())
+        return all(
+            _fits(x[k.rstrip("?")], s) if k.rstrip("?") in x else k.endswith("?")
+            for k, s in shape.items()
+        )
     return isinstance(x, shape)
 
 
@@ -192,8 +199,8 @@ def expanded_from_dict(doc: dict[str, Any]) -> ExpandedDiagram:
             name=m["name"],
             parent=m["parent"],
             served_children=frozenset(m["serves"]),
-            invertible=bool(m.get("invertible", True)),
-            randomizable=bool(m.get("randomizable", True)),
+            invertible=m.get("invertible", True),
+            randomizable=m.get("randomizable", True),
         )
         for m in _section(ex, "expanded.mediators", _MEDIATORS, GraphError, [])
     )

@@ -36,6 +36,9 @@ class CausalDiagram:
         self._index = {v: i for i, v in enumerate(self.variables)}
 
         domains = domains or {}
+        for v in domains:
+            if v not in self._index:
+                raise GraphError(f"domain given for undeclared variable {v!r}")
         self.domains: dict[str, tuple[Value, ...]] = {}
         constants = set(allow_constant)
         for v in self.variables:
@@ -210,14 +213,3 @@ class CausalDiagram:
         d = ", ".join(f"{a}->{b}" for a, b in sorted(self.directed_edges))
         b = ", ".join("<->".join(sorted(e)) for e in sorted(self.bidirected_edges, key=sorted))
         return f"CausalDiagram({list(self.variables)}; {d}; {b})"
-
-
-def variable_set(diagram: CausalDiagram, names: Iterable[str]) -> tuple[str, ...]:
-    """Ordered, duplicate-free subset of the diagram's variables."""
-    seen: list[str] = []
-    for n in names:
-        diagram._check_var(n)
-        if n in seen:
-            raise GraphError(f"duplicate variable {n!r} in set")
-        seen.append(n)
-    return tuple(seen)

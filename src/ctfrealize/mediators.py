@@ -27,7 +27,7 @@ from .graphs import CausalDiagram, Value
 from .models import ScmModel
 from .queries import response
 from .engine import eval_potential_response
-from .realizability import Action, ActionSet, ctf_rand_action, overlap_without_nesting
+from .realizability import Action, ActionSet, ctf_rand_action
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,16 @@ class ExpandedDiagram:
 
     def mediators_of(self, x: str) -> tuple[MediatorNode, ...]:
         """Mediators whose perception chain roots at x, in declaration
-        order; raises if any mediator of x violates the tree structure."""
-        by_name = {m.name: m for m in self.mediators}
-        out = []
-        for m in self.mediators:
-            root = self._chain_root(m, by_name)
-            if root == x:
-                out.append(m)
-        return tuple(out)
+        order; raises if any mediator violates the tree structure: a name
+        that repeats or is a variable's, a parent that is neither a
+        variable nor a mediator, a cycle, or a mediator serving children
+        outside its parent mediator."""
+        names = [m.name for m in self.mediators]
+        for i, name in enumerate(names):
+            if name in self.base or name in names[:i]:
+                raise MediatorStructureError(f"mediator name {name!r} is already taken")
+        by_name = dict(zip(names, self.mediators))
+        return tuple(m for m in self.mediators if self._chain_root(m, by_name) == x)
 
     def _chain_root(self, m: MediatorNode, by_name: Mapping[str, MediatorNode]) -> str:
         seen = set()
@@ -79,8 +81,13 @@ class ExpandedDiagram:
                         f"parent mediator {parent.name!r}"
                     )
                 cur = parent
-            else:
+            elif cur.parent in self.base:
                 return cur.parent
+            else:
+                raise MediatorStructureError(
+                    f"mediator {cur.name!r} has parent {cur.parent!r}, which is "
+                    "neither a variable nor a mediator"
+                )
 
 
 def ctf_procedures(expanded: ExpandedDiagram, x: str) -> ActionSet:
@@ -92,9 +99,8 @@ def ctf_procedures(expanded: ExpandedDiagram, x: str) -> ActionSet:
 
     Raises MediatorStructureError when a mediator chain breaks the tree
     structure (see ``mediators_of``), when a mediator of x serves a
-    variable that is not a child of x, when two mediators' served sets
-    overlap without nesting, or when a child of x is served by two
-    sibling mediators.
+    variable that is not a child of x, or when two sibling mediators (of
+    one parent) serve a common child.
     """
     base = expanded.base
     if x not in base:
@@ -113,12 +119,13 @@ def ctf_procedures(expanded: ExpandedDiagram, x: str) -> ActionSet:
                 f"mediator {m.name!r} serves {sorted(m.served_children - children)}, "
                 f"which are not children of {x!r}"
             )
-    # tree structure: sibling mediators must not share children; chained
-    # ones must nest (checked against parents in mediators_of already)
+    # tree structure: sibling mediators serve disjoint children; a chained
+    # one nests in its parent (checked in mediators_of), so any two
+    # served sets are disjoint or nested
     for i, a in enumerate(meds):
         for b in meds[i + 1:]:
-            if overlap_without_nesting(a.served_children, b.served_children):
-                shared = a.served_children & b.served_children
+            shared = a.served_children & b.served_children
+            if a.parent == b.parent and shared:
                 raise MediatorStructureError(
                     f"children {sorted(shared)} perceive {x!r} through both "
                     f"{a.name!r} and {b.name!r}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 

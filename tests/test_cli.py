@@ -157,6 +157,13 @@ def test_eval_rejects_a_model_file_without_a_mechanism(tmp_path, capsys):
      '"mechanisms": {}}', "fixture section 'exogenous' is malformed"),
     ("realize --graph {path} --query P(Y) --maximal",
      '{"variables": "XY", "edges": [["X", "Y"]]}', "fixture section 'variables' is malformed"),
+    ("realize --graph {path} --query P(Y[X=2]) --maximal",
+     '{"variables": ["X", "Y"], "domains": {"x": [0, 1, 2]}, "edges": [["X", "Y"]]}',
+     "domain given for undeclared variable 'x'"),
+    ("procedures --expanded {path} --variable X",
+     '{"variables": ["X", "Y"], "edges": [["X", "Y"]], "expanded": {"mediators": '
+     '[{"name": "W", "parent": "X", "serves": ["Y"], "invertible": "false"}]}}',
+     "fixture section 'expanded.mediators' is malformed"),
 ])
 def test_bad_fixture_file_is_an_input_error(tmp_path, capsys, command, content, message):
     path = tmp_path / "fixture.json"

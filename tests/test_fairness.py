@@ -126,8 +126,8 @@ def test_sampled_metric_realizes_each_coupled_query_once(monkeypatch):
     assert realized == ["P(Y[X=1], Z[X=1])", "P(Y[X=1], Z[X=0])"]
     # with Rand(X) alone, Z[X=0] beside Y[X=1] is not realizable: an
     # EstimationError that names the conflict, also under python -O
-    monkeypatch.setattr(fairness, "_admission_actions", lambda model: ActionSet(
-        [select(), *(read_action(v) for v in "XYZ"), rand_action("X")], model.diagram
+    monkeypatch.setattr(fairness, "maximal_action_set", lambda diagram: ActionSet(
+        [select(), *(read_action(v) for v in "XYZ"), rand_action("X")], diagram
     ))
     with pytest.raises(EstimationError, match="audit query is not realizable: "
                        "conflict at X: Rand"):
@@ -200,16 +200,15 @@ def test_published_table_fails_a_zero_tolerance_constraint():
     assert ctf[0] > 0.0  # would be rejected at epsilon = 0
 
 
-def test_sampler_errors():
+def test_sampler_errors(monkeypatch):
     with pytest.raises(EstimationError, match="unknown constraint"):
         sample_constrained_scms("l7", 1)
     with pytest.raises(EstimationError, match="at least one"):
         sample_constrained_scms(L3_PENALTY, 0)
+    monkeypatch.setattr(fairness, "BATCH_SIZE", 1000)
+    monkeypatch.setattr(fairness, "MAX_PROPOSALS", 3000)
     with pytest.raises(EstimationError, match="raise epsilon"):
-        sample_constrained_scms(
-            L3_PENALTY, 10, epsilon=0.0, seed=0,
-            batch_size=1000, max_proposals=3000,
-        )
+        sample_constrained_scms(L3_PENALTY, 10, epsilon=0.0, seed=0)
 
 
 def test_constrained_samplers_contrast():

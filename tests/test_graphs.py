@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctfrealize import CausalDiagram, GraphError, variable_set
+from ctfrealize import CausalDiagram, GraphError
 from ctfrealize.fixtures import (
     collider_hub_diagram,
     fan_diagram,
@@ -99,15 +99,6 @@ def test_self_loop_and_duplicate_domain_rejected():
         CausalDiagram(["A"], domains={"A": [0, 0]})
     with pytest.raises(GraphError):
         CausalDiagram(["A"], domains={"A": [0]})  # constant needs the flag
-
-
-def test_variable_set():
-    g = chain()
-    assert variable_set(g, ["A", "X"]) == ("A", "X")
-    with pytest.raises(GraphError):
-        variable_set(g, ["A", "A"])
-    with pytest.raises(GraphError):
-        variable_set(g, ["Q"])
 
 
 @st.composite

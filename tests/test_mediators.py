@@ -92,6 +92,43 @@ def test_mediator_descending_through_ordinary_variable_rejected():
         ctf_procedures(bad, "X")
 
 
+def _forked(*mediators: MediatorNode) -> ExpandedDiagram:
+    base = CausalDiagram(
+        ["X", "Y", "Z", "T"],
+        directed_edges=[("X", "Y"), ("X", "Z"), ("X", "T")],
+    )
+    return ExpandedDiagram(base=base, mediators=mediators)
+
+
+def test_sibling_mediators_with_nested_served_sets_rejected():
+    # Z perceives X through both siblings, although W2's set nests in W1's:
+    # only a chained W2 (parent W1) may serve a subset of W1's children
+    expanded = _forked(
+        MediatorNode("W1", "X", frozenset({"Y", "Z"})),
+        MediatorNode("W2", "X", frozenset({"Z"})),
+    )
+    with pytest.raises(MediatorStructureError, match=r"\['Z'\] perceive 'X' through both"):
+        ctf_procedures(expanded, "X")
+
+
+def test_mediator_with_unknown_parent_rejected():
+    expanded = _forked(MediatorNode("W1", "Xx", frozenset({"Y"})))
+    with pytest.raises(MediatorStructureError, match="parent 'Xx', which is neither"):
+        ctf_procedures(expanded, "X")
+
+
+def test_mediator_name_clash_rejected():
+    repeated = _forked(
+        MediatorNode("W1", "X", frozenset({"Y"})),
+        MediatorNode("W1", "X", frozenset({"Z"})),
+    )
+    with pytest.raises(MediatorStructureError, match="name 'W1' is already taken"):
+        ctf_procedures(repeated, "X")
+    variable = _forked(MediatorNode("T", "X", frozenset({"Y"})))
+    with pytest.raises(MediatorStructureError, match="name 'T' is already taken"):
+        ctf_procedures(variable, "X")
+
+
 def test_non_invertible_mediator_grants_no_action():
     exp = expanded_two_mediators()
     weakened = ExpandedDiagram(
