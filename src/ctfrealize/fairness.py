@@ -191,17 +191,21 @@ def mu_ctf(
     seed: int | None = 0,
 ) -> FairnessReport:
     """|P(Y_x1=1, Z_x1=0) - P(Y_x1=1, Z_x0=0)|, exactly by enumeration or
-    estimated by executing the two-randomization plan n times per term."""
+    estimated by executing the two-randomization plan n times per term.
+    The sampled estimate draws its i-th plan from SeedSequence([seed, i]),
+    with fresh entropy in place of the seed when it is None."""
     model = scm.to_model()
     a, int1, int2 = _exact(model)
     if exact:
         b = exact_l3_probability(model, _COUPLED[0])
         return FairnessReport(mu_ctf=abs(a - b), mu_int1=int1, mu_int2=int2, exact=True)
     plans = [_audit_plan(model, _COUPLED[x_for_z]) for x_for_z in (1, 0)]
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
     estimates = []
     for i, plan in enumerate(plans):
         batch = draw_plan_batch(
-            plan, model, n, seed=np.random.SeedSequence([seed or 0, i])
+            plan, model, n, seed=np.random.SeedSequence([seed, i])
         )
         estimates.append(estimate(batch, (1, 0)))
     a, b = estimates

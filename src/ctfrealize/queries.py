@@ -14,6 +14,15 @@ Text form (the grammar is in ``parse_query``'s docstring):
     P(Y[X=1]=1, X=0)        the same terms with event values attached
     P(Y[X=1->Y], X)         path-restricted: only Y's mechanism sees 1
     P(Y[X=1->Y, X=0->Z])    two edges of X carry different values
+
+Terms are hashed on every hot path (as keys of the checker's per-term
+records, and inside the queries that key the exact engine's masks), so
+``RegimeEntry`` and ``PotentialResponse`` compute their field hash on
+the first ``hash()`` and keep it. The hash is lazy, so a term holding an
+unhashable value still builds (and fails only where it is hashed), and
+it is left out of pickled and copied state, so a term loaded in a
+process with another ``PYTHONHASHSEED`` hashes afresh. Equality, repr
+and the dataclass fields are the generated ones.
 """
 
 from __future__ import annotations
@@ -26,6 +35,11 @@ from .errors import QueryError, QuerySyntaxError
 from .graphs import CausalDiagram, Value
 
 
+def _state_without_hash(term) -> dict:
+    """Pickled and copied state: the fields, never the cached hash."""
+    return {k: v for k, v in term.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class RegimeEntry:
     """One intervention edge-group: ``var`` is fixed to ``value`` as input
@@ -34,6 +48,17 @@ class RegimeEntry:
     var: str
     value: Value
     targets: frozenset[str] | None = None
+
+    _hash = None  # the field hash, set by the first __hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.var, self.value, self.targets))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_hash
 
     def is_full(self) -> bool:
         return self.targets is None
@@ -47,6 +72,17 @@ class PotentialResponse:
     regime: tuple[RegimeEntry, ...] = ()
     value: Value | None = None  # event value; None when unvalued
 
+    _hash = None  # the field hash, set by the first __hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.variable, self.regime, self.value))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_hash
+
     def __post_init__(self):
         for e in self.regime:
             if e.var == self.variable:
@@ -59,6 +95,8 @@ class PotentialResponse:
             by_var.setdefault(e.var, []).append(e)
         for var, entries in by_var.items():
             if len(entries) > 1:
+                if all(e.is_full() for e in entries):
+                    raise QueryError(f"regime assigns {var!r} more than once")
                 if any(e.is_full() for e in entries):
                     raise QueryError(
                         f"regime assigns {var!r} both fully and per-edge"

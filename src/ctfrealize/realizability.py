@@ -21,14 +21,19 @@ by step, discard the unit whenever a drawn value misses its tag, then
 read the outputs.
 
 Tags are per-action and depend only on the term, so conflicts are
-always witnessed by a pair of terms. ``RealizabilityChecker`` compiles
-each term's requirements once, keyed by action id (the action's
-position in plan order), and warns about each dropped subscript once,
-when it first prepares the term. ``realize`` decides with an order-free
-union of the terms' tags. Only a failing query takes the ordered
-reference merge (variables in topological order, terms in query
-order), which names the first clash it meets; every ``Conflict``,
-whatever its failure class, is built from it.
+always witnessed by a pair of terms. ``RealizabilityChecker`` prepares
+each raw query term once into one record: the normalized term (each
+dropped subscript warns then, once), its requirements keyed by action
+id (the action's position in plan order), the id of its output's
+whole-variable randomization, and, when the term is realizable alone,
+its plan tags in plan order. ``realize`` returns a single term's plan
+straight from its record. A longer query is decided by the one
+order-free union of the records: the first term's tags copied, the
+others merged into them, then every output checked for erasure. Only a
+failing query takes the ordered reference merge (variables in
+topological order, terms in query order), which names the first clash
+it meets; every ``Conflict``, whatever its failure class, is built from
+it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ActionError, ContainmentViolation, QueryError, QuerySyntaxError
 from .graphs import CausalDiagram, Value
@@ -442,19 +447,39 @@ class _TermRequirements:
         }
 
 
+class _Prepared(NamedTuple):
+    """One raw query term as realize reads it: the normalized term, its
+    requirements, the id of its variable's whole-variable randomization
+    (None without one), and its plan tags in plan order when the term is
+    realizable alone; ``plan`` is None when it fails alone or its output
+    has no read."""
+
+    kept: PotentialResponse
+    req: _TermRequirements
+    rand: int | None
+    plan: tuple[tuple[Action, object], ...] | None
+
+
 class RealizabilityChecker:
     """Caches per-term requirements for one (diagram, action set) pair so
     that many queries over the same setting are cheap to decide. Its
     covering table, ``_covering``, is the one place that decides which
     action fixes a variable's input to a child. The actions are checked
-    against the diagram at the first decision, not at construction."""
+    against the diagram at the first decision, not at construction.
+
+    Each raw term a query holds is prepared once into a ``_Prepared``
+    record, so a warm ``realize`` only looks records up: a single term
+    returns the plan its record holds, with no merge and no sort, and a
+    longer query takes the one order-free union, ``_union``. A failing
+    query then takes ``_first_clash``, the one ordered merge, which
+    builds every ``Conflict``."""
 
     def __init__(self, diagram: CausalDiagram, actions: ActionSet):
         self.diagram = diagram
         self.actions = actions
         self.topo = diagram.topological_order()
         self._term_cache: dict[tuple, _TermRequirements] = {}
-        self._prepared: dict[PotentialResponse, tuple] = {}  # see _prepare
+        self._prepared: dict[PotentialResponse, _Prepared] = {}
         self.compat_visits = 0  # (V, term, child) visits, for complexity checks
 
     # built on first use, so that setting up a checker stays cheap
@@ -536,59 +561,71 @@ class RealizabilityChecker:
                 entries.append((rand[v], NATURAL, None))
         return _TermRequirements(by_var)
 
-    def _prepare(self, t: PotentialResponse) -> tuple[PotentialResponse, _TermRequirements]:
+    def _prepare(self, t: PotentialResponse) -> _Prepared:
         """One query term validated and normalized (as CtfQuery.validate
-        and CtfQuery.normalized do it), with its requirements, stored in
-        self._prepared for every later query with this term. A dropped
+        and CtfQuery.normalized do it), with its requirements, as a record
+        stored in self._prepared for every later query with this term. A dropped
         subscript warns here, once, at realize's caller; a path-restricted
         term raises before anything is stored."""
         CtfQuery((t,)).validate(self.diagram)
         kept, messages = normalize_term(t, self.diagram)
-        hit = kept, self.term_requirements(kept)
+        req = self.term_requirements(kept)
+        plan = None
+        # a term never tags its own variable's randomization (the walk skips
+        # W), so alone it fails only by itself or by an unreadable output
+        if req.failure is None and self.actions.has_read(kept.variable):
+            rands = self._randomizations
+            plan = tuple([(rands[i], req.tags[i]) for i in sorted(req.tags)])
         for message in messages:
             warnings.warn(message, stacklevel=3)
-        self._prepared[t] = hit
-        return hit
+        record = self._prepared[t] = _Prepared(kept, req, self._rand.get(kept.variable), plan)
+        return record
 
     # -- merging terms ---------------------------------------------------
 
     def realize(self, q: CtfQuery) -> RealizationPlan | NotRealizable:
-        terms, reqs = [], []
+        records = []
         try:
             for t in q.terms:  # not a comprehension: _prepare warns at a fixed depth
-                kept, req = self._prepared.get(t) or self._prepare(t)
-                terms.append(kept)
-                reqs.append(req)
+                records.append(self._prepared.get(t) or self._prepare(t))
         except TypeError:  # an unhashable value, which no domain holds
             q.validate(self.diagram)
             raise
-        if tuple(terms) != q.terms:
-            q = CtfQuery(tuple(terms))
-        tags = self._union_tags(q, reqs)
+        if len(records) == 1:
+            kept, req, _, plan = records[0]
+            if kept is not q.terms[0]:
+                q = CtfQuery((kept,))
+            if plan is not None:
+                return RealizationPlan(q, self.diagram, plan)
+            return NotRealizable(q, self._first_clash(q, (req,)), self.diagram)
+        terms = tuple([r.kept for r in records])
+        if terms != q.terms:
+            q = CtfQuery(terms)
+        tags = self._union(records)
         if tags is None:
-            return NotRealizable(q, self._first_clash(q, reqs), self.diagram)
+            return NotRealizable(q, self._first_clash(q, [r.req for r in records]), self.diagram)
         rands = self._randomizations
         return RealizationPlan(q, self.diagram, tuple([(rands[i], tags[i]) for i in sorted(tags)]))
 
-    def _union_tags(
-        self, q: CtfQuery, reqs: Sequence[_TermRequirements]
-    ) -> dict[int, object] | None:
+    @staticmethod
+    def _union(records: Sequence[_Prepared]) -> dict[int, object] | None:
         """All terms' tags by action id, or None where the ordered merge
-        finds a conflict: a term failing alone, two terms tagging one
-        action differently, or an output erased or unreadable. This
-        only decides; _first_clash names the conflict, the first one the
+        finds a conflict: a term failing alone or unreadable, two terms
+        tagging one action differently, or an output erased. This only
+        decides; _first_clash names the conflict, the first one the
         reference order meets."""
         tags: dict[int, object] = {}
-        for req in reqs:
-            if req.failure is not None:
+        for _, req, _, plan in records:
+            if plan is None:
                 return None
+            if not tags:
+                tags = req.tags.copy()
+                continue
             for i, tag in req.tags.items():
                 if tags.setdefault(i, tag) != tag:
                     return None
-        for t in q.terms:
-            if tags.get(self._rand.get(t.variable), NATURAL) is not NATURAL:
-                return None
-            if not self.actions.has_read(t.variable):
+        for record in records:
+            if tags.get(record.rand, NATURAL) is not NATURAL:
                 return None
         return tags
 

@@ -134,6 +134,30 @@ def test_sampled_metric_realizes_each_coupled_query_once(monkeypatch):
         mu_ctf(example2_scm(), exact=False, n=100, seed=6)
 
 
+def test_sampled_metric_seeds_each_plan_from_its_seed_or_fresh_entropy(monkeypatch):
+    seeds = []
+    draw = fairness.draw_plan_batch
+
+    def capturing_draw(plan, model, n, seed=None):
+        seeds.append(seed)
+        return draw(plan, model, n, seed=seed)
+
+    monkeypatch.setattr(fairness, "draw_plan_batch", capturing_draw)
+    for seed in (20240106, 0, None, None):
+        mu_ctf(example2_scm(), exact=False, n=50, seed=seed)
+    assert len(seeds) == 8
+    # an integer seed keeps its stream: plan i draws from SeedSequence([seed, i])
+    for got, want in zip(seeds[:4], ([20240106, 0], [20240106, 1], [0, 0], [0, 1])):
+        assert got.entropy == want
+        assert (got.generate_state(4) == np.random.SeedSequence(want).generate_state(4)).all()
+    # seed=None draws fresh entropy once per call, shared by its two plans
+    fresh = [s.entropy for s in seeds[4:]]
+    assert [e[1] for e in fresh] == [0, 1, 0, 1]
+    assert fresh[0][0] == fresh[1][0] and fresh[2][0] == fresh[3][0]
+    assert fresh[0][0] != fresh[2][0]
+    assert 0 not in (fresh[0][0], fresh[2][0])
+
+
 def test_sampled_metric_concentrates():
     report = mu_ctf(example2_scm(), exact=False, n=20_000, seed=6)
     assert report.mu_ctf == pytest.approx(0.10, abs=0.02)

@@ -1,4 +1,11 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +86,54 @@ def test_regime_entry_validation():
             "Y",
             (RegimeEntry("X", 1), RegimeEntry("X", 0, frozenset({"Z"}))),
         )
+    # two full entries are no per-edge split, whether or not they agree
+    for text in ("P(Y[X=1, X=0])", "P(Y[X=1, X=1])"):
+        with pytest.raises(QueryError, match="regime assigns 'X' more than once"):
+            parse_query(text, bow_diagram())
+
+
+def _nested_term():
+    return PotentialResponse(
+        "Y", (RegimeEntry("X", 1), RegimeEntry("Z", 0, frozenset({"Y"}))), 1
+    )
+
+
+def test_term_hash_survives_pickle_and_copy_without_its_cache():
+    t = _nested_term()
+    h = hash(t)
+    for other in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert "_hash" not in other.__dict__
+        assert other == t and hash(other) == h
+    # the pickled state holds the fields only, also for the regime entries
+    # (whose hashes the term's hash computed)
+    for obj in (t, *t.regime):
+        state = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert "_hash" in obj.__dict__ and "_hash" not in state
+    # the cache is no field and shows in neither equality nor repr
+    assert [f.name for f in dataclasses.fields(t)] == ["variable", "regime", "value"]
+    assert repr(t) == repr(_nested_term()) and "_hash" not in repr(t)
+
+
+def test_pickled_term_is_rehashed_under_another_hash_seed():
+    t = _nested_term()
+    hash(t)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"  # not ours
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import pickle, sys\n"
+        "from ctfrealize import PotentialResponse, RegimeEntry\n"
+        "t = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = PotentialResponse('Y', (RegimeEntry('X', 1), "
+        "RegimeEntry('Z', 0, frozenset({'Y'}))), 1)\n"
+        "print(hash('Y'), t in {fresh})\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(t), env=env,
+        capture_output=True, check=True, timeout=60,
+    ).stdout.split()
+    assert int(out[0]) != hash("Y")  # the subprocess hashes differently
+    assert out[1] == b"True"
 
 
 def test_ctf_ancestors_hub_conflict():

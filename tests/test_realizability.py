@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import warnings
 
 import pytest
@@ -39,6 +40,7 @@ from ctfrealize.realizability import (
     Conflict,
 )
 from ctfrealize.errors import QuerySyntaxError
+from ctfrealize.queries import normalize_term
 from ctfrealize.fixtures import (
     builtin_diagram,
     builtin_names,
@@ -394,6 +396,27 @@ def test_layer_degeneration_reads_plus_rand():
     )
 
 
+def merge_action_sets(diagram):
+    """The action sets the merge cross-checks run under, which between
+    them reach every failure class."""
+    first = diagram.variables[0]
+    rands = [rand_action(v) for v in diagram.variables]
+    maximal = maximal_action_set(diagram)
+    return (
+        maximal,
+        maximal.union(ActionSet(rands)),
+        # whole-variable randomizations only, and no read of the first
+        # variable: outputs can be erased or unreadable
+        ActionSet(
+            [select(), *(read_action(v) for v in diagram.variables[1:])]
+            + rands
+        ),
+        # no randomization of the first variable: its value can have no
+        # action to fix it
+        ActionSet(a for a in maximal if a.kind != CTF_RAND or a.var != first),
+    )
+
+
 # sha256 of describe(), and of repr(conflict) for a failing query, over
 # every pair of test_fast_merge_matches_ordered_merge, as the decision
 # procedure gave them before its ordered merge moved to action ids
@@ -408,23 +431,8 @@ def test_fast_merge_matches_ordered_merge():
     digest = hashlib.sha256()
     classes = set()
     for diagram in itertools.islice(enumerate_mixed_graphs(4), 100, 1400, 300):
-        first = diagram.variables[0]
-        rands = [rand_action(v) for v in diagram.variables]
-        maximal = maximal_action_set(diagram)
         terms = enumerate_terms(diagram)
-        for actions in (
-            maximal,
-            maximal.union(ActionSet(rands)),
-            # whole-variable randomizations only, and no read of the first
-            # variable: outputs can be erased or unreadable
-            ActionSet(
-                [select(), *(read_action(v) for v in diagram.variables[1:])]
-                + rands
-            ),
-            # no randomization of the first variable: its value can have no
-            # action to fix it
-            ActionSet(a for a in maximal if a.kind != CTF_RAND or a.var != first),
-        ):
+        for actions in merge_action_sets(diagram):
             checker = RealizabilityChecker(diagram, actions)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -445,6 +453,47 @@ def test_fast_merge_matches_ordered_merge():
         NATURAL_CONFLICT_RAND, OUTPUT_ERASED, READ_UNAVAILABLE,
     }
     assert digest.hexdigest() == FAST_MERGE_DIGEST
+
+
+def test_single_and_triple_verdicts_match_the_ordered_merge():
+    # a single term is decided from its prepared plan and a triple by the
+    # flat union; both must agree with the ordered merge, and a plan's tags
+    # must be the terms' own tags merged by action id
+    classes = set()
+    rng = random.Random(1703)
+    for diagram in itertools.islice(enumerate_mixed_graphs(4), 100, 1400, 300):
+        terms = enumerate_terms(diagram)
+        triples = rng.sample(list(itertools.combinations(terms, 3)), 300)
+        for actions in merge_action_sets(diagram):
+            checker = RealizabilityChecker(diagram, actions)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for q in [CtfQuery((t,)) for t in terms] + [CtfQuery(c) for c in triples]:
+                    verdict = checker.realize(q)
+                    nq = q.normalized(diagram)
+                    reqs = [checker.term_requirements(t) for t in nq.terms]
+                    clash = checker._first_clash(nq, reqs)
+                    assert bool(verdict) == (clash is None), q
+                    assert verdict.query == nq, q
+                    if not verdict:
+                        assert verdict.conflict == clash, q
+                        classes.add((len(q.terms), clash.failure))
+                        continue
+                    naive = {}
+                    for req in reqs:
+                        naive.update(req.tags)
+                    rands = checker._randomizations
+                    assert verdict.tags == tuple((rands[i], naive[i]) for i in sorted(naive)), q
+            # no term tags its own variable's randomization, so a single
+            # term can never erase its own output
+            for t in terms:
+                kept, _ = normalize_term(t, diagram)
+                assert checker._rand.get(kept.variable) not in checker.term_requirements(kept).tags
+    assert {c for n, c in classes if n == 1} == {NO_ACTION, READ_UNAVAILABLE}
+    assert {c for n, c in classes if n == 3} == {
+        VALUE_CONFLICT_CTF, VALUE_CONFLICT_RAND, NO_ACTION, NATURAL_CONFLICT_CTF,
+        NATURAL_CONFLICT_RAND, OUTPUT_ERASED, READ_UNAVAILABLE,
+    }
 
 
 def test_required_actions_are_the_performed_steps():
