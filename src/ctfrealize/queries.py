@@ -51,6 +51,18 @@ class RegimeEntry:
 
     _hash = None  # the field hash, set by the first __hash__
 
+    def __post_init__(self):
+        # a list, tuple or set of child names is stored as a frozenset, so
+        # that the entry hashes and compares like a parsed one
+        t = self.targets
+        if t is None or type(t) is frozenset:
+            return
+        if not isinstance(t, (list, tuple, set, frozenset)):
+            raise QueryError(
+                f"targets of {self.var!r} must be a collection of child names, not {t!r}"
+            )
+        object.__setattr__(self, "targets", frozenset(t))
+
     def __hash__(self) -> int:
         h = self._hash
         if h is None:

@@ -22,19 +22,22 @@ sequences that a realization plan never produces.
 Randomization draws uniformly from the variable's domain, as the
 agent's coin does, unless the caller writes a value.
 
-``draw_plan_batch``, ``sample_observational`` and
-``sample_interventional`` share one rejection executor that draws units
-in array blocks: selection by ``searchsorted`` over the exogenous CDF,
-every uniform draw of the block in one ``integers`` call, and
-acceptance as a row-wise match of the draws against the required
-values. This is exact, not an approximation. The draws are uniform and
-independent of the unit, and an accepted unit's draws equal the
-required values, so its output row depends only on its exogenous
-assignment ``u``. The executor therefore evaluates each distinct
-accepted ``u`` once, on a ``Unit`` with the required values written,
-and copies that row to every accepted unit with the same ``u``.
-``Unit`` stays the only evaluator of mechanisms, and ``execute_plan``
-keeps the unit-at-a-time procedure as the reference.
+One executor, ``draw_plan_batch``, takes every batch as a plan.
+Observational and interventional sampling are its two simplest plans:
+``sample_observational`` reads every variable under a plan with no
+randomization, and ``sample_interventional`` tags ``Rand(x)`` with
+each requested value. The executor draws units in array blocks:
+selection by ``searchsorted`` over the exogenous CDF, every uniform
+draw of the block in one ``integers`` call, and acceptance as a
+row-wise match of the draws against the required values. This is
+exact, not an approximation. The draws are uniform and independent of
+the unit, and an accepted unit's draws equal the required values, so
+its output row depends only on its exogenous assignment ``u``. The
+executor therefore evaluates each distinct accepted ``u`` once, on a
+``Unit`` with the required values written, and copies that row to
+every accepted unit with the same ``u``. ``Unit`` stays the only
+evaluator of mechanisms, and ``execute_plan`` keeps the unit-at-a-time
+procedure as the reference.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ActionError, ContainmentViolation, EstimationError, FCEViolation
+from .errors import ActionError, ContainmentViolation, EstimationError, FCEViolation, QueryError
 from .graphs import Value
 from .models import ScmModel
 from .queries import CtfQuery, query, response
@@ -64,7 +67,8 @@ UNFIRED = "unfired"
 FIRED = "fired"
 ERASED = "erased"
 
-DEFAULT_MAX_REJECTIONS = 10**6
+# rejected units in a row after which one sample gives up
+MAX_REJECTIONS = 10**6
 # units per array block of the rejection executor: caps its memory (a
 # block holds one draw per unit and randomization) whatever the
 # acceptance probability
@@ -321,17 +325,24 @@ def _required_codes(
     return codes
 
 
+def _cap_error(plan: RealizationPlan) -> EstimationError:
+    accept = plan.acceptance_probability()
+    return EstimationError(
+        f"exceeded {MAX_REJECTIONS} rejected units for one sample; "
+        f"uniform-draw acceptance probability is about {accept:.3g}"
+    )
+
+
 def execute_plan(
-    plan: RealizationPlan,
-    experiment: Experiment,
-    max_rejections: int = DEFAULT_MAX_REJECTIONS,
+    plan: RealizationPlan, experiment: Experiment
 ) -> tuple[tuple[Value, ...], int]:
     """Draw one i.i.d. sample row for the plan's query.
 
     Units are selected from the experiment, randomized per the plan by
     uniform draws, discarded whenever a draw misses its required value,
     and read out. Returns the row (ordered like the query terms) and the
-    number of discarded units.
+    number of discarded units. Raises once ``MAX_REJECTIONS`` units in a
+    row are discarded.
     """
     interventions = plan.required_actions()
     _required_codes(experiment.model, interventions)
@@ -341,12 +352,8 @@ def execute_plan(
         if all(_perform(unit, action) == required for action, required in interventions):
             return tuple(unit.read(t.variable) for t in plan.query.terms), rejected
         rejected += 1
-        if rejected >= max_rejections:
-            accept = plan.acceptance_probability()
-            raise EstimationError(
-                f"exceeded {max_rejections} rejected units for one sample; "
-                f"uniform-draw acceptance probability is about {accept:.3g}"
-            )
+        if rejected >= MAX_REJECTIONS:
+            raise _cap_error(plan)
 
 
 def draw_plan_batch(
@@ -354,49 +361,25 @@ def draw_plan_batch(
     model: ScmModel,
     n: int,
     seed: int | np.random.SeedSequence | None = None,
-    max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> SampleBatch:
-    """N executed-plan samples with a per-sample rejection cap: the
-    plan's procedure, run by the block executor (see the module
-    docstring)."""
-    accept = plan.acceptance_probability()
-    return _run_rejection(
-        model,
-        plan.query,
-        plan.required_actions(),
-        n,
-        seed,
-        max_rejections,
-        f"exceeded {max_rejections} rejected units for one sample; "
-        f"uniform-draw acceptance probability is about {accept:.3g}",
-    )
-
-
-def _run_rejection(
-    model: ScmModel,
-    q: CtfQuery,
-    interventions: Sequence[tuple[Action, Value]],
-    n: int,
-    seed: int | np.random.SeedSequence | None,
-    max_rejections: int,
-    cap_message: str,
-) -> SampleBatch:
-    """The rejection executor: select units, randomize them by uniform
-    draws as ``interventions`` says, keep a unit only if every draw
-    equals its required value, and read the variables of ``q``'s terms
-    from the kept ones.
+    """N i.i.d. samples of the plan's query, by the one rejection
+    executor (see the module docstring): select units, randomize them by
+    uniform draws as ``plan.required_actions()`` says, keep a unit only
+    if every draw equals its required value, and read the variables of
+    the query's terms from the kept ones.
 
     Units come in array blocks sized from the acceptance probability so
     that one block usually covers the batch, up to MAX_BLOCK_UNITS.
     ``rejected_units`` counts the units drawn up to the n-th acceptance,
     less n. The cap raises once some sample's run of consecutive rejected
-    units reaches ``max_rejections``; runs continue across blocks."""
-    batch = SampleBatch(q)
+    units reaches ``MAX_REJECTIONS``; runs continue across blocks."""
+    batch = SampleBatch(plan.query)
     if n <= 0:
         return batch
+    interventions = plan.required_actions()
     required = np.array(_required_codes(model, interventions), dtype=np.int64)
     experiment = Experiment(model, seed=seed)
-    reads = [t.variable for t in q.terms]
+    reads = [t.variable for t in plan.query.terms]
 
     def evaluate(i: int) -> tuple[Value, ...]:
         unit = experiment.unit_at(i)
@@ -413,7 +396,7 @@ def _run_rejection(
         dtype=np.int64,
     )
     p = 1.0 / math.prod(sizes.tolist())
-    limit = max(max_rejections, 1)
+    limit = max(MAX_REJECTIONS, 1)
     accepted = []
     need, run, rejected = n, 0, 0  # run: rejections since the last acceptance
     while need:
@@ -425,7 +408,7 @@ def _run_rejection(
         ends = hits if len(hits) == need else np.append(hits, k)
         runs = np.diff(ends, prepend=-1 - run) - 1
         if runs.max() >= limit:
-            raise EstimationError(cap_message)
+            raise _cap_error(plan)
         # units drawn before the n-th acceptance: through it, or the whole block
         used = int(ends[-1]) + (len(hits) == need)
         rejected += used - len(hits)
@@ -464,9 +447,10 @@ def sample_observational(
     n: int,
     seed: int | np.random.SeedSequence | None = None,
 ) -> SampleBatch:
-    """Select units and read every variable naturally."""
+    """Select units and read every variable naturally: the plan with no
+    randomization."""
     q = query(*[response(v) for v in model.diagram.variables])
-    return _run_rejection(model, q, (), n, seed, DEFAULT_MAX_REJECTIONS, "")
+    return draw_plan_batch(RealizationPlan(q, model.diagram, ()), model, n, seed)
 
 
 def sample_interventional(
@@ -478,15 +462,13 @@ def sample_interventional(
 ) -> SampleBatch:
     """Randomize each regime variable, keep units whose draws hit the
     requested values, and read the outcome variables (by default every
-    variable outside the regime)."""
-    outcome = tuple(outcome or [v for v in model.diagram.variables if v not in do])
+    variable outside the regime): the plan that tags ``Rand(x)`` with
+    ``do[x]``, in topological order."""
+    diagram = model.diagram
+    for x in do:
+        if x not in diagram:
+            raise QueryError(f"unknown regime variable {x!r}")
+    outcome = tuple(outcome or [v for v in diagram.variables if v not in do])
     q = query(*[response(v, dict(do)) for v in outcome])
-    return _run_rejection(
-        model,
-        q,
-        [(rand_action(x), wanted) for x, wanted in do.items()],
-        n,
-        seed,
-        DEFAULT_MAX_REJECTIONS,
-        f"exceeded {DEFAULT_MAX_REJECTIONS} rejections while enforcing do({dict(do)})",
-    )
+    tags = tuple((rand_action(x), do[x]) for x in diagram.topological_order() if x in do)
+    return draw_plan_batch(RealizationPlan(q, diagram, tags), model, n, seed)

@@ -14,14 +14,18 @@ from ctfrealize import (
     PotentialResponse,
     QueryError,
     QuerySyntaxError,
+    RealizabilityChecker,
     RegimeEntry,
     counterfactual_ancestors,
+    exact_l3_probability,
+    maximal_action_set,
     parse_query,
     query,
     response,
 )
 from ctfrealize.fixtures import (
     bow_diagram,
+    bow_model,
     fan_diagram,
     hub_conflict_diagram,
     mediation_diagram,
@@ -90,6 +94,31 @@ def test_regime_entry_validation():
     for text in ("P(Y[X=1, X=0])", "P(Y[X=1, X=1])"):
         with pytest.raises(QueryError, match="regime assigns 'X' more than once"):
             parse_query(text, bow_diagram())
+
+
+def test_regime_targets_of_any_collection_decide_like_a_frozenset():
+    model = bow_model()
+    checker = RealizabilityChecker(model.diagram, maximal_action_set(model.diagram))
+
+    def ett(targets):
+        y = PotentialResponse("Y", (RegimeEntry("X", 1, targets),), 1)
+        return query(y, response("X", value=0))
+
+    def verdict(q):
+        # the checker takes plain value subscripts only, so a path-restricted
+        # term is refused, with the same message for every container
+        with pytest.raises(QueryError, match="path-restricted") as err:
+            checker.realize(q)
+        return str(err.value)
+
+    reference = ett(frozenset({"Y"}))
+    for targets in (["Y"], ("Y",), {"Y"}):
+        q = ett(targets)
+        assert q == reference and hash(q) == hash(reference)
+        assert verdict(q) == verdict(reference)
+        assert exact_l3_probability(model, q) == exact_l3_probability(model, reference)
+    with pytest.raises(QueryError, match="collection of child names"):
+        RegimeEntry("X", 1, "Y")
 
 
 def _nested_term():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from ctfrealize import (
     Experiment,
     FCEViolation,
     Mechanism,
+    QueryError,
     RealizabilityChecker,
     RealizationPlan,
     ScmModel,
@@ -449,14 +451,15 @@ def test_plan_without_randomizations_never_rejects():
     assert batch.rejected_units == 0
 
 
-def test_execute_plan_rejection_cap():
+def test_execute_plan_rejection_cap(monkeypatch):
     model = bow_model()
     q = parse_query("P(Y[X=1], X)", model.diagram)
     plan = ctf_realize(q, model.diagram, maximal_action_set(model.diagram))
     exp = Experiment(model, seed=21)
+    monkeypatch.setattr(simulate, "MAX_REJECTIONS", 1)
     with pytest.raises(EstimationError, match="acceptance probability"):
         for _ in range(64):  # some attempt will reject at least once
-            execute_plan(plan, exp, max_rejections=1)
+            execute_plan(plan, exp)
 
 
 def fixture_plan(model, text):
@@ -485,11 +488,12 @@ def test_rejected_units_follow_the_geometric_law(model, text, n, batches):
     assert abs(rejected - total * (1 - p) / p) < 5 * sigma
 
 
-def test_draw_plan_batch_rejection_cap():
+def test_draw_plan_batch_rejection_cap(monkeypatch):
     model = bow_model()
     plan = fixture_plan(model, "P(Y[X=1], X)")
+    monkeypatch.setattr(simulate, "MAX_REJECTIONS", 1)
     with pytest.raises(EstimationError, match="acceptance probability"):
-        draw_plan_batch(plan, model, 64, seed=29, max_rejections=1)
+        draw_plan_batch(plan, model, 64, seed=29)
 
 
 def test_rejection_runs_continue_across_blocks(monkeypatch):
@@ -498,9 +502,11 @@ def test_rejection_runs_continue_across_blocks(monkeypatch):
     model = fan_model()
     plan = fixture_plan(model, "P(Y[X=1], Z[X=0], W[X=1])")
     monkeypatch.setattr(simulate, "MAX_BLOCK_UNITS", 4)
+    monkeypatch.setattr(simulate, "MAX_REJECTIONS", 6)
     with pytest.raises(EstimationError, match="acceptance probability"):
-        draw_plan_batch(plan, model, 2_000, seed=30, max_rejections=6)
-    batch = draw_plan_batch(plan, model, 2_000, seed=30, max_rejections=200)
+        draw_plan_batch(plan, model, 2_000, seed=30)
+    monkeypatch.setattr(simulate, "MAX_REJECTIONS", 200)
+    batch = draw_plan_batch(plan, model, 2_000, seed=30)
     assert len(batch) == 2_000
     exact = exact_distribution(model, plan.query)
     assert exact.total_variation(batch.empirical()) < 0.05
@@ -583,9 +589,49 @@ def test_batch_rows_are_tuples_of_domain_values():
             assert all(type(v) is int for v in row)
 
 
+# sha256 of repr((query, rows, rejected_units)) of each batch, computed at
+# commit 381ed60, where observational and interventional batches each
+# called the rejection executor with their own arguments rather than a plan
+SAMPLER_STREAM_DIGESTS = {
+    ("obs", "bow"):
+        "80540844c6d7d95cd223c89d77892b1a6c599d38ae638dcb8717e21667d2fdad",
+    ("obs", "fan"):
+        "86a6611fe0a0e2aa69bffaa6a1c3ff304da2af0843a497c0865e0f41cfc1109d",
+    ("obs", "hub_split"):
+        "34493d27ca4a3e64a7aad65f3f565f15f01edaf4cb7d2c3798d35f540d27d1dd",
+    ("int", "bow"):
+        "62077ccb73d60ee16a4f991b8c1a4358ebb3485552950589dfecadf192d35ea7",
+    ("int", "fan"):
+        "8a7d64e74aa08f004d710ab0057303a770f6d6d8439d42e79eabcfe3e3a3b28d",
+    ("int", "hub_split"):
+        "5283d3dde7eebf4ce94b3c8e5e27281429a6b9675b1d4d66c0b0014483c3b0a6",
+}
+
+
+def sampler_streams():
+    models = {"bow": bow_model(), "fan": fan_model(), "hub_split": hub_split_model()}
+    do = {"bow": {"X": 1}, "fan": {"X": 0}, "hub_split": {"T": 1, "X": 0}}
+    for i, (name, model) in enumerate(models.items()):
+        yield ("obs", name), sample_observational(model, 2_000, seed=40 + i)
+        yield ("int", name), sample_interventional(model, do[name], 2_000, seed=50 + i)
+
+
+def test_observational_and_interventional_streams_are_pinned():
+    for key, batch in sampler_streams():
+        text = repr((batch.query, batch.rows, batch.rejected_units))
+        assert hashlib.sha256(text.encode()).hexdigest() == SAMPLER_STREAM_DIGESTS[key], key
+
+
 def test_interventional_value_outside_the_domain_fails_at_once():
     with pytest.raises(EstimationError, match="cannot draw"):
         sample_interventional(bow_model(), {"X": 7}, 10, seed=36, outcome=["Y"])
+
+
+def test_interventional_unknown_variable_is_a_query_error():
+    with pytest.raises(QueryError, match="unknown regime variable 'Q'"):
+        sample_interventional(bow_model(), {"Q": 1}, 10, seed=1)
+    with pytest.raises(QueryError, match="unknown regime variable 'Q'"):
+        sample_interventional(bow_model(), {"X": 1, "Q": 1}, 10, seed=1, outcome=["Y"])
 
 
 def test_estimate_trivial_and_errors():
