@@ -57,11 +57,17 @@ class RegimeEntry:
         t = self.targets
         if t is None or type(t) is frozenset:
             return
-        if not isinstance(t, (list, tuple, set, frozenset)):
-            raise QueryError(
-                f"targets of {self.var!r} must be a collection of child names, not {t!r}"
-            )
-        object.__setattr__(self, "targets", frozenset(t))
+        if isinstance(t, (list, tuple, set, frozenset)):
+            try:
+                targets = frozenset(t)
+            except TypeError:  # an unhashable item, which no child name is
+                pass
+            else:
+                object.__setattr__(self, "targets", targets)
+                return
+        raise QueryError(
+            f"targets of {self.var!r} must be a collection of child names, not {t!r}"
+        )
 
     def __hash__(self) -> int:
         h = self._hash

@@ -25,15 +25,19 @@ always witnessed by a pair of terms. ``RealizabilityChecker`` prepares
 each raw query term once into one record: the normalized term (each
 dropped subscript warns then, once), its requirements keyed by action
 id (the action's position in plan order), the id of its output's
-whole-variable randomization, and, when the term is realizable alone,
-its plan tags in plan order. ``realize`` returns a single term's plan
-straight from its record. A longer query is decided by the one
-order-free union of the records: the first term's tags copied, the
-others merged into them, then every output checked for erasure. Only a
-failing query takes the ordered reference merge (variables in
-topological order, terms in query order), which names the first clash
-it meets; every ``Conflict``, whatever its failure class, is built from
-it.
+whole-variable randomization, and whether the term is realizable alone.
+``realize`` decides a single term from its record. A longer query is
+decided by the one order-free union of the records: the first term's
+tags copied, the others merged into them, then every output checked for
+erasure.
+
+A verdict holds what the decision computed and derives the rest when it
+is first read. A plan holds its tags keyed by action id and sorts them
+into plan order on first access. A failing verdict holds each term's
+requirements; on the first read of its conflict it runs the ordered
+reference merge (variables in topological order, terms in query order),
+which names the first clash it meets. Every ``Conflict``, whatever its
+failure class, comes from that merge.
 """
 
 from __future__ import annotations
@@ -296,20 +300,44 @@ class Conflict:
         )
 
 
-@dataclass(frozen=True)
 class NotRealizable:
-    """Negative verdict with a structured witness. The criterion's
-    witness pair is computed on first access, since most callers only
-    need the verdict and the conflict."""
-
-    query: CtfQuery
-    conflict: Conflict
-    diagram: CausalDiagram = field(compare=False, repr=False)
+    """Negative verdict with a structured witness. ``realize`` builds it
+    from what the decision computed: the normalized query and each
+    term's requirements. The conflict (the ordered merge's first clash)
+    and the criterion's witness pair are computed on first access, since
+    most callers only need the verdict. Two verdicts are equal when
+    their queries and conflicts are."""
 
     realizable = False
 
+    def __init__(
+        self,
+        query: CtfQuery,
+        reqs: Sequence["_TermRequirements"],
+        checker: "RealizabilityChecker",
+    ):
+        self.query = query
+        self.diagram = checker.diagram
+        self._reqs = reqs
+        self._checker = checker
+
     def __bool__(self) -> bool:
         return False
+
+    @cached_property
+    def conflict(self) -> Conflict:
+        return self._checker._first_clash(self.query, self._reqs)  # type: ignore[return-value]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.query, self.conflict) == (other.query, other.conflict)
+
+    def __hash__(self) -> int:
+        return hash((self.query, self.conflict))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(query={self.query!r}, conflict={self.conflict!r})"
 
     @cached_property
     def criterion_pair(self) -> tuple[PotentialResponse, PotentialResponse] | None:
@@ -341,25 +369,70 @@ class PlanStep:
     read_terms: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class RealizationPlan:
     """Executable schedule for drawing one i.i.d. sample of the query.
 
     ``tags`` lists every action the query's terms tag, in plan order (by
     the variable's topological position, then by Action.sort_key), with
     its tag: the value the randomization must draw, or NATURAL for an
-    action that must not be performed. The steps, the held-back actions
-    and the notes are derived from it on first access, since deciding a
-    query needs none of them."""
-
-    query: CtfQuery
-    diagram: CausalDiagram
-    tags: tuple[tuple[Action, object], ...]
+    action that must not be performed. A plan built by
+    ``RealizationPlan(query, diagram, tags)`` holds them as given. One
+    that ``realize`` builds holds the tags keyed by action id, as the
+    decision left them, and sorts them into plan order on first access.
+    The steps, the held-back actions and the notes are derived from the
+    tags on first access too, since deciding a query needs none of them.
+    Two plans are equal when their queries, diagrams and tags are."""
 
     realizable = True
 
+    def __init__(
+        self,
+        query: CtfQuery,
+        diagram: CausalDiagram,
+        tags: tuple[tuple[Action, object], ...],
+    ):
+        self.query = query
+        self.diagram = diagram
+        self.tags = tags
+
+    @classmethod
+    def _from_ids(
+        cls,
+        query: CtfQuery,
+        diagram: CausalDiagram,
+        tag_by_id: dict[int, object],
+        randomizations: tuple[Action, ...],
+    ) -> "RealizationPlan":
+        """The plan whose tags are ``tag_by_id``'s, each id an index into
+        ``randomizations`` (plan order); the dict is read, never written."""
+        plan = cls.__new__(cls)
+        plan.query = query
+        plan.diagram = diagram
+        plan._tag_by_id = tag_by_id
+        plan._randomizations = randomizations
+        return plan
+
+    @cached_property
+    def tags(self) -> tuple[tuple[Action, object], ...]:
+        rands, tag_by_id = self._randomizations, self._tag_by_id
+        return tuple([(rands[i], tag_by_id[i]) for i in sorted(tag_by_id)])
+
     def __bool__(self) -> bool:
         return True
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.query, self.diagram, self.tags) == (other.query, other.diagram, other.tags)
+
+    def __hash__(self) -> int:
+        return hash((self.query, self.diagram, self.tags))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(query={self.query!r}, "
+            f"diagram={self.diagram!r}, tags={self.tags!r})"
+        )
 
     @cached_property
     def steps(self) -> tuple[PlanStep, ...]:
@@ -450,14 +523,13 @@ class _TermRequirements:
 class _Prepared(NamedTuple):
     """One raw query term as realize reads it: the normalized term, its
     requirements, the id of its variable's whole-variable randomization
-    (None without one), and its plan tags in plan order when the term is
-    realizable alone; ``plan`` is None when it fails alone or its output
-    has no read."""
+    (None without one), and whether the term is realizable alone (it
+    neither fails alone nor has an output without a read)."""
 
     kept: PotentialResponse
     req: _TermRequirements
     rand: int | None
-    plan: tuple[tuple[Action, object], ...] | None
+    alone: bool
 
 
 class RealizabilityChecker:
@@ -468,11 +540,12 @@ class RealizabilityChecker:
     against the diagram at the first decision, not at construction.
 
     Each raw term a query holds is prepared once into a ``_Prepared``
-    record, so a warm ``realize`` only looks records up: a single term
-    returns the plan its record holds, with no merge and no sort, and a
-    longer query takes the one order-free union, ``_union``. A failing
-    query then takes ``_first_clash``, the one ordered merge, which
-    builds every ``Conflict``."""
+    record, so a warm ``realize`` only looks records up: a single term is
+    decided by its record, with no merge, and a longer query takes the
+    one order-free union, ``_union``. Neither sorts tags or names a
+    conflict; the verdict does that on first access, a failing one
+    through ``_first_clash``, the one ordered merge, which builds every
+    ``Conflict``."""
 
     def __init__(self, diagram: CausalDiagram, actions: ActionSet):
         self.diagram = diagram
@@ -570,15 +643,12 @@ class RealizabilityChecker:
         CtfQuery((t,)).validate(self.diagram)
         kept, messages = normalize_term(t, self.diagram)
         req = self.term_requirements(kept)
-        plan = None
         # a term never tags its own variable's randomization (the walk skips
         # W), so alone it fails only by itself or by an unreadable output
-        if req.failure is None and self.actions.has_read(kept.variable):
-            rands = self._randomizations
-            plan = tuple([(rands[i], req.tags[i]) for i in sorted(req.tags)])
+        alone = req.failure is None and self.actions.has_read(kept.variable)
         for message in messages:
             warnings.warn(message, stacklevel=3)
-        record = self._prepared[t] = _Prepared(kept, req, self._rand.get(kept.variable), plan)
+        record = self._prepared[t] = _Prepared(kept, req, self._rand.get(kept.variable), alone)
         return record
 
     # -- merging terms ---------------------------------------------------
@@ -591,21 +661,17 @@ class RealizabilityChecker:
         except TypeError:  # an unhashable value, which no domain holds
             q.validate(self.diagram)
             raise
+        for r, t in zip(records, q.terms):
+            if r.kept is not t:
+                q = CtfQuery(tuple([r.kept for r in records]))
+                break
         if len(records) == 1:
-            kept, req, _, plan = records[0]
-            if kept is not q.terms[0]:
-                q = CtfQuery((kept,))
-            if plan is not None:
-                return RealizationPlan(q, self.diagram, plan)
-            return NotRealizable(q, self._first_clash(q, (req,)), self.diagram)
-        terms = tuple([r.kept for r in records])
-        if terms != q.terms:
-            q = CtfQuery(terms)
-        tags = self._union(records)
+            tags = records[0].req.tags if records[0].alone else None
+        else:
+            tags = self._union(records)
         if tags is None:
-            return NotRealizable(q, self._first_clash(q, [r.req for r in records]), self.diagram)
-        rands = self._randomizations
-        return RealizationPlan(q, self.diagram, tuple([(rands[i], tags[i]) for i in sorted(tags)]))
+            return NotRealizable(q, [r.req for r in records], self)
+        return RealizationPlan._from_ids(q, self.diagram, tags, self._randomizations)
 
     @staticmethod
     def _union(records: Sequence[_Prepared]) -> dict[int, object] | None:
@@ -615,8 +681,8 @@ class RealizabilityChecker:
         decides; _first_clash names the conflict, the first one the
         reference order meets."""
         tags: dict[int, object] = {}
-        for _, req, _, plan in records:
-            if plan is None:
+        for _, req, _, alone in records:
+            if not alone:
                 return None
             if not tags:
                 tags = req.tags.copy()

@@ -469,6 +469,9 @@ def sample_interventional(
         if x not in diagram:
             raise QueryError(f"unknown regime variable {x!r}")
     outcome = tuple(outcome or [v for v in diagram.variables if v not in do])
+    for v in outcome:
+        if v not in diagram:
+            raise QueryError(f"unknown outcome variable {v!r}")
     q = query(*[response(v, dict(do)) for v in outcome])
     tags = tuple((rand_action(x), do[x]) for x in diagram.topological_order() if x in do)
     return draw_plan_batch(RealizationPlan(q, diagram, tags), model, n, seed)

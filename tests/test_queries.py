@@ -117,8 +117,9 @@ def test_regime_targets_of_any_collection_decide_like_a_frozenset():
         assert q == reference and hash(q) == hash(reference)
         assert verdict(q) == verdict(reference)
         assert exact_l3_probability(model, q) == exact_l3_probability(model, reference)
-    with pytest.raises(QueryError, match="collection of child names"):
-        RegimeEntry("X", 1, "Y")
+    for targets in ("Y", [["Y"]]):
+        with pytest.raises(QueryError, match="collection of child names"):
+            RegimeEntry("X", 1, targets)
 
 
 def _nested_term():

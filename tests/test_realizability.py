@@ -456,7 +456,7 @@ def test_fast_merge_matches_ordered_merge():
 
 
 def test_single_and_triple_verdicts_match_the_ordered_merge():
-    # a single term is decided from its prepared plan and a triple by the
+    # a single term is decided from its prepared record and a triple by the
     # flat union; both must agree with the ordered merge, and a plan's tags
     # must be the terms' own tags merged by action id
     classes = set()
@@ -528,6 +528,42 @@ def test_verdicts_are_deterministic():
     q2 = parse_query("P(Z[X=0], W[T=0])", g2)
     plans = [ctf_realize(q2, g2, maximal_action_set(g2)) for _ in range(3)]
     assert len({p.describe() for p in plans}) == 1
+
+
+def test_verdicts_build_their_conflict_and_plan_order_on_first_access(monkeypatch):
+    # deciding runs neither the ordered merge nor the tag sort: a failing
+    # verdict names its conflict on the first read of .conflict, once, and
+    # a plan sorts its tags on the first read of .tags
+    first_clash = RealizabilityChecker._first_clash
+    calls = []
+
+    def counting(self, q, reqs):
+        calls.append(q)
+        return first_clash(self, q, reqs)
+
+    monkeypatch.setattr(RealizabilityChecker, "_first_clash", counting)
+    g1 = hub_conflict_diagram()
+    checker = RealizabilityChecker(g1, maximal_action_set(g1))
+    q = parse_query("P(Z[X=0], W[T=0])", g1)
+    verdict = checker.realize(q)
+    assert not bool(verdict) and calls == []
+    nq = q.normalized(g1)
+    conflict = verdict.conflict
+    assert len(calls) == 1
+    assert conflict == first_clash(checker, nq, [checker.term_requirements(t) for t in nq.terms])
+    assert verdict.conflict is conflict and len(calls) == 1
+    again = checker.realize(q)
+    assert again == verdict and hash(again) == hash(verdict) and repr(again) == repr(verdict)
+
+    g2 = hub_split_diagram()
+    checker = RealizabilityChecker(g2, maximal_action_set(g2))
+    for text in ("P(Z[X=0], W[T=0])", "P(Z[X=0])"):
+        plan = checker.realize(parse_query(text, g2))
+        assert plan and "tags" not in vars(plan), text
+        explicit = RealizationPlan(plan.query, plan.diagram, plan.tags)
+        assert plan.tags and plan.tags == explicit.tags, text
+        assert plan == explicit and explicit == plan, text
+        assert hash(plan) == hash(explicit) and repr(plan) == repr(explicit), text
 
 
 def test_compat_visit_count_quadratic_on_paths():

@@ -632,6 +632,8 @@ def test_interventional_unknown_variable_is_a_query_error():
         sample_interventional(bow_model(), {"Q": 1}, 10, seed=1)
     with pytest.raises(QueryError, match="unknown regime variable 'Q'"):
         sample_interventional(bow_model(), {"X": 1, "Q": 1}, 10, seed=1, outcome=["Y"])
+    with pytest.raises(QueryError, match="unknown outcome variable 'Q'"):
+        sample_interventional(bow_model(), {"X": 1}, 10, seed=1, outcome=["Q"])
 
 
 def test_estimate_trivial_and_errors():
