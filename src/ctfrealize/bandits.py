@@ -398,6 +398,17 @@ TIERS = {
 }
 
 
+def _tables_for(problem: MabProblem, tables: ExactTables | None) -> ExactTables:
+    """The given tables, or new ones for ``problem``; tables built for
+    another problem are refused, since every value read off them would
+    belong to that problem."""
+    if tables is None:
+        return ExactTables(problem)
+    if tables.problem is not problem and tables.problem != problem:
+        raise EstimationError("the exact tables were built for another problem")
+    return tables
+
+
 def check_strategy_realizable(problem: MabProblem, form: StrategyForm) -> None:
     """Raise unless the form's sampling distribution is realizable with
     the actions it uses."""
@@ -414,7 +425,7 @@ def evaluate_strategy_exact(
     problem: MabProblem, strategy: Strategy, tables: ExactTables | None = None
 ) -> float:
     """Exact expected per-round reward of following the strategy."""
-    tables = tables or ExactTables(problem)
+    tables = _tables_for(problem, tables)
     total = 0.0
     for p, _, z, xn, d_nat, d_x, y_x in tables.rows.values():
         s1 = strategy.d_stage[(z, xn)]
@@ -436,7 +447,7 @@ def best_strategy(
     go to the first arm. A strategy's value is a sum over keys of terms
     that depend only on that key's choices, so the per-key argmax is the
     form's optimum."""
-    tables = tables or ExactTables(problem)
+    tables = _tables_for(problem, tables)
     arms, keys = problem.arms, tables.keys()
     act = act_write if form.final == "write" else act_fix_y
     d_stage: dict[tuple, tuple] = {}
@@ -477,7 +488,7 @@ def brute_force_optimal(
     (z, x') -> fixed D-input crossed with every mapping (z, x', d) ->
     reward-input. Certifies the tier-opt value; ties break toward the
     lexicographically first mapping."""
-    tables = tables or ExactTables(problem)
+    tables = _tables_for(problem, tables)
     keys = tables.keys()
     arms = problem.arms
     d_dom = problem.post_domain
@@ -510,8 +521,12 @@ def brute_force_optimal(
 
 class ThompsonSolver:
     """Beta-Bernoulli posterior per arm key, each starting at Beta(1, 1).
-    Hot-started cells never reach the solver: the epoch loop scores them
-    with their exact observational mean and does not update them."""
+
+    The reference for the epoch loop: ``_play_epoch`` keeps the same
+    posteriors in two flat lists indexed by the memo's key ids, and the
+    tests require a loop that draws and updates through this solver,
+    keyed by tuples, to play the same arms. Hot-started cells are never
+    drawn or updated: they score with their exact observational mean."""
 
     def __init__(self):
         self.posterior: dict = {}  # key -> [alpha, beta]
@@ -562,11 +577,17 @@ class RunMetrics:
     def oap_band(self):
         return self._band(self.oap)
 
+    @staticmethod
+    def _terminal(arr: np.ndarray, window: int) -> float:
+        if window < 1:
+            raise EstimationError(f"terminal window {window} must be at least 1")
+        return float(arr[:, -window:].mean())
+
     def terminal_mean_reward(self, window: int = 500) -> float:
-        return float(self.reward[:, -window:].mean())
+        return self._terminal(self.reward, window)
 
     def terminal_oap(self, window: int = 500) -> float:
-        return float(self.oap[:, -window:].mean())
+        return self._terminal(self.oap, window)
 
     def final_regret(self) -> tuple[float, float, float]:
         mean, lo, hi = self.regret_band()
@@ -633,7 +654,12 @@ class _Responses:
     the first time the row is selected, and later rounds look it up.
     Rows index ``Experiment.support``, which every experiment on the
     model orders alike, so one memo serves all epochs. The metric lists
-    hold one entry per (row, D-input, arm) in build order."""
+    hold one entry per (row, D-input, arm) in build order.
+
+    Rows hold no solver keys: ``add_row`` gives each key (a D-stage cell
+    or an arm cell) a small integer id the first time it meets it, and
+    ``keys[id]`` names it. Ids are shared by all epochs, so the epoch
+    loop can keep its posteriors in lists indexed by id."""
 
     def __init__(self, problem: MabProblem, tables: ExactTables, policy: _Policy):
         self.problem = problem
@@ -641,15 +667,25 @@ class _Responses:
         self.policy = policy
         self.d_inputs = (None,) if policy.d_stage == "none" else problem.arms
         self.rows: dict[int, tuple] = {}
+        self.keys: list[tuple] = []  # id -> solver key
+        self._ids: dict[tuple, int] = {}
         self.regret: list[float] = []
         self.reward: list[float] = []
         self.oap: list[float] = []
         self._optimal: dict[tuple, tuple[bool, ...]] = {}
 
+    def _id(self, key: tuple) -> int:
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
+
     def add_row(self, i: int, u: tuple) -> tuple:
         """Score row ``i``, whose exogenous assignment is ``u``, under every
-        D-input and arm. Returns (D-stage solver keys, one (arm cells,
-        rewards, metric offset) branch per D-input)."""
+        D-input and arm. Returns (D-stage key ids, one (arm cells, rewards,
+        metric offset) branch per D-input); an arm cell is (key id, pin),
+        where pin is the hot-start mean or None."""
         p, policy, tables = self.problem, self.policy, self.tables
         _, core, z, xn, _, d_x, y_x = tables.rows[u]
         oracle = tables.oracle_value(core)
@@ -660,7 +696,7 @@ class _Responses:
             cells = []
             for x in p.arms:
                 hot = policy.hot_cell(z, xn, x2, d, x)
-                cells.append((policy.arm_key(z, xn, x2, d, x),
+                cells.append((self._id(policy.arm_key(z, xn, x2, d, x)),
                               None if hot is None else tables.obs_mean(hot)))
             branches.append((tuple(cells), rewards, len(self.reward)))
             for x, ok in zip(p.arms, self._optimal_arms(z, xn, x2, d)):
@@ -668,10 +704,10 @@ class _Responses:
                 self.regret.append(oracle - mean)
                 self.reward.append(mean)
                 self.oap.append(1.0 if ok else 0.0)
-        d_keys = ()
+        d_ids = ()
         if policy.d_stage == "thompson":
-            d_keys = tuple(("D", z, xn, x2) for x2 in self.d_inputs)
-        row = self.rows[i] = (d_keys, tuple(branches))
+            d_ids = tuple(self._id(("D", z, xn, x2)) for x2 in self.d_inputs)
+        row = self.rows[i] = (d_ids, tuple(branches))
         return row
 
     def _optimal_arms(self, z, xn, x2, d) -> tuple[bool, ...]:
@@ -702,35 +738,54 @@ def _play_epoch(
     experiment: Experiment,
     horizon: int,
     rng: np.random.Generator,
-    solver: ThompsonSolver,
 ) -> list[int]:
     """One epoch of ``horizon`` rounds; returns each round's index into
-    the metric lists. Units are selected in one block; the solver's
-    draws and updates come in the same order as a unit-at-a-time
-    protocol would make them."""
-    draw, update = solver.draw, solver.update
+    the metric lists. Units are selected in one block. The posteriors
+    start at Beta(1, 1) and sit in two flat lists, ``alpha`` and ``beta``,
+    indexed by the memo's key ids and extended when a new row adds ids;
+    a round reads its row's ids and does no keyed lookup. Draws and
+    updates come in the order a unit-at-a-time protocol would make them,
+    with the arithmetic of ``ThompsonSolver``, which the tests hold this
+    loop to; each argmax keeps the first maximum, as ``max`` does."""
+    draw = rng.beta
     thompson = policy.d_stage == "thompson"
     uniform = policy.d_stage == "uniform"
-    rows, support = responses.rows, experiment.support
+    rows, support, keys = responses.rows, experiment.support, responses.keys
+    alpha = [1.0] * len(keys)
+    beta = [1.0] * len(keys)
     played = []
     for i in experiment.select_rows(horizon).tolist():
-        d_keys, branches = rows.get(i) or responses.add_row(i, support[i])
+        row = rows.get(i)
+        if row is None:
+            row = responses.add_row(i, support[i])
+            grow = [1.0] * (len(keys) - len(alpha))
+            alpha += grow
+            beta += grow
+        d_ids, branches = row
+        j = 0
         if thompson:
-            scores = [draw(key, rng) for key in d_keys]
-            j = max(range(len(scores)), key=scores.__getitem__)
+            top = -1.0  # below every score: draws and pins lie in [0, 1]
+            for k, c in enumerate(d_ids):
+                s = draw(alpha[c], beta[c])
+                if s > top:
+                    j, top = k, s
         elif uniform:
             j = int(rng.integers(len(branches)))
-        else:
-            j = 0
         cells, rewards, offset = branches[j]
-        mu = [draw(key, rng) if pin is None else pin for key, pin in cells]
-        a = max(range(len(mu)), key=mu.__getitem__)
+        a, top = 0, -1.0
+        for k, (c, pin) in enumerate(cells):
+            s = draw(alpha[c], beta[c]) if pin is None else pin
+            if s > top:
+                a, top = k, s
         y = rewards[a]
         if thompson:
-            update(d_keys[j], y)
-        key, pin = cells[a]
+            c = d_ids[j]
+            alpha[c] += y
+            beta[c] += 1.0 - y
+        c, pin = cells[a]
         if pin is None:
-            update(key, y)
+            alpha[c] += y
+            beta[c] += 1.0 - y
         played.append(offset + a)
     return played
 
@@ -744,15 +799,16 @@ def run_epochs(
     tables: ExactTables | None = None,
 ) -> RunMetrics:
     """Run one algorithm for ``epochs`` independent epochs of ``horizon``
-    rounds, each with a fresh ThompsonSolver. Epoch e uses the e-th
-    spawn of the master seed, so results are reproducible and epochs
-    could run in parallel."""
+    rounds, each starting from fresh Beta(1, 1) posteriors. Epoch e uses
+    the e-th spawn of the master seed, so results are reproducible and
+    epochs could run in parallel. ``tables`` must be built for
+    ``problem``."""
     if algo not in ALGORITHMS:
         raise EstimationError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
     if horizon < 0 or epochs < 0:
         raise EstimationError(f"horizon {horizon} and epochs {epochs} must be non-negative")
     policy = _POLICIES[algo]
-    tables = tables or ExactTables(problem)
+    tables = _tables_for(problem, tables)
     check_strategy_realizable(problem, policy.form)
     responses = _Responses(problem, tables, policy)
     played = np.zeros((epochs, horizon), dtype=np.int64)
@@ -761,7 +817,7 @@ def run_epochs(
         start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
         experiment = Experiment(problem.model, seed=ss)
-        played[e] = _play_epoch(policy, responses, experiment, horizon, rng, ThompsonSolver())
+        played[e] = _play_epoch(policy, responses, experiment, horizon, rng)
         seconds[e] = time.perf_counter() - start
     return RunMetrics(
         algo=algo,

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .errors import CtfRealizeError, QueryError
+from .errors import CtfRealizeError, EstimationError, QueryError
 from .graphs import CausalDiagram
 from .queries import parse_query
 from .engine import exact_distribution, exact_l3_probability
@@ -222,6 +222,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bandit(args) -> int:
+    if args.T < 1 or args.epochs < 1:
+        # an empty run has no final regret or terminal window to report
+        raise EstimationError(
+            f"--T and --epochs must be at least 1, got {args.T} and {args.epochs}"
+        )
     model = resolve_model(args.problem)
     problem = bandits.MabProblem(model, context="Z" if "Z" in model.diagram else None)
     seed = _seed(args)

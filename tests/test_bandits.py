@@ -38,7 +38,7 @@ from ctfrealize.bandits import (
     run_epochs,
     write_metric_csv,
 )
-from ctfrealize.bandits import _POLICIES, _Responses  # the loop's policies and memo
+from ctfrealize.bandits import _POLICIES, _Responses, _play_epoch  # the loop and its parts
 from ctfrealize.models import independent_exogenous
 from ctfrealize.realizability import NO_ACTION, OUTPUT_ERASED
 from ctfrealize.simulate import Experiment, Unit
@@ -465,6 +465,36 @@ def test_short_runs_are_sane(problem, tables):
     assert ((m.oap >= 0) & (m.oap <= 1)).all()
 
 
+def test_tables_of_another_problem_are_refused(problem, tables):
+    prob = context_problem()
+    with pytest.raises(EstimationError, match="another problem"):
+        run_epochs("ts-ett", prob, 300, 2, seed=0, tables=tables)
+    for call in (
+        lambda t: evaluate_strategy_exact(prob, best_strategy(prob, TIERS["opt"]), t),
+        lambda t: best_strategy(prob, TIERS["opt"], t),
+        lambda t: brute_force_optimal(prob, t),
+    ):
+        with pytest.raises(EstimationError, match="another problem"):
+            call(tables)
+    # tables of an equal problem (same model and roles) are accepted
+    same = MabProblem(problem.model)
+    assert same is not problem
+    assert brute_force_optimal(same, tables)[1] == pytest.approx(0.80, abs=1e-12)
+
+
+def test_terminal_window_must_be_positive(problem, tables):
+    m = run_epochs("ts", problem, 50, 2, seed=0, tables=tables)
+    assert m.terminal_mean_reward(1) == float(m.reward[:, -1].mean())
+    assert m.terminal_oap(50) == m.terminal_oap(500) == float(m.oap.mean())
+    for window in (0, -5):
+        with pytest.raises(EstimationError, match="at least 1"):
+            m.terminal_mean_reward(window)
+        with pytest.raises(EstimationError, match="at least 1"):
+            m.terminal_oap(window)
+        with pytest.raises(EstimationError, match="at least 1"):
+            m.summary(window)
+
+
 def test_zero_horizon_yields_empty_metrics(problem, tables):
     m = run_epochs("ts-opt", problem, 0, 3, seed=0, tables=tables)
     assert m.cumulative_regret.shape == (3, 0)
@@ -523,14 +553,103 @@ PINNED_DIGESTS = {
 }
 
 
+def metrics_digest(m):
+    h = hashlib.sha256()
+    for arr in (m.cumulative_regret, m.oap, m.reward):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 def test_run_metrics_match_the_unit_at_a_time_digests(problem, tables):
     for algo, digest in PINNED_DIGESTS.items():
         m = run_epochs(algo, problem, 300, 2, seed=3, tables=tables)
-        h = hashlib.sha256()
-        for arr in (m.cumulative_regret, m.oap, m.reward):
-            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-        assert h.hexdigest() == digest, algo
+        assert metrics_digest(m) == digest, algo
         assert m.epoch_seconds.shape == (2,) and (m.epoch_seconds > 0).all()
+
+
+# the same digests for the context problem, computed at commit 206b796 with
+# the tuple-keyed ThompsonSolver in the epoch loop
+CONTEXT_DIGESTS = {
+    "ts-opt": "8ddbe36821c58d0c682ca143d2088807433c9875e48be5a9c5f702b93fdb83e2",
+    "ts-ett": "8afa9b23426d7c57ad5a1ac0523726a838dc9636fbcb018c0d631bbcdf77c1cc",
+    "ts": "8f8133fd1d690eb7353cf2e808ce56b9ec8317525c2ee1a4faa259b509a3ba83",
+    "ts-aug": "b450a14ca04e98e3ab3b21a740caf31993e555a9ec34061401416411a722f0a3",
+}
+
+
+def test_context_run_metrics_match_the_pinned_digests():
+    prob = context_problem()
+    t = ExactTables(prob)
+    for algo, digest in CONTEXT_DIGESTS.items():
+        assert metrics_digest(run_epochs(algo, prob, 300, 2, seed=3, tables=t)) == digest, algo
+
+
+def reference_epoch(policy, responses, experiment, horizon, rng):
+    """The epoch loop written out the slow way: keys built from the
+    policy for each round, posteriors in a ``ThompsonSolver`` keyed by
+    them, argmaxes by ``max``. Only the metric offsets come from the
+    memo ``responses``, which this loop fills as it goes."""
+    prob, t = responses.problem, responses.tables
+    solver = ThompsonSolver()
+    played = []
+    for i in experiment.select_rows(horizon).tolist():
+        u = experiment.support[i]
+        _, _, z, xn, _, d_x, y_x = t.rows[u]
+        _, branches = responses.rows.get(i) or responses.add_row(i, u)
+        d_keys = [("D", z, xn, x2) for x2 in prob.arms]
+        if policy.d_stage == "thompson":
+            scores = [solver.draw(key, rng) for key in d_keys]
+            j = max(range(len(scores)), key=scores.__getitem__)
+        elif policy.d_stage == "uniform":
+            j = int(rng.integers(len(prob.arms)))
+        else:
+            j = 0
+        x2 = None if policy.d_stage == "none" else prob.arms[j]
+        d = None if x2 is None else d_x[x2]
+        keys = [policy.arm_key(z, xn, x2, d, x) for x in prob.arms]
+        hots = [policy.hot_cell(z, xn, x2, d, x) for x in prob.arms]
+        mu = [solver.draw(key, rng) if hot is None else t.obs_mean(hot)
+              for key, hot in zip(keys, hots)]
+        a = max(range(len(mu)), key=mu.__getitem__)
+        y = y_x[prob.arms[a]]
+        if policy.d_stage == "thompson":
+            solver.update(d_keys[j], y)
+        if hots[a] is None:
+            solver.update(keys[a], y)
+        played.append(branches[j][2] + a)
+    return played
+
+
+class TiedDraws:
+    """A generator stand-in whose Beta draws all equal 0.5, so every
+    Thompson argmax is a tie (with a hot-start mean of 0.5 too)."""
+
+    def beta(self, a, b):
+        return 0.5
+
+    def integers(self, n):
+        return n - 1
+
+
+@pytest.mark.parametrize("make_problem", [example3_problem, context_problem])
+def test_epoch_loop_plays_like_the_solver_reference(make_problem):
+    # two epochs per seed share one memo each, as in run_epochs, so the
+    # second epoch starts with ids the first one gave out
+    prob = make_problem()
+    t = ExactTables(prob)
+    for algo in ("ts-opt", "ts-ett", "ts", "ts-aug"):
+        policy = _POLICIES[algo]
+        for seed, tied in ((0, False), (1, False), (2, False), (0, True)):
+            runs = []
+            for loop in (_play_epoch, reference_epoch):
+                memo, played = _Responses(prob, t, policy), []
+                for ss in np.random.SeedSequence(seed).spawn(2):
+                    rng = (TiedDraws() if tied
+                           else np.random.Generator(np.random.PCG64(ss.spawn(1)[0])))
+                    experiment = Experiment(prob.model, seed=ss)
+                    played.append(loop(policy, memo, experiment, 400, rng))
+                runs.append((played, memo.regret, memo.keys))
+            assert runs[0] == runs[1], (algo, seed, tied)
 
 
 def fresh_unit_protocol(problem, actions, u, policy, x2, arm):
@@ -571,12 +690,14 @@ def test_memoized_responses_match_fresh_units(make_problem):
         checked = 0
         for i, u in enumerate(experiment.support):
             _, _, z, xn, _, d_x, _ = t.rows[u]
-            _, branches = memo.add_row(i, u)
+            d_ids, branches = memo.add_row(i, u)
+            if policy.d_stage == "thompson":
+                assert [memo.keys[k] for k in d_ids] == [("D", z, xn, x2) for x2 in d_inputs]
             assert len(branches) == len(d_inputs)
             for x2, (cells, rewards, _) in zip(d_inputs, branches):
                 d = None if x2 is None else d_x[x2]
-                for arm, (key, _), y in zip(prob.arms, cells, rewards):
-                    assert key == policy.arm_key(z, xn, x2, d, arm)
+                for arm, (key_id, _), y in zip(prob.arms, cells, rewards):
+                    assert memo.keys[key_id] == policy.arm_key(z, xn, x2, d, arm)
                     assert (z, xn, d, y) == fresh_unit_protocol(
                         prob, actions, u, policy, x2, arm
                     ), (algo, u, x2, arm)

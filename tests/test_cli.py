@@ -247,6 +247,15 @@ def test_bandit_reads_z_as_the_context(tmp_path):
     assert doc["terminal_mean_reward"] > 0.35
 
 
+@pytest.mark.parametrize("sizes", [["--T", "0", "--epochs", "2"],
+                                   ["--T", "40", "--epochs", "0"]])
+def test_empty_bandit_run_is_an_input_error(tmp_path, sizes, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["bandit", "--algo", "ts", "--seed", "4"] + sizes, out) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bandit_summary_reports_seconds_per_epoch(tmp_path):
     assert run_cli(
         ["bandit", "--algo", "ts-opt", "--T", "50", "--epochs", "2", "--seed", "5"],
