@@ -564,6 +564,8 @@ class RunMetrics:
 
     @staticmethod
     def _band(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if arr.shape[0] == 0:
+            raise EstimationError("empty run")
         mean = arr.mean(axis=0)
         if arr.shape[0] > 1:
             half = 1.96 * arr.std(axis=0, ddof=1) / np.sqrt(arr.shape[0])
@@ -581,6 +583,8 @@ class RunMetrics:
     def _terminal(arr: np.ndarray, window: int) -> float:
         if window < 1:
             raise EstimationError(f"terminal window {window} must be at least 1")
+        if arr.size == 0:
+            raise EstimationError("empty run")
         return float(arr[:, -window:].mean())
 
     def terminal_mean_reward(self, window: int = 500) -> float:
@@ -590,6 +594,8 @@ class RunMetrics:
         return self._terminal(self.oap, window)
 
     def final_regret(self) -> tuple[float, float, float]:
+        if self.cumulative_regret.size == 0:
+            raise EstimationError("empty run")
         mean, lo, hi = self.regret_band()
         return float(mean[-1]), float(lo[-1]), float(hi[-1])
 

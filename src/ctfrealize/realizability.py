@@ -24,20 +24,24 @@ Tags are per-action and depend only on the term, so conflicts are
 always witnessed by a pair of terms. ``RealizabilityChecker`` prepares
 each raw query term once into one record: the normalized term (each
 dropped subscript warns then, once), its requirements keyed by action
-id (the action's position in plan order), the id of its output's
-whole-variable randomization, and whether the term is realizable alone.
-``realize`` decides a single term from its record. A longer query is
-decided by the one order-free union of the records: the first term's
-tags copied, the others merged into them, then every output checked for
-erasure.
+id (the action's position in plan order), whether the term is
+realizable alone, and the same tags as three bit words. In the words
+each action id owns a fixed-width field: ``v`` holds each tag's code (1
+for Natural, 2 + the value's index in the action variable's domain),
+``fm`` is all ones over the fields the term tags, and ``h`` covers the
+value bits of the field of its output's whole-variable randomization.
+``realize`` decides a single term from its record. A longer query fails
+when a term fails alone, when two terms put different codes in one
+field (XOR under both masks), or when some output's randomization is
+performed (the merged codes under the merged ``h``).
 
-A verdict holds what the decision computed and derives the rest when it
-is first read. A plan holds its tags keyed by action id and sorts them
-into plan order on first access. A failing verdict holds each term's
-requirements; on the first read of its conflict it runs the ordered
-reference merge (variables in topological order, terms in query order),
-which names the first clash it meets. Every ``Conflict``, whatever its
-failure class, comes from that merge.
+A verdict holds the raw query and the records, and derives the rest
+when it is first read: the normalized query, a plan's tags (merged by
+action id and sorted into plan order), and a failing verdict's
+conflict. That conflict comes from the ordered reference merge
+(variables in topological order, terms in query order), which names the
+first clash it meets. Every ``Conflict``, whatever its failure class,
+comes from that merge.
 """
 
 from __future__ import annotations
@@ -300,33 +304,48 @@ class Conflict:
         )
 
 
+def _kept_query(q: CtfQuery, records: Sequence["_Prepared"]) -> CtfQuery:
+    """The query of the records' normalized terms: q itself when no
+    record dropped a subscript of its raw term."""
+    for r, t in zip(records, q.terms):
+        if r.kept is not t:
+            return CtfQuery(tuple([r.kept for r in records]))
+    return q
+
+
 class NotRealizable:
     """Negative verdict with a structured witness. ``realize`` builds it
-    from what the decision computed: the normalized query and each
-    term's requirements. The conflict (the ordered merge's first clash)
-    and the criterion's witness pair are computed on first access, since
-    most callers only need the verdict. Two verdicts are equal when
-    their queries and conflicts are."""
+    from what the decision read: the raw query and each term's prepared
+    record. The normalized query, the conflict (the ordered merge's
+    first clash over the records' requirements) and the criterion's
+    witness pair are computed on first access, since most callers only
+    need the verdict. Two verdicts are equal when their queries and
+    conflicts are."""
 
     realizable = False
 
     def __init__(
         self,
         query: CtfQuery,
-        reqs: Sequence["_TermRequirements"],
+        records: Sequence["_Prepared"],
         checker: "RealizabilityChecker",
     ):
-        self.query = query
-        self.diagram = checker.diagram
-        self._reqs = reqs
+        self._raw = query
+        self._records = records
         self._checker = checker
+        self.diagram = checker.diagram
 
     def __bool__(self) -> bool:
         return False
 
     @cached_property
+    def query(self) -> CtfQuery:
+        return _kept_query(self._raw, self._records)
+
+    @cached_property
     def conflict(self) -> Conflict:
-        return self._checker._first_clash(self.query, self._reqs)  # type: ignore[return-value]
+        reqs = [r.req for r in self._records]
+        return self._checker._first_clash(self.query, reqs)  # type: ignore[return-value]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -377,9 +396,10 @@ class RealizationPlan:
     its tag: the value the randomization must draw, or NATURAL for an
     action that must not be performed. A plan built by
     ``RealizationPlan(query, diagram, tags)`` holds them as given. One
-    that ``realize`` builds holds the tags keyed by action id, as the
-    decision left them, and sorts them into plan order on first access.
-    The steps, the held-back actions and the notes are derived from the
+    that ``realize`` builds holds the raw query and the terms' prepared
+    records; on first access it builds the normalized query, and merges
+    the records' tags by action id and sorts them into plan order. The
+    steps, the held-back actions and the notes are derived from the
     tags on first access too, since deciding a query needs none of them.
     Two plans are equal when their queries, diagrams and tags are."""
 
@@ -396,25 +416,30 @@ class RealizationPlan:
         self.tags = tags
 
     @classmethod
-    def _from_ids(
+    def _from_records(
         cls,
         query: CtfQuery,
-        diagram: CausalDiagram,
-        tag_by_id: dict[int, object],
-        randomizations: tuple[Action, ...],
+        records: Sequence["_Prepared"],
+        checker: "RealizabilityChecker",
     ) -> "RealizationPlan":
-        """The plan whose tags are ``tag_by_id``'s, each id an index into
-        ``randomizations`` (plan order); the dict is read, never written."""
+        """The plan of the raw query whose terms ``records`` prepared."""
         plan = cls.__new__(cls)
-        plan.query = query
-        plan.diagram = diagram
-        plan._tag_by_id = tag_by_id
-        plan._randomizations = randomizations
+        plan._raw = query
+        plan._records = records
+        plan.diagram = checker.diagram
+        plan._randomizations = checker._randomizations
         return plan
 
     @cached_property
+    def query(self) -> CtfQuery:
+        return _kept_query(self._raw, self._records)
+
+    @cached_property
     def tags(self) -> tuple[tuple[Action, object], ...]:
-        rands, tag_by_id = self._randomizations, self._tag_by_id
+        tag_by_id: dict[int, object] = {}
+        for r in self._records:
+            tag_by_id.update(r.req.tags)
+        rands = self._randomizations
         return tuple([(rands[i], tag_by_id[i]) for i in sorted(tag_by_id)])
 
     def __bool__(self) -> bool:
@@ -522,14 +547,20 @@ class _TermRequirements:
 
 class _Prepared(NamedTuple):
     """One raw query term as realize reads it: the normalized term, its
-    requirements, the id of its variable's whole-variable randomization
-    (None without one), and whether the term is realizable alone (it
-    neither fails alone nor has an output without a read)."""
+    requirements, whether the term is realizable alone (it neither fails
+    alone nor has an output without a read), and its tags as three words
+    over the checker's fields (``RealizabilityChecker._fields``): ``v``
+    holds each tagged action's code, ``fm`` is all ones over the tagged
+    fields, and ``h`` covers the value bits (all but the lowest) of the
+    field of its variable's whole-variable randomization, or is 0 when
+    there is none."""
 
     kept: PotentialResponse
     req: _TermRequirements
-    rand: int | None
     alone: bool
+    v: int
+    fm: int
+    h: int
 
 
 class RealizabilityChecker:
@@ -541,11 +572,11 @@ class RealizabilityChecker:
 
     Each raw term a query holds is prepared once into a ``_Prepared``
     record, so a warm ``realize`` only looks records up: a single term is
-    decided by its record, with no merge, and a longer query takes the
-    one order-free union, ``_union``. Neither sorts tags or names a
-    conflict; the verdict does that on first access, a failing one
-    through ``_first_clash``, the one ordered merge, which builds every
-    ``Conflict``."""
+    decided by its record's ``alone`` flag, and a longer query by three
+    integer words per record, with no dict built. Neither sorts tags,
+    builds the normalized query or names a conflict; the verdict does
+    that on first access, a failing one through ``_first_clash``, the
+    one ordered merge, which builds every ``Conflict``."""
 
     def __init__(self, diagram: CausalDiagram, actions: ActionSet):
         self.diagram = diagram
@@ -573,6 +604,20 @@ class RealizabilityChecker:
     def _rand(self) -> dict[str, int]:
         """The id of each variable's whole-variable randomization."""
         return {a.var: i for i, a in enumerate(self._randomizations) if a.kind == RAND}
+
+    @cached_property
+    def _fields(self) -> tuple[int, dict[str, dict[Value, int]]]:
+        """The width in bits of each action id's field in the records'
+        words, and per randomized variable the code of each value: 2 +
+        its index in the domain, since 1 is Natural's code and 0 means
+        untagged. The width fits the largest domain's largest code."""
+        domains = self.diagram.domains
+        codes = {
+            v: {x: 2 + k for k, x in enumerate(domains[v])}
+            for v in {a.var for a in self._randomizations}
+        }
+        width = (max(map(len, codes.values()), default=0) + 1).bit_length()
+        return width, codes
 
     @cached_property
     def _covering(self) -> dict[tuple[str, str], list[int]]:
@@ -646,54 +691,53 @@ class RealizabilityChecker:
         # a term never tags its own variable's randomization (the walk skips
         # W), so alone it fails only by itself or by an unreadable output
         alone = req.failure is None and self.actions.has_read(kept.variable)
+        width, codes = self._fields
+        ones = (1 << width) - 1
+        rands = self._randomizations
+        v = fm = h = 0
+        for i, tag in req.tags.items():
+            shift = i * width
+            v |= (1 if tag is NATURAL else codes[rands[i].var][tag]) << shift  # type: ignore[index]
+            fm |= ones << shift
+        rand = self._rand.get(kept.variable)
+        if rand is not None:
+            h = (ones ^ 1) << (rand * width)
         for message in messages:
             warnings.warn(message, stacklevel=3)
-        record = self._prepared[t] = _Prepared(kept, req, self._rand.get(kept.variable), alone)
+        record = self._prepared[t] = _Prepared(kept, req, alone, v, fm, h)
         return record
 
     # -- merging terms ---------------------------------------------------
 
     def realize(self, q: CtfQuery) -> RealizationPlan | NotRealizable:
-        records = []
         try:
-            for t in q.terms:  # not a comprehension: _prepare warns at a fixed depth
-                records.append(self._prepared.get(t) or self._prepare(t))
+            records = list(map(self._prepared.get, q.terms))
+            if None in records:
+                records = []
+                for t in q.terms:  # not a comprehension: _prepare warns at a fixed depth
+                    records.append(self._prepared.get(t) or self._prepare(t))
         except TypeError:  # an unhashable value, which no domain holds
             q.validate(self.diagram)
             raise
-        for r, t in zip(records, q.terms):
-            if r.kept is not t:
-                q = CtfQuery(tuple([r.kept for r in records]))
-                break
         if len(records) == 1:
-            tags = records[0].req.tags if records[0].alone else None
+            ok = records[0].alone
         else:
-            tags = self._union(records)
-        if tags is None:
-            return NotRealizable(q, [r.req for r in records], self)
-        return RealizationPlan._from_ids(q, self.diagram, tags, self._randomizations)
-
-    @staticmethod
-    def _union(records: Sequence[_Prepared]) -> dict[int, object] | None:
-        """All terms' tags by action id, or None where the ordered merge
-        finds a conflict: a term failing alone or unreadable, two terms
-        tagging one action differently, or an output erased. This only
-        decides; _first_clash names the conflict, the first one the
-        reference order meets."""
-        tags: dict[int, object] = {}
-        for _, req, _, alone in records:
-            if not alone:
-                return None
-            if not tags:
-                tags = req.tags.copy()
-                continue
-            for i, tag in req.tags.items():
-                if tags.setdefault(i, tag) != tag:
-                    return None
-        for record in records:
-            if tags.get(record.rand, NATURAL) is not NATURAL:
-                return None
-        return tags
+            # a term failing alone, two codes in one field, or a performed
+            # randomization of some output fails the query, as _first_clash
+            # would find it
+            V = FM = H = 0
+            for _, _, alone, v, fm, h in records:
+                if not alone or (V ^ v) & FM & fm:
+                    ok = False
+                    break
+                V |= v
+                FM |= fm
+                H |= h
+            else:
+                ok = not V & H
+        if ok:
+            return RealizationPlan._from_records(q, records, self)
+        return NotRealizable(q, records, self)
 
     def _first_clash(self, q: CtfQuery, reqs: Sequence[_TermRequirements]) -> Conflict | None:
         """The reference merge: every term's tags by action id, with the

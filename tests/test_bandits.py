@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -501,6 +502,25 @@ def test_zero_horizon_yields_empty_metrics(problem, tables):
     assert run_epochs("ts", problem, 10, 0, seed=0, tables=tables).oap.shape == (0, 10)
     with pytest.raises(EstimationError, match="non-negative"):
         run_epochs("ts", problem, 10, -1, seed=0, tables=tables)
+
+
+def test_an_empty_run_cannot_be_summarized(problem, tables, tmp_path):
+    # no rounds or no epochs: nothing to take the last regret or a mean of
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for horizon, epochs in ((0, 3), (10, 0)):
+            m = run_epochs("ts-opt", problem, horizon, epochs, seed=0, tables=tables)
+            for read in (m.final_regret, m.summary, m.terminal_mean_reward, m.terminal_oap):
+                with pytest.raises(EstimationError, match="empty run"):
+                    read()
+        # with no epochs there is no band either; with no rounds it is empty
+        for read in (m.regret_band, m.oap_band):
+            with pytest.raises(EstimationError, match="empty run"):
+                read()
+        with pytest.raises(EstimationError, match="empty run"):
+            write_metric_csv(tmp_path / "cr.csv", m, "cr")
+        no_rounds = run_epochs("ts", problem, 0, 2, seed=0, tables=tables)
+        assert no_rounds.regret_band()[0].shape == (0,)
 
 
 def test_constant_reward_run_has_zero_regret(tables):

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module, and
-every private module-level name is used somewhere in the package.
+every private name defined at module level or in a class body is used
+somewhere in the package.
 
 The package's ``__init__.py`` only re-exports, and ``from __future__``
 imports switch on language features, so both are exempt from the import
@@ -8,6 +9,7 @@ module reads is dead code.
 """
 
 import ast
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -56,8 +58,8 @@ def test_module_has_no_unused_import(path):
 
 
 def _private_names(node: ast.stmt) -> list[str]:
-    """The private names a top-level statement defines: a function, a
-    class, or the targets of an assignment."""
+    """The private names a statement defines: a function, a class, or the
+    targets of an assignment."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -68,34 +70,48 @@ def _private_names(node: ast.stmt) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _definitions(body: list[ast.stmt]):
+    """(name, statement) for each private name defined at module level or
+    in a class body (a method, a nested class, a class attribute)."""
+    for node in body:
+        for name in _private_names(node):
+            yield name, node
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node.body)
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often a node reads each name, as a variable, an attribute or an
+    import."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
 @cache
-def _statement_reads(path: Path) -> tuple[frozenset[str], ...]:
-    """The names each top-level statement of a source reads, as a
-    variable, an attribute or an import."""
-    reads = []
-    for statement in ast.parse(path.read_text(), filename=str(path)).body:
-        names = set()
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-        reads.append(frozenset(names))
-    return tuple(reads)
+def _source(path: Path) -> tuple[ast.Module, Counter]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return tree, _reads(tree)
+
+
+def _dead_private_names(path: Path) -> list[str]:
+    # a name read only inside its own definition (a recursive call) is dead
+    elsewhere = set().union(*(_source(p)[1] for p in SOURCES if p != path))
+    tree, reads = _source(path)
+    return sorted(
+        f"{name} (line {node.lineno})"
+        for name, node in _definitions(tree.body)
+        if name not in elsewhere and reads[name] <= _reads(node)[name]
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_private_name(path):
-    # a name read only inside its own definition (a recursive call) is dead
-    elsewhere = set().union(*(r for p in SOURCES if p != path for r in _statement_reads(p)))
-    own = _statement_reads(path)
-    tree = ast.parse(path.read_text(), filename=str(path))
-    dead = sorted(
-        f"{name} (line {node.lineno})"
-        for i, node in enumerate(tree.body)
-        for name in _private_names(node)
-        if name not in elsewhere.union(*own[:i], *own[i + 1:])
-    )
+    dead = _dead_private_names(path)
     assert not dead, f"{path.name} defines private names nothing reads: {', '.join(dead)}"

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import pickle
 import random
+import time
 import warnings
 
 import pytest
@@ -564,6 +566,111 @@ def test_verdicts_build_their_conflict_and_plan_order_on_first_access(monkeypatc
         assert plan.tags and plan.tags == explicit.tags, text
         assert plan == explicit and explicit == plan, text
         assert hash(plan) == hash(explicit) and repr(plan) == repr(explicit), text
+
+
+def test_words_decide_as_the_ordered_merge_on_every_class():
+    # realize decides a longer query from three words per record; on a
+    # seeded sample of pairs and triples of every four-node class, under
+    # each action set, it must fail exactly when the ordered merge finds a
+    # clash. Budget: 10 s.
+    start = time.perf_counter()
+    rng = random.Random(2119)
+    classes = set()
+    for diagram in enumerate_mixed_graphs(4):
+        terms = enumerate_terms(diagram)
+        for actions in merge_action_sets(diagram):
+            checker = RealizabilityChecker(diagram, actions)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for size in (2, 3):
+                    q = CtfQuery(tuple(rng.sample(terms, min(size, len(terms)))))
+                    nq = q.normalized(diagram)
+                    clash = checker._first_clash(nq, [checker.term_requirements(t) for t in nq.terms])
+                    assert bool(checker.realize(q)) == (clash is None), q
+                    if clash is not None:
+                        classes.add(clash.failure)
+    elapsed = time.perf_counter() - start
+    assert classes == {
+        VALUE_CONFLICT_CTF, VALUE_CONFLICT_RAND, NO_ACTION, NATURAL_CONFLICT_CTF,
+        NATURAL_CONFLICT_RAND, OUTPUT_ERASED, READ_UNAVAILABLE,
+    }
+    assert elapsed < 10, f"cross-check took {elapsed:.1f}s"
+
+
+def test_words_keep_each_code_inside_its_field():
+    # X's 7 values need 4-bit codes (2..8) and Z's 3 values 3-bit codes
+    # (2..4); every field is as wide as the widest code, so a code never
+    # reaches into the field of the next action id
+    xs = tuple(f"x{k}" for k in range(7))
+    d = CausalDiagram(
+        ["X", "Z", "Y"],
+        domains={"X": xs, "Z": ("lo", "mid", "hi"), "Y": ("no", "yes")},
+        directed_edges=[("X", "Z"), ("X", "Y"), ("Z", "Y")],
+        bidirected_edges=[("X", "Y")],
+    )
+    rands = ActionSet([rand_action(v) for v in d.variables])
+    checker = RealizabilityChecker(d, maximal_action_set(d).union(rands))
+    # ids in plan order: CtfRand(X->Y), CtfRand(X->Z), Rand(X),
+    # CtfRand(Z->Y), Rand(Z), Rand(Y)
+    assert [str(a) for a in checker._randomizations] == [
+        "CtfRand(X->Y)", "CtfRand(X->Z)", "Rand(X)", "CtfRand(Z->Y)", "Rand(Z)", "Rand(Y)",
+    ]
+    last = response("Y", {"X": "x6"})
+    checker.realize(query(last))
+    record = checker._prepared[last]
+    assert checker._fields[0] == 4
+    assert record.v == 8 | 8 << 4 | 1 << 12 | 1 << 16
+    assert record.fm == 0xF | 0xF << 4 | 0xF << 12 | 0xF << 16
+    assert record.h == 0xE << 20
+    # the words agree with the ordered merge on every pair and triple,
+    # under every action set of the cross-checks
+    terms = [response(w, dict(zip(r, vals)))
+             for w in d.variables
+             for r in ((), *([v] for v in d.variables if v != w))
+             for vals in itertools.product(*(d.domains[v] for v in r))]
+    for actions in (checker.actions, *merge_action_sets(d)):
+        words = RealizabilityChecker(d, actions)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for q in itertools.chain(queries_of_size(terms, 2), queries_of_size(terms, 3)):
+                nq = q.normalized(d)
+                clash = words._first_clash(nq, [words.term_requirements(t) for t in nq.terms])
+                assert bool(words.realize(q)) == (clash is None), q
+    # with whole-variable randomizations only, Rand(X) drawn at index 0
+    # (code 2, the lowest value code) erases the natural output X, while
+    # Rand(Z) tagged Natural (code 1) leaves the output Z to be read
+    only_rands = RealizabilityChecker(d, ActionSet(reads_and_select(d), d).union(rands))
+    first = response("Y", {"X": "x0"})
+    for q in (query(first, response("X")), query(response("X"), first)):
+        verdict = only_rands.realize(q)
+        assert not verdict, q
+        assert verdict.conflict.failure == OUTPUT_ERASED
+        assert verdict.conflict.existing == "x0"
+    assert only_rands.realize(query(first, response("Z", {"X": "x0"})))
+
+
+def test_verdicts_build_their_query_on_first_read_and_pickle_unread():
+    # a warm realize keeps the raw query; the normalized one is built on
+    # the first read of .query, or is the raw query when nothing drops
+    fan = fan_diagram()
+    checker = RealizabilityChecker(fan, maximal_action_set(fan))
+    plain = query(response("Y", {"X": 0}), response("Z"))
+    assert checker.realize(plain).query is plain
+    # Z is not an ancestor of Y, so each query drops Y's subscript Z=1
+    for text, kind in (("P(Y[Z=1], X)", RealizationPlan), ("P(Y[X=0, Z=1], Y)", NotRealizable)):
+        q = parse_query(text, fan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            checker.realize(q)
+        verdict = checker.realize(q)
+        assert isinstance(verdict, kind) and "query" not in vars(verdict), text
+        unread = pickle.loads(pickle.dumps(verdict))
+        with pytest.warns(UserWarning, match="irrelevant subscript Z=1"):
+            nq = q.normalized(fan)
+        assert verdict.query == nq and verdict.query is not q, text
+        assert "query" in vars(verdict), text
+        assert unread == verdict and verdict == unread, text
+        assert hash(unread) == hash(verdict) and repr(unread) == repr(verdict), text
 
 
 def test_compat_visit_count_quadratic_on_paths():
