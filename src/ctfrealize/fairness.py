@@ -24,6 +24,7 @@ mu_ctf rejects, which is the contrast the sampler below reproduces.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,12 +66,20 @@ class CanonicalScm:
             raise ModelError("canonical parameterization needs 16 type-pair entries")
         if min(self.type_probs) < -PROB_TOL:
             raise ModelError("negative type-pair probability")
-        if abs(sum(self.type_probs) - 1.0) > PROB_TOL:
-            raise ModelError(
-                f"type-pair probabilities sum to {sum(self.type_probs)}, not 1"
-            )
+        # a NaN or infinite entry makes the sum NaN or infinite
+        total = sum(self.type_probs)
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise ModelError(f"type-pair probabilities sum to {total}, not 1")
+        if not 0.0 <= self.p_x1 <= 1.0:
+            raise ModelError(f"p_x1 must lie in [0, 1], got {self.p_x1!r}")
 
     def prob(self, y_type: str, z_type: str) -> float:
+        for name in (y_type, z_type):
+            if name not in RESPONSE_TYPES:
+                raise ModelError(
+                    f"unknown response type {name!r}; use one of "
+                    + ", ".join(RESPONSE_TYPES)
+                )
         i = RESPONSE_TYPES.index(y_type)
         j = RESPONSE_TYPES.index(z_type)
         return self.type_probs[4 * i + j]
@@ -281,8 +290,52 @@ def batch_metrics(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 L2_PENALTY = "l2_penalty"
 L3_PENALTY = "l3_penalty"
-BATCH_SIZE = 50_000  # proposals per Dirichlet block; a seed's tables depend on it
+# Proposals per block. A block of BATCH_SIZE x 16 doubles (1 MB) stays in
+# cache through the pre-filter. Every row takes the next 16 exponentials
+# of the stream, so a seed's tables do not depend on the block size.
+BATCH_SIZE = 8192
 MAX_PROPOSALS = 50_000_000  # past this, a low acceptance rate is an error, not a wait
+NO_ACCEPTANCE_FLOOR = 1_000_000  # proposals without one acceptance before giving up
+PREFILTER_SLACK = 1e-9  # see sample_constrained_scms for the bound it covers
+
+
+def _prefilter_columns() -> dict[str, np.ndarray]:
+    """Per constraint, the (16, k) matrix whose product with a block of
+    raw rows gives each row's sum followed by the unnormalized linear
+    forms its score is built from."""
+    m = _M
+    dz = m["z0_x1"] - m["z0_x0"]
+    return {
+        L3_PENALTY: np.column_stack([np.ones(16), m["y1_x1"] * dz]),
+        L2_PENALTY: np.column_stack([
+            np.ones(16), m["y1_x1"], dz,
+            m["y1_x1"] * m["z0_x1"] - m["y1_x0"] * m["z0_x0"],
+        ]),
+    }
+
+
+_PREFILTER = _prefilter_columns()
+
+
+def _may_pass(
+    constraint: str, block: np.ndarray, epsilon: float | np.ndarray
+) -> np.ndarray:
+    """Mask of the raw rows whose score may be at most epsilon: with the
+    limit epsilon + PREFILTER_SLACK * (1 + epsilon), |e.w| <= limit*s for
+    l3 and |y1*dz| + |dj|*s <= limit*s^2 for l2, where s and each form
+    are the row's dot products with the columns of _PREFILTER."""
+    limit = epsilon + PREFILTER_SLACK * (1.0 + epsilon)
+    f = block @ _PREFILTER[constraint]
+    s = f[:, 0]
+    if constraint == L3_PENALTY:
+        return np.abs(f[:, 1]) <= limit * s
+    return np.abs(f[:, 1] * f[:, 2]) + np.abs(f[:, 3]) * s <= limit * s * s
+
+
+def _normalize(rows: np.ndarray) -> np.ndarray:
+    """Each row scaled by the reciprocal of its left-to-right sum, as
+    ``rng.dirichlet`` scales the exponentials it draws."""
+    return rows * (1.0 / rows.cumsum(axis=1)[:, -1])[:, None]
 
 
 def sample_constrained_scms(
@@ -295,31 +348,63 @@ def sample_constrained_scms(
     the 16-simplex, keeping those whose penalized score is at most
     epsilon: the two single-regime surrogates summed for the l2
     constraint, the counterfactual disparity itself for l3. Each
-    accepted table is returned with its true metrics."""
+    accepted table is returned with its true metrics.
+
+    Proposals come in blocks of BATCH_SIZE rows of 16 standard
+    exponentials. Scaling a row e by the reciprocal of its left-to-right
+    sum s gives the row ``rng.dirichlet(np.ones(16))`` would have drawn,
+    bit for bit, so the tables are those of a Dirichlet sampler that
+    keeps the first n accepted rows.
+
+    A block is pre-filtered before any row is normalized. For a raw row
+    e with sum s, mu_ctf = |e.w|/s and mu_int1 + mu_int2 =
+    (|y1*dz| + |dj|*s)/s^2, where e.w, y1, dz and dj are dot products of
+    e with fixed 0/+-1 masks (the columns of _PREFILTER). Let u = 2**-53.
+    A 16-term dot product is off by at most 16u times the sum of its
+    terms' magnitudes, and a normalized row is within 18u of e/s
+    relatively; so each of the five forms ``batch_metrics`` takes is
+    within 40u of its real value, and the score it tests within 300u of
+    the real score. The pre-filter's left side is within 300u * s^k of
+    the real score times s^k (k = 1 for l3, 2 for l2), and its right
+    side, limit * s^k, is computed within 40u relatively. A row the
+    exact test accepts therefore passes whenever the slack in
+    limit = epsilon + PREFILTER_SLACK * (1 + epsilon) exceeds
+    700u * (1 + epsilon), about 8e-14 * (1 + epsilon).
+
+    Only the rows that pass are normalized and decided by the exact test
+    ``score <= epsilon`` on ``batch_metrics``. With no acceptance after
+    NO_ACCEPTANCE_FLOOR proposals, or too few after MAX_PROPOSALS, the
+    sampler raises EstimationError."""
     if constraint not in (L2_PENALTY, L3_PENALTY):
         raise EstimationError(
             f"unknown constraint {constraint!r}; use {L2_PENALTY} or {L3_PENALTY}"
         )
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise EstimationError(f"the number of tables must be an integer, got {n!r}")
     if n < 1:
         raise EstimationError("need at least one sample")
+    if not isinstance(epsilon, numbers.Real) or not epsilon >= 0:
+        raise EstimationError(f"epsilon must be a number at least 0, got {epsilon!r}")
     rng = np.random.default_rng(seed)
     kept_rows: list[np.ndarray] = []
+    kept = 0
     proposals = 0
-    while sum(len(r) for r in kept_rows) < n:
+    while kept < n:
         if proposals >= MAX_PROPOSALS:
-            rate = sum(len(r) for r in kept_rows) / max(proposals, 1)
             raise EstimationError(
-                f"acceptance rate {rate:.2e} below floor after {proposals} "
-                f"proposals; raise epsilon (currently {epsilon})"
+                f"acceptance rate {kept / max(proposals, 1):.2e} below floor after "
+                f"{proposals} proposals; raise epsilon (currently {epsilon})"
             )
-        block = rng.dirichlet(np.ones(16), size=BATCH_SIZE)
+        block = rng.standard_exponential((BATCH_SIZE, 16))
         proposals += BATCH_SIZE
-        ctf, int1, int2 = batch_metrics(block)
+        rows = _normalize(block[_may_pass(constraint, block, epsilon)])
+        ctf, int1, int2 = batch_metrics(rows)
         score = ctf if constraint == L3_PENALTY else int1 + int2
-        kept = block[score <= epsilon]
-        if len(kept):
-            kept_rows.append(kept)
-        if proposals >= 20 * BATCH_SIZE and not kept_rows:
+        accepted = rows[score <= epsilon]
+        if len(accepted):
+            kept_rows.append(accepted)
+            kept += len(accepted)
+        if proposals >= NO_ACCEPTANCE_FLOOR and not kept:
             raise EstimationError(
                 f"no acceptances in {proposals} proposals; raise epsilon "
                 f"(currently {epsilon})"

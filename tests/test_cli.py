@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ctfrealize
-from ctfrealize.cli import main, parse_action_set
+from ctfrealize.cli import EXIT_INPUT, main, parse_action_set
 from ctfrealize import ctf_rand_action, rand_action
 from ctfrealize.fixtures import bow_model, fan_diagram, model_to_dict, save_fixture
 from test_bandits import context_problem
@@ -289,6 +289,13 @@ def test_fairness_outputs(tmp_path):
     rows = (tmp_path / "mu_ctf_histogram.csv").read_text().splitlines()
     assert rows[0] == "mu_ctf,mu_int1,mu_int2"
     assert len(rows) == 51
+
+
+def test_negative_fairness_epsilon_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["fairness", "--constraint", "l3", "--epsilon", "-1"], out) == EXIT_INPUT
+    assert "epsilon must be a number at least 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, csvs", [

@@ -1,4 +1,5 @@
 import hashlib
+import time
 import zlib
 
 import numpy as np
@@ -25,6 +26,7 @@ from ctfrealize.fairness import (
     L2_PENALTY,
     L3_PENALTY,
     CanonicalScm,
+    FairnessReport,
     RESPONSE_TYPES,
     assert_audit_realizable,
     batch_metrics,
@@ -217,6 +219,24 @@ def test_bad_canonical_tables_rejected():
     bad[0] += 0.1
     with pytest.raises(ModelError):
         CanonicalScm(tuple(bad))
+    uniform = [1.0 / 16] * 16
+    for entry in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ModelError):
+            CanonicalScm(tuple([entry] + uniform[1:]))
+    with pytest.raises(ModelError):
+        CanonicalScm(tuple([float("nan")] * 16))
+    for p_x1 in (1.5, -0.2, float("nan")):
+        with pytest.raises(ModelError, match="p_x1"):
+            CanonicalScm(tuple(uniform), p_x1)
+    assert [CanonicalScm(tuple(uniform), p).p_x1 for p in (0.0, 1.0)] == [0.0, 1.0]
+
+
+def test_unknown_response_type_is_named():
+    scm = example2_scm()
+    with pytest.raises(ModelError, match="unknown response type 'approve-always'"):
+        scm.prob("approve-always", "always-reject")
+    with pytest.raises(ModelError, match="unknown response type 'reject'"):
+        scm.prob("always-approve", "reject")
 
 
 def test_published_table_fails_a_zero_tolerance_constraint():
@@ -259,3 +279,91 @@ def test_sampled_tables_are_unchanged():
         assert all(type(p) is float for scm, _ in out for p in scm.type_probs)
         text = repr([(scm.type_probs, report) for scm, report in out])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sampler_checks_its_arguments_before_drawing(monkeypatch):
+    def no_draws(seed=None):
+        raise AssertionError("drew proposals")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for epsilon in (-0.01, -1, float("nan"), "0.01", None):
+        with pytest.raises(EstimationError, match="epsilon must be a number at least 0"):
+            sample_constrained_scms(L3_PENALTY, 10, epsilon)
+    for n in (2.5, True, "10", np.float64(3.0)):
+        with pytest.raises(EstimationError, match="must be an integer"):
+            sample_constrained_scms(L2_PENALTY, n, 0.01)
+    # epsilon 0 and a numpy integer n are valid: the sampler starts drawing
+    for n, epsilon in ((10, 0.0), (np.int64(3), 0.01)):
+        with pytest.raises(AssertionError, match="drew proposals"):
+            sample_constrained_scms(L3_PENALTY, n, epsilon)
+
+
+def test_sampler_gives_up_after_a_million_proposals_without_acceptance(monkeypatch):
+    # the floor is a number of proposals, whatever the block size
+    monkeypatch.setattr(fairness, "BATCH_SIZE", 10_000)
+    with pytest.raises(EstimationError, match="no acceptances in 1000000 proposals"):
+        sample_constrained_scms(L3_PENALTY, 1, 0.0, seed=0)
+
+
+def reference_sampler(constraint, n, epsilon, seed):
+    """The sampler before its pre-filter: 50,000-row blocks drawn by
+    ``rng.dirichlet`` and scored in full by ``batch_metrics``."""
+    rng = np.random.default_rng(seed)
+    kept_rows = []
+    while sum(len(r) for r in kept_rows) < n:
+        block = rng.dirichlet(np.ones(16), size=50_000)
+        ctf, int1, int2 = batch_metrics(block)
+        score = ctf if constraint == L3_PENALTY else int1 + int2
+        kept_rows.append(block[score <= epsilon])
+    rows = np.concatenate(kept_rows)[:n]
+    ctf, int1, int2 = batch_metrics(rows)
+    return [
+        (CanonicalScm(tuple(probs)), FairnessReport(c, i1, i2))
+        for probs, c, i1, i2 in zip(
+            rows.tolist(), ctf.tolist(), int1.tolist(), int2.tolist()
+        )
+    ]
+
+
+def test_sampler_returns_the_dirichlet_reference_tables():
+    # 8 seeds at the audit's epsilon and 2 at a looser one, both
+    # constraints, small and large n; budget 30 s (about 2 s on 2 cores)
+    start = time.perf_counter()
+    cases = [(seed, 0.01) for seed in range(8)] + [(8, 0.05), (9, 0.05)]
+    for seed, epsilon in cases:
+        for constraint in (L3_PENALTY, L2_PENALTY):
+            for n in (50, 1000):
+                got = sample_constrained_scms(constraint, n, epsilon, seed=seed)
+                want = reference_sampler(constraint, n, epsilon, seed)
+                assert got == want, (seed, epsilon, constraint, n)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"reference comparison took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
+def test_tables_do_not_depend_on_the_block_size(monkeypatch, constraint):
+    want = sample_constrained_scms(constraint, 300, 0.01, seed=11)
+    monkeypatch.setattr(fairness, "BATCH_SIZE", 1000)
+    assert sample_constrained_scms(constraint, 300, 0.01, seed=11) == want
+
+
+@pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
+def test_prefilter_keeps_every_row_the_exact_test_accepts(constraint):
+    # each row's own score as epsilon puts it on the exact test's boundary
+    raw = np.random.default_rng(5).standard_exponential((20_000, 16))
+    ctf, int1, int2 = batch_metrics(fairness._normalize(raw))
+    scores = ctf if constraint == L3_PENALTY else int1 + int2
+    assert fairness._may_pass(constraint, raw, scores).all()
+    # and, on these rows, it admits no row the exact test rejects
+    assert np.array_equal(fairness._may_pass(constraint, raw, 0.01), scores <= 0.01)
+
+
+def test_normalized_exponentials_are_the_dirichlet_rows():
+    for seed in range(3):
+        raw = np.random.default_rng(seed).standard_exponential((5000, 16))
+        rows = np.random.default_rng(seed).dirichlet(np.ones(16), size=5000)
+        assert np.array_equal(fairness._normalize(raw), rows)
+    raw_rng, dirichlet_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(100):
+        row = fairness._normalize(raw_rng.standard_exponential((1, 16)))[0]
+        assert np.array_equal(row, dirichlet_rng.dirichlet(np.ones(16)))
