@@ -231,7 +231,7 @@ class ExactTables:
                     sums[cell, slot] = sums.get((cell, slot), 0.0) + w
         self.natural_value = e_natural
         self._sums = sums
-        # the (z, x') keys in first-seen order, which interventional_value sums in
+        # the (z, x') keys of the positive-weight rows, each once
         self._keys = list(dict.fromkeys(r[2:4] for r in self.rows.values()))
 
     # -- unit-level -------------------------------------------------------
@@ -259,9 +259,6 @@ class ExactTables:
             d: self._sums.get((("fix", z, xn, x2, d), "p"), 0.0) / tot
             for d in self.problem.post_domain
         }
-
-    def interventional_value(self, arm: Value) -> float:
-        return sum(self._sums[(("obs",) + k, ("y", arm))] for k in self._keys)
 
     # -- observational conditionals (hot-starts) ------------------------------
 

@@ -4,7 +4,7 @@ Everything here is deterministic given the model: a term's value under
 one exogenous assignment u is computed by recursively firing mechanisms
 in the regime-modified model, and probabilities are sums of exogenous
 weights over the assignments where every term hits its event value.
-No Monte Carlo; comparison tolerance for probabilities is 1e-10.
+No Monte Carlo.
 
 ``exact_l3_probability``, ``exact_distribution`` and ``exact_rows`` run
 on the model's compiled form (``ScmModel.compile()``): a term is
@@ -39,8 +39,6 @@ from .errors import QueryError
 from .graphs import Value
 from .models import CompiledScm, ScmModel
 from .queries import CtfQuery, PotentialResponse, RegimeEntry, response
-
-DIST_TOL = 1e-10
 
 
 def eval_potential_response(

@@ -202,7 +202,10 @@ def mu_ctf(
     """|P(Y_x1=1, Z_x1=0) - P(Y_x1=1, Z_x0=0)|, exactly by enumeration or
     estimated by executing the two-randomization plan n times per term.
     The sampled estimate draws its i-th plan from SeedSequence([seed, i]),
-    with fresh entropy in place of the seed when it is None."""
+    with fresh entropy in place of the seed when it is None. Its n is
+    checked as sample_constrained_scms checks its own."""
+    if not exact:
+        _check_count(n)
     model = scm.to_model()
     a, int1, int2 = _exact(model)
     if exact:
@@ -338,6 +341,14 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
     return rows * (1.0 / rows.cumsum(axis=1)[:, -1])[:, None]
 
 
+def _check_count(n: int) -> None:
+    """Refuse a sample count that is not an integer of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise EstimationError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise EstimationError("need at least one sample")
+
+
 def sample_constrained_scms(
     constraint: str,
     n: int,
@@ -379,10 +390,7 @@ def sample_constrained_scms(
         raise EstimationError(
             f"unknown constraint {constraint!r}; use {L2_PENALTY} or {L3_PENALTY}"
         )
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise EstimationError(f"the number of tables must be an integer, got {n!r}")
-    if n < 1:
-        raise EstimationError("need at least one sample")
+    _check_count(n)
     if not isinstance(epsilon, numbers.Real) or not epsilon >= 0:
         raise EstimationError(f"epsilon must be a number at least 0, got {epsilon!r}")
     rng = np.random.default_rng(seed)

@@ -346,15 +346,20 @@ class _Scanner:
 
 
 def _coerce(token: str, domain: Sequence[Value]) -> Value:
-    if token in domain:
-        return token
     try:
         as_int = int(token)
     except ValueError:
         as_int = None
-    if as_int is not None and as_int in domain:
-        return as_int
-    raise QueryError(f"value {token!r} outside domain {list(domain)}")
+    if as_int is None or as_int not in domain:
+        if token in domain:
+            return token
+        raise QueryError(f"value {token!r} outside domain {list(domain)}")
+    if token in domain:
+        raise QueryError(
+            f"value {token!r} is ambiguous in domain {list(domain)}: it names "
+            f"both {token!r} and {domain[domain.index(as_int)]!r}"
+        )
+    return as_int
 
 
 def parse_query(text: str, diagram: CausalDiagram) -> CtfQuery:
@@ -374,7 +379,8 @@ def parse_query(text: str, diagram: CausalDiagram) -> CtfQuery:
     A term's name is its variable, an entry's name the regime variable,
     and a name after "->" a child that receives the value (no arrow: every
     child does). A value token is looked up in the variable's domain as
-    text first, then as an integer.
+    text and as an integer; a token that names a value both ways is a
+    QueryError.
 
     Action sets (``realizability.parse_action_set``) are read by the same
     scanner, with the same ``targets``::

@@ -21,34 +21,35 @@ by step, discard the unit whenever a drawn value misses its tag, then
 read the outputs.
 
 Tags are per-action and depend only on the term, so conflicts are
-always witnessed by a pair of terms. ``RealizabilityChecker`` prepares
-each raw query term once into one record: the normalized term (each
-dropped subscript warns then, once), its requirements keyed by action
-id (the action's position in plan order), whether the term is
-realizable alone, and the same tags as three bit words. In the words
-each action id owns a fixed-width field: ``v`` holds each tag's code (1
-for Natural, 2 + the value's index in the action variable's domain),
-``fm`` is all ones over the fields the term tags, and ``h`` covers the
-value bits of the field of its output's whole-variable randomization.
-``realize`` decides a single term from its record. A longer query fails
-when a term fails alone, when two terms put different codes in one
-field (XOR under both masks), or when some output's randomization is
-performed (the merged codes under the merged ``h``).
+always witnessed by a pair of terms. ``RealizabilityChecker`` builds one
+record per raw query term, once: the normalized term (each dropped
+subscript warns then, once), whether the term is realizable alone, and
+its tags, stored twice in one walk. In three bit words each action id
+(the action's position in plan order) owns a fixed-width field: ``v``
+holds each tag's code (1 for Natural, 2 + the value's index in the
+action variable's domain), ``fm`` is all ones over the fields the term
+tags, and ``h`` covers the value bits of the field of its output's
+whole-variable randomization. Per source variable, the same tags are
+listed in merge order with the child each serves. ``realize`` decides a
+single term from its record. A longer query fails when a term fails
+alone, when two terms put different codes in one field (XOR under both
+masks), or when some output's randomization is performed (the merged
+codes under the merged ``h``).
 
 A verdict holds the raw query and the records, and derives the rest
-when it is first read: the normalized query, a plan's tags (merged by
-action id and sorted into plan order), and a failing verdict's
-conflict. That conflict comes from the ordered reference merge
-(variables in topological order, terms in query order), which names the
-first clash it meets. Every ``Conflict``, whatever its failure class,
-comes from that merge.
+when it is first read: the normalized query, a plan's tags (decoded
+from the merged ``v`` word field by field, which is plan order), and a
+failing verdict's conflict. That conflict comes from the ordered
+reference merge over the per-variable lists (variables in topological
+order, terms in query order), which names the first clash it meets.
+Every ``Conflict``, whatever its failure class, comes from that merge.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -304,59 +305,63 @@ class Conflict:
         )
 
 
-def _kept_query(q: CtfQuery, records: Sequence["_Prepared"]) -> CtfQuery:
-    """The query of the records' normalized terms: q itself when no
-    record dropped a subscript of its raw term."""
-    for r, t in zip(records, q.terms):
-        if r.kept is not t:
-            return CtfQuery(tuple([r.kept for r in records]))
-    return q
+class _Verdict:
+    """What ``realize`` returns, realizable or not: the raw query, each
+    term's record and the checker that decided it. The normalized query
+    is built on first access, since most callers only need the verdict.
+    Two verdicts of one class are equal when the attributes named in
+    ``_compared`` are; hash and repr show the same attributes."""
 
+    realizable: bool
+    _compared: tuple[str, ...]
 
-class NotRealizable:
-    """Negative verdict with a structured witness. ``realize`` builds it
-    from what the decision read: the raw query and each term's prepared
-    record. The normalized query, the conflict (the ordered merge's
-    first clash over the records' requirements) and the criterion's
-    witness pair are computed on first access, since most callers only
-    need the verdict. Two verdicts are equal when their queries and
-    conflicts are."""
-
-    realizable = False
-
-    def __init__(
-        self,
-        query: CtfQuery,
-        records: Sequence["_Prepared"],
-        checker: "RealizabilityChecker",
-    ):
+    def __init__(self, query: CtfQuery, records: Sequence[_TermRecord],
+                 checker: RealizabilityChecker):
         self._raw = query
         self._records = records
         self._checker = checker
         self.diagram = checker.diagram
 
     def __bool__(self) -> bool:
-        return False
+        return self.realizable
 
     @cached_property
     def query(self) -> CtfQuery:
-        return _kept_query(self._raw, self._records)
+        """The query of the records' normalized terms: the raw query itself
+        when no record dropped a subscript of its raw term."""
+        for r, t in zip(self._records, self._raw.terms):
+            if r.kept is not t:
+                return CtfQuery(tuple([r.kept for r in self._records]))
+        return self._raw
 
-    @cached_property
-    def conflict(self) -> Conflict:
-        reqs = [r.req for r in self._records]
-        return self._checker._first_clash(self.query, reqs)  # type: ignore[return-value]
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.query, self.conflict) == (other.query, other.conflict)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.query, self.conflict))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(query={self.query!r}, conflict={self.conflict!r})"
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class NotRealizable(_Verdict):
+    """Negative verdict with a structured witness. The conflict (the
+    ordered merge's first clash over the records' ``by_var`` tags) and
+    the criterion's witness pair are computed on first access. Two
+    verdicts are equal when their queries and conflicts are."""
+
+    realizable = False
+    _compared = ("query", "conflict")
+
+    @cached_property
+    def conflict(self) -> Conflict:
+        return self._checker._first_clash(self.query, self._records)  # type: ignore[return-value]
 
     @cached_property
     def criterion_pair(self) -> tuple[PotentialResponse, PotentialResponse] | None:
@@ -388,7 +393,7 @@ class PlanStep:
     read_terms: tuple[int, ...]
 
 
-class RealizationPlan:
+class RealizationPlan(_Verdict):
     """Executable schedule for drawing one i.i.d. sample of the query.
 
     ``tags`` lists every action the query's terms tag, in plan order (by
@@ -396,14 +401,17 @@ class RealizationPlan:
     its tag: the value the randomization must draw, or NATURAL for an
     action that must not be performed. A plan built by
     ``RealizationPlan(query, diagram, tags)`` holds them as given. One
-    that ``realize`` builds holds the raw query and the terms' prepared
-    records; on first access it builds the normalized query, and merges
-    the records' tags by action id and sorts them into plan order. The
-    steps, the held-back actions and the notes are derived from the
-    tags on first access too, since deciding a query needs none of them.
-    Two plans are equal when their queries, diagrams and tags are."""
+    that ``realize`` builds holds the raw query, the terms' records and
+    the merged value word of the decision; on first access it builds the
+    normalized query, and decodes the word's fields in action-id order,
+    which is plan order: code 1 is NATURAL, code 2 + k the k-th value of
+    the action variable's domain. The steps, the held-back actions and
+    the notes are derived from the tags on first access too, since
+    deciding a query needs none of them. Two plans are equal when their
+    queries, diagrams and tags are."""
 
     realizable = True
+    _compared = ("query", "diagram", "tags")
 
     def __init__(
         self,
@@ -416,48 +424,33 @@ class RealizationPlan:
         self.tags = tags
 
     @classmethod
-    def _from_records(
-        cls,
-        query: CtfQuery,
-        records: Sequence["_Prepared"],
-        checker: "RealizabilityChecker",
-    ) -> "RealizationPlan":
-        """The plan of the raw query whose terms ``records`` prepared."""
+    def _decided(cls, query: CtfQuery, records: Sequence[_TermRecord],
+                 checker: RealizabilityChecker, word: int) -> RealizationPlan:
+        """The plan ``realize`` decided, with ``word`` the records' merged
+        ``v``: what ``_Verdict.__init__`` sets, without the call a warm
+        decision would pay for."""
         plan = cls.__new__(cls)
         plan._raw = query
         plan._records = records
+        plan._checker = checker
         plan.diagram = checker.diagram
-        plan._randomizations = checker._randomizations
+        plan._word = word
         return plan
 
     @cached_property
-    def query(self) -> CtfQuery:
-        return _kept_query(self._raw, self._records)
-
-    @cached_property
     def tags(self) -> tuple[tuple[Action, object], ...]:
-        tag_by_id: dict[int, object] = {}
-        for r in self._records:
-            tag_by_id.update(r.req.tags)
-        rands = self._randomizations
-        return tuple([(rands[i], tag_by_id[i]) for i in sorted(tag_by_id)])
-
-    def __bool__(self) -> bool:
-        return True
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.query, self.diagram, self.tags) == (other.query, other.diagram, other.tags)
-
-    def __hash__(self) -> int:
-        return hash((self.query, self.diagram, self.tags))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(query={self.query!r}, "
-            f"diagram={self.diagram!r}, tags={self.tags!r})"
-        )
+        width, _ = self._checker._fields
+        ones = (1 << width) - 1
+        domains = self.diagram.domains
+        word, tags = self._word, []
+        for action in self._checker._randomizations:
+            if not word:
+                break
+            code = word & ones
+            if code:
+                tags.append((action, NATURAL if code == 1 else domains[action.var][code - 2]))
+            word >>= width
+        return tuple(tags)
 
     @cached_property
     def steps(self) -> tuple[PlanStep, ...]:
@@ -524,66 +517,50 @@ class RealizationPlan:
 # The decision procedure
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TermRequirements:
-    """Action tags a single term forces. ``by_var`` maps each source
-    variable to its (action id, tag, child) entries in merge order; the
-    child is None for a whole-variable randomization tagged Natural. A
-    term fails alone when no action can fix its value v of variable V as
-    input to a child; ``failure`` is then (V, v, child), and the entries
-    stop at V."""
-
-    by_var: dict[str, list[tuple[int, object, str | None]]]
-    failure: tuple[str, Value, str] | None = None
-    # the same tags keyed by action id; one term never tags an action twice
-    # with different tags, since a variable is either fixed or natural in it
-    tags: dict[int, object] = field(init=False)
-
-    def __post_init__(self):
-        self.tags = {
-            i: tag for entries in self.by_var.values() for i, tag, _ in entries
-        }
-
-
-class _Prepared(NamedTuple):
-    """One raw query term as realize reads it: the normalized term, its
-    requirements, whether the term is realizable alone (it neither fails
-    alone nor has an output without a read), and its tags as three words
-    over the checker's fields (``RealizabilityChecker._fields``): ``v``
-    holds each tagged action's code, ``fm`` is all ones over the tagged
-    fields, and ``h`` covers the value bits (all but the lowest) of the
-    field of its variable's whole-variable randomization, or is 0 when
-    there is none."""
+class _TermRecord(NamedTuple):
+    """One query term as the checker decides and plans it: ``kept``, the
+    normalized term; ``alone``, whether it is realizable alone (it neither
+    fails alone nor has an output without a read); its tags as words over
+    the checker's ``_fields`` (``v`` holds each tagged action's code,
+    ``fm`` is all ones over the tagged fields, ``h`` covers the value bits
+    of the field of its variable's ``Rand``, or is 0); and the same tags
+    for the ordered merge, ``by_var``: per source variable its (action
+    id, tag, child) entries in merge order, the child None for a ``Rand``
+    tagged Natural. When no action can fix the term's value x of V as
+    input to a child, ``failure`` is (V, x, child), the entries stop at V
+    and the words are 0."""
 
     kept: PotentialResponse
-    req: _TermRequirements
     alone: bool
     v: int
     fm: int
     h: int
+    by_var: dict[str, list[tuple[int, object, str | None]]]
+    failure: tuple[str, Value, str] | None = None
 
 
 class RealizabilityChecker:
-    """Caches per-term requirements for one (diagram, action set) pair so
+    """Caches one record per term for one (diagram, action set) pair so
     that many queries over the same setting are cheap to decide. Its
     covering table, ``_covering``, is the one place that decides which
     action fixes a variable's input to a child. The actions are checked
     against the diagram at the first decision, not at construction.
 
-    Each raw term a query holds is prepared once into a ``_Prepared``
-    record, so a warm ``realize`` only looks records up: a single term is
-    decided by its record's ``alone`` flag, and a longer query by three
-    integer words per record, with no dict built. Neither sorts tags,
-    builds the normalized query or names a conflict; the verdict does
-    that on first access, a failing one through ``_first_clash``, the
-    one ordered merge, which builds every ``Conflict``."""
+    Each raw term a query holds is prepared once into a ``_TermRecord``,
+    so a warm ``realize`` only looks records up: a single term is decided
+    by its record's ``alone`` flag, and a longer query by three integer
+    words per record, with no dict built. Neither builds the normalized
+    query, the plan's tags or a conflict; the verdict does that on first
+    access. A plan decodes its tags from the merged ``v`` word, and a
+    failing verdict names its conflict through ``_first_clash``, the one
+    ordered merge, which builds every ``Conflict``."""
 
     def __init__(self, diagram: CausalDiagram, actions: ActionSet):
         self.diagram = diagram
         self.actions = actions
         self.topo = diagram.topological_order()
-        self._term_cache: dict[tuple, _TermRequirements] = {}
-        self._prepared: dict[PotentialResponse, _Prepared] = {}
+        self._term_cache: dict[tuple, _TermRecord] = {}
+        self._prepared: dict[PotentialResponse, _TermRecord] = {}
         self.compat_visits = 0  # (V, term, child) visits, for complexity checks
 
     # built on first use, so that setting up a checker stays cheap
@@ -631,18 +608,22 @@ class RealizabilityChecker:
                 covering.setdefault((a.var, c), []).append(i)  # type: ignore[arg-type]
         return covering
 
-    # -- per-term requirement tags -------------------------------------
+    # -- per-term records --------------------------------------------
 
-    def term_requirements(self, term: PotentialResponse) -> _TermRequirements:
+    def term_requirements(self, term: PotentialResponse) -> _TermRecord:
+        """The record of a normalized, full-do term, built on the first
+        call for its variable and regime; its ``kept`` is the term it was
+        first built for."""
         key = (term.variable, frozenset(term.regime))
-        req = self._term_cache.get(key)
-        if req is None:
-            req = self._term_cache[key] = self._compute_term_requirements(term)
-        return req
+        record = self._term_cache.get(key)
+        if record is None:
+            record = self._term_cache[key] = self._compute_term_requirements(term)
+        return record
 
-    def _compute_term_requirements(self, term: PotentialResponse) -> _TermRequirements:
+    def _compute_term_requirements(self, term: PotentialResponse) -> _TermRecord:
         """Tag the actions on each edge v -> c that W's ancestors use, once
-        per edge, as the module docstring says."""
+        per edge, as the module docstring says, and OR each variable's
+        tag code into the words at the ids it tags."""
         if not term.is_full_do():
             raise QueryError(
                 f"term {term} is path-restricted; the decision procedure "
@@ -654,7 +635,10 @@ class RealizabilityChecker:
         # ancestors of W once the regime variables' mechanisms are bypassed
         relevant = set(self.diagram.ancestors(w, cut_into=set(assignment)))
         covering, rand = self._covering, self._rand
+        width, codes = self._fields
+        ones = (1 << width) - 1
         by_var: dict[str, list[tuple[int, object, str | None]]] = {}
+        word = mask = 0
         for v in self.topo:
             if v == w or v not in relevant:
                 continue
@@ -674,37 +658,35 @@ class RealizabilityChecker:
                 elif v in rand:
                     entries.append((rand[v], tag, c))
                 else:
-                    return _TermRequirements(by_var, (v, tag, c))
+                    return _TermRecord(term, False, 0, 0, 0, by_var, (v, tag, c))
             if touched and tag is NATURAL and v in rand:
                 entries.append((rand[v], NATURAL, None))
-        return _TermRequirements(by_var)
+            if entries:
+                # one term never tags an action twice with different tags,
+                # since a variable is either fixed or natural in it
+                code = 1 if tag is NATURAL else codes[v][tag]
+                for i, _, _ in entries:
+                    word |= code << i * width
+                    mask |= ones << i * width
+        # a term never tags its own variable's randomization (the walk skips
+        # W), so alone it fails only by itself or by an unreadable output
+        h = (ones ^ 1) << rand[w] * width if w in rand else 0
+        return _TermRecord(term, self.actions.has_read(w), word, mask, h, by_var)
 
-    def _prepare(self, t: PotentialResponse) -> _Prepared:
+    def _prepare(self, t: PotentialResponse) -> _TermRecord:
         """One query term validated and normalized (as CtfQuery.validate
-        and CtfQuery.normalized do it), with its requirements, as a record
-        stored in self._prepared for every later query with this term. A dropped
+        and CtfQuery.normalized do it), its record stored in
+        self._prepared for every later query with this term. A dropped
         subscript warns here, once, at realize's caller; a path-restricted
         term raises before anything is stored."""
         CtfQuery((t,)).validate(self.diagram)
         kept, messages = normalize_term(t, self.diagram)
-        req = self.term_requirements(kept)
-        # a term never tags its own variable's randomization (the walk skips
-        # W), so alone it fails only by itself or by an unreadable output
-        alone = req.failure is None and self.actions.has_read(kept.variable)
-        width, codes = self._fields
-        ones = (1 << width) - 1
-        rands = self._randomizations
-        v = fm = h = 0
-        for i, tag in req.tags.items():
-            shift = i * width
-            v |= (1 if tag is NATURAL else codes[rands[i].var][tag]) << shift  # type: ignore[index]
-            fm |= ones << shift
-        rand = self._rand.get(kept.variable)
-        if rand is not None:
-            h = (ones ^ 1) << (rand * width)
+        record = self.term_requirements(kept)
+        if record.kept is not kept:
+            record = record._replace(kept=kept)
         for message in messages:
             warnings.warn(message, stacklevel=3)
-        record = self._prepared[t] = _Prepared(kept, req, alone, v, fm, h)
+        self._prepared[t] = record
         return record
 
     # -- merging terms ---------------------------------------------------
@@ -720,13 +702,13 @@ class RealizabilityChecker:
             q.validate(self.diagram)
             raise
         if len(records) == 1:
-            ok = records[0].alone
+            ok, V = records[0].alone, records[0].v
         else:
             # a term failing alone, two codes in one field, or a performed
             # randomization of some output fails the query, as _first_clash
             # would find it
             V = FM = H = 0
-            for _, _, alone, v, fm, h in records:
+            for _, alone, v, fm, h, _, _ in records:
                 if not alone or (V ^ v) & FM & fm:
                     ok = False
                     break
@@ -736,24 +718,24 @@ class RealizabilityChecker:
             else:
                 ok = not V & H
         if ok:
-            return RealizationPlan._from_records(q, records, self)
+            return RealizationPlan._decided(q, records, self, V)
         return NotRealizable(q, records, self)
 
-    def _first_clash(self, q: CtfQuery, reqs: Sequence[_TermRequirements]) -> Conflict | None:
-        """The reference merge: every term's tags by action id, with the
-        index of the term that set each, variables in topological order,
-        terms in query order. Returns the first conflict it meets, or
-        None when there is none."""
+    def _first_clash(self, q: CtfQuery, records: Sequence[_TermRecord]) -> Conflict | None:
+        """The reference merge: every term's ``by_var`` tags by action id,
+        with the index of the term that set each, variables in topological
+        order, terms in query order. Returns the first conflict it meets,
+        or None when there is none."""
         merged: dict[int, tuple[object, int]] = {}
         outputs: dict[str, list[int]] = {}
         for ti, t in enumerate(q.terms):
             outputs.setdefault(t.variable, []).append(ti)
         for v in self.topo:
-            for ti, req in enumerate(reqs):
-                if req.failure is not None and req.failure[0] == v:
-                    _, value, child = req.failure
+            for ti, record in enumerate(records):
+                if record.failure is not None and record.failure[0] == v:
+                    _, value, child = record.failure
                     return Conflict(v, NO_ACTION, None, value, None, ti, None, child)
-                for i, tag, child in req.by_var.get(v, ()):
+                for i, tag, child in record.by_var.get(v, ()):
                     existing, prior = merged.setdefault(i, (tag, ti))
                     if existing != tag:
                         action = self._randomizations[i]

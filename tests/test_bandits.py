@@ -152,9 +152,7 @@ def test_tier_values_match_published_numbers(problem, tables):
     assert values["opt"] == pytest.approx(0.80, abs=1e-12)
 
 
-def test_interventional_arm_values(problem, tables):
-    assert tables.interventional_value(0) == pytest.approx(0.7, abs=1e-12)
-    assert tables.interventional_value(1) == pytest.approx(0.7, abs=1e-12)
+def test_natural_value(problem, tables):
     assert tables.natural_value == pytest.approx(0.65, abs=1e-12)
 
 
@@ -327,8 +325,6 @@ def test_exact_tables_equal_the_per_row_sums(make_problem):
     assert t.natural_value == natural
     assert t.rows == rows and list(t.rows) == list(rows)
     assert t.keys() == sorted(ref["key"], key=repr)
-    for x in arms:
-        assert t.interventional_value(x) == sum(ref["zx"][k + (x,)] for k in ref["key"])
     for (z, xn), pk in ref["key"].items():
         assert t.key_prob((z, xn)) == pk
         for x in arms:

@@ -160,6 +160,22 @@ def test_sampled_metric_seeds_each_plan_from_its_seed_or_fresh_entropy(monkeypat
     assert 0 not in (fresh[0][0], fresh[2][0])
 
 
+def test_sampled_metric_checks_n_before_realizing(monkeypatch):
+    # a bad sample size fails with the sampler's texts before any plan is
+    # realized; exact evaluation reads no n
+    def no_realize(q, diagram, actions):
+        raise AssertionError("realized a plan")
+
+    monkeypatch.setattr(fairness, "ctf_realize", no_realize)
+    for n in (2.5, True, "10", np.float64(3.0)):
+        with pytest.raises(EstimationError, match="must be an integer"):
+            mu_ctf(example2_scm(), exact=False, n=n)
+    for n in (0, -5):
+        with pytest.raises(EstimationError, match="at least one"):
+            mu_ctf(example2_scm(), exact=False, n=n)
+    assert mu_ctf(example2_scm(), n=0.5).exact
+
+
 def test_sampled_metric_concentrates():
     report = mu_ctf(example2_scm(), exact=False, n=20_000, seed=6)
     assert report.mu_ctf == pytest.approx(0.10, abs=0.02)

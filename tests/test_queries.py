@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ctfrealize import (
+    CausalDiagram,
     CtfQuery,
     PotentialResponse,
     QueryError,
@@ -59,6 +60,18 @@ def test_parse_values_and_braces():
     assert q.values() == (1, 0)
     q2 = parse_query("P(Y[X=1->{Y}])", fan)
     assert q2.terms[0].regime[0].targets == frozenset({"Y"})
+
+
+def test_a_value_token_naming_a_string_and_an_int_is_refused():
+    # with X's domain [0, "0"], the bare token 0 names both values: the
+    # parser refuses to pick one, in a regime and in an event alike
+    d = CausalDiagram(["X", "Y"], domains={"X": [0, "0"]}, directed_edges=[("X", "Y")])
+    for text in ("P(Y[X=0])", "P(X=0)"):
+        with pytest.raises(QueryError, match=r"ambiguous .* both '0' and 0"):
+            parse_query(text, d)
+    # a token that names one value either way still parses
+    mixed = CausalDiagram(["X", "Y"], domains={"X": ["a", 1]}, directed_edges=[("X", "Y")])
+    assert parse_query("P(Y[X=a], X=1)", mixed) == query(response("Y", {"X": "a"}), response("X", value=1))
 
 
 def test_parse_errors():

@@ -481,16 +481,17 @@ def test_single_and_triple_verdicts_match_the_ordered_merge():
                         assert verdict.conflict == clash, q
                         classes.add((len(q.terms), clash.failure))
                         continue
-                    naive = {}
-                    for req in reqs:
-                        naive.update(req.tags)
+                    naive = {
+                        i: tag for r in reqs for entries in r.by_var.values() for i, tag, _ in entries
+                    }
                     rands = checker._randomizations
                     assert verdict.tags == tuple((rands[i], naive[i]) for i in sorted(naive)), q
             # no term tags its own variable's randomization, so a single
             # term can never erase its own output
             for t in terms:
                 kept, _ = normalize_term(t, diagram)
-                assert checker._rand.get(kept.variable) not in checker.term_requirements(kept).tags
+                by_var = checker.term_requirements(kept).by_var
+                assert checker._rand.get(kept.variable) not in {i for e in by_var.values() for i, _, _ in e}
     assert {c for n, c in classes if n == 1} == {NO_ACTION, READ_UNAVAILABLE}
     assert {c for n, c in classes if n == 3} == {
         VALUE_CONFLICT_CTF, VALUE_CONFLICT_RAND, NO_ACTION, NATURAL_CONFLICT_CTF,
@@ -572,7 +573,8 @@ def test_words_decide_as_the_ordered_merge_on_every_class():
     # realize decides a longer query from three words per record; on a
     # seeded sample of pairs and triples of every four-node class, under
     # each action set, it must fail exactly when the ordered merge finds a
-    # clash. Budget: 10 s.
+    # clash, and a plan's tags, decoded from the merged word, must be the
+    # records' by_var tags merged by action id, in id order. Budget: 10 s.
     start = time.perf_counter()
     rng = random.Random(2119)
     classes = set()
@@ -585,10 +587,16 @@ def test_words_decide_as_the_ordered_merge_on_every_class():
                 for size in (2, 3):
                     q = CtfQuery(tuple(rng.sample(terms, min(size, len(terms)))))
                     nq = q.normalized(diagram)
-                    clash = checker._first_clash(nq, [checker.term_requirements(t) for t in nq.terms])
-                    assert bool(checker.realize(q)) == (clash is None), q
+                    records = [checker.term_requirements(t) for t in nq.terms]
+                    clash = checker._first_clash(nq, records)
+                    verdict = checker.realize(q)
+                    assert bool(verdict) == (clash is None), q
                     if clash is not None:
                         classes.add(clash.failure)
+                        continue
+                    merged = {i: tag for r in records for e in r.by_var.values() for i, tag, _ in e}
+                    rands = checker._randomizations
+                    assert verdict.tags == tuple((rands[i], merged[i]) for i in sorted(merged)), q
     elapsed = time.perf_counter() - start
     assert classes == {
         VALUE_CONFLICT_CTF, VALUE_CONFLICT_RAND, NO_ACTION, NATURAL_CONFLICT_CTF,
