@@ -60,7 +60,6 @@ from .mediators import (
     ExpandedDiagram,
     MediatorNode,
     ctf_procedures,
-    verify_counterfactual_mediator,
 )
 from .simulate import (
     Experiment,
@@ -68,7 +67,6 @@ from .simulate import (
     Unit,
     draw_plan_batch,
     estimate,
-    execute_plan,
     sample_interventional,
     sample_observational,
 )
@@ -79,9 +77,7 @@ from .bandits import (
     Strategy,
     StrategyForm,
     TIERS,
-    ThompsonSolver,
     best_strategy,
-    brute_force_optimal,
     evaluate_strategy_exact,
     example3_problem,
     run_epochs,
@@ -98,5 +94,3 @@ from .fairness import (
 from . import fixtures
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

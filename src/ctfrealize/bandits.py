@@ -42,8 +42,9 @@ Metrics (one value per round, aggregated over epochs):
 
 * cumulative regret — per-round increments are the full-information
   oracle gap max_x E[Y|x,u] - E[Y|x_played,u], nonnegative by
-  construction; on the shipped problem its expectation equals the
-  brute-force optimal value used as the comparison baseline.
+  construction; on the shipped problem its expectation equals the opt
+  tier's value, which the test suite certifies by brute force over the
+  two-map normal form.
 * OAP (optimal action probability) — 1 for a round iff (a) the D-stage
   action attains the best achievable first-stage value for the observed
   (z, x') among {no D action} and {fix any input to D}, and (b) the
@@ -56,7 +57,6 @@ Metrics (one value per round, aggregated over epochs):
 from __future__ import annotations
 
 import csv
-import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -300,7 +300,7 @@ class ExactTables:
 
 
 # ---------------------------------------------------------------------------
-# Strategies: exact evaluation and the brute-force oracle
+# Strategies and their exact evaluation
 # ---------------------------------------------------------------------------
 
 SKIP_D = ("skip",)
@@ -475,76 +475,9 @@ def best_strategy(
     return Strategy(form.name, d_stage, y_stage)
 
 
-MAX_BRUTE_FORCE = 10**6
-
-
-def brute_force_optimal(
-    problem: MabProblem, tables: ExactTables | None = None
-) -> tuple[Strategy, float]:
-    """Exhaustive maximum over the two-map normal form: every mapping
-    (z, x') -> fixed D-input crossed with every mapping (z, x', d) ->
-    reward-input. Certifies the tier-opt value; ties break toward the
-    lexicographically first mapping."""
-    tables = _tables_for(problem, tables)
-    keys = tables.keys()
-    arms = problem.arms
-    d_dom = problem.post_domain
-    n_sigma = len(arms) ** len(keys)
-    n_tau = len(arms) ** (len(keys) * len(d_dom))
-    if n_sigma * n_tau > MAX_BRUTE_FORCE:
-        raise EstimationError(
-            f"normal-form enumeration would visit {n_sigma * n_tau} strategies; "
-            f"cap is {MAX_BRUTE_FORCE}"
-        )
-    best: tuple[Strategy, float] | None = None
-    for sigma in itertools.product(arms, repeat=len(keys)):
-        d_stage = {k: fix_d(x2) for k, x2 in zip(keys, sigma)}
-        tau_cells = [(k, d) for k in keys for d in d_dom]
-        for tau in itertools.product(arms, repeat=len(tau_cells)):
-            y_stage = {
-                (k[0], k[1], d): act_fix_y(x) for (k, d), x in zip(tau_cells, tau)
-            }
-            strat = Strategy("normal-form", d_stage, y_stage)
-            value = evaluate_strategy_exact(problem, strat, tables)
-            if best is None or value > best[1] + VALUE_TOL:
-                best = (strat, value)
-    assert best is not None
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Online algorithms
 # ---------------------------------------------------------------------------
-
-class ThompsonSolver:
-    """Beta-Bernoulli posterior per arm key, each starting at Beta(1, 1).
-
-    The reference for the epoch loop: ``_play_epoch`` keeps the same
-    posteriors in two flat lists indexed by the memo's key ids, and the
-    tests require a loop that draws and updates through this solver,
-    keyed by tuples, to play the same arms. Hot-started cells are never
-    drawn or updated: they score with their exact observational mean."""
-
-    def __init__(self):
-        self.posterior: dict = {}  # key -> [alpha, beta]
-
-    def draw(self, key, rng: np.random.Generator) -> float:
-        ab = self.posterior.get(key)
-        if ab is None:
-            ab = self.posterior[key] = [1.0, 1.0]
-        return float(rng.beta(ab[0], ab[1]))
-
-    def update(self, key, reward: float) -> None:
-        ab = self.posterior.get(key)
-        if ab is None:
-            ab = self.posterior[key] = [1.0, 1.0]
-        ab[0] += reward
-        ab[1] += 1.0 - reward
-
-    def pulls(self, key) -> int:
-        alpha, beta = self.posterior.get(key, (1.0, 1.0))
-        return int(alpha + beta - 2.0)
-
 
 @dataclass
 class RunMetrics:
@@ -748,8 +681,9 @@ def _play_epoch(
     indexed by the memo's key ids and extended when a new row adds ids;
     a round reads its row's ids and does no keyed lookup. Draws and
     updates come in the order a unit-at-a-time protocol would make them,
-    with the arithmetic of ``ThompsonSolver``, which the tests hold this
-    loop to; each argmax keeps the first maximum, as ``max`` does."""
+    with the arithmetic of one Beta-Bernoulli posterior per arm key (the
+    tests hold this loop to a reference solver keyed by tuples); each
+    argmax keeps the first maximum, as ``max`` does."""
     draw = rng.beta
     thompson = policy.d_stage == "thompson"
     uniform = policy.d_stage == "uniform"

@@ -177,6 +177,9 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     from .simulate import draw_plan_batch
 
+    if args.n < 1:
+        # an empty batch has no empirical distribution to compare
+        raise EstimationError(f"--n must be at least 1, got {args.n}")
     model = resolve_model(args.model)
     q = parse_query(args.query, model.diagram)
     if any(v is not None for v in q.values()):

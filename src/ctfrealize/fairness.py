@@ -186,13 +186,6 @@ def _audit_plan(model: ScmModel, q: CtfQuery) -> RealizationPlan:
     return verdict
 
 
-def assert_audit_realizable(model: ScmModel) -> None:
-    """The cross-regime joint P(Y_x1, Z_x0) must be sampleable with the
-    two per-model input randomizations before any sampled estimate is
-    trusted."""
-    _audit_plan(model, _COUPLED[0])
-
-
 def mu_ctf(
     scm: CanonicalScm,
     exact: bool = True,

@@ -28,8 +28,9 @@ Document layout::
 Built-in fixtures are names, not files: each one is defined only by
 its Python builder below, and ``builtin_names()`` lists them. They
 cover the structural shapes the test-suite and the worked examples rely
-on. Fixture files are user input in the layout above (``*_to_dict``
-writes it), and the CLI accepts either a built-in name or a path.
+on. Fixture files are user input in the layout above, and the CLI
+accepts either a built-in name or a path. The package only reads the
+layout; the test suite's ``*_to_dict`` writers produce it.
 """
 
 from __future__ import annotations
@@ -47,62 +48,8 @@ from .models import Mechanism, ScmModel, independent_exogenous, validate_scm
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Reading
 # ---------------------------------------------------------------------------
-
-def diagram_to_dict(diagram: CausalDiagram, name: str = "") -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "variables": list(diagram.variables),
-        "domains": {v: list(diagram.domains[v]) for v in diagram.variables},
-        "edges": sorted([list(e) for e in diagram.directed_edges]),
-        "bidirected": sorted(sorted(e) for e in diagram.bidirected_edges),
-    }
-    if name:
-        doc = {"name": name, **doc}
-    return doc
-
-
-def model_to_dict(model: ScmModel, name: str = "") -> dict[str, Any]:
-    doc = diagram_to_dict(model.diagram, name)
-    doc["exogenous"] = {
-        "variables": list(model.exogenous_vars),
-        "domains": {u: list(model.exogenous_domains[u]) for u in model.exogenous_vars},
-        "dist": [
-            {"values": list(u), "p": p} for u, p in model.exogenous_support()
-        ],
-    }
-    doc["mechanisms"] = {
-        v: {
-            "parents": list(m.parents),
-            "exogenous": list(m.exogenous),
-            "rows": [
-                {"inputs": list(k), "value": val}
-                for k, val in sorted(m.table.items(), key=lambda kv: repr(kv[0]))
-            ],
-        }
-        for v, m in sorted(model.mechanisms.items())
-    }
-    return doc
-
-
-def expanded_to_dict(expanded: ExpandedDiagram, name: str = "") -> dict[str, Any]:
-    doc = diagram_to_dict(expanded.base, name)
-    doc["expanded"] = {
-        "mediators": [
-            {
-                "name": m.name,
-                "parent": m.parent,
-                "serves": sorted(m.served_children),
-                "invertible": m.invertible,
-                "randomizable": m.randomizable,
-            }
-            for m in expanded.mediators
-        ],
-        "elicit_natural": sorted(expanded.elicit_natural),
-        "randomizable": sorted(expanded.randomizable),
-    }
-    return doc
-
 
 # The layout above as shapes for _fits, to check each section on reading
 _VALUE = (str, int, float, type(None))
@@ -225,10 +172,6 @@ def load_fixture(path: str | Path) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise ModelError(f"fixture {str(path)!r} holds no JSON object")
     return doc
-
-
-def save_fixture(doc: dict[str, Any], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -501,39 +444,6 @@ def expanded_chained_mediators() -> ExpandedDiagram:
             MediatorNode("W2", "W1", frozenset({"Z", "T"})),
         ),
     )
-
-
-def expanded_mediator_model() -> ScmModel:
-    """Explicit expanded SCM with two chained copies of X: W1 feeds Z and
-    W2; W2 feeds T and B. Used to check the mediator conditions and the
-    forcing equivalence by enumeration."""
-    d = CausalDiagram(
-        ["X", "W1", "W2", "Y", "Z", "T", "B"],
-        directed_edges=[
-            ("X", "Y"), ("X", "W1"),
-            ("W1", "Z"), ("W1", "W2"),
-            ("W2", "T"), ("W2", "B"),
-        ],
-    )
-    names, doms, dist = independent_exogenous(
-        {"U_X": (0, 1), "U_Y": (0, 1), "U_Z": (0, 1), "U_T": (0, 1), "U_B": (0, 1)},
-        {"U_X": (0.5, 0.5), "U_Y": (0.7, 0.3), "U_Z": (0.6, 0.4),
-         "U_T": (0.8, 0.2), "U_B": (0.55, 0.45)},
-    )
-    mech = {
-        "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-        "W1": Mechanism.tabulate(("X",), (), ((0, 1),), (), lambda x: x),
-        "W2": Mechanism.tabulate(("W1",), (), ((0, 1),), (), lambda w: w),
-        "Y": Mechanism.tabulate(("X",), ("U_Y",), ((0, 1),), ((0, 1),),
-                                lambda x, u: x ^ u),
-        "Z": Mechanism.tabulate(("W1",), ("U_Z",), ((0, 1),), ((0, 1),),
-                                lambda w, u: w | u),
-        "T": Mechanism.tabulate(("W2",), ("U_T",), ((0, 1),), ((0, 1),),
-                                lambda w, u: w ^ u),
-        "B": Mechanism.tabulate(("W2",), ("U_B",), ((0, 1),), ((0, 1),),
-                                lambda w, u: w ^ u),
-    }
-    return ScmModel(d, names, doms, dist, mech)
 
 
 # -- the registry -------------------------------------------------------------

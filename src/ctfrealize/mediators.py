@@ -14,19 +14,20 @@ perceives X through two separate mediator pathways. A would-be mediator
 hanging off an ordinary variable is rejected: once a variable with full
 support sits between X and the node, the node's value can no longer be
 inverted back to X.
+
+The module works on structure only: it reads the mediator declarations
+and never evaluates a mechanism. That a declared mediator does carry X
+(it inverts to X, and forcing it equals forcing X) is a property of an
+explicit SCM, which the test suite checks by enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import MediatorStructureError
-from .graphs import CausalDiagram, Value
-from .models import ScmModel
-from .queries import response
-from .engine import eval_potential_response
+from .graphs import CausalDiagram
 from .realizability import Action, ActionSet, ctf_rand_action
 
 
@@ -135,89 +136,3 @@ def ctf_procedures(expanded: ExpandedDiagram, x: str) -> ActionSet:
             actions.append(ctf_rand_action(x, m.served_children))
 
     return ActionSet(actions, base)
-
-
-# ---------------------------------------------------------------------------
-# Checking mediator conditions on an explicit expanded SCM
-# ---------------------------------------------------------------------------
-
-def inverse_image_classes(model: ScmModel, w: str, x: str) -> dict[Value, set[Value]] | None:
-    """Partition of w's realized values by the x-value that produced
-    them, or None when some w value arises from two different x values
-    (the mechanism is not invertible to x)."""
-    m = model.mechanisms[w]
-    if tuple(m.parents) != (x,):
-        return None
-    classes: dict[Value, Value] = {}  # w value -> unique x value
-
-    exo_doms = [model.exogenous_domains[e] for e in m.exogenous]
-    for xv in model.diagram.domains[x]:
-        for evals in itertools.product(*[tuple(d) for d in exo_doms]):
-            wv = m((xv,), evals)
-            if wv in classes and classes[wv] != xv:
-                return None
-            classes[wv] = xv
-    out: dict[Value, set[Value]] = {}
-    for wv, xv in classes.items():
-        out.setdefault(xv, set()).add(wv)
-    return out
-
-
-def verify_counterfactual_mediator(
-    model: ScmModel, w: str, x: str, y: str
-) -> bool:
-    """True iff, in this expanded SCM, w mediates x for y: w's mechanism
-    inverts to x, y's mechanism sees w only through the inverse-image
-    class, and (checked by full enumeration) forcing any w in x's class
-    onto y reproduces forcing x itself, for every exogenous assignment
-    and every setting of y's other parents."""
-    d = model.diagram
-    if w not in d or x not in d or y not in d:
-        return False
-    if w not in d.children(x) or y not in d.children(w):
-        return False
-
-    classes = inverse_image_classes(model, w, x)
-    if classes is None:
-        return False
-
-    class_of: dict[Value, Value] = {}
-    for xv, ws in classes.items():
-        for wv in ws:
-            class_of[wv] = xv
-
-    my = model.mechanisms[y]
-    others = tuple(p for p in my.parents if p != w)
-    other_doms = [d.domains[p] for p in others]
-    exo_doms = [model.exogenous_domains[e] for e in my.exogenous]
-
-    def y_value(wv, other_vals, evals):
-        assign = dict(zip(others, other_vals))
-        assign[w] = wv
-        return my(tuple(assign[p] for p in my.parents), evals)
-
-    # y depends on w only through its class
-    for ws in classes.values():
-        ws = sorted(ws, key=repr)
-        for wa, wb in zip(ws, ws[1:]):
-            for other_vals in itertools.product(*[tuple(t) for t in other_doms]):
-                for evals in itertools.product(*[tuple(t) for t in exo_doms]):
-                    if y_value(wa, other_vals, evals) != y_value(wb, other_vals, evals):
-                        return False
-
-    # forcing w in x's class equals forcing x, under every u and every
-    # fixed setting of y's other parents
-    for u, p in model.exogenous_support():
-        for xv, ws in sorted(classes.items(), key=lambda kv: repr(kv[0])):
-            for other_vals in itertools.product(*[tuple(t) for t in other_doms]):
-                fixed = dict(zip(others, other_vals))
-                via_x = eval_potential_response(
-                    model, u, response(y, {x: xv, **fixed})
-                )
-                for wv in sorted(ws, key=repr):
-                    via_w = eval_potential_response(
-                        model, u, response(y, {w: wv, **fixed})
-                    )
-                    if via_w != via_x:
-                        return False
-    return True

@@ -350,7 +350,9 @@ def _coerce(token: str, domain: Sequence[Value]) -> Value:
         as_int = int(token)
     except ValueError:
         as_int = None
-    if as_int is None or as_int not in domain:
+    # only a token in int's own spelling names an integer: int() also
+    # reads "1_0" as 10 and "01" as 1
+    if as_int is None or str(as_int) != token or as_int not in domain:
         if token in domain:
             return token
         raise QueryError(f"value {token!r} outside domain {list(domain)}")

@@ -36,8 +36,9 @@ its output row depends only on its exogenous assignment ``u``. The
 executor therefore evaluates each distinct accepted ``u`` once, on a
 ``Unit`` with the required values written, and copies that row to
 every accepted unit with the same ``u``. ``Unit`` stays the only
-evaluator of mechanisms, and ``execute_plan`` keeps the unit-at-a-time
-procedure as the reference.
+evaluator of mechanisms. The unit-at-a-time procedure (select, draw,
+reject or read, one unit after another) is the tests' reference
+``execute_plan``, and the block executor is held to its law.
 """
 
 from __future__ import annotations
@@ -331,29 +332,6 @@ def _cap_error(plan: RealizationPlan) -> EstimationError:
         f"exceeded {MAX_REJECTIONS} rejected units for one sample; "
         f"uniform-draw acceptance probability is about {accept:.3g}"
     )
-
-
-def execute_plan(
-    plan: RealizationPlan, experiment: Experiment
-) -> tuple[tuple[Value, ...], int]:
-    """Draw one i.i.d. sample row for the plan's query.
-
-    Units are selected from the experiment, randomized per the plan by
-    uniform draws, discarded whenever a draw misses its required value,
-    and read out. Returns the row (ordered like the query terms) and the
-    number of discarded units. Raises once ``MAX_REJECTIONS`` units in a
-    row are discarded.
-    """
-    interventions = plan.required_actions()
-    _required_codes(experiment.model, interventions)
-    rejected = 0
-    while True:
-        unit = experiment.new_unit()
-        if all(_perform(unit, action) == required for action, required in interventions):
-            return tuple(unit.read(t.variable) for t in plan.query.terms), rejected
-        rejected += 1
-        if rejected >= MAX_REJECTIONS:
-            raise _cap_error(plan)
 
 
 def draw_plan_batch(

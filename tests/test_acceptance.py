@@ -20,7 +20,6 @@ from ctfrealize import (
     draw_plan_batch,
     estimate,
     exact_distribution,
-    exact_l3_probability,
     interventional_distribution,
     maximal_action_set,
     nde,
@@ -33,7 +32,6 @@ from ctfrealize import (
     sample_interventional,
     sample_observational,
     select,
-    verify_counterfactual_mediator,
 )
 from ctfrealize.realizability import (
     ActionSet,
@@ -50,7 +48,6 @@ from ctfrealize.fixtures import (
     chain_model,
     collider_hub_diagram,
     collider_hub_model,
-    expanded_mediator_model,
     fan_diagram,
     fan_model,
     hub_conflict_diagram,
@@ -61,6 +58,7 @@ from ctfrealize.fixtures import (
 )
 
 from enumeration import enumerate_mixed_graphs, enumerate_terms
+from reference import brute_force_optimal, expanded_mediator_model, verify_counterfactual_mediator
 from test_engine import nde_oracle
 from test_simulate import (
     random_action_sequence_respects_fce,
@@ -313,7 +311,7 @@ def test_criterion_07_exact_strategy_values(bandit_problem, bandit_tables):
     assert values["int"] == pytest.approx(0.70, abs=1e-12)
     assert values["ett"] == pytest.approx(0.75, abs=1e-12)
     assert values["opt"] == pytest.approx(0.80, abs=1e-12)
-    _, best = bd.brute_force_optimal(bandit_problem, bandit_tables)
+    _, best = brute_force_optimal(bandit_problem, bandit_tables)
     assert best == pytest.approx(0.80, abs=1e-12)
     report(7, "tier values 0.65 / 0.70 / 0.75 / 0.80 exact to 1e-12; "
               "normal-form maximum 0.80")

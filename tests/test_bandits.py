@@ -27,11 +27,9 @@ from ctfrealize.bandits import (
     MabProblem,
     Strategy,
     StrategyForm,
-    ThompsonSolver,
     act_fix_y,
     act_write,
     best_strategy,
-    brute_force_optimal,
     check_strategy_realizable,
     evaluate_strategy_exact,
     example3_problem,
@@ -43,6 +41,8 @@ from ctfrealize.bandits import _POLICIES, _Responses, _play_epoch  # the loop an
 from ctfrealize.models import independent_exogenous
 from ctfrealize.realizability import NO_ACTION, OUTPUT_ERASED
 from ctfrealize.simulate import Experiment, Unit
+
+from reference import ThompsonSolver, brute_force_optimal
 
 
 @pytest.fixture(scope="module")

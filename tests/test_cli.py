@@ -9,7 +9,8 @@ import pytest
 import ctfrealize
 from ctfrealize.cli import EXIT_INPUT, main, parse_action_set
 from ctfrealize import ctf_rand_action, rand_action
-from ctfrealize.fixtures import bow_model, fan_diagram, model_to_dict, save_fixture
+from ctfrealize.fixtures import bow_model, fan_diagram
+from reference import model_to_dict
 from test_bandits import context_problem
 
 
@@ -135,7 +136,7 @@ def test_eval_rejects_a_model_file_without_a_mechanism(tmp_path, capsys):
     doc = model_to_dict(bow_model(), "bow")
     del doc["mechanisms"]["Y"]
     path = tmp_path / "model.json"
-    save_fixture(doc, path)
+    path.write_text(json.dumps(doc))
     assert run_cli(["eval", "--model", str(path), "--query", "P(Y=1)"], tmp_path) == 1
     assert "no mechanism for 'Y'" in capsys.readouterr().err
 
@@ -237,7 +238,7 @@ def test_bandit_problem_is_a_builtin_model_name(tmp_path):
 def test_bandit_reads_z_as_the_context(tmp_path):
     # ts-ett that sees z reaches its 0.40 tier; blind to z the tier is 0.30
     path = tmp_path / "context.json"
-    save_fixture(model_to_dict(context_problem().model, "context"), path)
+    path.write_text(json.dumps(model_to_dict(context_problem().model, "context")))
     assert run_cli(
         ["bandit", "--algo", "ts-ett", "--problem", str(path), "--T", "1000",
          "--epochs", "4", "--seed", "0"],
@@ -253,6 +254,17 @@ def test_empty_bandit_run_is_an_input_error(tmp_path, sizes, capsys):
     out = tmp_path / "out"
     assert run_cli(["bandit", "--algo", "ts", "--seed", "4"] + sizes, out) == 1
     assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_empty_sample_is_an_input_error(tmp_path, n, capsys):
+    # refused before the query is realized: this one is not realizable,
+    # which would exit 3
+    out = tmp_path / "out"
+    args = ["sample", "--model", "bow", "--query", "P(Y[X=1], X, Y)", "--maximal", "--n", n]
+    assert run_cli(args, out) == 1
+    assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -313,10 +325,11 @@ def test_json_format_writes_no_csv(tmp_path, args, csvs):
 
 
 def test_procedures_subcommand(tmp_path):
-    from ctfrealize.fixtures import expanded_to_dict, expanded_chained_mediators, save_fixture
+    from ctfrealize.fixtures import expanded_chained_mediators
+    from reference import expanded_to_dict
 
     fx = tmp_path / "expanded.json"
-    save_fixture(expanded_to_dict(expanded_chained_mediators(), "x"), fx)
+    fx.write_text(json.dumps(expanded_to_dict(expanded_chained_mediators(), "x")))
     assert run_cli(
         ["procedures", "--expanded", str(fx), "--variable", "X"], tmp_path
     ) == 0

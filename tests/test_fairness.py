@@ -7,13 +7,14 @@ import pytest
 
 from ctfrealize import (
     ActionSet,
-    CausalDiagram,
     EstimationError,
     Mechanism,
     ModelError,
     ScmModel,
+    ctf_rand_action,
     ctf_realize,
     exact_l3_probability,
+    maximal_action_set,
     query,
     rand_action,
     read_action,
@@ -28,7 +29,6 @@ from ctfrealize.fairness import (
     CanonicalScm,
     FairnessReport,
     RESPONSE_TYPES,
-    assert_audit_realizable,
     batch_metrics,
     example2_scm,
     mu_ctf,
@@ -113,7 +113,15 @@ def test_vectorized_metrics_match_engine():
 
 
 def test_audit_query_is_realizable_with_per_model_randomizations():
-    assert_audit_realizable(example2_scm().to_model())
+    # the cross-regime joint P(Y_x1, Z_x0) is sampled by fixing X
+    # separately as input to each screen
+    model = example2_scm().to_model()
+    coupled = query(response("Y", {"X": 1}), response("Z", {"X": 0}))
+    plan = ctf_realize(coupled, model.diagram, maximal_action_set(model.diagram))
+    assert plan
+    assert {action for action, _ in plan.tags} == {
+        ctf_rand_action("X", ["Y"]), ctf_rand_action("X", ["Z"]),
+    }
 
 
 def test_sampled_metric_realizes_each_coupled_query_once(monkeypatch):

@@ -1,25 +1,26 @@
+import json
+
 import pytest
 
 from ctfrealize.errors import GraphError, ModelError
 from ctfrealize.fixtures import (
     builtin_model,
     expanded_from_dict,
-    expanded_to_dict,
     expanded_two_mediators,
     hub_split_model,
     load_fixture,
     model_from_dict,
-    model_to_dict,
     resolve_diagram,
     resolve_model,
-    save_fixture,
 )
+
+from reference import expanded_to_dict, model_to_dict
 
 
 def test_model_round_trip_through_file(tmp_path):
     model = hub_split_model()
     path = tmp_path / "m.json"
-    save_fixture(model_to_dict(model, "m"), path)
+    path.write_text(json.dumps(model_to_dict(model, "m")))
     back = resolve_model(str(path))
     assert back.diagram == model.diagram
     assert back.exogenous_dist == model.exogenous_dist
@@ -28,7 +29,7 @@ def test_model_round_trip_through_file(tmp_path):
 def test_expanded_round_trip(tmp_path):
     exp = expanded_two_mediators()
     path = tmp_path / "e.json"
-    save_fixture(expanded_to_dict(exp, "e"), path)
+    path.write_text(json.dumps(expanded_to_dict(exp, "e")))
     back = expanded_from_dict(load_fixture(path))
     assert back.base == exp.base
     assert back.mediators == exp.mediators

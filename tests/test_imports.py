@@ -1,11 +1,15 @@
-"""Every module-level import in the package is used by its module, and
-every private name defined at module level or in a class body is used
-somewhere in the package.
+"""Every module-level import in the package is used by its module, every
+private name defined at module level or in a class body is used
+somewhere in the package, and every public module-level name is read by
+the package or by the benchmark.
 
 The package's ``__init__.py`` only re-exports, and ``from __future__``
 imports switch on language features, so both are exempt from the import
 check. A private name (one leading underscore, not a dunder) that no
-module reads is dead code.
+module reads is dead code. A public name must be read by another package
+module (a re-export in ``__init__.py`` counts), by ``bench/``, or by its
+own module outside its own definition: a name that only the tests read
+belongs beside them, in ``tests/reference.py``.
 """
 
 import ast
@@ -15,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ctfrealize"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ctfrealize"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -57,9 +63,9 @@ def test_module_has_no_unused_import(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-def _private_names(node: ast.stmt) -> list[str]:
-    """The private names a statement defines: a function, a class, or the
-    targets of an assignment."""
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a statement defines: a function, a class, or the targets
+    of an assignment."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -67,15 +73,16 @@ def _private_names(node: ast.stmt) -> list[str]:
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
 
 
 def _definitions(body: list[ast.stmt]):
     """(name, statement) for each private name defined at module level or
     in a class body (a method, a nested class, a class attribute)."""
     for node in body:
-        for name in _private_names(node):
-            yield name, node
+        for name in _defined(node):
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
         if isinstance(node, ast.ClassDef):
             yield from _definitions(node.body)
 
@@ -100,18 +107,35 @@ def _source(path: Path) -> tuple[ast.Module, Counter]:
     return tree, _reads(tree)
 
 
-def _dead_private_names(path: Path) -> list[str]:
-    # a name read only inside its own definition (a recursive call) is dead
-    elsewhere = set().union(*(_source(p)[1] for p in SOURCES if p != path))
-    tree, reads = _source(path)
+def _unread(path: Path, definitions, readers: list[Path]) -> list[str]:
+    """Each (name, statement) of the module's ``definitions`` that no
+    other file of ``readers`` reads, and that the module reads only
+    inside the statement (a recursive call is no read)."""
+    elsewhere = set().union(*(_source(p)[1] for p in readers if p != path))
+    reads = _source(path)[1]
     return sorted(
         f"{name} (line {node.lineno})"
-        for name, node in _definitions(tree.body)
+        for name, node in definitions
         if name not in elsewhere and reads[name] <= _reads(node)[name]
     )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_private_name(path):
-    dead = _dead_private_names(path)
+    dead = _unread(path, _definitions(_source(path)[0].body), SOURCES)
     assert not dead, f"{path.name} defines private names nothing reads: {', '.join(dead)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_public_name_only_tests_read(path):
+    public = [
+        (name, node)
+        for node in _source(path)[0].body
+        for name in _defined(node)
+        if not name.startswith("_")
+    ]
+    unread = _unread(path, public, SOURCES + BENCH)
+    assert not unread, (
+        f"{path.name} defines public names that neither the package nor bench/ "
+        f"reads: {', '.join(unread)}"
+    )

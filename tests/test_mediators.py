@@ -11,15 +11,15 @@ from ctfrealize import (
     ctf_rand_action,
     eval_potential_response,
     response,
-    verify_counterfactual_mediator,
 )
 from ctfrealize.fixtures import (
     expanded_chained_mediators,
     expanded_elicit,
-    expanded_mediator_model,
     expanded_two_mediators,
 )
 from ctfrealize.models import independent_exogenous
+
+from reference import expanded_mediator_model, verify_counterfactual_mediator
 
 
 def test_elicit_environment_grants_whole_children_action():

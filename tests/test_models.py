@@ -15,13 +15,12 @@ from ctfrealize.fixtures import (
     builtin,
     builtin_names,
     diagram_from_dict,
-    diagram_to_dict,
     expanded_from_dict,
-    expanded_to_dict,
     model_from_dict,
-    model_to_dict,
 )
 from ctfrealize.models import independent_exogenous
+
+from reference import diagram_to_dict, expanded_to_dict, model_to_dict
 
 
 def test_example3_model_valid():

@@ -74,6 +74,21 @@ def test_a_value_token_naming_a_string_and_an_int_is_refused():
     assert parse_query("P(Y[X=a], X=1)", mixed) == query(response("Y", {"X": "a"}), response("X", value=1))
 
 
+def test_a_value_token_is_an_integer_only_in_int_spelling():
+    # int() reads "1_0" as 10, "0_0" as 0 and "010" as 10; as value tokens
+    # they are text, which names no value of an integer domain
+    d = CausalDiagram(["X", "Y"], domains={"X": [0, 10]}, directed_edges=[("X", "Y")])
+    for text in ("P(Y[X=1_0])", "P(Y[X=0_0])", "P(X=1_0)", "P(Y[X=010])"):
+        with pytest.raises(QueryError, match="outside domain"):
+            parse_query(text, d)
+    assert parse_query("P(Y[X=10], X=0)", d) == query(
+        response("Y", {"X": 10}), response("X", value=0)
+    )
+    # and such a token names a string value of that spelling, with no clash
+    s = CausalDiagram(["X", "Y"], domains={"X": ["1_0", 10]}, directed_edges=[("X", "Y")])
+    assert parse_query("P(Y[X=1_0])", s) == query(response("Y", {"X": "1_0"}))
+
+
 def test_parse_errors():
     bow = bow_diagram()
     with pytest.raises(QueryError, match="self-intervention"):

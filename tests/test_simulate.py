@@ -24,8 +24,6 @@ from ctfrealize import (
     draw_plan_batch,
     estimate,
     exact_distribution,
-    exact_l3_probability,
-    execute_plan,
     interventional_distribution,
     maximal_action_set,
     parse_query,
@@ -43,6 +41,7 @@ from ctfrealize.bandits import example3_problem
 from ctfrealize.fairness import CanonicalScm
 
 from enumeration import enumerate_terms, queries_of_size
+from reference import execute_plan
 
 
 def supersede_model():
