@@ -36,7 +36,7 @@ from .models import PROB_TOL, Mechanism, ScmModel
 from .queries import CtfQuery, query, response
 from .engine import exact_l3_probability
 from .realizability import RealizationPlan, ctf_realize, maximal_action_set
-from .simulate import draw_plan_batch, estimate
+from .simulate import _check_integer, draw_plan_batch, estimate
 
 RESPONSE_TYPES = ("always-approve", "approve-iff-x1", "approve-iff-x0", "always-reject")
 
@@ -336,8 +336,7 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
 
 def _check_count(n: int) -> None:
     """Refuse a sample count that is not an integer of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise EstimationError(f"n must be an integer, got {n!r}")
+    _check_integer(n)
     if n < 1:
         raise EstimationError("need at least one sample")
 

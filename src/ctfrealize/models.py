@@ -12,6 +12,9 @@ compiled tables: when its rows of nonzero weight are the base model's,
 it shares the base's compiled tables and their memos (rows, codes,
 coded mechanisms, per-regime term codes, event masks) and builds only
 its weight vector; any other row set is compiled afresh.
+``ScmModel.selection_table()`` is the table units are selected by; it
+is built on first use and cached too, and a reweighted model builds its
+own, since its weights differ.
 The caches are filled lazily and never change a result, so a model
 stays safe to share: two threads that compile it at once at worst
 build the same tables twice.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,6 +141,7 @@ class ScmModel:
         self.mechanisms = dict(mechanisms)
         self._exo_index = {u: i for i, u in enumerate(self.exogenous_vars)}
         self._compiled: CompiledScm | None = None
+        self._selection: SelectionTable | None = None
         self._base: ScmModel | None = None
 
     def reweighted(self, exogenous_dist: Mapping[tuple, float]) -> "ScmModel":
@@ -151,6 +155,7 @@ class ScmModel:
         model.__dict__.update(self.__dict__)
         model.exogenous_dist = {tuple(k): float(p) for k, p in exogenous_dist.items()}
         model._compiled = None
+        model._selection = None
         model._base = self._base or self
         return model
 
@@ -174,6 +179,22 @@ class ScmModel:
         order, including zero-probability rows if present in the table."""
         return sorted(self.exogenous_dist.items(), key=lambda kv: _sort_key(kv[0]))
 
+    def selection_table(self) -> "SelectionTable":
+        """How units are selected from this model (built on first call,
+        then cached). The weights are normalized by their sum over every
+        row, zero weights included: numpy sums in pairs, so leaving a
+        zero out could round the total differently."""
+        if self._selection is None:
+            support = self.exogenous_support()
+            probs = np.array([p for _, p in support], dtype=float)
+            self._selection = SelectionTable(
+                [u for u, _ in support],
+                np.cumsum(probs / probs.sum()),
+                int(np.flatnonzero(probs)[-1]),
+                np.cumsum(probs != 0.0) - 1,
+            )
+        return self._selection
+
     def exo_value(self, u: tuple, name: str) -> Value:
         return u[self._exo_index[name]]
 
@@ -191,6 +212,19 @@ class ScmModel:
         for v in self.diagram.topological_order():
             out[v] = self.evaluate(v, out, u)
         return out
+
+
+class SelectionTable(NamedTuple):
+    """The rows of ``exogenous_support()`` and what selecting one by a
+    uniform draw needs: ``cumulative`` holds the normalized cumulative
+    weights, ``last`` is the index of the last row of positive weight (a
+    draw past the rounded total lands there), and ``compiled_row[i]`` is
+    row i's index into ``compile().rows`` when row i has nonzero weight."""
+
+    rows: list[tuple]
+    cumulative: np.ndarray
+    last: int
+    compiled_row: np.ndarray
 
 
 def _sort_key(assignment: tuple):

@@ -32,18 +32,23 @@ draw of the block in one ``integers`` call, and acceptance as a
 row-wise match of the draws against the required values. This is
 exact, not an approximation. The draws are uniform and independent of
 the unit, and an accepted unit's draws equal the required values, so
-its output row depends only on its exogenous assignment ``u``. The
-executor therefore evaluates each distinct accepted ``u`` once, on a
-``Unit`` with the required values written, and copies that row to
-every accepted unit with the same ``u``. ``Unit`` stays the only
-evaluator of mechanisms. The unit-at-a-time procedure (select, draw,
-reject or read, one unit after another) is the tests' reference
-``execute_plan``, and the block executor is held to its law.
+its output row depends only on its exogenous assignment ``u``: it is
+row ``u`` of the model's compiled form under the plan's regime
+(``plan_regime``), the per-edge entries the performed randomizations
+put in place. The compiled engine evaluates the rows, one memoized
+column per read variable, and the executor indexes those columns by
+the kept units. One ``Unit`` per batch performs the plan, so the
+plan's checks (single use, containment, targets, action kinds) run
+on every batch. ``Unit`` stays the oracle the rows are held to, and
+the unit-at-a-time procedure (select, draw, reject or read, one unit
+after another) is the tests' reference ``execute_plan``, whose law
+the block executor must draw from.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -233,7 +238,9 @@ class Unit:
 
 class Experiment:
     """Shared context for drawing units against one hidden model: the
-    feasible action set and a master seed fanned out per unit."""
+    feasible action set and a master seed fanned out per unit. Units are
+    selected by the model's cached ``selection_table()``; a ``Unit``
+    evaluates mechanisms and checks the actions performed on it."""
 
     def __init__(
         self,
@@ -250,20 +257,17 @@ class Experiment:
         # creation cheap
         self._shared_rng = np.random.Generator(np.random.PCG64(shared_ss))
         self._count = 0
-        support = model.exogenous_support()
+        self._table = model.selection_table()
         # exogenous assignments in model.exogenous_support() order
-        self.support = [u for u, _ in support]
-        probs = np.array([p for _, p in support], dtype=float)
-        self._support_cum = np.cumsum(probs / probs.sum())
-        # a draw past the rounded total lands here, never on a zero weight
-        self._last_row = int(np.flatnonzero(probs)[-1])
+        self.support = self._table.rows
 
     def select_rows(self, k: int) -> np.ndarray:
         """Select k fresh units at once: their indices into ``support``,
         the same stream as k calls to ``new_unit``."""
-        picked = np.searchsorted(self._support_cum, self._select_rng.random(k), side="right")
+        table = self._table
+        picked = np.searchsorted(table.cumulative, self._select_rng.random(k), side="right")
         self._count += k
-        return np.minimum(picked, self._last_row)
+        return np.minimum(picked, table.last)
 
     def unit_at(self, row: int) -> Unit:
         """A unit with the exogenous assignment ``support[row]``, all
@@ -334,6 +338,56 @@ def _cap_error(plan: RealizationPlan) -> EstimationError:
     )
 
 
+def _check_integer(n: object) -> None:
+    """Refuse a count that is a bool or not an integer."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise EstimationError(f"n must be an integer, got {n!r}")
+
+
+def plan_regime(plan: RealizationPlan, model: ScmModel) -> frozenset:
+    """What the plan's performed randomizations, with their required
+    values written, do to the mechanisms: the regime of
+    ``CompiledScm.values``, a frozenset of ((var, child), code) entries.
+    ``Rand(x)`` gives the full entry ((x, None), code). ``CtfRand(x->T)``
+    gives ((x, c), code) for each child c in T, and on a child that
+    several of them target the one with the smallest target set wins,
+    as in ``Unit``; a per-edge entry beats a full one in the compiled
+    engine, so any ``CtfRand`` beats a performed ``Rand``."""
+    interventions = plan.required_actions()
+    entries: dict[tuple, tuple[int, int]] = {}  # (var, child) -> (|targets|, code)
+    for (action, _), code in zip(interventions, _required_codes(model, interventions)):
+        if action.kind == RAND:
+            entries[(action.var, None)] = (0, code)
+        elif action.kind == CTF_RAND:
+            size = len(action.targets)
+            for c in action.targets:
+                won = entries.get((action.var, c))
+                if won is None or size < won[0]:
+                    entries[(action.var, c)] = (size, code)
+        else:
+            raise ActionError(f"plan contains non-randomizing {action}")
+    return frozenset((edge, code) for edge, (_, code) in entries.items())
+
+
+def _plan_rows(plan: RealizationPlan, model: ScmModel, kept: np.ndarray) -> list[tuple]:
+    """The row a kept unit reads on each compiled row in ``kept``: every
+    term's variable under ``plan_regime``, as domain values. Each
+    distinct row is built once, and its units share the tuple."""
+    compiled = model.compile()
+    regime = plan_regime(plan, model)
+    present = np.zeros(len(compiled.rows), dtype=bool)
+    present[kept] = True
+    distinct = np.flatnonzero(present)
+    columns = []
+    for t in plan.query.terms:
+        domain = np.fromiter(model.diagram.domains[t.variable], dtype=object)
+        columns.append(domain[compiled.values(t.variable, regime)[distinct]].tolist())
+    by_row = np.empty(len(compiled.rows), dtype=object)
+    tuples = zip(*columns) if columns else [()] * len(distinct)
+    by_row[distinct] = np.fromiter(tuples, dtype=object, count=len(distinct))
+    return by_row[kept].tolist()
+
+
 def draw_plan_batch(
     plan: RealizationPlan,
     model: ScmModel,
@@ -346,28 +400,33 @@ def draw_plan_batch(
     if every draw equals its required value, and read the variables of
     the query's terms from the kept ones.
 
+    One ``Unit`` performs the plan and reads the terms first, which
+    checks the plan. The kept units' rows are read off
+    ``model.compile()`` under ``plan_regime(plan, model)``: each read
+    variable's memoized code column, indexed by the kept units' rows.
+    Rows hold the variables' domain values. A bool or non-integral
+    ``n`` raises ``EstimationError``; ``n <= 0`` gives an empty batch.
+
     Units come in array blocks sized from the acceptance probability so
     that one block usually covers the batch, up to MAX_BLOCK_UNITS.
     ``rejected_units`` counts the units drawn up to the n-th acceptance,
     less n. The cap raises once some sample's run of consecutive rejected
     units reaches ``MAX_REJECTIONS``; runs continue across blocks."""
+    _check_integer(n)
     batch = SampleBatch(plan.query)
     if n <= 0:
         return batch
     interventions = plan.required_actions()
     required = np.array(_required_codes(model, interventions), dtype=np.int64)
     experiment = Experiment(model, seed=seed)
-    reads = [t.variable for t in plan.query.terms]
-
-    def evaluate(i: int) -> tuple[Value, ...]:
-        unit = experiment.unit_at(i)
-        for action, value in interventions:
-            _perform(unit, action, value)
-        return tuple(unit.read(v) for v in reads)
 
     # the plan checks (single use, containment, targets, action kinds)
     # depend on the plan alone, so performing it once checks every unit
-    rows = {0: evaluate(0)}
+    unit = experiment.unit_at(0)
+    for action, value in interventions:
+        _perform(unit, action, value)
+    for t in plan.query.terms:
+        unit.read(t.variable)
 
     sizes = np.array(
         [len(model.diagram.domains[action.var]) for action, _ in interventions],
@@ -393,10 +452,9 @@ def draw_plan_batch(
         run = int(runs[-1])
         need -= len(hits)
         accepted.append(picked[hits])
-    chosen = np.concatenate(accepted).tolist()
-    for i in set(chosen).difference(rows):
-        rows[i] = evaluate(i)
-    batch.rows = [rows[i] for i in chosen]
+
+    kept = experiment._table.compiled_row[np.concatenate(accepted)]
+    batch.rows = _plan_rows(plan, model, kept)
     batch.rejected_units = rejected
     return batch
 

@@ -45,7 +45,7 @@ from ctfrealize.errors import EstimationError
 from ctfrealize.graphs import CausalDiagram, Value
 from ctfrealize.mediators import ExpandedDiagram
 from ctfrealize.models import Mechanism, ScmModel, independent_exogenous
-from ctfrealize.queries import response
+from ctfrealize.queries import PotentialResponse, RegimeEntry, response
 from ctfrealize.realizability import RealizationPlan
 from ctfrealize.simulate import Experiment, _cap_error, _perform, _required_codes
 
@@ -205,15 +205,18 @@ def verify_counterfactual_mediator(
                     if y_value(wa, other_vals, evals) != y_value(wb, other_vals, evals):
                         return False
 
-    # forcing w in x's class equals forcing x, under every u and every
-    # fixed setting of y's other parents
+    # forcing w in x's class equals forcing x into w, under every u and
+    # every fixed setting of y's other parents; when x is one of them, y's
+    # direct x input keeps its fixed value
+    into_y = frozenset({y})
     for u, p in model.exogenous_support():
         for xv, ws in sorted(classes.items(), key=lambda kv: repr(kv[0])):
             for other_vals in itertools.product(*[tuple(t) for t in other_doms]):
                 fixed = dict(zip(others, other_vals))
-                via_x = eval_potential_response(
-                    model, u, response(y, {x: xv, **fixed})
-                )
+                regime = [RegimeEntry(q, v, into_y) for q, v in fixed.items()]
+                via_x = eval_potential_response(model, u, PotentialResponse(
+                    y, (RegimeEntry(x, xv, frozenset({w})), *regime)
+                ))
                 for wv in sorted(ws, key=repr):
                     via_w = eval_potential_response(
                         model, u, response(y, {w: wv, **fixed})

@@ -187,6 +187,26 @@ def test_outcome_peeking_past_the_class_is_not_a_mediator():
     assert not verify_counterfactual_mediator(model, "W", "X", "Y")
 
 
+@pytest.mark.parametrize("y_fn", [
+    lambda w, x, u: w ^ u,
+    lambda w, x, u: w ^ x ^ u,
+], ids=["y-ignores-x", "y-reads-x"])
+def test_mediator_beside_a_direct_edge(y_fn):
+    # X->W->Y and X->Y: forcing W in X's class must equal forcing X into W
+    # while Y's direct X input keeps its fixed value
+    d = CausalDiagram(["X", "W", "Y"],
+                      directed_edges=[("X", "W"), ("W", "Y"), ("X", "Y")])
+    names, doms, dist = independent_exogenous({"U_X": (0, 1), "U_Y": (0, 1)})
+    mech = {
+        "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
+        "W": Mechanism.tabulate(("X",), (), ((0, 1),), (), lambda x: x),
+        "Y": Mechanism.tabulate(("W", "X"), ("U_Y",), ((0, 1), (0, 1)), ((0, 1),),
+                                y_fn),
+    }
+    model = ScmModel(d, names, doms, dist, mech)
+    assert verify_counterfactual_mediator(model, "W", "X", "Y")
+
+
 def test_forcing_equivalence_holds_for_every_unit_and_class_member():
     # the check inside verify_counterfactual_mediator is exhaustive; spot
     # check the equality it asserts, term by term

@@ -1,10 +1,11 @@
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
 
-from ctfrealize import simulate
+from ctfrealize import fairness, simulate
 from ctfrealize import (
     ActionError,
     ActionSet,
@@ -35,7 +36,7 @@ from ctfrealize import (
     sample_observational,
     select,
 )
-from ctfrealize.fixtures import bow_model, fan_model, hub_split_model
+from ctfrealize.fixtures import bow_model, builtin_model, fan_model, hub_split_model
 from ctfrealize.models import independent_exogenous
 from ctfrealize.bandits import example3_problem
 from ctfrealize.fairness import CanonicalScm
@@ -539,11 +540,9 @@ def plan_law(model, plan):
     return law
 
 
-@pytest.mark.filterwarnings("ignore:dropping irrelevant subscript")
-def test_every_plan_law_equals_the_exact_distribution():
-    # every realizable single term and a seeded share of the pairs, under
-    # nested input randomizations: the unit must give each child the input
-    # of the smallest target set, as the checker's covering table assumes
+def nested_randomization_plans():
+    """(model, plan) for every realizable single term and a seeded share
+    of the pairs, under nested input randomizations."""
     fan, sup = fan_model(), supersede_model()
 
     def actions(model, *extra):
@@ -558,7 +557,6 @@ def test_every_plan_law_equals_the_exact_distribution():
                       ctf_rand_action("X", ["T", "B"]), rand_action("X"))),
     ]
     rng = random.Random(15)
-    plans = 0
     for model, acts in settings:
         checker = RealizabilityChecker(model.diagram, acts)
         terms = enumerate_terms(model.diagram)
@@ -566,12 +564,121 @@ def test_every_plan_law_equals_the_exact_distribution():
         for q in [*queries_of_size(terms, 1), *rng.sample(pairs, 400)]:
             plan = checker.realize(q)
             if plan:
-                exact = exact_distribution(model, plan.query).as_dict()
-                law = plan_law(model, plan)
-                assert set(law) <= set(exact), q
-                assert all(law.get(c, 0.0) == p for c, p in exact.items()), q
-                plans += 1
+                yield model, plan
+
+
+@pytest.mark.filterwarnings("ignore:dropping irrelevant subscript")
+def test_every_plan_law_equals_the_exact_distribution():
+    # the unit must give each child the input of the smallest target set,
+    # as the checker's covering table assumes
+    plans = 0
+    for model, plan in nested_randomization_plans():
+        exact = exact_distribution(model, plan.query).as_dict()
+        law = plan_law(model, plan)
+        assert set(law) <= set(exact), plan.query
+        assert all(law.get(c, 0.0) == p for c, p in exact.items()), plan.query
+        plans += 1
     assert plans > 1000
+
+
+# the seven plans of the sampling-fidelity criterion and the benchmark
+FIXTURE_PLANS = (
+    ("bow", "P(Y[X=1], X)"),
+    ("chain", "P(Y[X=0], X)"),
+    ("hub_split", "P(Z[X=0], W[T=0])"),
+    ("fan", "P(Y[X=1], Z[X=0], W[X=1])"),
+    ("collider_hub", "P(W[X=1,T=0])"),
+    ("bandit_example", "P(Y[X=0], X, D[X=1])"),
+    ("admissions", "P(Y[X=1], Z[X=0])"),
+)
+
+
+@pytest.mark.filterwarnings("ignore:dropping irrelevant subscript")
+def test_executor_rows_equal_unit_reads():
+    # the block executor reads a kept unit's row off the compiled model;
+    # on every row of positive weight it must be, exactly, what a Unit
+    # with the required values written reads
+    fixtures = []
+    for name, text in FIXTURE_PLANS:
+        model = builtin_model(name)
+        fixtures.append((model, fixture_plan(model, text)))
+    plans = 0
+    for model, plan in [*nested_randomization_plans(), *fixtures]:
+        table = model.selection_table()
+        positive = [i for i, (_, p) in enumerate(model.exogenous_support()) if p > 0]
+        rows = simulate._plan_rows(plan, model, table.compiled_row[positive])
+        for i, row in zip(positive, rows):
+            unit = Unit(model, table.rows[i], np.random.default_rng(0))
+            for action, value in plan.required_actions():
+                simulate._perform(unit, action, value)
+            assert row == tuple(unit.read(t.variable) for t in plan.query.terms), plan.query
+        plans += 1
+    assert plans > 1000
+
+
+@pytest.mark.parametrize("name", ["fan", "bandit_example"])
+@pytest.mark.parametrize("n", [1, 5_000])
+def test_a_batch_builds_one_unit(monkeypatch, name, n):
+    # the one unit performs the plan; kept rows come off the compiled model
+    built = []
+
+    class CountingUnit(Unit):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    model = builtin_model(name)
+    plan = fixture_plan(model, dict(FIXTURE_PLANS)[name])
+    monkeypatch.setattr(simulate, "Unit", CountingUnit)
+    batch = draw_plan_batch(plan, model, n, seed=37)
+    assert len(batch) == n
+    assert len(built) == 1
+
+
+def test_a_reweighted_model_samples_as_one_built_with_its_weights():
+    # a reweighted model is a copy of its base's attributes; its selection
+    # table must come from its own weights, also after the base sampled
+    base = fairness._BASE
+    plan = fixture_plan(base, "P(Y[X=1], Z[X=0])")
+    draw_plan_batch(plan, base, 100, seed=38)
+    zeros = [0.0 if t % 3 == 0 else 1.0 for t in range(16)]
+    tables = [
+        fairness.example2_scm(),
+        CanonicalScm(tuple(w / sum(zeros) for w in zeros), p_x1=0.3),
+    ]
+    for scm in tables:
+        reweighted = scm.to_model()
+        built = ScmModel(base.diagram, base.exogenous_vars, base.exogenous_domains,
+                         reweighted.exogenous_dist, base.mechanisms)
+        for seed in (39, 40):
+            a = draw_plan_batch(plan, reweighted, 3_000, seed=seed)
+            b = draw_plan_batch(plan, built, 3_000, seed=seed)
+            assert (a.rows, a.rejected_units) == (b.rows, b.rejected_units)
+            rows = Experiment(reweighted, seed=seed).select_rows(3_000)
+            assert np.array_equal(rows, Experiment(built, seed=seed).select_rows(3_000))
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+def test_a_sample_count_must_be_an_integer(n):
+    model = bow_model()
+    plan = fixture_plan(model, "P(Y[X=1], X)")
+    message = f"n must be an integer, got {n!r}"
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+        draw_plan_batch(plan, model, n, seed=41)
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+        sample_observational(model, n, seed=41)
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+        sample_interventional(model, {"X": 1}, n, seed=41)
+
+
+def test_a_count_below_one_gives_an_empty_batch():
+    model = bow_model()
+    plan = fixture_plan(model, "P(Y[X=1], X)")
+    for n in (0, -3, np.int64(0)):
+        assert draw_plan_batch(plan, model, n, seed=42).rows == []
+        assert sample_observational(model, n, seed=42).rows == []
+        assert sample_interventional(model, {"X": 1}, n, seed=42).rows == []
+    assert len(draw_plan_batch(plan, model, np.int64(3), seed=42)) == 3
 
 
 def test_batch_rows_are_tuples_of_domain_values():
