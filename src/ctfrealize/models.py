@@ -12,9 +12,10 @@ compiled tables: when its rows of nonzero weight are the base model's,
 it shares the base's compiled tables and their memos (rows, codes,
 coded mechanisms, per-regime term codes, event masks) and builds only
 its weight vector; any other row set is compiled afresh.
-``ScmModel.selection_table()`` is the table units are selected by; it
-is built on first use and cached too, and a reweighted model builds its
-own, since its weights differ.
+``ScmModel.selection_table()`` is the table units are selected by, and
+``ScmModel.exogenous_support()`` the support in its fixed order; both
+are built on first use and cached too, and a reweighted model builds
+its own, since its weights differ.
 The caches are filled lazily and never change a result, so a model
 stays safe to share: two threads that compile it at once at worst
 build the same tables twice.
@@ -140,6 +141,7 @@ class ScmModel:
         self.exogenous_dist = {tuple(k): float(p) for k, p in exogenous_dist.items()}
         self.mechanisms = dict(mechanisms)
         self._exo_index = {u: i for i, u in enumerate(self.exogenous_vars)}
+        self._support: list[tuple[tuple, float]] | None = None
         self._compiled: CompiledScm | None = None
         self._selection: SelectionTable | None = None
         self._base: ScmModel | None = None
@@ -154,6 +156,7 @@ class ScmModel:
         model = ScmModel.__new__(ScmModel)
         model.__dict__.update(self.__dict__)
         model.exogenous_dist = {tuple(k): float(p) for k, p in exogenous_dist.items()}
+        model._support = None
         model._compiled = None
         model._selection = None
         model._base = self._base or self
@@ -176,8 +179,13 @@ class ScmModel:
 
     def exogenous_support(self) -> list[tuple[tuple, float]]:
         """All (joint exogenous assignment, probability) pairs, in a fixed
-        order, including zero-probability rows if present in the table."""
-        return sorted(self.exogenous_dist.items(), key=lambda kv: _sort_key(kv[0]))
+        order, including zero-probability rows if present in the table.
+        Sorted on first call; each call returns a fresh list."""
+        if self._support is None:
+            self._support = sorted(
+                self.exogenous_dist.items(), key=lambda kv: _sort_key(kv[0])
+            )
+        return list(self._support)
 
     def selection_table(self) -> "SelectionTable":
         """How units are selected from this model (built on first call,

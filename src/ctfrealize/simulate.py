@@ -26,28 +26,38 @@ One executor, ``draw_plan_batch``, takes every batch as a plan.
 Observational and interventional sampling are its two simplest plans:
 ``sample_observational`` reads every variable under a plan with no
 randomization, and ``sample_interventional`` tags ``Rand(x)`` with
-each requested value. The executor draws units in array blocks:
-selection by ``searchsorted`` over the exogenous CDF, every uniform
-draw of the block in one ``integers`` call, and acceptance as a
-row-wise match of the draws against the required values. This is
-exact, not an approximation. The draws are uniform and independent of
-the unit, and an accepted unit's draws equal the required values, so
-its output row depends only on its exogenous assignment ``u``: it is
-row ``u`` of the model's compiled form under the plan's regime
-(``plan_regime``), the per-edge entries the performed randomizations
-put in place. The compiled engine evaluates the rows, one memoized
-column per read variable, and the executor indexes those columns by
-the kept units. One ``Unit`` per batch performs the plan, so the
-plan's checks (single use, containment, targets, action kinds) run
-on every batch. ``Unit`` stays the oracle the rows are held to, and
-the unit-at-a-time procedure (select, draw, reject or read, one unit
-after another) is the tests' reference ``execute_plan``, whose law
-the block executor must draw from.
+each requested value. The executor samples the exact law of the
+unit-at-a-time procedure (select a unit, draw every randomization
+uniformly, keep the unit only if each draw equals its required value)
+without drawing the units it would throw away:
+
+* Acceptance depends only on the uniform draws, which are independent
+  of the unit's exogenous assignment and of every other unit. So the
+  kept units' assignments are i.i.d. draws from the exogenous law, and
+  the executor selects exactly n of them (``select_rows(n)``).
+* Each unit is accepted independently with p = 1 / prod |dom| over the
+  performed randomizations, so the units drawn up to and including one
+  acceptance are Geometric(p), and a sample's run of rejected units is
+  Geometric(p) - 1. One ``geometric(p, n)`` call gives every run, and
+  ``rejected_units`` is their sum.
+* The cap raises exactly when the unit-at-a-time procedure would: once
+  some sample's run reaches ``MAX_REJECTIONS``.
+
+An accepted unit's draws equal the required values, so its output row
+depends only on its exogenous assignment ``u``: it is row ``u`` of the
+model's compiled form under the plan's regime (``plan_regime``), the
+per-edge entries the performed randomizations put in place. The
+compiled engine evaluates the rows, one memoized column per read
+variable, and the executor indexes those columns by the kept units.
+One ``Unit`` per batch performs the plan, so the plan's checks (single
+use, containment, targets, action kinds) run on every batch. ``Unit``
+stays the oracle the rows are held to, and the unit-at-a-time
+procedure is the tests' reference ``execute_plan``, whose law the
+executor must draw from.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -75,10 +85,6 @@ ERASED = "erased"
 
 # rejected units in a row after which one sample gives up
 MAX_REJECTIONS = 10**6
-# units per array block of the rejection executor: caps its memory (a
-# block holds one draw per unit and randomization) whatever the
-# acceptance probability
-MAX_BLOCK_UNITS = 1 << 16
 
 
 class _Draw:
@@ -394,11 +400,11 @@ def draw_plan_batch(
     n: int,
     seed: int | np.random.SeedSequence | None = None,
 ) -> SampleBatch:
-    """N i.i.d. samples of the plan's query, by the one rejection
-    executor (see the module docstring): select units, randomize them by
-    uniform draws as ``plan.required_actions()`` says, keep a unit only
-    if every draw equals its required value, and read the variables of
-    the query's terms from the kept ones.
+    """N i.i.d. samples of the plan's query, from the exact law of the
+    rejection procedure (see the module docstring): select units,
+    randomize them by uniform draws as ``plan.required_actions()`` says,
+    keep a unit only if every draw equals its required value, and read
+    the variables of the query's terms from the kept ones.
 
     One ``Unit`` performs the plan and reads the terms first, which
     checks the plan. The kept units' rows are read off
@@ -407,17 +413,18 @@ def draw_plan_batch(
     Rows hold the variables' domain values. A bool or non-integral
     ``n`` raises ``EstimationError``; ``n <= 0`` gives an empty batch.
 
-    Units come in array blocks sized from the acceptance probability so
-    that one block usually covers the batch, up to MAX_BLOCK_UNITS.
-    ``rejected_units`` counts the units drawn up to the n-th acceptance,
-    less n. The cap raises once some sample's run of consecutive rejected
-    units reaches ``MAX_REJECTIONS``; runs continue across blocks."""
+    Only the kept units are drawn: n rows selected from the exogenous
+    law, and, when some randomization can miss (acceptance p < 1), one
+    Geometric(p) draw per sample, the units drawn up to and including
+    its acceptance. ``rejected_units`` is their sum less n, the units
+    the procedure throws away. The cap raises once some sample's run
+    of rejected units reaches ``MAX_REJECTIONS``."""
     _check_integer(n)
     batch = SampleBatch(plan.query)
     if n <= 0:
         return batch
     interventions = plan.required_actions()
-    required = np.array(_required_codes(model, interventions), dtype=np.int64)
+    _required_codes(model, interventions)
     experiment = Experiment(model, seed=seed)
 
     # the plan checks (single use, containment, targets, action kinds)
@@ -428,32 +435,15 @@ def draw_plan_batch(
     for t in plan.query.terms:
         unit.read(t.variable)
 
-    sizes = np.array(
-        [len(model.diagram.domains[action.var]) for action, _ in interventions],
-        dtype=np.int64,
-    )
-    p = 1.0 / math.prod(sizes.tolist())
-    limit = max(MAX_REJECTIONS, 1)
-    accepted = []
-    need, run, rejected = n, 0, 0  # run: rejections since the last acceptance
-    while need:
-        # the mean units for `need` acceptances plus three standard deviations
-        k = min(MAX_BLOCK_UNITS, math.ceil((need + 3 * math.sqrt(need * (1 - p)) + 1) / p))
-        picked = experiment.select_rows(k)
-        draws = experiment._shared_rng.integers(sizes, size=(k, len(sizes)))
-        hits = np.flatnonzero((draws == required).all(axis=1))[:need]
-        ends = hits if len(hits) == need else np.append(hits, k)
-        runs = np.diff(ends, prepend=-1 - run) - 1
-        if runs.max() >= limit:
+    p = plan.acceptance_probability()
+    kept = experiment._table.compiled_row[experiment.select_rows(n)]
+    rejected = 0
+    if p < 1.0:
+        runs = experiment._shared_rng.geometric(p, n)
+        if int(runs.max()) - 1 >= max(MAX_REJECTIONS, 1):
             raise _cap_error(plan)
-        # units drawn before the n-th acceptance: through it, or the whole block
-        used = int(ends[-1]) + (len(hits) == need)
-        rejected += used - len(hits)
-        run = int(runs[-1])
-        need -= len(hits)
-        accepted.append(picked[hits])
+        rejected = int(runs.sum()) - n
 
-    kept = experiment._table.compiled_row[np.concatenate(accepted)]
     batch.rows = _plan_rows(plan, model, kept)
     batch.rejected_units = rejected
     return batch

@@ -9,8 +9,9 @@ checker the package itself never needs:
 * ``ThompsonSolver`` keeps Beta posteriors in a dict keyed by tuples;
   the epoch loop ``bandits._play_epoch`` keeps them in flat lists indexed
   by key ids and must play the same arms.
-* ``execute_plan`` runs a plan one unit at a time; the block executor
-  ``simulate.draw_plan_batch`` must draw from the same law.
+* ``execute_plan`` runs a plan one unit at a time; the executor
+  ``simulate.draw_plan_batch``, which draws only the kept units and each
+  sample's run of rejected units, must draw from the same law.
 * ``verify_counterfactual_mediator`` (with ``inverse_image_classes``)
   checks the mediator conditions on an explicit expanded SCM by full
   enumeration: the semantics behind ``mediators.ctf_procedures``, which

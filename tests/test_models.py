@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ctfrealize import models
 from ctfrealize import (
     CausalDiagram,
     ExpandedDiagram,
@@ -13,6 +14,7 @@ from ctfrealize import (
 from ctfrealize.bandits import example3_problem
 from ctfrealize.fixtures import (
     builtin,
+    builtin_model,
     builtin_names,
     diagram_from_dict,
     expanded_from_dict,
@@ -91,6 +93,32 @@ def test_out_of_domain_output_is_violation():
     mech = {"X": Mechanism.tabulate((), ("U",), (), ((0, 1),), lambda u: u + 5)}
     model = ScmModel(d, names, doms, dist, mech)
     assert any("outside its domain" in p for p in validate_scm(model))
+
+
+def test_the_support_is_sorted_once_per_model(monkeypatch):
+    # compile, selection_table and every later call share one sort, and a
+    # caller that edits the returned list leaves the model's order intact
+    keyed = []
+    sort_key = models._sort_key
+    monkeypatch.setattr(models, "_sort_key", lambda u: keyed.append(u) or sort_key(u))
+    model = builtin_model("fan")
+    rows = len(model.exogenous_dist)
+    model.compile()
+    model.selection_table()
+    first = model.exogenous_support()
+    first.reverse()
+    assert model.exogenous_support() == first[::-1]
+    assert len(keyed) == rows
+
+    # a reweighted model sorts its own weights on first use, not before
+    weights = dict(zip(model.exogenous_dist, reversed(model.exogenous_dist.values())))
+    reweighted = model.reweighted(weights)
+    assert len(keyed) == rows
+    built = ScmModel(model.diagram, model.exogenous_vars, model.exogenous_domains,
+                     weights, model.mechanisms)
+    assert reweighted.exogenous_support() == built.exogenous_support() != first[::-1]
+    reweighted.exogenous_support()
+    assert len(keyed) == 3 * rows
 
 
 def test_mechanism_total_lookup_errors_on_missing_key():

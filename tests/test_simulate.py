@@ -496,12 +496,11 @@ def test_draw_plan_batch_rejection_cap(monkeypatch):
         draw_plan_batch(plan, model, 64, seed=29)
 
 
-def test_rejection_runs_continue_across_blocks(monkeypatch):
-    # with 4-unit blocks only a run that spans blocks can reach 6 rejections;
-    # at acceptance 1/8 some sample of 2,000 has one
+def test_the_cap_reads_each_samples_run(monkeypatch):
+    # at acceptance 1/8 a sample's run reaches 6 rejections with
+    # probability (7/8)^6, about 0.45, so some sample of 2,000 has one
     model = fan_model()
     plan = fixture_plan(model, "P(Y[X=1], Z[X=0], W[X=1])")
-    monkeypatch.setattr(simulate, "MAX_BLOCK_UNITS", 4)
     monkeypatch.setattr(simulate, "MAX_REJECTIONS", 6)
     with pytest.raises(EstimationError, match="acceptance probability"):
         draw_plan_batch(plan, model, 2_000, seed=30)
@@ -510,6 +509,75 @@ def test_rejection_runs_continue_across_blocks(monkeypatch):
     assert len(batch) == 2_000
     exact = exact_distribution(model, plan.query)
     assert exact.total_variation(batch.empirical()) < 0.05
+
+
+# runs of RUN_CELLS or more rejected units share one histogram cell
+RUN_CELLS = 8
+# samples per side of the law cross-check
+LAW_SAMPLES = 6_000
+# distance bounds of the cross-check, to the exact law and to the
+# unit-at-a-time reference; each sits at least LAW_SIGMAS standard
+# deviations above its expected distance. bow (p = 1/2): expected 0.019
+# and 0.027, bounds 11.2 and 11.3 standard deviations above; fan (p =
+# 1/8): expected 0.035 and 0.050, bounds 6.5 and 6.6 above
+TV_EXACT, TV_REFERENCE, LAW_SIGMAS = 0.06, 0.085, 6
+LAW_PLANS = ("bow", "fan")
+
+
+def joint_law(model, plan, p):
+    """The exact law of (row, min(run, RUN_CELLS)) for one sample: the
+    plan's row law times the truncated Geometric(p) - 1 law of its run
+    of rejected units, which is independent of the row."""
+    runs = [(1 - p) ** k * p for k in range(RUN_CELLS)] + [(1 - p) ** RUN_CELLS]
+    return {
+        (row, k): q * w for row, q in plan_law(model, plan).items() for k, w in enumerate(runs)
+    }
+
+
+def histogram(pairs):
+    out = {}
+    for row, run in pairs:
+        key = (row, min(run, RUN_CELLS))
+        out[key] = out.get(key, 0) + 1 / LAW_SAMPLES
+    return out
+
+
+def tv_distance(a, b):
+    return 0.5 * sum(abs(a.get(c, 0.0) - b.get(c, 0.0)) for c in set(a) | set(b))
+
+
+def tv_spread(law, inv_n):
+    """Normal approximation of the mean and standard deviation of the
+    distance between ``law`` and a histogram whose cell with probability
+    q has variance q (1 - q) inv_n: inv_n = 1/N for N samples, 1/N + 1/M
+    for the difference of two histograms of N and M samples. A cell's
+    |error| has mean sigma sqrt(2/pi) and variance sigma^2 (1 - 2/pi)."""
+    sigmas = [(q * (1 - q) * inv_n) ** 0.5 for q in law.values()]
+    mean = 0.5 * sum(sigmas) * (2 / np.pi) ** 0.5
+    sd = 0.5 * (sum(s * s for s in sigmas) * (1 - 2 / np.pi)) ** 0.5
+    return mean, sd
+
+
+@pytest.mark.parametrize("name", LAW_PLANS)
+def test_rows_and_rejection_runs_follow_the_exact_law(name):
+    # each n = 1 batch is one sample: its row and its run of rejected units
+    model = builtin_model(name)
+    plan = fixture_plan(model, dict(FIXTURE_PLANS)[name])
+    law = joint_law(model, plan, plan.acceptance_probability())
+    for bound, inv_n in ((TV_EXACT, 1 / LAW_SAMPLES), (TV_REFERENCE, 2 / LAW_SAMPLES)):
+        mean, sd = tv_spread(law, inv_n)
+        assert bound >= mean + LAW_SIGMAS * sd, (bound, mean, sd)
+    drawn = histogram(
+        (batch.rows[0], batch.rejected_units)
+        for batch in (
+            draw_plan_batch(plan, model, 1, seed=np.random.SeedSequence([43, i]))
+            for i in range(LAW_SAMPLES)
+        )
+    )
+    experiment = Experiment(model, seed=44)
+    reference = histogram(execute_plan(plan, experiment) for _ in range(LAW_SAMPLES))
+    assert tv_distance(drawn, law) < TV_EXACT
+    assert tv_distance(drawn, reference) < TV_REFERENCE
 
 
 def test_block_executor_matches_unit_at_a_time_reference():
@@ -527,7 +595,7 @@ def test_block_executor_matches_unit_at_a_time_reference():
 
 
 def plan_law(model, plan):
-    """The plan's law as the block executor evaluates it: each exogenous
+    """The plan's law as the executor evaluates it: each exogenous
     row on a Unit with the required values written, weights added in
     support order."""
     law = {}
@@ -635,6 +703,38 @@ def test_a_batch_builds_one_unit(monkeypatch, name, n):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("name", ["fan", "bandit_example"])
+@pytest.mark.parametrize("n", [1, 5_000])
+def test_a_batch_selects_only_its_kept_units(monkeypatch, name, n):
+    # n rows in one selection, one geometric draw for the rejection runs,
+    # and no device draw for any unit
+    calls = []
+
+    class CountingRng:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, attr):
+            calls.append(attr)
+            return getattr(self._rng, attr)
+
+    class CountingExperiment(Experiment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._shared_rng = CountingRng(self._shared_rng)
+
+        def select_rows(self, k):
+            calls.append(("select_rows", k))
+            return super().select_rows(k)
+
+    model = builtin_model(name)
+    plan = fixture_plan(model, dict(FIXTURE_PLANS)[name])
+    monkeypatch.setattr(simulate, "Experiment", CountingExperiment)
+    batch = draw_plan_batch(plan, model, n, seed=45)
+    assert len(batch) == n
+    assert calls == [("select_rows", n), "geometric"]
+
+
 def test_a_reweighted_model_samples_as_one_built_with_its_weights():
     # a reweighted model is a copy of its base's attributes; its selection
     # table must come from its own weights, also after the base sampled
@@ -695,9 +795,14 @@ def test_batch_rows_are_tuples_of_domain_values():
             assert all(type(v) is int for v in row)
 
 
-# sha256 of repr((query, rows, rejected_units)) of each batch, computed at
-# commit 381ed60, where observational and interventional batches each
-# called the rejection executor with their own arguments rather than a plan
+# sha256 of repr((query, rows, rejected_units)) of each batch. The
+# observational entries were computed at commit 381ed60, where
+# observational and interventional batches each called the rejection
+# executor with their own arguments rather than a plan. The
+# interventional entries moved in the child of dd80c93, when the executor
+# began selecting only the kept units and drawing each sample's run of
+# rejected units from one geometric draw: the same law, a new stream. A
+# plan with acceptance 1, as every observational one, keeps its stream.
 SAMPLER_STREAM_DIGESTS = {
     ("obs", "bow"):
         "80540844c6d7d95cd223c89d77892b1a6c599d38ae638dcb8717e21667d2fdad",
@@ -706,11 +811,11 @@ SAMPLER_STREAM_DIGESTS = {
     ("obs", "hub_split"):
         "34493d27ca4a3e64a7aad65f3f565f15f01edaf4cb7d2c3798d35f540d27d1dd",
     ("int", "bow"):
-        "62077ccb73d60ee16a4f991b8c1a4358ebb3485552950589dfecadf192d35ea7",
+        "d6acdaa669c1db0c394cd895e77eeb978679f9d6ec9a2d548a2620efe82838d3",
     ("int", "fan"):
-        "8a7d64e74aa08f004d710ab0057303a770f6d6d8439d42e79eabcfe3e3a3b28d",
+        "91e2ee2974469e9fffe49677ffe78db81970377c9362aee88a8289e55fd896a8",
     ("int", "hub_split"):
-        "5283d3dde7eebf4ce94b3c8e5e27281429a6b9675b1d4d66c0b0014483c3b0a6",
+        "1e0ee624ee1d21dc3224ab570b225b8e2f7431a1a602b33fafadad1819d6e62b",
 }
 
 
