@@ -77,7 +77,7 @@ from .realizability import (
     read_action,
     select,
 )
-from .simulate import Experiment
+from .simulate import Experiment, _check_integer
 
 VALUE_TOL = 1e-9
 
@@ -187,7 +187,11 @@ class ExactTables:
     z, x', d) under the natural regime, ("fix", z, x', x'', d) with x''
     fixed into D, or ("core", core); the slot "p" holds its weight, "y"
     its weighted natural reward and ("y", x) its weighted reward under
-    arm x. Each sum adds its rows in support order."""
+    arm x. Each sum adds its rows in support order.
+
+    ``rows[i]`` is row i of ``model.compile().rows``, the rows units are
+    selected from: (p, core, z, x', natural d, {x'': d under x''},
+    {x: y under x})."""
 
     def __init__(self, problem: MabProblem):
         self.problem = problem
@@ -213,14 +217,12 @@ class ExactTables:
             columns.insert(0, [None] * len(support))
         sums: dict[tuple, float] = {}
         e_natural = 0.0
-        # each exogenous row of positive weight, in support order, maps to
-        # (p, core, z, x', natural d, {x'': d under x''}, {x: y under x})
-        self.rows: dict[tuple, tuple] = {}
+        self.rows: list[tuple] = []
         for u, p, z, xn, d_nat, y_nat, *rest in zip(support, weights.tolist(), *columns):
             core = tuple(u[i] for i in core_idx)
             d_x = dict(zip(arms, rest[:len(arms)]))
             y_x = {x: float(y) for x, y in zip(arms, rest[len(arms):])}
-            self.rows[u] = (p, core, z, xn, d_nat, d_x, y_x)
+            self.rows.append((p, core, z, xn, d_nat, d_x, y_x))
             e_natural += p * float(y_nat)
             gains = [("p", p), ("y", p * float(y_nat))]
             gains += [(("y", x), p * y_x[x]) for x in arms]
@@ -232,7 +234,7 @@ class ExactTables:
         self.natural_value = e_natural
         self._sums = sums
         # the (z, x') keys of the positive-weight rows, each once
-        self._keys = list(dict.fromkeys(r[2:4] for r in self.rows.values()))
+        self._keys = list(dict.fromkeys(r[2:4] for r in self.rows))
 
     # -- unit-level -------------------------------------------------------
 
@@ -424,7 +426,7 @@ def evaluate_strategy_exact(
     """Exact expected per-round reward of following the strategy."""
     tables = _tables_for(problem, tables)
     total = 0.0
-    for p, _, z, xn, d_nat, d_x, y_x in tables.rows.values():
+    for p, _, z, xn, d_nat, d_x, y_x in tables.rows:
         s1 = strategy.d_stage[(z, xn)]
         if s1 == SKIP_D:
             key = (z, xn)
@@ -586,11 +588,11 @@ ALGORITHMS = tuple(_POLICIES)
 class _Responses:
     """What each selected unit does under one policy's protocol, and what
     the round scores. A unit's outcome depends only on its exogenous row,
-    so ``add_row`` reads it off the row's entry in ``ExactTables.rows``
-    the first time the row is selected, and later rounds look it up.
-    Rows index ``Experiment.support``, which every experiment on the
-    model orders alike, so one memo serves all epochs. The metric lists
-    hold one entry per (row, D-input, arm) in build order.
+    so ``add_row(i)`` reads it off ``ExactTables.rows[i]`` the first time
+    row i is selected, and later rounds look it up. ``select_rows`` and
+    ``ExactTables.rows`` index one row space, ``compile().rows``, so one
+    memo serves all epochs. The metric lists hold one entry per (row,
+    D-input, arm) in build order.
 
     Rows hold no solver keys: ``add_row`` gives each key (a D-stage cell
     or an arm cell) a small integer id the first time it meets it, and
@@ -617,13 +619,13 @@ class _Responses:
             self.keys.append(key)
         return i
 
-    def add_row(self, i: int, u: tuple) -> tuple:
-        """Score row ``i``, whose exogenous assignment is ``u``, under every
-        D-input and arm. Returns (D-stage key ids, one (arm cells, rewards,
-        metric offset) branch per D-input); an arm cell is (key id, pin),
-        where pin is the hot-start mean or None."""
+    def add_row(self, i: int) -> tuple:
+        """Score compiled row ``i`` under every D-input and arm. Returns
+        (D-stage key ids, one (arm cells, rewards, metric offset) branch
+        per D-input); an arm cell is (key id, pin), where pin is the
+        hot-start mean or None."""
         p, policy, tables = self.problem, self.policy, self.tables
-        _, core, z, xn, _, d_x, y_x = tables.rows[u]
+        _, core, z, xn, _, d_x, y_x = tables.rows[i]
         oracle = tables.oracle_value(core)
         rewards = tuple(y_x[x] for x in p.arms)
         branches = []
@@ -687,14 +689,14 @@ def _play_epoch(
     draw = rng.beta
     thompson = policy.d_stage == "thompson"
     uniform = policy.d_stage == "uniform"
-    rows, support, keys = responses.rows, experiment.support, responses.keys
+    rows, keys = responses.rows, responses.keys
     alpha = [1.0] * len(keys)
     beta = [1.0] * len(keys)
     played = []
     for i in experiment.select_rows(horizon).tolist():
         row = rows.get(i)
         if row is None:
-            row = responses.add_row(i, support[i])
+            row = responses.add_row(i)
             grow = [1.0] * (len(keys) - len(alpha))
             alpha += grow
             beta += grow
@@ -739,9 +741,12 @@ def run_epochs(
     rounds, each starting from fresh Beta(1, 1) posteriors. Epoch e uses
     the e-th spawn of the master seed, so results are reproducible and
     epochs could run in parallel. ``tables`` must be built for
-    ``problem``."""
+    ``problem``. A bool or non-integral ``horizon`` or ``epochs`` raises
+    ``EstimationError``."""
     if algo not in ALGORITHMS:
         raise EstimationError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
+    _check_integer(horizon, "horizon")
+    _check_integer(epochs, "epochs")
     if horizon < 0 or epochs < 0:
         raise EstimationError(f"horizon {horizon} and epochs {epochs} must be non-negative")
     policy = _POLICIES[algo]

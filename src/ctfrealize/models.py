@@ -12,10 +12,12 @@ compiled tables: when its rows of nonzero weight are the base model's,
 it shares the base's compiled tables and their memos (rows, codes,
 coded mechanisms, per-regime term codes, event masks) and builds only
 its weight vector; any other row set is compiled afresh.
-``ScmModel.selection_table()`` is the table units are selected by, and
-``ScmModel.exogenous_support()`` the support in its fixed order; both
-are built on first use and cached too, and a reweighted model builds
-its own, since its weights differ.
+``ScmModel.exogenous_support()`` is the support in its fixed order, and
+``compile().rows`` its rows of nonzero weight in that order: the one
+row space that sampling uses. ``ScmModel.selection_table()`` is the
+table units are selected from those rows by. Both are built on first
+use and cached too, and a reweighted model builds its own, since its
+weights differ.
 The caches are filled lazily and never change a result, so a model
 stays safe to share: two threads that compile it at once at worst
 build the same tables twice.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -143,7 +145,7 @@ class ScmModel:
         self._exo_index = {u: i for i, u in enumerate(self.exogenous_vars)}
         self._support: list[tuple[tuple, float]] | None = None
         self._compiled: CompiledScm | None = None
-        self._selection: SelectionTable | None = None
+        self._selection: np.ndarray | None = None
         self._base: ScmModel | None = None
 
     def reweighted(self, exogenous_dist: Mapping[tuple, float]) -> "ScmModel":
@@ -187,20 +189,16 @@ class ScmModel:
             )
         return list(self._support)
 
-    def selection_table(self) -> "SelectionTable":
+    def selection_table(self) -> np.ndarray:
         """How units are selected from this model (built on first call,
-        then cached). The weights are normalized by their sum over every
-        row, zero weights included: numpy sums in pairs, so leaving a
-        zero out could round the total differently."""
+        then cached): entry i is the cumulative normalized weight of
+        ``compile().rows`` up to and including row i. The weights are
+        normalized by their sum over every ``exogenous_support()`` row,
+        zero weights included: numpy sums in pairs, so leaving a zero out
+        could round the total differently."""
         if self._selection is None:
-            support = self.exogenous_support()
-            probs = np.array([p for _, p in support], dtype=float)
-            self._selection = SelectionTable(
-                [u for u, _ in support],
-                np.cumsum(probs / probs.sum()),
-                int(np.flatnonzero(probs)[-1]),
-                np.cumsum(probs != 0.0) - 1,
-            )
+            total = np.array([p for _, p in self.exogenous_support()], dtype=float).sum()
+            self._selection = np.cumsum(self.compile().weights / total)
         return self._selection
 
     def exo_value(self, u: tuple, name: str) -> Value:
@@ -222,19 +220,6 @@ class ScmModel:
         return out
 
 
-class SelectionTable(NamedTuple):
-    """The rows of ``exogenous_support()`` and what selecting one by a
-    uniform draw needs: ``cumulative`` holds the normalized cumulative
-    weights, ``last`` is the index of the last row of positive weight (a
-    draw past the rounded total lands there), and ``compiled_row[i]`` is
-    row i's index into ``compile().rows`` when row i has nonzero weight."""
-
-    rows: list[tuple]
-    cumulative: np.ndarray
-    last: int
-    compiled_row: np.ndarray
-
-
 def _sort_key(assignment: tuple):
     return tuple(map(repr, assignment))
 
@@ -245,8 +230,9 @@ class CompiledScm:
 
     - ``codes[v]`` maps each value in v's domain to its index there;
     - ``rows`` are the exogenous assignments of nonzero weight, in
-      ``exogenous_support()`` order, ``exogenous_codes`` the same rows as
-      an (R, |U|) code array, and ``weights`` their probabilities;
+      ``exogenous_support()`` order (units are selected by their index
+      here), ``exogenous_codes`` the same rows as an (R, |U|) code
+      array, and ``weights`` their probabilities;
     - ``mechanisms[v]`` is v's table as ``Mechanism.coded`` gives it.
 
     A compiled model is total: compiling raises on a missing mechanism or

@@ -34,7 +34,8 @@ without drawing the units it would throw away:
 * Acceptance depends only on the uniform draws, which are independent
   of the unit's exogenous assignment and of every other unit. So the
   kept units' assignments are i.i.d. draws from the exogenous law, and
-  the executor selects exactly n of them (``select_rows(n)``).
+  the executor selects exactly n of them (``select_rows(n)``, indices
+  into ``model.compile().rows``).
 * Each unit is accepted independently with p = 1 / prod |dom| over the
   performed randomizations, so the units drawn up to and including one
   acceptance are Geometric(p), and a sample's run of rejected units is
@@ -64,7 +65,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ActionError, ContainmentViolation, EstimationError, FCEViolation, QueryError
+from .errors import (
+    ActionError, ContainmentViolation, EstimationError, FCEViolation, ModelError, QueryError,
+)
 from .graphs import Value
 from .models import ScmModel
 from .queries import CtfQuery, query, response
@@ -245,8 +248,12 @@ class Unit:
 class Experiment:
     """Shared context for drawing units against one hidden model: the
     feasible action set and a master seed fanned out per unit. Units are
-    selected by the model's cached ``selection_table()``; a ``Unit``
-    evaluates mechanisms and checks the actions performed on it."""
+    selected from the model's one row space, ``support``, the rows of
+    ``model.compile()``, by the model's cached ``selection_table()``; a
+    ``Unit`` evaluates mechanisms and checks the actions performed on
+    it. Building an experiment compiles the model, so a model that
+    fails to compile, or has no row of nonzero weight, raises
+    ``ModelError`` here."""
 
     def __init__(
         self,
@@ -262,18 +269,18 @@ class Experiment:
         # one device stream shared by this experiment's units keeps unit
         # creation cheap
         self._shared_rng = np.random.Generator(np.random.PCG64(shared_ss))
-        self._count = 0
-        self._table = model.selection_table()
-        # exogenous assignments in model.exogenous_support() order
-        self.support = self._table.rows
+        # exogenous assignments of nonzero weight, in exogenous_support() order
+        self.support = model.compile().rows
+        if not self.support:
+            raise ModelError("no exogenous assignment has nonzero weight")
+        self._cumulative = model.selection_table()
 
     def select_rows(self, k: int) -> np.ndarray:
         """Select k fresh units at once: their indices into ``support``,
-        the same stream as k calls to ``new_unit``."""
-        table = self._table
-        picked = np.searchsorted(table.cumulative, self._select_rng.random(k), side="right")
-        self._count += k
-        return np.minimum(picked, table.last)
+        the same stream as k calls to ``new_unit``. A draw past the
+        rounded total selects the last row."""
+        picked = np.searchsorted(self._cumulative, self._select_rng.random(k), side="right")
+        return np.minimum(picked, len(self.support) - 1)
 
     def unit_at(self, row: int) -> Unit:
         """A unit with the exogenous assignment ``support[row]``, all
@@ -285,10 +292,6 @@ class Experiment:
         """Select a fresh unit: exogenous draw from the population, all
         mechanisms unfired."""
         return self.unit_at(int(self.select_rows(1)[0]))
-
-    @property
-    def units_drawn(self) -> int:
-        return self._count
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +347,10 @@ def _cap_error(plan: RealizationPlan) -> EstimationError:
     )
 
 
-def _check_integer(n: object) -> None:
+def _check_integer(n: object, name: str = "n") -> None:
     """Refuse a count that is a bool or not an integer."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise EstimationError(f"n must be an integer, got {n!r}")
+        raise EstimationError(f"{name} must be an integer, got {n!r}")
 
 
 def plan_regime(plan: RealizationPlan, model: ScmModel) -> frozenset:
@@ -375,12 +378,14 @@ def plan_regime(plan: RealizationPlan, model: ScmModel) -> frozenset:
     return frozenset((edge, code) for edge, (_, code) in entries.items())
 
 
-def _plan_rows(plan: RealizationPlan, model: ScmModel, kept: np.ndarray) -> list[tuple]:
+def _plan_rows(
+    plan: RealizationPlan, model: ScmModel, regime: frozenset, kept: np.ndarray
+) -> list[tuple]:
     """The row a kept unit reads on each compiled row in ``kept``: every
-    term's variable under ``plan_regime``, as domain values. Each
-    distinct row is built once, and its units share the tuple."""
+    term's variable under the plan's ``regime`` (``plan_regime``), as
+    domain values. Each distinct row is built once, and its units share
+    the tuple."""
     compiled = model.compile()
-    regime = plan_regime(plan, model)
     present = np.zeros(len(compiled.rows), dtype=bool)
     present[kept] = True
     distinct = np.flatnonzero(present)
@@ -406,10 +411,12 @@ def draw_plan_batch(
     keep a unit only if every draw equals its required value, and read
     the variables of the query's terms from the kept ones.
 
-    One ``Unit`` performs the plan and reads the terms first, which
-    checks the plan. The kept units' rows are read off
-    ``model.compile()`` under ``plan_regime(plan, model)``: each read
-    variable's memoized code column, indexed by the kept units' rows.
+    The plan's regime, ``plan_regime(plan, model)``, is built once, which
+    refuses a required value outside its domain and a non-randomizing
+    action; then one ``Unit`` performs the plan and reads the terms,
+    which checks the rest of the plan. The kept units' rows are read off
+    ``model.compile()`` under that regime: each read variable's memoized
+    code column, indexed by the kept units' compiled rows.
     Rows hold the variables' domain values. A bool or non-integral
     ``n`` raises ``EstimationError``; ``n <= 0`` gives an empty batch.
 
@@ -424,7 +431,7 @@ def draw_plan_batch(
     if n <= 0:
         return batch
     interventions = plan.required_actions()
-    _required_codes(model, interventions)
+    regime = plan_regime(plan, model)
     experiment = Experiment(model, seed=seed)
 
     # the plan checks (single use, containment, targets, action kinds)
@@ -436,7 +443,7 @@ def draw_plan_batch(
         unit.read(t.variable)
 
     p = plan.acceptance_probability()
-    kept = experiment._table.compiled_row[experiment.select_rows(n)]
+    kept = experiment.select_rows(n)
     rejected = 0
     if p < 1.0:
         runs = experiment._shared_rng.geometric(p, n)
@@ -444,7 +451,7 @@ def draw_plan_batch(
             raise _cap_error(plan)
         rejected = int(runs.sum()) - n
 
-    batch.rows = _plan_rows(plan, model, kept)
+    batch.rows = _plan_rows(plan, model, regime, kept)
     batch.rejected_units = rejected
     return batch
 

@@ -323,7 +323,7 @@ def test_exact_tables_equal_the_per_row_sums(make_problem):
     natural, rows, ref = per_row_sums(prob)
     arms = prob.arms
     assert t.natural_value == natural
-    assert t.rows == rows and list(t.rows) == list(rows)
+    assert t.rows == list(rows.values()) and prob.model.compile().rows == list(rows)
     assert t.keys() == sorted(ref["key"], key=repr)
     for (z, xn), pk in ref["key"].items():
         assert t.key_prob((z, xn)) == pk
@@ -500,6 +500,14 @@ def test_zero_horizon_yields_empty_metrics(problem, tables):
         run_epochs("ts", problem, 10, -1, seed=0, tables=tables)
 
 
+@pytest.mark.parametrize("horizon, epochs", [
+    (2.5, 1), (10, True), (True, 2), (10, 2.0), ("10", 1), (np.float64(3.0), 1),
+])
+def test_a_round_count_must_be_an_integer(problem, tables, horizon, epochs):
+    with pytest.raises(EstimationError, match="must be an integer"):
+        run_epochs("ts", problem, horizon, epochs, seed=0, tables=tables)
+
+
 def test_an_empty_run_cannot_be_summarized(problem, tables, tmp_path):
     # no rounds or no epochs: nothing to take the last regret or a mean of
     with warnings.catch_warnings():
@@ -609,9 +617,8 @@ def reference_epoch(policy, responses, experiment, horizon, rng):
     solver = ThompsonSolver()
     played = []
     for i in experiment.select_rows(horizon).tolist():
-        u = experiment.support[i]
-        _, _, z, xn, _, d_x, y_x = t.rows[u]
-        _, branches = responses.rows.get(i) or responses.add_row(i, u)
+        _, _, z, xn, _, d_x, y_x = t.rows[i]
+        _, branches = responses.rows.get(i) or responses.add_row(i)
         d_keys = [("D", z, xn, x2) for x2 in prob.arms]
         if policy.d_stage == "thompson":
             scores = [solver.draw(key, rng) for key in d_keys]
@@ -705,8 +712,8 @@ def test_memoized_responses_match_fresh_units(make_problem):
         d_inputs = (None,) if policy.d_stage == "none" else prob.arms
         checked = 0
         for i, u in enumerate(experiment.support):
-            _, _, z, xn, _, d_x, _ = t.rows[u]
-            d_ids, branches = memo.add_row(i, u)
+            _, _, z, xn, _, d_x, _ = t.rows[i]
+            d_ids, branches = memo.add_row(i)
             if policy.d_stage == "thompson":
                 assert [memo.keys[k] for k in d_ids] == [("D", z, xn, x2) for x2 in d_inputs]
             assert len(branches) == len(d_inputs)

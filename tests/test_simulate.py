@@ -15,6 +15,7 @@ from ctfrealize import (
     Experiment,
     FCEViolation,
     Mechanism,
+    ModelError,
     QueryError,
     RealizabilityChecker,
     RealizationPlan,
@@ -91,7 +92,6 @@ def test_block_selection_is_the_new_unit_stream():
         rows = block.select_rows(500)
         singles = [single.new_unit().peek_exogenous() for _ in range(500)]
         assert [dict(zip(model.exogenous_vars, block.support[i])) for i in rows] == singles
-        assert block.units_drawn == single.units_drawn == 500
         # and the streams stay aligned past the block
         assert block.new_unit().peek_exogenous() == single.new_unit().peek_exogenous()
 
@@ -102,6 +102,13 @@ def test_point_mass_exogenous_always_same_unit():
     model = ScmModel(d, ("U",), {"U": (0, 1)}, {(0,): 1.0, (1,): 0.0}, mech)
     exp = Experiment(model, seed=1)
     assert all(exp.new_unit().read("X") == 0 for _ in range(50))
+
+    # with no row of nonzero weight there is no unit to select
+    empty = ScmModel(d, ("U",), {"U": (0, 1)}, {(0,): 0.0, (1,): 0.0}, mech)
+    with pytest.raises(ModelError, match="no exogenous assignment has nonzero weight"):
+        Experiment(empty, seed=1)
+    with pytest.raises(ModelError, match="no exogenous assignment has nonzero weight"):
+        sample_observational(empty, 5, seed=1)
 
 
 def test_a_draw_past_the_rounded_total_selects_a_row_of_positive_weight(monkeypatch):
@@ -123,6 +130,42 @@ def test_a_draw_past_the_rounded_total_selects_a_row_of_positive_weight(monkeypa
     assert exp.support[row] == (0, 9)  # the last row of positive weight
     assert model.exogenous_dist[exp.support[row]] > 0
     assert exp.unit_at(row).read("X") == 0
+
+
+def test_selection_skips_the_rows_of_zero_weight():
+    # units are selected from compile().rows by cumulative weights that
+    # are normalized by the sum over every support row, zero weights
+    # included; no draw, boundaries included, lands on a row of zero weight
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        table = rng.dirichlet(np.ones(16))
+    scms = [CanonicalScm(tuple(float(p) for p in table), p_x1=0.0)]
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        table = rng.dirichlet(np.ones(16))
+        table[rng.choice(16, size=int(rng.integers(1, 12)), replace=False)] = 0.0
+        scms.append(CanonicalScm(tuple(float(p) for p in table / table.sum()),
+                                 p_x1=float(rng.random())))
+    for scm in scms:
+        model = scm.to_model()
+        probs = np.array([p for _, p in model.exogenous_support()])
+        cumulative = model.selection_table()
+        expected = np.cumsum(probs / probs.sum())[probs != 0]
+        assert cumulative.tobytes() == expected.tobytes()
+        draws = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)], cumulative, np.nextafter(cumulative, 0.0),
+            np.random.default_rng(42).random(2_000),
+        ])
+        exp = Experiment(model, seed=0)
+
+        class Draws:
+            def random(self, k):
+                assert k == len(draws)
+                return draws
+
+        exp._select_rng = Draws()
+        picked = exp.select_rows(len(draws))
+        assert all(model.exogenous_dist[exp.support[i]] > 0 for i in picked.tolist())
 
 
 def test_skewed_exogenous_within_binomial_ci():
@@ -672,11 +715,11 @@ def test_executor_rows_equal_unit_reads():
         fixtures.append((model, fixture_plan(model, text)))
     plans = 0
     for model, plan in [*nested_randomization_plans(), *fixtures]:
-        table = model.selection_table()
-        positive = [i for i, (_, p) in enumerate(model.exogenous_support()) if p > 0]
-        rows = simulate._plan_rows(plan, model, table.compiled_row[positive])
-        for i, row in zip(positive, rows):
-            unit = Unit(model, table.rows[i], np.random.default_rng(0))
+        support = model.compile().rows
+        regime = simulate.plan_regime(plan, model)
+        rows = simulate._plan_rows(plan, model, regime, np.arange(len(support)))
+        for u, row in zip(support, rows):
+            unit = Unit(model, u, np.random.default_rng(0))
             for action, value in plan.required_actions():
                 simulate._perform(unit, action, value)
             assert row == tuple(unit.read(t.variable) for t in plan.query.terms), plan.query
@@ -948,6 +991,30 @@ def test_required_value_outside_the_domain_cannot_be_drawn():
     exp = Experiment(model, seed=27)
     with pytest.raises(EstimationError, match="cannot draw"):
         execute_plan(bad, exp)
-    assert exp.units_drawn == 0  # checked before the first unit
+    # checked before the first unit: the selection stream is untouched
+    assert np.array_equal(exp.select_rows(50), Experiment(model, seed=27).select_rows(50))
     with pytest.raises(EstimationError, match="cannot draw"):
         draw_plan_batch(bad, model, 10, seed=27)
+
+
+def test_a_plan_is_refused_before_its_unit_runs(monkeypatch):
+    # the batch builds the plan's regime first: an undrawable value and a
+    # non-randomizing action raise before the checking unit is built
+    built = []
+
+    class CountingUnit(Unit):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "Unit", CountingUnit)
+    model = bow_model()
+    plan = fixture_plan(model, "P(Y[X=1], X)")
+    ((action, _),) = plan.tags
+    for tags, error, text in (
+        (((action, 7),), EstimationError, "cannot draw required value 7"),
+        (((read_action("X"), 1),), ActionError, "plan contains non-randomizing"),
+    ):
+        with pytest.raises(error, match=text):
+            draw_plan_batch(RealizationPlan(plan.query, plan.diagram, tags), model, 10, seed=27)
+    assert built == []
