@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import EstimationError, ModelError, QueryError
 from .graphs import CausalDiagram, Value
-from .models import Mechanism, ScmModel, independent_exogenous
+from .models import ScmModel, tabulated_model
 from .queries import CtfQuery, response
 from .engine import exact_rows
 from .realizability import (
@@ -148,26 +148,19 @@ def example3_problem() -> MabProblem:
         directed_edges=[("X", "Y"), ("X", "D")],
         bidirected_edges=[("X", "Y"), ("D", "Y")],
     )
-    names, doms, dist = independent_exogenous(
-        {"U1": (0, 1), "U2": (0, 1), "U3": (0, 1),
-         "UY": tuple(range(10))},
-    )
 
     def f_y(x, u1, u2, u3, uy):
         return 1 if uy < round(10 * REWARD_MEANS[(x, u1, u2, u3)]) else 0
 
-    mech = {
-        "X": Mechanism.tabulate((), ("U1", "U2"), (), ((0, 1), (0, 1)),
-                                lambda u1, u2: u1 ^ u2),
-        "D": Mechanism.tabulate(("X",), ("U3",), ((0, 1),), ((0, 1),),
-                                lambda x, u3: x ^ u3),
-        "Y": Mechanism.tabulate(
-            ("X",), ("U1", "U2", "U3", "UY"),
-            ((0, 1),), ((0, 1), (0, 1), (0, 1), tuple(range(10))),
-            f_y,
-        ),
-    }
-    model = ScmModel(diagram, names, doms, dist, mech)
+    model = tabulated_model(
+        diagram,
+        {"U1": (0.5, 0.5), "U2": (0.5, 0.5), "U3": (0.5, 0.5), "UY": (0.1,) * 10},
+        {
+            "X": (("U1", "U2"), lambda u1, u2: u1 ^ u2),
+            "D": (("U3",), lambda x, u3: x ^ u3),
+            "Y": (("U1", "U2", "U3", "UY"), f_y),
+        },
+    )
     return MabProblem(model)
 
 

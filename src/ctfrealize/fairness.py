@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import EstimationError, ModelError
 from .graphs import CausalDiagram
-from .models import PROB_TOL, Mechanism, ScmModel
+from .models import PROB_TOL, ScmModel, tabulated_model
 from .queries import CtfQuery, query, response
 from .engine import exact_l3_probability
 from .realizability import RealizationPlan, ctf_realize, maximal_action_set
@@ -103,23 +103,11 @@ _DIAGRAM = CausalDiagram(
     directed_edges=[("X", "Y"), ("X", "Z")],
     bidirected_edges=[("Y", "Z")],
 )
-_EXO_VARS = ("U_X", "U_YZ")
-_EXO_DOMAINS = {"U_X": (0, 1), "U_YZ": tuple(range(16))}
-_MECHANISMS = {
-    "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-    "Y": Mechanism.tabulate(
-        ("X",), ("U_YZ",), ((0, 1),), (tuple(range(16)),),
-        lambda x, t: _respond(RESPONSE_TYPES[t // 4], x),
-    ),
-    "Z": Mechanism.tabulate(
-        ("X",), ("U_YZ",), ((0, 1),), (tuple(range(16)),),
-        lambda x, t: _respond(RESPONSE_TYPES[t % 4], x),
-    ),
-}
-_BASE = ScmModel(
-    _DIAGRAM, _EXO_VARS, _EXO_DOMAINS,
-    {(ux, t): 1.0 / 32 for ux in (0, 1) for t in range(16)}, _MECHANISMS,
-)
+_BASE = tabulated_model(_DIAGRAM, {"U_X": (0.5, 0.5), "U_YZ": (1 / 16,) * 16}, {
+    "X": (("U_X",), lambda u: u),
+    "Y": (("U_YZ",), lambda x, t: _respond(RESPONSE_TYPES[t // 4], x)),
+    "Z": (("U_YZ",), lambda x, t: _respond(RESPONSE_TYPES[t % 4], x)),
+})
 
 
 def example2_scm() -> CanonicalScm:

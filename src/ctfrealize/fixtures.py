@@ -26,7 +26,9 @@ Document layout::
     }
 
 Built-in fixtures are names, not files: each one is defined only by
-its Python builder below, and ``builtin_names()`` lists them. They
+its Python builder below, and ``builtin_names()`` lists them. A built-in
+model is built by ``models.tabulated_model`` from its diagram, its
+exogenous weights and one function per variable. They
 cover the structural shapes the test-suite and the worked examples rely
 on. Fixture files are user input in the layout above, and the CLI
 accepts either a built-in name or a path. The package only reads the
@@ -44,7 +46,7 @@ from .errors import GraphError, ModelError
 from .fairness import example2_scm
 from .graphs import CausalDiagram
 from .mediators import ExpandedDiagram, MediatorNode
-from .models import Mechanism, ScmModel, independent_exogenous, validate_scm
+from .models import Mechanism, ScmModel, tabulated_model, validate_scm
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +188,10 @@ def bow_diagram() -> CausalDiagram:
 
 
 def bow_model() -> ScmModel:
-    d = bow_diagram()
-    names, doms, dist = independent_exogenous(
-        {"U_XY": (0, 1, 2, 3)}, {"U_XY": (0.3, 0.2, 0.25, 0.25)}
-    )
-    mech = {
-        "X": Mechanism.tabulate(
-            (), ("U_XY",), (), (doms["U_XY"],), lambda u: 1 if u in (1, 3) else 0
-        ),
-        "Y": Mechanism.tabulate(
-            ("X",), ("U_XY",), ((0, 1),), (doms["U_XY"],),
-            lambda x, u: [x, 1 - x, 1, x][u],
-        ),
-    }
-    return ScmModel(d, names, doms, dist, mech)
+    return tabulated_model(bow_diagram(), {"U_XY": (0.3, 0.2, 0.25, 0.25)}, {
+        "X": (("U_XY",), lambda u: 1 if u in (1, 3) else 0),
+        "Y": (("U_XY",), lambda x, u: [x, 1 - x, 1, x][u]),
+    })
 
 
 def chain_diagram() -> CausalDiagram:
@@ -208,17 +200,10 @@ def chain_diagram() -> CausalDiagram:
 
 
 def chain_model() -> ScmModel:
-    d = chain_diagram()
-    names, doms, dist = independent_exogenous(
-        {"U_X": (0, 1), "U_Y": (0, 1)}, {"U_X": (0.6, 0.4), "U_Y": (0.8, 0.2)}
-    )
-    mech = {
-        "X": Mechanism.tabulate((), ("U_X",), (), (doms["U_X"],), lambda u: u),
-        "Y": Mechanism.tabulate(
-            ("X",), ("U_Y",), ((0, 1),), (doms["U_Y"],), lambda x, u: x ^ u
-        ),
-    }
-    return ScmModel(d, names, doms, dist, mech)
+    return tabulated_model(chain_diagram(), {"U_X": (0.6, 0.4), "U_Y": (0.8, 0.2)}, {
+        "X": (("U_X",), lambda u: u),
+        "Y": (("U_Y",), lambda x, u: x ^ u),
+    })
 
 
 def hub_conflict_diagram() -> CausalDiagram:
@@ -233,28 +218,19 @@ def hub_conflict_diagram() -> CausalDiagram:
 
 
 def hub_conflict_model() -> ScmModel:
-    d = hub_conflict_diagram()
-    names, doms, dist = independent_exogenous(
-        {"U_T": (0, 1), "U_X": (0, 1), "U_A": (0, 1), "U_WZ": (0, 1, 2)},
+    return tabulated_model(
+        hub_conflict_diagram(),
         {"U_T": (0.5, 0.5), "U_X": (0.6, 0.4), "U_A": (0.7, 0.3),
          "U_WZ": (0.5, 0.3, 0.2)},
+        {
+            "T": (("U_T",), lambda u: u),
+            "X": (("U_X",), lambda u: u),
+            "A": (("U_A",), lambda t, u: t ^ u),
+            "W": (("U_WZ",), lambda a, u: (a + (u == 1)) % 2),
+            "Z": (("U_WZ",),
+                  lambda x, a, u: (a ^ x) if u == 0 else (x if u == 1 else 1 - a)),
+        },
     )
-    mech = {
-        "T": Mechanism.tabulate((), ("U_T",), (), ((0, 1),), lambda u: u),
-        "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-        "A": Mechanism.tabulate(
-            ("T",), ("U_A",), ((0, 1),), ((0, 1),), lambda t, u: t ^ u
-        ),
-        "W": Mechanism.tabulate(
-            ("A",), ("U_WZ",), ((0, 1),), ((0, 1, 2),),
-            lambda a, u: (a + (u == 1)) % 2,
-        ),
-        "Z": Mechanism.tabulate(
-            ("A", "X"), ("U_WZ",), ((0, 1), (0, 1)), ((0, 1, 2),),
-            lambda a, x, u: (a ^ x) if u == 0 else (x if u == 1 else 1 - a),
-        ),
-    }
-    return ScmModel(d, names, doms, dist, mech)
 
 
 def hub_split_diagram() -> CausalDiagram:
@@ -268,24 +244,16 @@ def hub_split_diagram() -> CausalDiagram:
 
 
 def hub_split_model() -> ScmModel:
-    d = hub_split_diagram()
-    names, doms, dist = independent_exogenous(
-        {"U_T": (0, 1), "U_X": (0, 1), "U_WZ": (0, 1, 2)},
+    return tabulated_model(
+        hub_split_diagram(),
         {"U_T": (0.5, 0.5), "U_X": (0.3, 0.7), "U_WZ": (0.4, 0.35, 0.25)},
+        {
+            "T": (("U_T",), lambda u: u),
+            "X": (("U_X",), lambda u: u),
+            "W": (("U_WZ",), lambda t, u: t if u != 2 else 1 - t),
+            "Z": (("U_WZ",), lambda t, x, u: (t & x) if u == 0 else (x ^ (u == 2))),
+        },
     )
-    mech = {
-        "T": Mechanism.tabulate((), ("U_T",), (), ((0, 1),), lambda u: u),
-        "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-        "W": Mechanism.tabulate(
-            ("T",), ("U_WZ",), ((0, 1),), ((0, 1, 2),),
-            lambda t, u: t if u != 2 else 1 - t,
-        ),
-        "Z": Mechanism.tabulate(
-            ("T", "X"), ("U_WZ",), ((0, 1), (0, 1)), ((0, 1, 2),),
-            lambda t, x, u: (t & x) if u == 0 else (x ^ (u == 2)),
-        ),
-    }
-    return ScmModel(d, names, doms, dist, mech)
 
 
 def collider_hub_diagram() -> CausalDiagram:
@@ -298,27 +266,18 @@ def collider_hub_diagram() -> CausalDiagram:
 
 
 def collider_hub_model() -> ScmModel:
-    d = collider_hub_diagram()
-    names, doms, dist = independent_exogenous(
-        {"U_T": (0, 1), "U_X": (0, 1), "U_A": (0, 1), "U_W": (0, 1), "U_Z": (0, 1)},
+    return tabulated_model(
+        collider_hub_diagram(),
         {"U_T": (0.5, 0.5), "U_X": (0.45, 0.55), "U_A": (0.8, 0.2),
          "U_W": (0.7, 0.3), "U_Z": (0.6, 0.4)},
+        {
+            "T": (("U_T",), lambda u: u),
+            "X": (("U_X",), lambda u: u),
+            "A": (("U_A",), lambda x, t, u: (t ^ x) ^ u),
+            "W": (("U_W",), lambda a, u: a | u),
+            "Z": (("U_Z",), lambda a, u: a ^ u),
+        },
     )
-    mech = {
-        "T": Mechanism.tabulate((), ("U_T",), (), ((0, 1),), lambda u: u),
-        "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-        "A": Mechanism.tabulate(
-            ("T", "X"), ("U_A",), ((0, 1), (0, 1)), ((0, 1),),
-            lambda t, x, u: (t ^ x) ^ u,
-        ),
-        "W": Mechanism.tabulate(
-            ("A",), ("U_W",), ((0, 1),), ((0, 1),), lambda a, u: a | u
-        ),
-        "Z": Mechanism.tabulate(
-            ("A",), ("U_Z",), ((0, 1),), ((0, 1),), lambda a, u: a ^ u
-        ),
-    }
-    return ScmModel(d, names, doms, dist, mech)
 
 
 def fan_diagram() -> CausalDiagram:
@@ -330,22 +289,17 @@ def fan_diagram() -> CausalDiagram:
 
 
 def fan_model() -> ScmModel:
-    d = fan_diagram()
-    names, doms, dist = independent_exogenous(
-        {"U_X": (0, 1), "U_Y": (0, 1), "U_Z": (0, 1), "U_W": (0, 1)},
+    return tabulated_model(
+        fan_diagram(),
         {"U_X": (0.5, 0.5), "U_Y": (0.75, 0.25), "U_Z": (0.4, 0.6),
          "U_W": (0.9, 0.1)},
+        {
+            "X": (("U_X",), lambda u: u),
+            "Y": (("U_Y",), lambda x, u: x ^ u),
+            "Z": (("U_Z",), lambda x, u: x | u),
+            "W": (("U_W",), lambda x, u: x & (1 - u)),
+        },
     )
-    mech = {
-        "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-        "Y": Mechanism.tabulate(("X",), ("U_Y",), ((0, 1),), ((0, 1),),
-                                lambda x, u: x ^ u),
-        "Z": Mechanism.tabulate(("X",), ("U_Z",), ((0, 1),), ((0, 1),),
-                                lambda x, u: x | u),
-        "W": Mechanism.tabulate(("X",), ("U_W",), ((0, 1),), ((0, 1),),
-                                lambda x, u: x & (1 - u)),
-    }
-    return ScmModel(d, names, doms, dist, mech)
 
 
 def mediation_diagram() -> CausalDiagram:
@@ -360,11 +314,6 @@ def mediation_diagram() -> CausalDiagram:
 def mediation_model(direct_effect: bool = True) -> ScmModel:
     """Mediation fixture; with ``direct_effect=False`` the outcome ignores
     its direct input from X, so the direct effect is exactly zero."""
-    d = mediation_diagram()
-    names, doms, dist = independent_exogenous(
-        {"U_X": (0, 1), "U_ZY": (0, 1, 2)},
-        {"U_X": (0.5, 0.5), "U_ZY": (0.5, 0.25, 0.25)},
-    )
 
     def f_y(x, z, u):
         base = z ^ (u == 2)
@@ -372,17 +321,15 @@ def mediation_model(direct_effect: bool = True) -> ScmModel:
             return base | (x & (u != 1))
         return base
 
-    mech = {
-        "X": Mechanism.tabulate((), ("U_X",), (), ((0, 1),), lambda u: u),
-        "Z": Mechanism.tabulate(
-            ("X",), ("U_ZY",), ((0, 1),), ((0, 1, 2),),
-            lambda x, u: x ^ (u == 1),
-        ),
-        "Y": Mechanism.tabulate(
-            ("X", "Z"), ("U_ZY",), ((0, 1), (0, 1)), ((0, 1, 2),), f_y
-        ),
-    }
-    return ScmModel(d, names, doms, dist, mech)
+    return tabulated_model(
+        mediation_diagram(),
+        {"U_X": (0.5, 0.5), "U_ZY": (0.5, 0.25, 0.25)},
+        {
+            "X": (("U_X",), lambda u: u),
+            "Z": (("U_ZY",), lambda x, u: x ^ (u == 1)),
+            "Y": (("U_ZY",), f_y),
+        },
+    )
 
 
 def mab_template_diagram() -> CausalDiagram:

@@ -21,6 +21,11 @@ weights differ.
 The caches are filled lazily and never change a result, so a model
 stays safe to share: two threads that compile it at once at worst
 build the same tables twice.
+
+Every shipped model is built by ``tabulated_model(diagram, exogenous,
+mechanisms)``: independent exogenous variables given by their weights,
+and one function per variable, tabulated over the domains the diagram
+and the weights fix.
 """
 
 from __future__ import annotations
@@ -67,11 +72,8 @@ class Mechanism:
         fn: Callable[..., Value],
     ) -> "Mechanism":
         """Build the full table by evaluating ``fn(*parent_vals, *exo_vals)``."""
-        table = {}
-        for pvals in itertools.product(*[tuple(d) for d in parent_domains]):
-            for evals in itertools.product(*[tuple(d) for d in exo_domains]):
-                table[pvals + evals] = fn(*pvals, *evals)
-        return cls(parents, exogenous, table)
+        inputs = itertools.product(*parent_domains, *exo_domains)
+        return cls(parents, exogenous, {key: fn(*key) for key in inputs})
 
     def __call__(self, parent_values: Sequence[Value], exo_values: Sequence[Value]) -> Value:
         key = tuple(parent_values) + tuple(exo_values)
@@ -372,6 +374,30 @@ def independent_exogenous(
             p *= w
         dist[assignment] = p
     return names, doms, dist
+
+
+def tabulated_model(
+    diagram: CausalDiagram,
+    exogenous: Mapping[str, Sequence[float]],
+    mechanisms: Mapping[str, tuple[Sequence[str], Callable[..., Value]]],
+) -> ScmModel:
+    """The SCM on ``diagram`` with independent exogenous variables and one
+    tabulated mechanism per variable. ``exogenous`` maps each exogenous
+    variable, in order, to its weights over the domain 0 .. k-1.
+    ``mechanisms`` maps each variable v to (its exogenous inputs, fn):
+    v's table is ``fn(*parent_values, *exo_values)``, its parents in
+    ``diagram.parents(v)`` order. Every domain is read off the diagram
+    or the weights."""
+    names, doms, dist = independent_exogenous(
+        {u: range(len(w)) for u, w in exogenous.items()}, exogenous
+    )
+    tables = {}
+    for v, (exo, fn) in mechanisms.items():
+        parents = diagram.parents(v)
+        tables[v] = Mechanism.tabulate(
+            parents, exo, [diagram.domains[p] for p in parents], [doms[u] for u in exo], fn
+        )
+    return ScmModel(diagram, names, doms, dist, tables)
 
 
 def derived_bidirected_edges(model: ScmModel) -> frozenset[frozenset[str]]:

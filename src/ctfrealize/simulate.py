@@ -157,6 +157,10 @@ class Unit:
         self._values[v] = value
         return value
 
+    def _check_known(self, v: str) -> None:
+        if v not in self._model.diagram:
+            raise ActionError(f"unknown variable {v!r}")
+
     def _check_allowed(self, action) -> None:
         if self._actions is not None and action not in self._actions:
             raise ActionError(f"{action} is not in the feasible action set")
@@ -176,14 +180,14 @@ class Unit:
     def read(self, v: str) -> Value:
         """Measure the realized value, firing pending ancestor mechanisms.
         Re-reading returns the cached value; nothing re-fires."""
-        if v not in self._model.diagram:
-            raise ActionError(f"unknown variable {v!r}")
+        self._check_known(v)
         return self._fire(v)
 
     def rand(self, x: str, value: Value = _DRAW) -> Value:
         """Erase the unit's mechanism for x and substitute ``value`` (by
         default a uniform draw), which every child and later read of x
         will see."""
+        self._check_known(x)
         self._check_allowed(rand_action(x))
         st = self.status(x)
         if st != UNFIRED:
@@ -205,6 +209,7 @@ class Unit:
         """Fix ``value`` (by default a uniform draw) as input to the
         target children of x. The natural mechanism of x is untouched;
         reading x still yields the unit's own value."""
+        self._check_known(x)
         tset = frozenset(targets)
         if not tset:
             raise ActionError("input randomization needs at least one target")
@@ -328,10 +333,16 @@ def _perform(unit: Unit, action: Action, value: Value = _DRAW) -> Value:
 def _required_codes(
     model: ScmModel, interventions: Sequence[tuple[Action, Value]]
 ) -> list[int]:
-    """Each required value's index in its variable's domain. A value
-    outside the domain can never be drawn, so it raises."""
+    """Each required value's index in its variable's domain. A
+    non-randomizing action or an unknown variable raises
+    ``ActionError``; a value outside the domain can never be drawn, so
+    it raises ``EstimationError``."""
     codes = []
     for action, required in interventions:
+        if action.kind not in (RAND, CTF_RAND):
+            raise ActionError(f"plan contains non-randomizing {action}")
+        if action.var not in model.diagram:
+            raise ActionError(f"unknown variable {action.var!r}")
         domain = model.diagram.domains[action.var]
         if required not in domain:
             raise EstimationError(f"{action} cannot draw required value {required!r}")
@@ -367,14 +378,12 @@ def plan_regime(plan: RealizationPlan, model: ScmModel) -> frozenset:
     for (action, _), code in zip(interventions, _required_codes(model, interventions)):
         if action.kind == RAND:
             entries[(action.var, None)] = (0, code)
-        elif action.kind == CTF_RAND:
+        else:  # CTF_RAND: _required_codes refuses every other kind
             size = len(action.targets)
             for c in action.targets:
                 won = entries.get((action.var, c))
                 if won is None or size < won[0]:
                     entries[(action.var, c)] = (size, code)
-        else:
-            raise ActionError(f"plan contains non-randomizing {action}")
     return frozenset((edge, code) for edge, (_, code) in entries.items())
 
 
@@ -412,9 +421,9 @@ def draw_plan_batch(
     the variables of the query's terms from the kept ones.
 
     The plan's regime, ``plan_regime(plan, model)``, is built once, which
-    refuses a required value outside its domain and a non-randomizing
-    action; then one ``Unit`` performs the plan and reads the terms,
-    which checks the rest of the plan. The kept units' rows are read off
+    refuses a non-randomizing action, an unknown variable and a
+    required value outside its domain; then one ``Unit`` performs the
+    plan and reads the terms, which checks the rest of the plan. The kept units' rows are read off
     ``model.compile()`` under that regime: each read variable's memoized
     code column, indexed by the kept units' compiled rows.
     Rows hold the variables' domain values. A bool or non-integral
@@ -494,14 +503,19 @@ def sample_interventional(
     outcome: Sequence[str] | None = None,
 ) -> SampleBatch:
     """Randomize each regime variable, keep units whose draws hit the
-    requested values, and read the outcome variables (by default every
-    variable outside the regime): the plan that tags ``Rand(x)`` with
-    ``do[x]``, in topological order."""
+    requested values, and read the outcome variables (by default, when
+    ``outcome`` is None, every variable outside the regime; an empty
+    ``outcome`` raises ``QueryError``): the plan that tags ``Rand(x)``
+    with ``do[x]``, in topological order."""
     diagram = model.diagram
     for x in do:
         if x not in diagram:
             raise QueryError(f"unknown regime variable {x!r}")
-    outcome = tuple(outcome or [v for v in diagram.variables if v not in do])
+    if outcome is None:
+        outcome = [v for v in diagram.variables if v not in do]
+    elif not outcome:
+        raise QueryError("an interventional sample needs at least one outcome variable")
+    outcome = tuple(outcome)
     for v in outcome:
         if v not in diagram:
             raise QueryError(f"unknown outcome variable {v!r}")

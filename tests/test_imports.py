@@ -10,6 +10,9 @@ module reads is dead code. A public name must be read by another package
 module (a re-export in ``__init__.py`` counts), by ``bench/``, or by its
 own module outside its own definition: a name that only the tests read
 belongs beside them, in ``tests/reference.py``.
+
+A shipped model is built by ``models.tabulated_model``, so no other
+package module calls ``Mechanism.tabulate`` or ``independent_exogenous``.
 """
 
 import ast
@@ -138,4 +141,29 @@ def test_module_has_no_public_name_only_tests_read(path):
     assert not unread, (
         f"{path.name} defines public names that neither the package nor bench/ "
         f"reads: {', '.join(unread)}"
+    )
+
+
+def _builds_by_hand(node: ast.AST) -> bool:
+    """Whether a node calls ``Mechanism.tabulate`` or
+    ``independent_exogenous``."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Attribute) and f.attr == "tabulate":
+        return isinstance(f.value, ast.Name) and f.value.id == "Mechanism"
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    return name == "independent_exogenous"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "models.py"], ids=lambda p: p.name
+)
+def test_only_models_tabulates_a_model(path):
+    calls = sorted(
+        node.lineno for node in ast.walk(_source(path)[0]) if _builds_by_hand(node)
+    )
+    assert not calls, (
+        f"{path.name} builds a model by hand on lines {calls}; "
+        "use models.tabulated_model"
     )

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from ctfrealize import models
+from ctfrealize import fairness, models
 from ctfrealize import (
     CausalDiagram,
     ExpandedDiagram,
@@ -18,6 +19,7 @@ from ctfrealize.fixtures import (
     builtin_names,
     diagram_from_dict,
     expanded_from_dict,
+    mediation_model,
     model_from_dict,
 )
 from ctfrealize.models import independent_exogenous
@@ -151,3 +153,69 @@ def test_fixture_round_trip_preserves_model(name):
     else:
         doc = json.loads(json.dumps(diagram_to_dict(fixture, name)))
         assert diagram_from_dict(doc) == fixture
+
+
+def _model_text(model: ScmModel) -> str:
+    """Everything that makes the model the model, in a fixed order: the
+    diagram, the exogenous variables, domains and support (floats as
+    ``float.hex``), and each mechanism as a map from (sorted
+    (parent, value) pairs, exogenous values) to its output, so the order
+    a mechanism lists its parents in does not count."""
+    d = model.diagram
+    mechanisms = []
+    for v in sorted(model.mechanisms):
+        m = model.mechanisms[v]
+        k = len(m.parents)
+        table = sorted(
+            (repr((tuple(sorted(zip(m.parents, key[:k]))), key[k:])), repr(out))
+            for key, out in m.table.items()
+        )
+        mechanisms.append((v, sorted(m.parents), m.exogenous, table))
+    return repr((
+        d.variables,
+        sorted(d.domains.items()),
+        sorted(d.directed_edges),
+        sorted(sorted(e) for e in d.bidirected_edges),
+        model.exogenous_vars,
+        [(u, model.exogenous_domains[u]) for u in model.exogenous_vars],
+        [(u, p.hex()) for u, p in model.exogenous_support()],
+        mechanisms,
+    ))
+
+
+# sha256 of _model_text for each shipped model
+SHIPPED_MODEL_DIGESTS = {
+    "admissions": "beb2f1d9ab99c13dd12eab61393de4d49de55b38078b9ee951eaf348a77735d0",
+    "bandit_example": "9f3162a8f2b29255dd6c28793f3fda6bc4de807eb9d1b6c7697f41c292561c90",
+    "bow": "622a16f1a2aa55e61ed2f406537ea4913ba60d027829292e5694d14fe128810f",
+    "chain": "9d1ca9489736073e49ff17dd608a3d1069ad2158d653bbaa6ff183799ffa6e88",
+    "collider_hub": "58a2bbf7d7dd8180181446394be29c225bd42107d5276d62c19fd6dca2e0dbab",
+    "fan": "757d0c041f29003be08f2870696a4c70e9e0be10e5adac0aa3308847229a70b9",
+    "hub_conflict": "061f8a0479636cb50e396c3a110e618f6ad1f798d9e424424a6f85ea2baf3185",
+    "hub_split": "ee67679dc137ea1d934b42f3bdfc6ff22c4915c009719324c7a04420684d3007",
+    "mediation": "b957a7d75ff3b6e7919ec05dced5aba8c83b854c77be35ebdf86852332f343dd",
+    "mediation(direct_effect=False)":
+        "06d802fd3a72196a5510d0b0e91a5f0fd65c35184db8aca68d4e3a7aa4e2c07d",
+    "fairness._BASE": "2e1c4b92a2d19149230bc9ceb4931b84a3541eeae1c75f2a8ab8d0a382f0f0d8",
+}
+
+
+def _shipped_models() -> dict[str, ScmModel]:
+    out = {
+        name: fixture for name in builtin_names()
+        if isinstance(fixture := builtin(name), ScmModel)
+    }
+    out["mediation(direct_effect=False)"] = mediation_model(direct_effect=False)
+    out["fairness._BASE"] = fairness._BASE
+    return out
+
+
+def test_the_shipped_models_are_pinned():
+    # each shipped model, its mechanism tables included, is the model
+    # pinned here: a builder may change how it spells a model, not the
+    # model it builds
+    digests = {
+        name: hashlib.sha256(_model_text(model).encode()).hexdigest()
+        for name, model in _shipped_models().items()
+    }
+    assert digests == SHIPPED_MODEL_DIGESTS

@@ -890,6 +890,25 @@ def test_interventional_unknown_variable_is_a_query_error():
         sample_interventional(bow_model(), {"X": 1}, 10, seed=1, outcome=["Q"])
 
 
+def test_an_empty_interventional_outcome_is_a_query_error():
+    # only None means "every variable outside the regime"
+    with pytest.raises(QueryError, match="at least one outcome variable"):
+        sample_interventional(bow_model(), {"X": 1}, 10, seed=1, outcome=())
+    with pytest.raises(QueryError, match="at least one outcome variable"):
+        sample_interventional(bow_model(), {"X": 1}, 10, seed=1, outcome=[])
+
+
+@pytest.mark.parametrize("act", [
+    lambda unit: unit.read("Q"),
+    lambda unit: unit.rand("Q"),
+    lambda unit: unit.ctf_rand("Q", ["X"]),
+], ids=["read", "rand", "ctf_rand"])
+def test_a_unit_refuses_an_unknown_variable(act):
+    unit = Experiment(bow_model(), seed=3).new_unit()
+    with pytest.raises(ActionError, match="^unknown variable 'Q'$"):
+        act(unit)
+
+
 def test_estimate_trivial_and_errors():
     model = bow_model()
     q = query(response("X"), response("Y"))
@@ -998,8 +1017,9 @@ def test_required_value_outside_the_domain_cannot_be_drawn():
 
 
 def test_a_plan_is_refused_before_its_unit_runs(monkeypatch):
-    # the batch builds the plan's regime first: an undrawable value and a
-    # non-randomizing action raise before the checking unit is built
+    # the batch builds the plan's regime first: an undrawable value, a
+    # non-randomizing action and an unknown variable raise before the
+    # checking unit is built
     built = []
 
     class CountingUnit(Unit):
@@ -1014,6 +1034,8 @@ def test_a_plan_is_refused_before_its_unit_runs(monkeypatch):
     for tags, error, text in (
         (((action, 7),), EstimationError, "cannot draw required value 7"),
         (((read_action("X"), 1),), ActionError, "plan contains non-randomizing"),
+        (((select(), 1),), ActionError, "^plan contains non-randomizing Select$"),
+        (((rand_action("Q"), 1),), ActionError, "^unknown variable 'Q'$"),
     ):
         with pytest.raises(error, match=text):
             draw_plan_batch(RealizationPlan(plan.query, plan.diagram, tags), model, 10, seed=27)
