@@ -70,6 +70,8 @@ def _out_dir(args) -> Path:
 
 def _seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise EstimationError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     return int.from_bytes(os.urandom(4), "little")
 
@@ -180,6 +182,7 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         # an empty batch has no empirical distribution to compare
         raise EstimationError(f"--n must be at least 1, got {args.n}")
+    seed = _seed(args)
     model = resolve_model(args.model)
     q = parse_query(args.query, model.diagram)
     if any(v is not None for v in q.values()):
@@ -192,7 +195,6 @@ def cmd_sample(args) -> int:
     if not verdict:
         print(f"NOT REALIZABLE: {verdict.describe()}")
         return EXIT_NOT_REALIZABLE
-    seed = _seed(args)
     batch = draw_plan_batch(verdict, model, args.n, seed=seed)
     out = _out_dir(args)
     if args.format in ("csv", "both"):
@@ -230,9 +232,9 @@ def cmd_bandit(args) -> int:
         raise EstimationError(
             f"--T and --epochs must be at least 1, got {args.T} and {args.epochs}"
         )
+    seed = _seed(args)
     model = resolve_model(args.problem)
     problem = bandits.MabProblem(model, context="Z" if "Z" in model.diagram else None)
-    seed = _seed(args)
     metrics = bandits.run_epochs(args.algo, problem, args.T, args.epochs, seed)
     out = _out_dir(args)
     if args.format in ("csv", "both"):

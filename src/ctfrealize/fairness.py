@@ -24,6 +24,7 @@ mu_ctf rejects, which is the contrast the sampler below reproduces.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -202,7 +203,7 @@ def mu_ctf(
         )
         estimates.append(estimate(batch, (1, 0)))
     a, b = estimates
-    se = np.sqrt(a * (1 - a) / n + b * (1 - b) / n)
+    se = math.sqrt(a * (1 - a) / n + b * (1 - b) / n)
     return FairnessReport(
         mu_ctf=abs(a - b),
         mu_int1=int1,

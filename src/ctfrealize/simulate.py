@@ -50,25 +50,25 @@ model's compiled form under the plan's regime (``plan_regime``), the
 per-edge entries the performed randomizations put in place. The
 compiled engine evaluates the rows, one memoized column per read
 variable, and the executor indexes those columns by the kept units.
-One ``Unit`` per batch performs the plan, so the plan's checks (single
-use, containment, targets, action kinds) run on every batch. ``Unit``
-stays the oracle the rows are held to, and the unit-at-a-time
-procedure is the tests' reference ``execute_plan``, whose law the
-executor must draw from.
+The constraints a unit enforces (single use, containment, targets,
+action kinds) are properties of the action sequence: ``plan_regime``
+checks them on the plan with a unit's own checks, and no batch builds
+a unit. ``Unit`` stays the oracle the rows are held to, and the tests'
+reference ``execute_plan`` is the unit-at-a-time procedure.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     ActionError, ContainmentViolation, EstimationError, FCEViolation, ModelError, QueryError,
 )
-from .graphs import Value
+from .graphs import CausalDiagram, Value
 from .models import ScmModel
 from .queries import CtfQuery, query, response
 from .realizability import (
@@ -80,9 +80,10 @@ from .realizability import (
     ctf_rand_action,
     overlap_without_nesting,
     rand_action,
+    read_action,
+    select,
 )
 
-UNFIRED = "unfired"
 FIRED = "fired"
 ERASED = "erased"
 
@@ -104,15 +105,67 @@ class _Draw:
 _DRAW = _Draw()
 
 
+def _check_known(diagram: CausalDiagram, v: str) -> None:
+    if v not in diagram:
+        raise ActionError(f"unknown variable {v!r}")
+
+
+def _check_allowed(actions: ActionSet | None, build: Callable[..., Action], *args) -> None:
+    """Refuse the action ``build(*args)`` unless ``actions`` holds it;
+    with no action set, nothing is built."""
+    if actions is not None and (action := build(*args)) not in actions:
+        raise ActionError(f"{action} is not in the feasible action set")
+
+
+def _check_rand(x: str, status: Mapping[str, str]) -> None:
+    """Refuse ``Rand(x)`` once x's mechanism is in ``status``, fired or erased."""
+    if x in status:
+        raise FCEViolation(
+            f"mechanism for {x!r} already {status[x]}; a unit undergoes each "
+            "mechanism at most once"
+        )
+
+
+def _check_ctf_rand(
+    diagram: CausalDiagram, actions: ActionSet | None, x: str, targets: frozenset[str],
+    status: Mapping[str, str], earlier: Sequence[tuple[frozenset[str], object]],
+) -> None:
+    """Refuse ``CtfRand(x->targets)`` after x's input randomizations
+    ``earlier``, (targets, value) pairs, with the fired and erased
+    mechanisms in ``status``, as a unit does."""
+    children = set(diagram.children(x))
+    if not targets <= children:
+        raise ActionError(f"targets {sorted(targets - children)} are not children of {x!r}")
+    _check_allowed(actions, ctf_rand_action, x, targets)
+    if any(existing == targets for existing, _ in earlier):
+        raise FCEViolation(
+            f"input randomization of {x!r} toward {sorted(targets)} was "
+            "already performed on this unit"
+        )
+    for c in sorted(targets):
+        if c in status:
+            raise FCEViolation(
+                f"mechanism for {c!r} is already {status[c]}; it cannot "
+                f"receive a new input for {x!r}"
+            )
+    for existing, _ in earlier:
+        if overlap_without_nesting(existing, targets):
+            raise ContainmentViolation(
+                f"targets {sorted(targets)} overlap existing randomization "
+                f"{sorted(existing)} of {x!r} without nesting"
+            )
+
+
 class Unit:
     """One selected unit: hidden exogenous assignment plus mechanism
-    state. Agent-facing methods are read/rand/ctf_rand; the exogenous
+    state. Agent-facing methods are read/rand/ctf_rand, each refused
+    when an action set is given and lacks its action; the exogenous
     draw is exposed only through peek_exogenous, which is test and
     metrics instrumentation, not part of the acting agent's view."""
 
     __slots__ = (
         "_model", "_actions", "_u", "_rng",
-        "_status", "_values", "_overrides", "_performed",
+        "_status", "_values", "_overrides",
     )
 
     def __init__(
@@ -126,15 +179,11 @@ class Unit:
         self._actions = actions
         self._u = u
         self._rng = rng
-        self._status: dict[str, str] = {}
+        self._status: dict[str, str] = {}  # v -> FIRED or ERASED; absent is unfired
         self._values: dict[str, Value] = {}
         self._overrides: dict[str, list[tuple[frozenset[str], Value]]] = {}
-        self._performed: set[tuple[str, frozenset[str]]] = set()  # CtfRand (x, targets)
 
     # -- internals ---------------------------------------------------------
-
-    def status(self, v: str) -> str:
-        return self._status.get(v, UNFIRED)
 
     def _input_value(self, parent: str, child: str) -> Value:
         best: tuple[int, Value] | None = None
@@ -146,8 +195,7 @@ class Unit:
         return self._fire(parent)
 
     def _fire(self, v: str) -> Value:
-        st = self.status(v)
-        if st in (FIRED, ERASED):
+        if v in self._status:  # fired or erased
             return self._values[v]
         inputs = {
             p: self._input_value(p, v) for p in self._model.mechanisms[v].parents
@@ -156,14 +204,6 @@ class Unit:
         self._status[v] = FIRED
         self._values[v] = value
         return value
-
-    def _check_known(self, v: str) -> None:
-        if v not in self._model.diagram:
-            raise ActionError(f"unknown variable {v!r}")
-
-    def _check_allowed(self, action) -> None:
-        if self._actions is not None and action not in self._actions:
-            raise ActionError(f"{action} is not in the feasible action set")
 
     def _value(self, x: str, value: Value) -> Value:
         """The value to randomize x to: ``value`` if written, which must
@@ -180,21 +220,17 @@ class Unit:
     def read(self, v: str) -> Value:
         """Measure the realized value, firing pending ancestor mechanisms.
         Re-reading returns the cached value; nothing re-fires."""
-        self._check_known(v)
+        _check_known(self._model.diagram, v)
+        _check_allowed(self._actions, read_action, v)
         return self._fire(v)
 
     def rand(self, x: str, value: Value = _DRAW) -> Value:
         """Erase the unit's mechanism for x and substitute ``value`` (by
         default a uniform draw), which every child and later read of x
         will see."""
-        self._check_known(x)
-        self._check_allowed(rand_action(x))
-        st = self.status(x)
-        if st != UNFIRED:
-            raise FCEViolation(
-                f"mechanism for {x!r} already {st}; a unit undergoes each "
-                "mechanism at most once"
-            )
+        _check_known(self._model.diagram, x)
+        _check_allowed(self._actions, rand_action, x)
+        _check_rand(x, self._status)
         value = self._value(x, value)
         self._status[x] = ERASED
         self._values[x] = value
@@ -209,38 +245,14 @@ class Unit:
         """Fix ``value`` (by default a uniform draw) as input to the
         target children of x. The natural mechanism of x is untouched;
         reading x still yields the unit's own value."""
-        self._check_known(x)
+        _check_known(self._model.diagram, x)
         tset = frozenset(targets)
         if not tset:
             raise ActionError("input randomization needs at least one target")
-        children = set(self._model.diagram.children(x))
-        if not tset <= children:
-            raise ActionError(
-                f"targets {sorted(tset - children)} are not children of {x!r}"
-            )
-        self._check_allowed(ctf_rand_action(x, tset))
-        key = (x, tset)
-        if key in self._performed:
-            raise FCEViolation(
-                f"input randomization of {x!r} toward {sorted(tset)} was "
-                "already performed on this unit"
-            )
-        for c in sorted(tset):
-            st = self.status(c)
-            if st != UNFIRED:
-                raise FCEViolation(
-                    f"mechanism for {c!r} is already {st}; it cannot "
-                    f"receive a new input for {x!r}"
-                )
-        for existing, _ in self._overrides.get(x, ()):
-            if overlap_without_nesting(existing, tset):
-                raise ContainmentViolation(
-                    f"targets {sorted(tset)} overlap existing randomization "
-                    f"{sorted(existing)} of {x!r} without nesting"
-                )
+        earlier = self._overrides.get(x, ())
+        _check_ctf_rand(self._model.diagram, self._actions, x, tset, self._status, earlier)
         value = self._value(x, value)
         self._overrides.setdefault(x, []).append((tset, value))
-        self._performed.add(key)
         return value
 
     # -- instrumentation -----------------------------------------------------
@@ -256,9 +268,10 @@ class Experiment:
     selected from the model's one row space, ``support``, the rows of
     ``model.compile()``, by the model's cached ``selection_table()``; a
     ``Unit`` evaluates mechanisms and checks the actions performed on
-    it. Building an experiment compiles the model, so a model that
-    fails to compile, or has no row of nonzero weight, raises
-    ``ModelError`` here."""
+    it. ``draw_plan_batch`` checks its plan in ``plan_regime`` and only
+    selects rows here. Building an experiment compiles the model, so a
+    model that fails to compile, or has no row of nonzero weight,
+    raises ``ModelError`` here."""
 
     def __init__(
         self,
@@ -295,7 +308,8 @@ class Experiment:
 
     def new_unit(self) -> Unit:
         """Select a fresh unit: exogenous draw from the population, all
-        mechanisms unfired."""
+        mechanisms unfired. The action set, if any, must hold ``Select``."""
+        _check_allowed(self.actions, select)
         return self.unit_at(int(self.select_rows(1)[0]))
 
 
@@ -322,34 +336,6 @@ class SampleBatch:
         return {k: v / n for k, v in out.items()}
 
 
-def _perform(unit: Unit, action: Action, value: Value = _DRAW) -> Value:
-    if action.kind == RAND:
-        return unit.rand(action.var, value)  # type: ignore[arg-type]
-    if action.kind == CTF_RAND:
-        return unit.ctf_rand(action.var, action.targets, value)  # type: ignore[arg-type]
-    raise ActionError(f"plan contains non-randomizing {action}")
-
-
-def _required_codes(
-    model: ScmModel, interventions: Sequence[tuple[Action, Value]]
-) -> list[int]:
-    """Each required value's index in its variable's domain. A
-    non-randomizing action or an unknown variable raises
-    ``ActionError``; a value outside the domain can never be drawn, so
-    it raises ``EstimationError``."""
-    codes = []
-    for action, required in interventions:
-        if action.kind not in (RAND, CTF_RAND):
-            raise ActionError(f"plan contains non-randomizing {action}")
-        if action.var not in model.diagram:
-            raise ActionError(f"unknown variable {action.var!r}")
-        domain = model.diagram.domains[action.var]
-        if required not in domain:
-            raise EstimationError(f"{action} cannot draw required value {required!r}")
-        codes.append(domain.index(required))
-    return codes
-
-
 def _cap_error(plan: RealizationPlan) -> EstimationError:
     accept = plan.acceptance_probability()
     return EstimationError(
@@ -372,19 +358,43 @@ def plan_regime(plan: RealizationPlan, model: ScmModel) -> frozenset:
     gives ((x, c), code) for each child c in T, and on a child that
     several of them target the one with the smallest target set wins,
     as in ``Unit``; a per-edge entry beats a full one in the compiled
-    engine, so any ``CtfRand`` beats a performed ``Rand``."""
+    engine, so any ``CtfRand`` beats a performed ``Rand``.
+
+    It is the one check of a plan, and builds no unit: after each
+    action's kind, variable and required value, it refuses, with a
+    unit's own checks, what a ``Unit`` would refuse that performs the
+    actions in order and then reads the terms."""
+    diagram = model.diagram
     interventions = plan.required_actions()
-    entries: dict[tuple, tuple[int, int]] = {}  # (var, child) -> (|targets|, code)
-    for (action, _), code in zip(interventions, _required_codes(model, interventions)):
+    codes = []
+    for action, required in interventions:
+        if action.kind not in (RAND, CTF_RAND):
+            raise ActionError(f"plan contains non-randomizing {action}")
+        _check_known(diagram, action.var)
+        domain = diagram.domains[action.var]
+        if required not in domain:
+            raise EstimationError(f"{action} cannot draw required value {required!r}")
+        codes.append(domain.index(required))
+    status: dict[str, str] = {}
+    overrides: dict[str, list[tuple[frozenset[str], int]]] = {}
+    regime = {}
+    for (action, _), code in zip(interventions, codes):
+        x = action.var
         if action.kind == RAND:
-            entries[(action.var, None)] = (0, code)
-        else:  # CTF_RAND: _required_codes refuses every other kind
-            size = len(action.targets)
-            for c in action.targets:
-                won = entries.get((action.var, c))
-                if won is None or size < won[0]:
-                    entries[(action.var, c)] = (size, code)
-    return frozenset((edge, code) for edge, (_, code) in entries.items())
+            _check_rand(x, status)
+            status[x] = ERASED
+            regime[(x, None)] = code
+        else:  # CTF_RAND
+            earlier = overrides.setdefault(x, [])
+            _check_ctf_rand(diagram, None, x, action.targets, status, earlier)
+            earlier.append((action.targets, code))
+    for t in plan.query.terms:
+        _check_known(diagram, t.variable)
+    for x, performed in overrides.items():
+        # target sets that share a child are nested: the smallest is written last
+        for targets, code in sorted(performed, key=lambda tc: -len(tc[0])):
+            regime.update(((x, c), code) for c in targets)
+    return frozenset(regime.items())
 
 
 def _plan_rows(
@@ -420,12 +430,11 @@ def draw_plan_batch(
     keep a unit only if every draw equals its required value, and read
     the variables of the query's terms from the kept ones.
 
-    The plan's regime, ``plan_regime(plan, model)``, is built once, which
-    refuses a non-randomizing action, an unknown variable and a
-    required value outside its domain; then one ``Unit`` performs the
-    plan and reads the terms, which checks the rest of the plan. The kept units' rows are read off
-    ``model.compile()`` under that regime: each read variable's memoized
-    code column, indexed by the kept units' compiled rows.
+    The plan's regime, ``plan_regime(plan, model)``, is built once and
+    checks the plan before anything is drawn; no ``Unit`` is built. The
+    kept units' rows are read off ``model.compile()`` under that regime:
+    each read variable's memoized code column, indexed by the kept
+    units' compiled rows.
     Rows hold the variables' domain values. A bool or non-integral
     ``n`` raises ``EstimationError``; ``n <= 0`` gives an empty batch.
 
@@ -439,18 +448,8 @@ def draw_plan_batch(
     batch = SampleBatch(plan.query)
     if n <= 0:
         return batch
-    interventions = plan.required_actions()
     regime = plan_regime(plan, model)
     experiment = Experiment(model, seed=seed)
-
-    # the plan checks (single use, containment, targets, action kinds)
-    # depend on the plan alone, so performing it once checks every unit
-    unit = experiment.unit_at(0)
-    for action, value in interventions:
-        _perform(unit, action, value)
-    for t in plan.query.terms:
-        unit.read(t.variable)
-
     p = plan.acceptance_probability()
     kept = experiment.select_rows(n)
     rejected = 0
@@ -505,7 +504,8 @@ def sample_interventional(
     """Randomize each regime variable, keep units whose draws hit the
     requested values, and read the outcome variables (by default, when
     ``outcome`` is None, every variable outside the regime; an empty
-    ``outcome`` raises ``QueryError``): the plan that tags ``Rand(x)``
+    outcome, given or left when ``do`` fixes every variable, raises
+    ``QueryError``): the plan that tags ``Rand(x)``
     with ``do[x]``, in topological order."""
     diagram = model.diagram
     for x in do:
@@ -513,7 +513,7 @@ def sample_interventional(
             raise QueryError(f"unknown regime variable {x!r}")
     if outcome is None:
         outcome = [v for v in diagram.variables if v not in do]
-    elif not outcome:
+    if not outcome:
         raise QueryError("an interventional sample needs at least one outcome variable")
     outcome = tuple(outcome)
     for v in outcome:

@@ -9,9 +9,12 @@ checker the package itself never needs:
 * ``ThompsonSolver`` keeps Beta posteriors in a dict keyed by tuples;
   the epoch loop ``bandits._play_epoch`` keeps them in flat lists indexed
   by key ids and must play the same arms.
-* ``execute_plan`` runs a plan one unit at a time; the executor
-  ``simulate.draw_plan_batch``, which draws only the kept units and each
-  sample's run of rejected units, must draw from the same law.
+* ``execute_plan`` runs a plan one unit at a time, performing each
+  action through ``perform``; the executor ``simulate.draw_plan_batch``,
+  which draws only the kept units and each sample's run of rejected
+  units, must draw from the same law. Both check the plan in
+  ``simulate.plan_regime`` before drawing; a ``Unit`` that performs the
+  plan is the oracle that check is held to.
 * ``verify_counterfactual_mediator`` (with ``inverse_image_classes``)
   checks the mediator conditions on an explicit expanded SCM by full
   enumeration: the semantics behind ``mediators.ctf_procedures``, which
@@ -47,8 +50,8 @@ from ctfrealize.graphs import CausalDiagram, Value
 from ctfrealize.mediators import ExpandedDiagram
 from ctfrealize.models import Mechanism, ScmModel, independent_exogenous
 from ctfrealize.queries import PotentialResponse, RegimeEntry, response
-from ctfrealize.realizability import RealizationPlan
-from ctfrealize.simulate import Experiment, _cap_error, _perform, _required_codes
+from ctfrealize.realizability import RAND, Action, RealizationPlan
+from ctfrealize.simulate import _DRAW, Experiment, Unit, _cap_error, plan_regime
 
 
 # -- bandits ------------------------------------------------------------------
@@ -122,6 +125,14 @@ class ThompsonSolver:
 
 # -- plan execution -----------------------------------------------------------
 
+def perform(unit: Unit, action: Action, value: Value = _DRAW) -> Value:
+    """Perform a plan's ``Rand`` or ``CtfRand`` on the unit: draw
+    uniformly, or write ``value``."""
+    if action.kind == RAND:
+        return unit.rand(action.var, value)
+    return unit.ctf_rand(action.var, action.targets, value)
+
+
 def execute_plan(
     plan: RealizationPlan, experiment: Experiment
 ) -> tuple[tuple[Value, ...], int]:
@@ -134,11 +145,11 @@ def execute_plan(
     units in a row are discarded.
     """
     interventions = plan.required_actions()
-    _required_codes(experiment.model, interventions)
+    plan_regime(plan, experiment.model)
     rejected = 0
     while True:
         unit = experiment.new_unit()
-        if all(_perform(unit, action) == required for action, required in interventions):
+        if all(perform(unit, action) == required for action, required in interventions):
             return tuple(unit.read(t.variable) for t in plan.query.terms), rejected
         rejected += 1
         if rejected >= simulate.MAX_REJECTIONS:

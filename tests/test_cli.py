@@ -268,6 +268,19 @@ def test_empty_sample_is_an_input_error(tmp_path, n, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    # not realizable: exit 3 if the seed were checked after the plan
+    ["sample", "--model", "bow", "--query", "P(Y[X=1], X, Y)", "--maximal"],
+    ["bandit", "--algo", "ts", "--T", "40", "--epochs", "2"],
+    ["fairness", "--constraint", "l3", "--n", "5"],
+], ids=["sample", "bandit", "fairness"])
+def test_a_negative_seed_is_an_input_error(tmp_path, args, capsys):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--seed", "-1"], out) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_bandit_summary_reports_seconds_per_epoch(tmp_path):
     assert run_cli(
         ["bandit", "--algo", "ts-opt", "--T", "50", "--epochs", "2", "--seed", "5"],

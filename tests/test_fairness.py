@@ -192,6 +192,12 @@ def test_sampled_metric_concentrates():
     assert lo <= 0.10 <= hi
 
 
+def test_a_sampled_report_holds_python_floats():
+    report = mu_ctf(example2_scm(), exact=False, n=200, seed=6)
+    assert [type(v) for v in report.ci95] == [float, float]
+    assert type(report.mu_ctf) is float
+
+
 def test_relabeling_latent_categories_preserves_metrics():
     scm = example2_scm()
     base = scm.to_model()

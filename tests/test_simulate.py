@@ -11,6 +11,7 @@ from ctfrealize import (
     ActionSet,
     CausalDiagram,
     ContainmentViolation,
+    CtfRealizeError,
     EstimationError,
     Experiment,
     FCEViolation,
@@ -43,7 +44,7 @@ from ctfrealize.bandits import example3_problem
 from ctfrealize.fairness import CanonicalScm
 
 from enumeration import enumerate_terms, queries_of_size
-from reference import execute_plan
+from reference import execute_plan, perform
 
 
 def supersede_model():
@@ -645,7 +646,7 @@ def plan_law(model, plan):
     for u, p in model.exogenous_support():
         unit = Unit(model, u, np.random.default_rng(0))
         for action, value in plan.required_actions():
-            simulate._perform(unit, action, value)
+            perform(unit, action, value)
         row = tuple(unit.read(t.variable) for t in plan.query.terms)
         law[row] = law.get(row, 0.0) + p
     return law
@@ -721,16 +722,14 @@ def test_executor_rows_equal_unit_reads():
         for u, row in zip(support, rows):
             unit = Unit(model, u, np.random.default_rng(0))
             for action, value in plan.required_actions():
-                simulate._perform(unit, action, value)
+                perform(unit, action, value)
             assert row == tuple(unit.read(t.variable) for t in plan.query.terms), plan.query
         plans += 1
     assert plans > 1000
 
 
-@pytest.mark.parametrize("name", ["fan", "bandit_example"])
-@pytest.mark.parametrize("n", [1, 5_000])
-def test_a_batch_builds_one_unit(monkeypatch, name, n):
-    # the one unit performs the plan; kept rows come off the compiled model
+def counting_units(monkeypatch):
+    """The list that gets one entry per ``Unit`` built from now on."""
     built = []
 
     class CountingUnit(Unit):
@@ -738,12 +737,47 @@ def test_a_batch_builds_one_unit(monkeypatch, name, n):
             built.append(1)
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setattr(simulate, "Unit", CountingUnit)
+    return built
+
+
+@pytest.mark.parametrize("name", ["fan", "bandit_example"])
+@pytest.mark.parametrize("n", [1, 5_000])
+def test_a_batch_builds_no_unit(monkeypatch, name, n):
+    # plan_regime checks the plan; kept rows come off the compiled model
+    built = counting_units(monkeypatch)
     model = builtin_model(name)
     plan = fixture_plan(model, dict(FIXTURE_PLANS)[name])
-    monkeypatch.setattr(simulate, "Unit", CountingUnit)
     batch = draw_plan_batch(plan, model, n, seed=37)
     assert len(batch) == n
-    assert len(built) == 1
+    assert built == []
+
+
+@pytest.mark.parametrize("tags, terms, error, text", [
+    ([rand_action("X"), rand_action("X")], ["Y"], FCEViolation,
+     "mechanism for 'X' already erased; a unit undergoes each mechanism at most once"),
+    ([ctf_rand_action("X", ["Y"]), ctf_rand_action("X", ["Y"])], ["Y"], FCEViolation,
+     "input randomization of 'X' toward ['Y'] was already performed on this unit"),
+    ([rand_action("Y"), ctf_rand_action("X", ["Y"])], ["Y"], FCEViolation,
+     "mechanism for 'Y' is already erased; it cannot receive a new input for 'X'"),
+    ([ctf_rand_action("X", ["Q"])], ["Y"], ActionError,
+     "targets ['Q'] are not children of 'X'"),
+    ([ctf_rand_action("X", ["Y", "Z"]), ctf_rand_action("X", ["Z", "W"])], ["Z"],
+     ContainmentViolation,
+     "targets ['W', 'Z'] overlap existing randomization ['Y', 'Z'] of 'X' without nesting"),
+    ([ctf_rand_action("X", ["Y"])], ["Y", "Q"], ActionError, "unknown variable 'Q'"),
+], ids=["rand-twice", "ctf-rand-twice", "into-erased", "not-a-child", "overlap",
+        "unknown-term"])
+def test_the_executor_refuses_a_plan_no_unit_could_perform(monkeypatch, tags, terms,
+                                                          error, text):
+    built = counting_units(monkeypatch)
+    model = fan_model()
+    plan = RealizationPlan(query(*(response(v) for v in terms)), model.diagram,
+                           tuple((action, 1) for action in tags))
+    with pytest.raises(error, match=f"^{re.escape(text)}$") as raised:
+        draw_plan_batch(plan, model, 10, seed=46)
+    assert raised.type is error
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["fan", "bandit_example"])
@@ -776,6 +810,77 @@ def test_a_batch_selects_only_its_kept_units(monkeypatch, name, n):
     batch = draw_plan_batch(plan, model, n, seed=45)
     assert len(batch) == n
     assert calls == [("select_rows", n), "geometric"]
+
+
+def random_plan(model, rng):
+    """A plan of 1-5 Rand / CtfRand tags with values in their domains on
+    known variables; some tags repeat, target non-children, overlap
+    without nesting or follow a Rand of a target, and some plans read a
+    variable the diagram lacks."""
+    d = model.diagram
+    names = d.variables
+    tags = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.35:
+            x = rng.choice(names)
+            action = rand_action(x)
+        else:
+            x = "X" if rng.random() < 0.9 else rng.choice(names)
+            pool = list(d.children(x))
+            if not pool or rng.random() < 0.1:
+                pool.append(rng.choice([v for v in names if v not in pool]))
+            action = ctf_rand_action(x, rng.sample(pool, rng.randint(1, len(pool))))
+        tags.append((action, rng.choice(d.domains[x])))
+    terms = rng.sample([*names, "Q"] if rng.random() < 0.1 else names, rng.randint(1, 3))
+    return RealizationPlan(query(*(response(v) for v in terms)), d, tuple(tags))
+
+
+def unit_refusal(model, plan):
+    """The (class, text) of what a ``Unit`` raises when it performs the
+    plan's actions in order and then reads the terms, or None."""
+    unit = Unit(model, model.compile().rows[0], np.random.default_rng(0))
+    try:
+        for action, value in plan.required_actions():
+            perform(unit, action, value)
+        for t in plan.query.terms:
+            unit.read(t.variable)
+    except CtfRealizeError as e:
+        return type(e), str(e)
+    return None
+
+
+def unit_row(model, plan, u):
+    """What a unit with exogenous row ``u`` reads after performing the
+    plan's actions, with their required values written, in order."""
+    unit = Unit(model, u, np.random.default_rng(0))
+    for action, value in plan.required_actions():
+        perform(unit, action, value)
+    return tuple(unit.read(t.variable) for t in plan.query.terms)
+
+
+def test_the_plan_check_agrees_with_the_unit():
+    # plan_regime refuses exactly what a Unit performing the plan refuses,
+    # with its class and text, and a plan it passes reads the Unit's rows
+    rng = random.Random(29)
+    faults = dict.fromkeys(
+        ["already erased; a unit", "was already performed", "are not children",
+         "without nesting", "cannot receive a new input", "unknown variable"], 0)
+    for i in range(2_400):
+        model = (fan_model, supersede_model)[i % 2]()
+        plan = random_plan(model, rng)
+        want = unit_refusal(model, plan)
+        try:
+            draw_plan_batch(plan, model, 1, seed=i)
+        except CtfRealizeError as e:
+            assert (type(e), str(e)) == want, plan.tags
+            faults.update({k: faults[k] + 1 for k in faults if k in str(e)})
+            continue
+        assert want is None, plan.tags
+        rows = model.compile().rows
+        regime = simulate.plan_regime(plan, model)
+        got = simulate._plan_rows(plan, model, regime, np.arange(len(rows)))
+        assert got == [unit_row(model, plan, u) for u in rows], plan.tags
+    assert min(faults.values()) >= 20, faults
 
 
 def test_a_reweighted_model_samples_as_one_built_with_its_weights():
@@ -898,6 +1003,32 @@ def test_an_empty_interventional_outcome_is_a_query_error():
         sample_interventional(bow_model(), {"X": 1}, 10, seed=1, outcome=[])
 
 
+def test_a_do_that_fixes_every_variable_leaves_no_default_outcome(monkeypatch):
+    # the default outcome is empty, so the call is refused as an explicit
+    # empty outcome is, before any plan is drawn
+    monkeypatch.setattr(simulate, "draw_plan_batch", lambda *args: pytest.fail("drew"))
+    with pytest.raises(QueryError, match="^an interventional sample needs at least one "
+                       "outcome variable$"):
+        sample_interventional(bow_model(), {"X": 1, "Y": 0}, 5, seed=1)
+
+
+def test_a_unit_keeps_to_its_action_set():
+    # with an action set, selecting and reading need Select and Read(v),
+    # as rand and ctf_rand need theirs; without one, nothing is checked
+    model = fan_model()
+    no_select = Experiment(model, actions=ActionSet([ctf_rand_action("X", ["Y"])]), seed=3)
+    with pytest.raises(ActionError, match="^Select is not in the feasible action set$"):
+        no_select.new_unit()
+    reads_x = ActionSet([select(), read_action("X"), ctf_rand_action("X", ["Y"])])
+    unit = Experiment(model, actions=reads_x, seed=3).new_unit()
+    assert unit.read("X") in (0, 1)
+    unit.ctf_rand("X", ["Y"])
+    with pytest.raises(ActionError, match=r"^Read\(Y\) is not in the feasible action set$"):
+        unit.read("Y")
+    free = Experiment(model, seed=3).new_unit()
+    assert all(free.read(v) in (0, 1) for v in model.diagram.variables)
+
+
 @pytest.mark.parametrize("act", [
     lambda unit: unit.read("Q"),
     lambda unit: unit.rand("Q"),
@@ -1017,9 +1148,9 @@ def test_required_value_outside_the_domain_cannot_be_drawn():
 
 
 def test_a_plan_is_refused_before_its_unit_runs(monkeypatch):
-    # the batch builds the plan's regime first: an undrawable value, a
-    # non-randomizing action and an unknown variable raise before the
-    # checking unit is built
+    # plan_regime checks kinds, variables and values first: an undrawable
+    # value, a non-randomizing action and an unknown variable raise, and
+    # no unit is built
     built = []
 
     class CountingUnit(Unit):
