@@ -15,6 +15,14 @@ Text form (the grammar is in ``parse_query``'s docstring):
     P(Y[X=1->Y], X)         path-restricted: only Y's mechanism sees 1
     P(Y[X=1->Y, X=0->Z])    two edges of X carry different values
 
+A term is checked against a diagram in one place, ``split_regime``:
+one walk that validates the term and splits its regime into the entries
+that can reach the term's variable and those that cannot. Validation
+(``CtfQuery.validate``), normalization (``normalize_term``,
+``CtfQuery.normalized``) and the realizability checker's per-term
+preparation all call it. Each dropped entry warns once, at the line
+outside this package that made the call (``warn_at_caller``).
+
 Terms are hashed on every hot path (as keys of the checker's per-term
 records, and inside the queries that key the exact engine's masks), so
 ``RegimeEntry`` and ``PotentialResponse`` compute their field hash on
@@ -27,9 +35,11 @@ and the dataclass fields are the generated ones.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import QueryError, QuerySyntaxError
 from .graphs import CausalDiagram, Value
@@ -187,66 +197,95 @@ class CtfQuery:
         return CtfQuery(tuple(t.with_value(None) for t in self.terms))
 
     def validate(self, diagram: CausalDiagram) -> None:
+        """Raise QueryError for the first term ``split_regime`` refuses."""
         for t in self.terms:
-            if t.variable not in diagram:
-                raise QueryError(f"unknown variable {t.variable!r}")
-            if t.value is not None and t.value not in diagram.domains[t.variable]:
-                raise QueryError(
-                    f"value {t.value!r} outside domain of {t.variable!r}"
-                )
-            for e in t.regime:
-                if e.var not in diagram:
-                    raise QueryError(f"unknown regime variable {e.var!r}")
-                if e.value not in diagram.domains[e.var]:
-                    raise QueryError(
-                        f"value {e.value!r} outside domain of {e.var!r}"
-                    )
-                if e.targets is not None:
-                    ch = set(diagram.children(e.var))
-                    bad = e.targets - ch
-                    if bad:
-                        raise QueryError(
-                            f"targets {sorted(bad)} are not children of {e.var!r}"
-                        )
+            split_regime(t, diagram)
 
     def normalized(self, diagram: CausalDiagram) -> "CtfQuery":
         """Drop regime variables that are not ancestors of their term's
-        variable; such subscripts cannot affect the response. Warns once
-        per dropped entry. Returns the query itself when nothing drops."""
-        new_terms = []
+        variable; such subscripts cannot affect the response. Every term
+        is validated first, then each dropped entry warns once, at the
+        caller. Returns the query itself when nothing drops."""
+        terms, messages = [], []
         for t in self.terms:
-            kept, messages = normalize_term(t, diagram)
-            for message in messages:
-                warnings.warn(message, stacklevel=3)
-            new_terms.append(kept)
-        if all(kept is t for kept, t in zip(new_terms, self.terms)):
+            kept, dropped = normalize_term(t, diagram)
+            terms.append(kept)
+            messages += dropped
+        if not messages:
             return self
-        return CtfQuery(tuple(new_terms))
+        warn_at_caller(messages)
+        return CtfQuery(tuple(terms))
 
     def __str__(self) -> str:
         return "P(" + ", ".join(str(t) for t in self.terms) + ")"
 
 
+def split_regime(
+    t: PotentialResponse, diagram: CausalDiagram
+) -> tuple[list[RegimeEntry], list[RegimeEntry]]:
+    """Validate one term against the diagram and split its regime, in one
+    walk, into the entries whose variable can reach the term's variable
+    (kept) and those that cannot (dropped). Raises QueryError, at the
+    first fault in this order: an unknown variable, an event value
+    outside its domain, then per entry an unknown regime variable, a
+    value outside its domain, or targets that are not all children."""
+    w, domains = t.variable, diagram.domains  # keyed by every variable
+    if w not in domains:
+        raise QueryError(f"unknown variable {w!r}")
+    if t.value is not None and t.value not in domains[w]:
+        raise QueryError(f"value {t.value!r} outside domain of {w!r}")
+    kept: list[RegimeEntry] = []
+    dropped: list[RegimeEntry] = []
+    for e in t.regime:
+        v = e.var
+        if v not in domains:
+            raise QueryError(f"unknown regime variable {v!r}")
+        if e.value not in domains[v]:
+            raise QueryError(f"value {e.value!r} outside domain of {v!r}")
+        if e.targets is not None:
+            bad = e.targets - set(diagram.children(v))
+            if bad:
+                raise QueryError(f"targets {sorted(bad)} are not children of {v!r}")
+        (kept if w in diagram.descendants(v) else dropped).append(e)
+    return kept, dropped
+
+
+def dropped_messages(t: PotentialResponse, dropped: Iterable[RegimeEntry]) -> tuple[str, ...]:
+    """One warning text per regime entry dropped from ``t``."""
+    term, w = str(t), t.variable
+    return tuple([
+        f"dropping irrelevant subscript {e.var}={e.value} from term {term}: "
+        f"{e.var!r} is not an ancestor of {w!r}"
+        for e in dropped
+    ])
+
+
+# the package's own files, as its code objects name them
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn_at_caller(messages: Iterable[str]) -> None:
+    """Warn each message at the innermost frame outside this package: the
+    line that called the package, however deep the call went inside it
+    (``skip_file_prefixes`` does this from Python 3.12 on). Called from
+    the package's own code."""
+    frame, level = sys._getframe(2), 3  # the caller is in the package
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    for message in messages:
+        warnings.warn(message, stacklevel=level)
+
+
 def normalize_term(
     t: PotentialResponse, diagram: CausalDiagram
 ) -> tuple[PotentialResponse, tuple[str, ...]]:
-    """The term without regime entries that cannot reach its variable
-    (the term itself if none is dropped), and one warning message per
-    dropped entry."""
-    kept = []
-    messages = []
-    for e in t.regime:
-        if t.variable in diagram.descendants(e.var):
-            kept.append(e)
-        else:
-            messages.append(
-                f"dropping irrelevant subscript {e.var}={e.value} "
-                f"from term {t}: {e.var!r} is not an ancestor of "
-                f"{t.variable!r}"
-            )
-    if not messages:
+    """The term validated and without the regime entries that cannot reach
+    its variable (``split_regime``): the term itself if none is dropped,
+    and one warning message per dropped entry."""
+    kept, dropped = split_regime(t, diagram)
+    if not dropped:
         return t, ()
-    return PotentialResponse(t.variable, tuple(kept), t.value), tuple(messages)
+    return PotentialResponse(t.variable, tuple(kept), t.value), dropped_messages(t, dropped)
 
 
 def query(*terms: PotentialResponse) -> CtfQuery:
@@ -271,8 +310,16 @@ def counterfactual_ancestors(
     variable may legitimately appear under several regimes (that is
     exactly what the realizability criterion looks for).
     """
+    return tuple([PotentialResponse(w, z) for w, z in _ancestor_regimes(q, diagram)])
+
+
+def _ancestor_regimes(
+    q: CtfQuery | PotentialResponse, diagram: CausalDiagram
+) -> Iterator[tuple[str, tuple[RegimeEntry, ...]]]:
+    """The variable and regime of each counterfactual ancestor, in order
+    and deduplicated by (variable, set of entries), without building the
+    responses; each regime holds the query term's own entries."""
     terms = q.terms if isinstance(q, CtfQuery) else (q,)
-    out: list[PotentialResponse] = []
     seen: set[tuple] = set()
     for t in terms:
         if not t.is_full_do():
@@ -281,18 +328,14 @@ def counterfactual_ancestors(
                 "subscripts; rewrite path-restricted terms over the "
                 "expanded diagram"
             )
-        x = t.assignment()
-        xs = tuple(x)
+        xs = tuple([e.var for e in t.regime])
         for w in diagram.ancestors(t.variable, cut_out_of=xs):
             anc_w = diagram.ancestors(w, cut_into=xs)
-            z = tuple(
-                RegimeEntry(v, x[v]) for v in xs if v in anc_w and v != w
-            )
+            z = tuple([e for e in t.regime if e.var in anc_w and e.var != w])
             key = (w, frozenset(z))
             if key not in seen:
                 seen.add(key)
-                out.append(PotentialResponse(w, z))
-    return tuple(out)
+                yield w, z
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Deciding whether a counterfactual joint can be physically sampled.
 
 The decision procedure takes each query term W under regime T and
-walks, in topological order, every edge V -> C that W uses: C feeds W
-inside the regime-cut graph and is not itself fixed by T. The checker's
-covering table lists per edge the input-randomizations of V whose
-targets contain C, smallest first; containment makes the list a chain.
+walks, backwards in topological order from W, every edge V -> C that W
+uses: C feeds W inside the regime-cut graph and is not itself fixed by
+T. The checker's covering table lists per edge the input-randomizations
+of V whose targets contain C, smallest first; containment makes the
+list a chain.
 Each used edge is tagged once:
 
 * V carries a value in T: C must receive that value, so the head of the
@@ -21,34 +22,39 @@ by step, discard the unit whenever a drawn value misses its tag, then
 read the outputs.
 
 Tags are per-action and depend only on the term, so conflicts are
-always witnessed by a pair of terms. ``RealizabilityChecker`` builds one
-record per raw query term, once: the normalized term (each dropped
-subscript warns then, once), whether the term is realizable alone, and
-its tags, stored twice in one walk. In three bit words each action id
-(the action's position in plan order) owns a fixed-width field: ``v``
-holds each tag's code (1 for Natural, 2 + the value's index in the
-action variable's domain), ``fm`` is all ones over the fields the term
-tags, and ``h`` covers the value bits of the field of its output's
-whole-variable randomization. Per source variable, the same tags are
-listed in merge order with the child each serves. ``realize`` decides a
-single term from its record. A longer query fails when a term fails
-alone, when two terms put different codes in one field (XOR under both
-masks), or when some output's randomization is performed (the merged
-codes under the merged ``h``).
+always witnessed by a pair of terms. ``RealizabilityChecker`` prepares
+each raw query term once, in one walk over its regime
+(``queries.split_regime`` validates it and splits off the subscripts
+that cannot reach its variable; each dropped one warns then, once), and
+maps it to the one record of its variable and kept regime, which every
+raw term that normalizes alike shares. A record is computed when its
+variable and regime are first met: whether the term is realizable
+alone, and its tags, stored twice in one walk. In three bit words each
+action id (the action's position in plan order) owns a fixed-width
+field: ``v`` holds each tag's code (1 for Natural, 2 + the value's index
+in the action variable's domain), ``fm`` is all ones over the fields
+the term tags, and ``h`` covers the value bits of the field of its
+output's whole-variable randomization. Per source variable, the same
+tags are listed in merge order with the child each serves. ``realize``
+decides a single term from its record. A longer query fails when a term
+fails alone, when two terms put different codes in one field (XOR under
+both masks), or when some output's randomization is performed (the
+merged codes under the merged ``h``).
 
 A verdict holds the raw query and the records, and derives the rest
-when it is first read: the normalized query, a plan's tags (decoded
-from the merged ``v`` word field by field, which is plan order), and a
-failing verdict's conflict. That conflict comes from the ordered
-reference merge over the per-variable lists (variables in topological
-order, terms in query order), which names the first clash it meets.
-Every ``Conflict``, whatever its failure class, comes from that merge.
+when it is first read: the normalized query (the raw terms that
+dropped a subscript rebuilt from their kept entries), a plan's tags
+(decoded from the merged ``v`` word field by field, which is plan
+order), and a failing verdict's conflict. That conflict comes from the
+ordered reference merge over the per-variable lists (variables in
+topological order, terms in query order), which names the first clash
+it meets. Every ``Conflict``, whatever its failure class, comes from
+that merge.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -58,11 +64,14 @@ from .graphs import CausalDiagram, Value
 from .queries import (
     CtfQuery,
     PotentialResponse,
+    RegimeEntry,
     _Scanner,
-    counterfactual_ancestors,
-    normalize_term,
+    _ancestor_regimes,
+    dropped_messages,
     parse_targets,
+    split_regime,
     targets_text,
+    warn_at_caller,
 )
 
 
@@ -327,12 +336,17 @@ class _Verdict:
 
     @cached_property
     def query(self) -> CtfQuery:
-        """The query of the records' normalized terms: the raw query itself
-        when no record dropped a subscript of its raw term."""
-        for r, t in zip(self._records, self._raw.terms):
-            if r.kept is not t:
-                return CtfQuery(tuple([r.kept for r in self._records]))
-        return self._raw
+        """The normalized query: the raw query itself when none of its terms
+        dropped a subscript when the checker prepared it, else each raw
+        term that did rebuilt from the entries ``split_regime`` kept. No
+        term is split again and no warning text is built."""
+        raw, kept = self._raw, self._checker._kept
+        if kept.keys().isdisjoint(raw.terms):
+            return raw
+        return CtfQuery(tuple([
+            PotentialResponse(t.variable, tuple(kept[t]), t.value) if t in kept else t
+            for t in raw.terms
+        ]))
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -518,19 +532,22 @@ class RealizationPlan(_Verdict):
 # ---------------------------------------------------------------------------
 
 class _TermRecord(NamedTuple):
-    """One query term as the checker decides and plans it: ``kept``, the
-    normalized term; ``alone``, whether it is realizable alone (it neither
-    fails alone nor has an output without a read); its tags as words over
-    the checker's ``_fields`` (``v`` holds each tagged action's code,
-    ``fm`` is all ones over the tagged fields, ``h`` covers the value bits
-    of the field of its variable's ``Rand``, or is 0); and the same tags
-    for the ordered merge, ``by_var``: per source variable its (action
-    id, tag, child) entries in merge order, the child None for a ``Rand``
-    tagged Natural. When no action can fix the term's value x of V as
-    input to a child, ``failure`` is (V, x, child), the entries stop at V
-    and the words are 0."""
+    """One normalized term as the checker decides and plans it, one per
+    variable and regime and shared by every raw term that normalizes to
+    them (event values play no part): ``alone``, whether it is realizable
+    alone (it neither fails alone nor has an output without a read); its
+    tags as words over the checker's ``_fields`` (``v`` holds each tagged
+    action's code, ``fm`` is all ones over the tagged fields, ``h``
+    covers the value bits of the field of its variable's ``Rand``, or is
+    0); and the same tags for the ordered merge, ``by_var``: per source
+    variable its (action id, tag, child) entries in merge order, the
+    child None for a ``Rand`` tagged Natural. When no action can fix the
+    term's value x of V as input to a child, ``failure`` is (V, x,
+    child), V's entries stop at that child and the words are 0 (when
+    several variables fail, V is the first in topological order, the
+    only failure the ordered merge reaches). It holds no term:
+    a verdict's query comes from the raw terms."""
 
-    kept: PotentialResponse
     alone: bool
     v: int
     fm: int
@@ -540,20 +557,25 @@ class _TermRecord(NamedTuple):
 
 
 class RealizabilityChecker:
-    """Caches one record per term for one (diagram, action set) pair so
-    that many queries over the same setting are cheap to decide. Its
-    covering table, ``_covering``, is the one place that decides which
-    action fixes a variable's input to a child. The actions are checked
-    against the diagram at the first decision, not at construction.
+    """Caches one record per normalized term for one (diagram, action
+    set) pair so that many queries over the same setting are cheap to
+    decide. Its covering table, ``_covering``, is the one place that
+    decides which action fixes a variable's input to a child. The actions
+    are checked against the diagram at the first decision, not at
+    construction.
 
-    Each raw term a query holds is prepared once into a ``_TermRecord``,
-    so a warm ``realize`` only looks records up: a single term is decided
-    by its record's ``alone`` flag, and a longer query by three integer
-    words per record, with no dict built. Neither builds the normalized
-    query, the plan's tags or a conflict; the verdict does that on first
-    access. A plan decodes its tags from the merged ``v`` word, and a
-    failing verdict names its conflict through ``_first_clash``, the one
-    ordered merge, which builds every ``Conflict``."""
+    Each raw term a query holds is prepared once: one ``split_regime``
+    walk, then a lookup of the ``_TermRecord`` of its variable and kept
+    entries, computed only when no raw term met it before. No normalized
+    term, one-term query or record copy is built per raw term, and every
+    cache lives and dies with the checker. A warm ``realize`` only looks
+    records up: a single term is decided by its record's ``alone`` flag,
+    and a longer query by three integer words per record, with no dict
+    built. Neither builds the normalized query, the plan's tags or a
+    conflict; the verdict does that on first access. A plan decodes its
+    tags from the merged ``v`` word, and a failing verdict names its
+    conflict through ``_first_clash``, the one ordered merge, which
+    builds every ``Conflict``."""
 
     def __init__(self, diagram: CausalDiagram, actions: ActionSet):
         self.diagram = diagram
@@ -561,9 +583,18 @@ class RealizabilityChecker:
         self.topo = diagram.topological_order()
         self._term_cache: dict[tuple, _TermRecord] = {}
         self._prepared: dict[PotentialResponse, _TermRecord] = {}
-        self.compat_visits = 0  # (V, term, child) visits, for complexity checks
+        # the kept entries of each prepared raw term that drops a subscript
+        self._kept: dict[PotentialResponse, list[RegimeEntry]] = {}
+        # (V, term, child) visits, V before the term's variable in
+        # topological order, for complexity checks
+        self.compat_visits = 0
 
     # built on first use, so that setting up a checker stays cheap
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        """Each variable's index in topological order."""
+        return {v: k for k, v in enumerate(self.topo)}
 
     @cached_property
     def _randomizations(self) -> tuple[Action, ...]:
@@ -571,7 +602,7 @@ class RealizabilityChecker:
         topological position, then by Action.sort_key (the action set's
         own order, which the stable sort keeps). Positions are action ids."""
         _check_actions(self.actions, self.diagram)
-        position = {v: k for k, v in enumerate(self.topo)}
+        position = self._position
         return tuple(sorted(
             (a for a in self.actions.actions if a.kind in (RAND, CTF_RAND)),
             key=lambda a: position[a.var],
@@ -611,42 +642,53 @@ class RealizabilityChecker:
     # -- per-term records --------------------------------------------
 
     def term_requirements(self, term: PotentialResponse) -> _TermRecord:
-        """The record of a normalized, full-do term, built on the first
-        call for its variable and regime; its ``kept`` is the term it was
-        first built for."""
+        """The record of a normalized, full-do term: one per variable and
+        regime, computed on the first call for them and shared by every
+        term with that variable and regime."""
         key = (term.variable, frozenset(term.regime))
         record = self._term_cache.get(key)
         if record is None:
-            record = self._term_cache[key] = self._compute_term_requirements(term)
+            record = self._term_cache[key] = self._compute_term_requirements(
+                term.variable, term.regime, term.value
+            )
         return record
 
-    def _compute_term_requirements(self, term: PotentialResponse) -> _TermRecord:
+    def _compute_term_requirements(
+        self, w: str, regime: Sequence[RegimeEntry], value: Value | None
+    ) -> _TermRecord:
         """Tag the actions on each edge v -> c that W's ancestors use, once
         per edge, as the module docstring says, and OR each variable's
-        tag code into the words at the ids it tags."""
-        if not term.is_full_do():
-            raise QueryError(
-                f"term {term} is path-restricted; the decision procedure "
-                "takes plain value subscripts (model path-specific actions "
-                "as variables of the expanded diagram instead)"
-            )
-        assignment = term.assignment()
-        w = term.variable
-        # ancestors of W once the regime variables' mechanisms are bypassed
-        relevant = set(self.diagram.ancestors(w, cut_into=set(assignment)))
+        tag code into the words at the ids it tags. The walk goes backwards
+        over the variables before W in topological order, so it finds W's
+        ancestors in the regime-cut graph (``diagram.ancestors(w,
+        cut_into=regime)``) edge by edge: v is one iff some child it feeds
+        unfixed is W or one. Each of them gets a ``by_var`` list. W's
+        event value only goes into the text of a path-restricted term's
+        error."""
+        assignment = {}
+        for e in regime:
+            if e.targets is not None:
+                raise QueryError(
+                    f"term {PotentialResponse(w, tuple(regime), value)} is "
+                    "path-restricted; the decision procedure takes plain value "
+                    "subscripts (model path-specific actions as variables of "
+                    "the expanded diagram instead)"
+                )
+            assignment[e.var] = e.value
+        relevant = {w}  # W and the ancestors found so far
+        children = self.diagram._children
         covering, rand = self._covering, self._rand
         width, codes = self._fields
         ones = (1 << width) - 1
         by_var: dict[str, list[tuple[int, object, str | None]]] = {}
-        word = mask = 0
-        for v in self.topo:
-            if v == w or v not in relevant:
-                continue
-            entries = by_var.setdefault(v, [])
+        failure = None
+        word = mask = visits = 0
+        for v in reversed(self.topo[:self._position[w]]):
+            entries: list[tuple[int, object, str | None]] = []
             tag = assignment.get(v, NATURAL)
             touched = False
-            for c in self.diagram.children(v):
-                self.compat_visits += 1
+            for c in children[v]:
+                visits += 1
                 if c not in relevant or c in assignment:
                     continue
                 touched = True
@@ -658,9 +700,16 @@ class RealizabilityChecker:
                 elif v in rand:
                     entries.append((rand[v], tag, c))
                 else:
-                    return _TermRecord(term, False, 0, 0, 0, by_var, (v, tag, c))
-            if touched and tag is NATURAL and v in rand:
+                    # a failure of an earlier variable, met later in this
+                    # walk, replaces this one
+                    failure = (v, tag, c)
+                    break
+            if not touched:
+                continue
+            relevant.add(v)
+            if tag is NATURAL and v in rand:
                 entries.append((rand[v], NATURAL, None))
+            by_var[v] = entries
             if entries:
                 # one term never tags an action twice with different tags,
                 # since a variable is either fixed or natural in it
@@ -668,24 +717,34 @@ class RealizabilityChecker:
                 for i, _, _ in entries:
                     word |= code << i * width
                     mask |= ones << i * width
+        self.compat_visits += visits
+        if failure is not None:
+            return _TermRecord(False, 0, 0, 0, by_var, failure)
         # a term never tags its own variable's randomization (the walk skips
         # W), so alone it fails only by itself or by an unreadable output
         h = (ones ^ 1) << rand[w] * width if w in rand else 0
-        return _TermRecord(term, self.actions.has_read(w), word, mask, h, by_var)
+        return _TermRecord(self.actions.has_read(w), word, mask, h, by_var)
 
     def _prepare(self, t: PotentialResponse) -> _TermRecord:
-        """One query term validated and normalized (as CtfQuery.validate
-        and CtfQuery.normalized do it), its record stored in
-        self._prepared for every later query with this term. A dropped
-        subscript warns here, once, at realize's caller; a path-restricted
-        term raises before anything is stored."""
-        CtfQuery((t,)).validate(self.diagram)
-        kept, messages = normalize_term(t, self.diagram)
-        record = self.term_requirements(kept)
-        if record.kept is not kept:
-            record = record._replace(kept=kept)
-        for message in messages:
-            warnings.warn(message, stacklevel=3)
+        """One raw query term validated and split by ``split_regime``, in
+        one walk, and its record looked up by variable and kept entries,
+        and computed from them when new (as ``term_requirements`` does
+        for a built term); no term is built. The record is stored in
+        self._prepared for every later query with this term, and the kept
+        entries of a term that drops a subscript in self._kept, for the
+        verdict's lazy query. Each dropped subscript warns here, once, at
+        the caller outside the package; a path-restricted term raises
+        before anything is stored or warned."""
+        kept, dropped = split_regime(t, self.diagram)
+        key = (t.variable, frozenset(kept))
+        record = self._term_cache.get(key)
+        if record is None:
+            record = self._term_cache[key] = self._compute_term_requirements(
+                t.variable, kept, t.value
+            )
+        if dropped:
+            self._kept[t] = kept
+            warn_at_caller(dropped_messages(t, dropped))
         self._prepared[t] = record
         return record
 
@@ -695,9 +754,7 @@ class RealizabilityChecker:
         try:
             records = list(map(self._prepared.get, q.terms))
             if None in records:
-                records = []
-                for t in q.terms:  # not a comprehension: _prepare warns at a fixed depth
-                    records.append(self._prepared.get(t) or self._prepare(t))
+                records = [self._prepared.get(t) or self._prepare(t) for t in q.terms]
         except TypeError:  # an unhashable value, which no domain holds
             q.validate(self.diagram)
             raise
@@ -708,7 +765,7 @@ class RealizabilityChecker:
             # randomization of some output fails the query, as _first_clash
             # would find it
             V = FM = H = 0
-            for _, alone, v, fm, h, _, _ in records:
+            for alone, v, fm, h, _, _ in records:
                 if not alone or (V ^ v) & FM & fm:
                     ok = False
                     break
@@ -765,12 +822,20 @@ def realizable_by_criterion(
 ) -> tuple[bool, tuple[PotentialResponse, PotentialResponse] | None]:
     """Graphical test for the maximal action set: the query is realizable
     iff its counterfactual-ancestor set never needs one variable under
-    two different regimes. Returns (verdict, witness pair or None)."""
-    q.validate(diagram)
-    with_warnings = q.normalized(diagram)
-    ancestors = counterfactual_ancestors(with_warnings.unvalued(), diagram)
-    for i, a in enumerate(ancestors):
-        for b in ancestors[i + 1:]:
-            if a.variable == b.variable and not a.same_response(b):
-                return False, (a, b)
+    two different regimes. Returns (verdict, witness pair or None).
+
+    The witness is the first ancestor, in ``counterfactual_ancestors``
+    order, whose variable comes back under another regime, and the first
+    such later ancestor. The ancestors are compared by variable and
+    regime; only the witness pair is built as responses."""
+    first: dict = {}
+    second: dict = {}
+    for w, z in _ancestor_regimes(q.normalized(diagram), diagram):
+        if w in first:
+            second.setdefault(w, z)
+        else:
+            first[w] = z
+    for w, z in first.items():
+        if w in second:
+            return False, (PotentialResponse(w, z), PotentialResponse(w, second[w]))
     return True, None

@@ -15,6 +15,10 @@ checker the package itself never needs:
   units, must draw from the same law. Both check the plan in
   ``simulate.plan_regime`` before drawing; a ``Unit`` that performs the
   plan is the oracle that check is held to.
+* ``criterion_witness`` scans every pair of counterfactual ancestors,
+  built as responses, for one variable under two regimes;
+  ``realizable_by_criterion`` compares (variable, regime) keys and
+  builds only the pair it returns, which must be the same pair.
 * ``verify_counterfactual_mediator`` (with ``inverse_image_classes``)
   checks the mediator conditions on an explicit expanded SCM by full
   enumeration: the semantics behind ``mediators.ctf_procedures``, which
@@ -49,7 +53,13 @@ from ctfrealize.errors import EstimationError
 from ctfrealize.graphs import CausalDiagram, Value
 from ctfrealize.mediators import ExpandedDiagram
 from ctfrealize.models import Mechanism, ScmModel, independent_exogenous
-from ctfrealize.queries import PotentialResponse, RegimeEntry, response
+from ctfrealize.queries import (
+    CtfQuery,
+    PotentialResponse,
+    RegimeEntry,
+    counterfactual_ancestors,
+    response,
+)
 from ctfrealize.realizability import RAND, Action, RealizationPlan
 from ctfrealize.simulate import _DRAW, Experiment, Unit, _cap_error, plan_regime
 
@@ -154,6 +164,23 @@ def execute_plan(
         rejected += 1
         if rejected >= simulate.MAX_REJECTIONS:
             raise _cap_error(plan)
+
+
+# -- the realizability criterion ----------------------------------------------
+
+def criterion_witness(
+    q: CtfQuery, diagram: CausalDiagram
+) -> tuple[PotentialResponse, PotentialResponse] | None:
+    """The criterion's witness by a plain pairwise scan: the first i, then
+    the first j > i, in ``counterfactual_ancestors`` order, whose
+    responses share a variable under different regimes; None when no
+    pair does."""
+    ancestors = counterfactual_ancestors(q.normalized(diagram), diagram)
+    for i, a in enumerate(ancestors):
+        for b in ancestors[i + 1:]:
+            if a.variable == b.variable and not a.same_response(b):
+                return a, b
+    return None
 
 
 # -- mediator conditions on an explicit expanded SCM --------------------------

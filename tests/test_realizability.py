@@ -42,7 +42,9 @@ from ctfrealize.realizability import (
     Conflict,
 )
 from ctfrealize.errors import QuerySyntaxError
-from ctfrealize.queries import normalize_term
+from ctfrealize import queries as queries_module
+from ctfrealize import realizability as realizability_module
+from ctfrealize.queries import PotentialResponse, RegimeEntry, normalize_term
 from ctfrealize.fixtures import (
     builtin_diagram,
     builtin_names,
@@ -56,6 +58,7 @@ from ctfrealize.fixtures import (
 )
 
 from enumeration import enumerate_mixed_graphs, enumerate_terms, queries_of_size
+from reference import criterion_witness
 
 
 def reads_and_select(diagram):
@@ -337,6 +340,25 @@ def test_no_action_available_failure():
     verdict = ctf_realize(parse_query("P(Y[X=1])", bow), bow, reads_only)
     assert isinstance(verdict, NotRealizable)
     assert verdict.conflict.failure == NO_ACTION
+
+
+def test_a_term_failing_at_two_variables_names_the_first():
+    # A and B both need a fixed input to C and neither can be randomized;
+    # the record keeps the failure at A, first in topological order,
+    # although the walk meets B first
+    d = CausalDiagram(
+        ["A", "B", "C", "Y"],
+        directed_edges=[("A", "B"), ("A", "C"), ("B", "C"), ("C", "Y")],
+    )
+    checker = RealizabilityChecker(d, ActionSet(reads_and_select(d), d))
+    term = response("Y", {"A": 0, "B": 1})
+    verdict = checker.realize(query(term))
+    assert checker._prepared[term].failure == ("A", 0, "C")
+    assert verdict.conflict == Conflict("A", NO_ACTION, None, 0, None, 0, None, "C")
+    assert verdict.conflict.describe(verdict.query.terms) == (
+        "term Y[A=0, B=1] needs A fixed as input to C, but no randomization "
+        "of A is available"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +777,162 @@ def test_dropped_subscript_warns_once_per_checker_at_the_caller():
     # ctf_realize builds a fresh checker, which warns again
     with pytest.warns(UserWarning, match="irrelevant subscript Z=0"):
         ctf_realize(q, fan, maximal_action_set(fan))
+
+
+def test_each_entry_point_warns_at_the_line_that_called_it():
+    # the package's own frames are skipped however deep the call went, so
+    # a one-shot ctf_realize and a direct normalized() name this file too
+    fan = fan_diagram()
+    q = query(response("Y", {"Z": 0}), response("X"))
+    entry_points = {
+        "realize": lambda: RealizabilityChecker(fan, maximal_action_set(fan)).realize(q),
+        "ctf_realize": lambda: ctf_realize(q, fan, maximal_action_set(fan)),
+        "normalized": lambda: q.normalized(fan),
+        "realizable_by_criterion": lambda: realizable_by_criterion(q, fan),
+    }
+    for name, call in entry_points.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message) for w in caught] == [
+            "dropping irrelevant subscript Z=0 from term Y[Z=0]: 'Z' is not an "
+            "ancestor of 'Y'"
+        ], name
+        assert caught[0].filename == __file__, name
+
+
+def test_prepared_records_are_the_normalized_terms_records():
+    # every raw term of the 76 shapes (and a valued copy) on a seeded
+    # sample of four-node classes, under each cross-check action set: its
+    # record is the one record of its normalized variable and regime, equal
+    # to a fresh checker's, with a by_var list for each ancestor of the
+    # variable in the regime-cut graph, and its verdict's query is the
+    # normalized query, read without a warning
+    assert realizability_module._TermRecord._fields == (
+        "alone", "v", "fm", "h", "by_var", "failure"
+    )
+    four_nodes = [d for d in enumerate_mixed_graphs(4) if len(d.variables) == 4]
+    for diagram in random.Random(3001).sample(four_nodes, 12):
+        terms = enumerate_terms(diagram)
+        assert len(terms) == 76
+        terms += [t.with_value(diagram.domains[t.variable][-1]) for t in terms[::5]]
+        for actions in merge_action_sets(diagram):
+            checker = RealizabilityChecker(diagram, actions)
+            for t in terms:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    verdict = checker.realize(CtfQuery((t,)))
+                    kept, _ = normalize_term(t, diagram)
+                    normalized = CtfQuery((t,)).normalized(diagram)
+                record = checker._prepared[t]
+                assert record is checker.term_requirements(kept), t
+                fresh = RealizabilityChecker(diagram, actions).term_requirements(kept)
+                assert record == fresh, t
+                cut = diagram.ancestors(t.variable, cut_into=[e.var for e in kept.regime])
+                assert set(record.by_var) == set(cut) - {t.variable}, t
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert verdict.query == normalized, t
+                assert verdict.query.terms[0].value == t.value, t
+
+
+@pytest.mark.parametrize("term, text", [
+    (response("Q"), "unknown variable 'Q'"),
+    (response("Y", value=2), "value 2 outside domain of 'Y'"),
+    (response("Y", {"Q": 0}), "unknown regime variable 'Q'"),
+    (response("Y", {"X": 2}), "value 2 outside domain of 'X'"),
+    (PotentialResponse("Y", (RegimeEntry("X", 1, frozenset({"Q"})),)),
+     "targets ['Q'] are not children of 'X'"),
+    (PotentialResponse("Y", (RegimeEntry("Z", 0), RegimeEntry("X", 1, frozenset({"Y"})))),
+     "term Y[X=1->Y] is path-restricted; the decision procedure takes plain value "
+     "subscripts (model path-specific actions as variables of the expanded diagram "
+     "instead)"),
+], ids=["variable", "value", "regime-variable", "regime-value", "not-a-child",
+        "path-restricted"])
+def test_a_bad_term_raises_before_anything_is_stored(term, text):
+    # checks in validate's order, with its texts; the path-restricted
+    # term's text names its normalized term, and it raises before its
+    # dropped subscript Z=0 warns
+    fan = fan_diagram()
+    checker = RealizabilityChecker(fan, maximal_action_set(fan))
+    for q in (CtfQuery((term,)), CtfQuery((response("X"), term))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QueryError) as raised:
+                checker.realize(q)
+        assert type(raised.value) is QueryError and str(raised.value) == text
+        assert caught == []
+        assert term not in checker._prepared
+
+
+def counting_builds(monkeypatch, *names):
+    """The list that gets the class name of each object of the named
+    classes that the checker or the query module builds from now on."""
+    built = []
+
+    def counting(cls):
+        class Counting(cls):
+            def __init__(self, *args, **kwargs):
+                built.append(cls.__name__)
+                super().__init__(*args, **kwargs)
+        return Counting
+
+    for module in (realizability_module, queries_module):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return built
+
+
+def test_a_cached_record_is_prepared_without_building_a_term_or_query(monkeypatch):
+    # raw terms that normalize to a variable and regime already recorded
+    # share that record: preparing them builds no normalized term, no
+    # one-term query and no record copy
+    fan = fan_diagram()
+    checker = RealizabilityChecker(fan, maximal_action_set(fan))
+    first = response("Y", {"X": 1})
+    assert checker.realize(query(first, response("X")))
+    record = checker._prepared[first]
+    raws = [response("Y", {"X": 1, "Z": 0}), response("Y", {"Z": 0, "X": 1}, value=0),
+            response("Y", {"X": 1}, value=1), response("Y", {"W": 1, "X": 1, "Z": 0})]
+    queries = [CtfQuery((t,)) for t in raws] + [CtfQuery((raws[0], response("X")))]
+    built = counting_builds(monkeypatch, "PotentialResponse", "CtfQuery")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verdicts = [checker.realize(q) for q in queries]
+    assert built == []
+    assert all(verdicts)
+    assert all(checker._prepared[t] is record for t in raws)
+    assert len(checker._term_cache) == 2  # Y under X=1, and X
+
+
+def test_the_criterion_builds_only_its_witness(monkeypatch):
+    # the witness is the pairwise scan's (first i, then first j > i in
+    # counterfactual_ancestors order); ancestors are compared as keys, so
+    # a failing normalized query builds two responses, and a passing one none
+    rng = random.Random(3017)
+    four_nodes = [d for d in enumerate_mixed_graphs(4) if len(d.variables) == 4]
+    failing = []
+    for diagram in rng.sample(four_nodes, 20):
+        terms = enumerate_terms(diagram)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for size in (2, 3):
+                for _ in range(40):
+                    q = CtfQuery(tuple(rng.sample(terms, size)))
+                    witness = criterion_witness(q, diagram)
+                    assert realizable_by_criterion(q, diagram) == (witness is None, witness), q
+                    if witness is not None:
+                        failing.append((q.normalized(diagram), diagram))
+    assert len(failing) > 100
+    passing = query(response("X"), response("Y"))
+    built = counting_builds(monkeypatch, "PotentialResponse")
+    for nq, diagram in failing:
+        built.clear()
+        ok, pair = realizable_by_criterion(nq, diagram)
+        assert not ok and len(built) == 2, nq
+    built.clear()
+    assert realizable_by_criterion(passing, fan_diagram()) == (True, None)
+    assert built == []
 
 
 def test_values_outside_the_domain_are_rejected():
