@@ -34,7 +34,6 @@ from .queries import (
 )
 from .engine import (
     ExactDistribution,
-    eval_potential_response,
     exact_distribution,
     exact_l3_probability,
     interventional_distribution,

@@ -175,12 +175,14 @@ class ExactTables:
     hot-starting, and the per-row responses that exact strategy
     evaluation and the online loop read.
 
-    The per-row values come from one ``exact_rows`` call. The sums sit in
-    one table keyed by (cell, slot): a cell is ("obs", z, x') or ("obs",
-    z, x', d) under the natural regime, ("fix", z, x', x'', d) with x''
-    fixed into D, or ("core", core); the slot "p" holds its weight, "y"
-    its weighted natural reward and ("y", x) its weighted reward under
-    arm x. Each sum adds its rows in support order.
+    The per-row values come from one ``exact_rows`` call over Z, X,
+    D[X=x''] and Y[X=x]. By consistency a row's natural D and Y are D
+    and Y under its natural x', so they are not queried. The sums sit in
+    one table keyed by (cell, slot): a cell is ("obs", z, x') under the
+    natural regime, ("fix", z, x', x'', d) with x'' fixed into D, or
+    ("core", core); the slot "p" holds its weight and ("y", x) its
+    weighted reward under arm x. Each sum adds its rows in support
+    order.
 
     ``rows[i]`` is row i of ``model.compile().rows``, the rows units are
     selected from: (p, core, z, x', natural d, {x'': d under x''},
@@ -202,7 +204,7 @@ class ExactTables:
         )
         core_idx = [model.exogenous_vars.index(u) for u in self.core_vars]
         arms = problem.arms
-        terms = [response(v) for v in (ctx, dec, post, rew) if v]
+        terms = [response(v) for v in (ctx, dec) if v]
         terms += [response(post, {dec: x2}) for x2 in arms]
         terms += [response(rew, {dec: x}) for x in arms]
         support, weights, columns = exact_rows(model, CtfQuery(tuple(terms)))
@@ -211,15 +213,14 @@ class ExactTables:
         sums: dict[tuple, float] = {}
         e_natural = 0.0
         self.rows: list[tuple] = []
-        for u, p, z, xn, d_nat, y_nat, *rest in zip(support, weights.tolist(), *columns):
+        for u, p, z, xn, *rest in zip(support, weights.tolist(), *columns):
             core = tuple(u[i] for i in core_idx)
             d_x = dict(zip(arms, rest[:len(arms)]))
             y_x = {x: float(y) for x, y in zip(arms, rest[len(arms):])}
-            self.rows.append((p, core, z, xn, d_nat, d_x, y_x))
-            e_natural += p * float(y_nat)
-            gains = [("p", p), ("y", p * float(y_nat))]
-            gains += [(("y", x), p * y_x[x]) for x in arms]
-            cells = [("obs", z, xn), ("obs", z, xn, d_nat), ("core", core)]
+            self.rows.append((p, core, z, xn, d_x[xn], d_x, y_x))
+            e_natural += p * y_x[xn]
+            gains = [("p", p)] + [(("y", x), p * y_x[x]) for x in arms]
+            cells = [("obs", z, xn), ("core", core)]
             cells += [("fix", z, xn, x2, d_x[x2]) for x2 in arms]
             for cell in cells:
                 for slot, w in gains:
@@ -259,11 +260,15 @@ class ExactTables:
 
     def obs_mean(self, cell: tuple) -> float:
         """Natural-regime E[Y | Z=z, X=x] for the cell (z, x), or
-        E[Y | Z=z, X=x, D=d] for (z, x, d); z is None without a context."""
-        p = self._sums.get((("obs",) + cell, "p"), 0.0)
+        E[Y | Z=z, X=x, D=d] for (z, x, d); z is None without a context.
+        By consistency that is E[Y[X=x] | Z=z, X=x], and the (z, x, d)
+        cell is the ("fix", z, x, x, d) one."""
+        z, x, *d = cell
+        key = ("fix", z, x, x, *d) if d else ("obs", z, x)
+        p = self._sums.get((key, "p"), 0.0)
         if p == 0.0:
             return 0.5  # unreachable cell under the natural regime
-        return self._sums[(("obs",) + cell, "y")] / p
+        return self._sums[(key, ("y", x))] / p
 
     # -- first-stage values ---------------------------------------------------
 

@@ -1,20 +1,21 @@
 """Exact evaluation of counterfactual queries by exogenous enumeration.
 
 Everything here is deterministic given the model: a term's value under
-one exogenous assignment u is computed by recursively firing mechanisms
-in the regime-modified model, and probabilities are sums of exogenous
-weights over the assignments where every term hits its event value.
-No Monte Carlo.
+one exogenous assignment u is the value its variable takes in the
+regime-modified model, and probabilities are sums of exogenous weights
+over the assignments where every term hits its event value. No Monte
+Carlo.
 
 ``exact_l3_probability``, ``exact_distribution`` and ``exact_rows`` run
 on the model's compiled form (``ScmModel.compile()``): a term is
 evaluated on every exogenous row at once by indexing the coded mechanism
 arrays with the parents' code arrays, and weights are accumulated one
-row at a time in support order, so results equal the per-row loop bit
-for bit. ``exact_rows`` hands the per-row term values themselves to a
-caller that sums its own cells, as ``bandits.ExactTables`` does.
-``eval_potential_response`` is that per-row loop, kept as the oracle the
-compiled path is tested against. A compiled model is total: compiling
+row at a time in support order, so results equal a loop that adds each
+row's weight in turn, bit for bit. ``exact_rows`` hands the per-row term
+values themselves to a caller that sums its own cells, as
+``bandits.ExactTables`` does. The per-row oracle is a ``simulate.Unit``
+on the row that performs the term's regime entries with their values
+written and reads the variable. A compiled model is total: compiling
 raises on a missing mechanism or table entry, even one that no row
 reaches.
 
@@ -41,49 +42,6 @@ from .models import CompiledScm, ScmModel
 from .queries import CtfQuery, PotentialResponse, RegimeEntry, response
 
 
-def eval_potential_response(
-    model: ScmModel, u: tuple, term: PotentialResponse
-) -> Value:
-    """Value of the term's variable, given u, in the submodel where the
-    regime's edge-groups carry their fixed values.
-
-    A fully assigned regime variable is replaced by its constant. A
-    path-restricted entry feeds its constant only to the listed
-    children; every other consumer (and the variable's own readout)
-    gets the naturally computed value.
-    """
-    full: dict[str, Value] = {}
-    edge: dict[tuple[str, str], Value] = {}
-    for e in term.regime:
-        if e.value not in model.diagram.domains[e.var]:
-            raise QueryError(f"value {e.value!r} outside domain of {e.var!r}")
-        if e.targets is None:
-            full[e.var] = e.value
-        else:
-            for c in e.targets:
-                edge[(e.var, c)] = e.value
-
-    memo: dict[str, Value] = {}
-
-    def natural(v: str) -> Value:
-        if v in full:
-            return full[v]
-        if v in memo:
-            return memo[v]
-        m = model.mechanisms[v]
-        pv = {}
-        for p in m.parents:
-            if (p, v) in edge:
-                pv[p] = edge[(p, v)]
-            else:
-                pv[p] = natural(p)
-        val = model.evaluate(v, pv, u)
-        memo[v] = val
-        return val
-
-    return natural(term.variable)
-
-
 def _term_codes(compiled: CompiledScm, term: PotentialResponse) -> np.ndarray:
     """The term's value codes on every compiled row."""
     fixed = []
@@ -106,7 +64,7 @@ def _prepare(model: ScmModel, q: CtfQuery) -> tuple[CompiledScm, list[np.ndarray
 
 def _ordered_sum(weights: Sequence[float]) -> float:
     # a plain loop, not sum(): from Python 3.12 sum() compensates float
-    # rounding, and the result must equal the per-row loop's bit for bit
+    # rounding, and the result must equal a per-row loop's bit for bit
     total = 0.0
     for p in weights:
         total += p
@@ -191,7 +149,7 @@ def exact_distribution(model: ScmModel, q: CtfQuery) -> ExactDistribution:
     else:
         cells = np.zeros(len(compiled.rows), dtype=np.intp)
     # bincount adds the weights into each cell one row at a time, in
-    # support order, as the per-row loop does (and gives integer zeros when
+    # support order, as a per-row loop does (and gives integer zeros when
     # there are no rows)
     probs = np.bincount(cells, weights=compiled.weights, minlength=math.prod(shape))
     probs = probs.astype(float, copy=False)

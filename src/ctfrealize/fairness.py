@@ -217,8 +217,10 @@ def mu_ctf(
 def mu_int(scm: CanonicalScm, variant: int) -> float:
     """Single-regime surrogates: variant 1 is the product form
     P(Y=1;do x1) * |P(Z=0;do x1) - P(Z=0;do x0)|; variant 2 contrasts the
-    same-regime joints |P(Y=1,Z=0;do x1) - P(Y=1,Z=0;do x0)|."""
-    if variant not in (1, 2):
+    same-regime joints |P(Y=1,Z=0;do x1) - P(Y=1,Z=0;do x0)|. Any other
+    variant, a bool or a non-integer included, raises EstimationError."""
+    integral = isinstance(variant, numbers.Integral) and not isinstance(variant, bool)
+    if not integral or variant not in (1, 2):
         raise EstimationError(f"unknown surrogate variant {variant!r}")
     return _exact(scm.to_model())[variant]
 

@@ -45,6 +45,8 @@ class CausalDiagram:
             dom = tuple(domains.get(v, (0, 1)))
             if len(set(dom)) != len(dom):
                 raise GraphError(f"domain of {v!r} has duplicate values")
+            if not dom:
+                raise GraphError(f"domain of {v!r} is empty")
             if len(dom) < 2 and v not in constants:
                 raise GraphError(
                     f"domain of {v!r} has fewer than 2 values; "

@@ -214,13 +214,6 @@ class ScmModel:
         ev = tuple(self.exo_value(u, e) for e in m.exogenous)
         return m(pv, ev)
 
-    def natural_values(self, u: tuple) -> dict[str, Value]:
-        """Forward-simulate every endogenous variable for one u."""
-        out: dict[str, Value] = {}
-        for v in self.diagram.topological_order():
-            out[v] = self.evaluate(v, out, u)
-        return out
-
 
 def _sort_key(assignment: tuple):
     return tuple(map(repr, assignment))

@@ -642,16 +642,10 @@ class RealizabilityChecker:
     # -- per-term records --------------------------------------------
 
     def term_requirements(self, term: PotentialResponse) -> _TermRecord:
-        """The record of a normalized, full-do term: one per variable and
-        regime, computed on the first call for them and shared by every
-        term with that variable and regime."""
-        key = (term.variable, frozenset(term.regime))
-        record = self._term_cache.get(key)
-        if record is None:
-            record = self._term_cache[key] = self._compute_term_requirements(
-                term.variable, term.regime, term.value
-            )
-        return record
+        """The record ``realize`` reads for a full-do term, prepared by
+        ``_prepare`` on the term's first use: an invalid term raises
+        ``QueryError`` and a dropped subscript warns."""
+        return self._prepared.get(term) or self._prepare(term)
 
     def _compute_term_requirements(
         self, w: str, regime: Sequence[RegimeEntry], value: Value | None
@@ -726,15 +720,15 @@ class RealizabilityChecker:
         return _TermRecord(self.actions.has_read(w), word, mask, h, by_var)
 
     def _prepare(self, t: PotentialResponse) -> _TermRecord:
-        """One raw query term validated and split by ``split_regime``, in
-        one walk, and its record looked up by variable and kept entries,
-        and computed from them when new (as ``term_requirements`` does
-        for a built term); no term is built. The record is stored in
-        self._prepared for every later query with this term, and the kept
-        entries of a term that drops a subscript in self._kept, for the
-        verdict's lazy query. Each dropped subscript warns here, once, at
-        the caller outside the package; a path-restricted term raises
-        before anything is stored or warned."""
+        """One raw term validated and split by ``split_regime``, in one
+        walk, and its record looked up by variable and kept entries, and
+        computed from them when new; no term is built. ``realize`` and
+        ``term_requirements`` call it on a term's first use. The record
+        is stored in self._prepared for every later use of the term, and
+        the kept entries of a term that drops a subscript in self._kept,
+        for the verdict's lazy query. Each dropped subscript warns here,
+        once, at the caller outside the package; a path-restricted term
+        raises before anything is stored or warned."""
         kept, dropped = split_regime(t, self.diagram)
         key = (t.variable, frozenset(kept))
         record = self._term_cache.get(key)

@@ -53,8 +53,11 @@ variable, and the executor indexes those columns by the kept units.
 The constraints a unit enforces (single use, containment, targets,
 action kinds) are properties of the action sequence: ``plan_regime``
 checks them on the plan with a unit's own checks, and no batch builds
-a unit. ``Unit`` stays the oracle the rows are held to, and the tests'
-reference ``execute_plan`` is the unit-at-a-time procedure.
+a unit. ``Unit`` stays the one per-row evaluator, for the benchmark's
+unit probes and as the oracle: the tests hold the executor's rows and
+the exact engine's term values to units that perform the same
+randomizations with their values written, and the tests' reference
+``execute_plan`` is the unit-at-a-time procedure.
 """
 
 from __future__ import annotations
@@ -267,11 +270,11 @@ class Experiment:
     feasible action set and a master seed fanned out per unit. Units are
     selected from the model's one row space, ``support``, the rows of
     ``model.compile()``, by the model's cached ``selection_table()``; a
-    ``Unit`` evaluates mechanisms and checks the actions performed on
-    it. ``draw_plan_batch`` checks its plan in ``plan_regime`` and only
-    selects rows here. Building an experiment compiles the model, so a
-    model that fails to compile, or has no row of nonzero weight,
-    raises ``ModelError`` here."""
+    ``Unit`` from ``new_unit`` evaluates mechanisms on its row and checks
+    the actions performed on it. ``draw_plan_batch`` checks its plan in
+    ``plan_regime`` and only selects rows here. Building an experiment
+    compiles the model, so a model that fails to compile, or has no row
+    of nonzero weight, raises ``ModelError`` here."""
 
     def __init__(
         self,

@@ -9,6 +9,13 @@ checker the package itself never needs:
 * ``ThompsonSolver`` keeps Beta posteriors in a dict keyed by tuples;
   the epoch loop ``bandits._play_epoch`` keeps them in flat lists indexed
   by key ids and must play the same arms.
+* ``potential_response`` evaluates one term on one exogenous row with
+  a ``simulate.Unit``: it performs the term's regime entries with their
+  values written and reads the variable. The compiled engine
+  (``engine.exact_rows`` and the exact probabilities built on it) must
+  give the same value on every row. ``natural_values`` forward-simulates
+  every variable of one row in topological order, the independent
+  oracle for a unit's lazy firing.
 * ``execute_plan`` runs a plan one unit at a time, performing each
   action through ``perform``; the executor ``simulate.draw_plan_batch``,
   which draws only the kept units and each sample's run of rejected
@@ -48,7 +55,6 @@ from ctfrealize.bandits import (
     evaluate_strategy_exact,
     fix_d,
 )
-from ctfrealize.engine import eval_potential_response
 from ctfrealize.errors import EstimationError
 from ctfrealize.graphs import CausalDiagram, Value
 from ctfrealize.mediators import ExpandedDiagram
@@ -131,6 +137,32 @@ class ThompsonSolver:
     def pulls(self, key) -> int:
         alpha, beta = self.posterior.get(key, (1.0, 1.0))
         return int(alpha + beta - 2.0)
+
+
+# -- per-row evaluation -------------------------------------------------------
+
+def natural_values(model: ScmModel, u: tuple) -> dict[str, Value]:
+    """Forward-simulate every endogenous variable for one u."""
+    out: dict[str, Value] = {}
+    for v in model.diagram.topological_order():
+        out[v] = model.evaluate(v, out, u)
+    return out
+
+
+def potential_response(model: ScmModel, u: tuple, term: PotentialResponse) -> Value:
+    """The term's value on the exogenous row u: a unit on u performs each
+    regime entry with its value written (a full entry by ``rand``, a
+    per-edge entry by ``ctf_rand`` toward its targets) and reads the
+    term's variable. Nothing is drawn, so the unit has no generator.
+    Per-edge entries go first: a unit refuses a new input into a
+    mechanism that a full entry has already erased."""
+    unit = Unit(model, u, None)
+    for e in sorted(term.regime, key=RegimeEntry.is_full):
+        if e.targets is None:
+            unit.rand(e.var, e.value)
+        else:
+            unit.ctf_rand(e.var, e.targets, e.value)
+    return unit.read(term.variable)
 
 
 # -- plan execution -----------------------------------------------------------
@@ -253,13 +285,11 @@ def verify_counterfactual_mediator(
             for other_vals in itertools.product(*[tuple(t) for t in other_doms]):
                 fixed = dict(zip(others, other_vals))
                 regime = [RegimeEntry(q, v, into_y) for q, v in fixed.items()]
-                via_x = eval_potential_response(model, u, PotentialResponse(
+                via_x = potential_response(model, u, PotentialResponse(
                     y, (RegimeEntry(x, xv, frozenset({w})), *regime)
                 ))
                 for wv in sorted(ws, key=repr):
-                    via_w = eval_potential_response(
-                        model, u, response(y, {w: wv, **fixed})
-                    )
+                    via_w = potential_response(model, u, response(y, {w: wv, **fixed}))
                     if via_w != via_x:
                         return False
     return True

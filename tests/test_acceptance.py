@@ -58,7 +58,12 @@ from ctfrealize.fixtures import (
 )
 
 from enumeration import enumerate_mixed_graphs, enumerate_terms
-from reference import brute_force_optimal, expanded_mediator_model, verify_counterfactual_mediator
+from reference import (
+    brute_force_optimal,
+    expanded_mediator_model,
+    potential_response,
+    verify_counterfactual_mediator,
+)
 from test_engine import nde_oracle
 from test_simulate import (
     random_action_sequence_respects_fce,
@@ -259,16 +264,14 @@ def test_criterion_06_mediator_lemma():
     for w, x, y in pairs:
         assert verify_counterfactual_mediator(model, w, x, y), (w, x, y)
     # the chained copy also mediates the root decision for every unit
-    from ctfrealize import eval_potential_response
-
     checked = 0
     for u, _ in model.exogenous_support():
         for x in (0, 1):
             for target in ("Z", "T", "B"):
-                via_w = eval_potential_response(
+                via_w = potential_response(
                     model, u, response(target, {("W1" if target == "Z" else "W2"): x})
                 )
-                via_x = eval_potential_response(model, u, response(target, {"X": x}))
+                via_x = potential_response(model, u, response(target, {"X": x}))
                 assert via_w == via_x, (u, x, target)
                 checked += 1
     report(6, f"forcing equivalence exact for {len(pairs)} mediator relations "

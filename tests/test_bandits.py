@@ -13,7 +13,6 @@ from ctfrealize import (
     QueryError,
     ScmModel,
     ctf_realize,
-    eval_potential_response,
     maximal_action_set,
     query,
     response,
@@ -42,7 +41,7 @@ from ctfrealize.models import independent_exogenous
 from ctfrealize.realizability import NO_ACTION, OUTPUT_ERASED
 from ctfrealize.simulate import Experiment, Unit
 
-from reference import ThompsonSolver, brute_force_optimal
+from reference import ThompsonSolver, brute_force_optimal, natural_values, potential_response
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +270,7 @@ def test_best_strategy_attains_the_form_maximum(make_problem):
 
 def per_row_sums(prob):
     """The per-row reference for ExactTables: each row fired through
-    ``natural_values`` and ``eval_potential_response``, each conditional
+    ``natural_values`` and ``potential_response``, each conditional
     sum kept in its own dict and added up in support order."""
     model, arms = prob.model, prob.arms
     dec, rew, post, ctx = prob.decision, prob.reward, prob.post, prob.context
@@ -290,12 +289,12 @@ def per_row_sums(prob):
     for u, p in model.exogenous_support():
         if p == 0.0:
             continue
-        nat = model.natural_values(u)
+        nat = natural_values(model, u)
         z, xn, y_nat = (nat[ctx] if ctx else None), nat[dec], float(nat[rew])
         core = tuple(model.exo_value(u, e) for e in core_vars)
-        y_x = {x: float(eval_potential_response(model, u, response(rew, {dec: x})))
+        y_x = {x: float(potential_response(model, u, response(rew, {dec: x})))
                for x in arms}
-        d_x = {x2: eval_potential_response(model, u, response(post, {dec: x2}))
+        d_x = {x2: potential_response(model, u, response(post, {dec: x2}))
                for x2 in arms}
         rows[u] = (p, core, z, xn, nat[post], d_x, y_x)
         natural += p * y_nat
@@ -745,7 +744,7 @@ def test_hot_start_cells_match_brute_force_conditionals():
     t = ExactTables(prob)
     num, den = {}, {}
     for u, p in prob.model.exogenous_support():
-        nat = prob.model.natural_values(u)
+        nat = natural_values(prob.model, u)
         z, x, d = nat["Z"], nat["X"], nat["D"]
         for cell in ((z, x), (z, x, d)):
             num[cell] = num.get(cell, 0.0) + p * nat["Y"]

@@ -14,7 +14,6 @@ from ctfrealize import (
     QueryError,
     RegimeEntry,
     ScmModel,
-    eval_potential_response,
     exact_distribution,
     exact_l3_probability,
     interventional_distribution,
@@ -46,6 +45,8 @@ from ctfrealize.fixtures import (
     mediation_model,
 )
 from ctfrealize.models import MAX_TABLE_ROWS, independent_exogenous
+
+from reference import natural_values, potential_response
 
 DIST_TOL = 1e-10
 
@@ -117,17 +118,17 @@ def test_ett_joint_frozen_values():
 def test_empty_regime_equals_forward_simulation():
     for model in (bow_model(), fan_model(), hub_split_model()):
         for u, p in model.exogenous_support():
-            nat = model.natural_values(u)
+            nat = natural_values(model, u)
             for v in model.diagram.variables:
-                assert eval_potential_response(model, u, response(v)) == nat[v]
+                assert potential_response(model, u, response(v)) == nat[v]
 
 
 def test_consistency_property():
     # forcing the value the unit would have chosen anyway changes nothing
     bow = bow_model()
     for u, _ in bow.exogenous_support():
-        nat = bow.natural_values(u)
-        forced = eval_potential_response(bow, u, response("Y", {"X": nat["X"]}))
+        nat = natural_values(bow, u)
+        forced = potential_response(bow, u, response("Y", {"X": nat["X"]}))
         assert forced == nat["Y"]
 
 
@@ -137,7 +138,7 @@ def test_example3_branch_mean():
     vals = []
     for uy in uy_dom:
         u = (0, 0, 0, uy)
-        vals.append(eval_potential_response(model, u, response("Y", {"X": 0})))
+        vals.append(potential_response(model, u, response("Y", {"X": 0})))
     assert sum(vals) / len(vals) == pytest.approx(0.6, abs=1e-12)
 
 
@@ -251,7 +252,7 @@ def nde_oracle(model, x, xp, y):
     the contrast value straight into the outcome mechanism."""
     total = 0.0
     for u, p in model.exogenous_support():
-        z_x = eval_potential_response(model, u, response("Z", {"X": x}))
+        z_x = potential_response(model, u, response("Z", {"X": x}))
         yv = model.evaluate("Y", {"X": xp, "Z": z_x}, u)
         total += p * (1.0 if yv == y else 0.0)
     do_x = exact_l3_probability(model, query(response("Y", {"X": x}, y)))
@@ -310,7 +311,7 @@ def per_row_values(model, term):
     """The term's value on each nonzero-weight support row, by the per-row
     oracle, with the row weights."""
     return [
-        (eval_potential_response(model, u, term), p)
+        (potential_response(model, u, term), p)
         for u, p in model.exogenous_support()
         if p != 0.0
     ]
@@ -481,7 +482,7 @@ def test_regime_value_outside_domain_raises_query_error():
 def test_partial_table_is_rejected_at_compile(weight):
     model = missing_entry_model(weight)
     with pytest.raises(ModelError) as per_row:
-        eval_potential_response(model, (1,), response("Y"))
+        potential_response(model, (1,), response("Y"))
     # compiling raises whether or not a weighted row reaches the gap, and
     # even for a query that never reads Y
     for call in (
@@ -496,7 +497,7 @@ def test_partial_table_is_rejected_at_compile(weight):
         assert str(compiled.value) == str(per_row.value)
     assert "mechanism for 'Y' missing table row (1,)" in validate_scm(model)
     # the per-row oracle raises only where a row reaches the gap
-    assert [eval_potential_response(model, (u,), response("X")) for u in (0, 1)] == [0, 1]
+    assert [potential_response(model, (u,), response("X")) for u in (0, 1)] == [0, 1]
 
 
 def test_missing_mechanism_is_rejected_at_compile():

@@ -60,6 +60,10 @@ def test_exact_metric_values():
     assert report.mu_ctf == pytest.approx(0.10, abs=1e-12)
     assert mu_int(scm, 1) == pytest.approx(0.0, abs=1e-12)
     assert mu_int(scm, 2) == pytest.approx(0.0, abs=1e-12)
+    assert mu_int(scm, np.int64(2)) == mu_int(scm, 2)
+    for variant in (3, 0, True, 1.0):
+        with pytest.raises(EstimationError, match="unknown surrogate variant"):
+            mu_int(scm, variant)
 
 
 def test_exact_report_evaluates_each_probability_once(monkeypatch):

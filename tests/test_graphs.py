@@ -99,6 +99,8 @@ def test_self_loop_and_duplicate_domain_rejected():
         CausalDiagram(["A"], domains={"A": [0, 0]})
     with pytest.raises(GraphError):
         CausalDiagram(["A"], domains={"A": [0]})  # constant needs the flag
+    with pytest.raises(GraphError, match="^domain of 'A' is empty$"):
+        CausalDiagram(["A"], domains={"A": []}, allow_constant=["A"])  # one value, not none
 
 
 @st.composite

@@ -9,7 +9,6 @@ from ctfrealize import (
     ScmModel,
     ctf_procedures,
     ctf_rand_action,
-    eval_potential_response,
     response,
 )
 from ctfrealize.fixtures import (
@@ -19,7 +18,7 @@ from ctfrealize.fixtures import (
 )
 from ctfrealize.models import independent_exogenous
 
-from reference import expanded_mediator_model, verify_counterfactual_mediator
+from reference import expanded_mediator_model, potential_response, verify_counterfactual_mediator
 
 
 def test_elicit_environment_grants_whole_children_action():
@@ -213,6 +212,6 @@ def test_forcing_equivalence_holds_for_every_unit_and_class_member():
     model = expanded_mediator_model()
     for u, _ in model.exogenous_support():
         for x in (0, 1):
-            via_w = eval_potential_response(model, u, response("Z", {"W1": x}))
-            via_x = eval_potential_response(model, u, response("Z", {"X": x}))
+            via_w = potential_response(model, u, response("Z", {"W1": x}))
+            via_x = potential_response(model, u, response("Z", {"X": x}))
             assert via_w == via_x

@@ -850,16 +850,20 @@ def test_prepared_records_are_the_normalized_terms_records():
 ], ids=["variable", "value", "regime-variable", "regime-value", "not-a-child",
         "path-restricted"])
 def test_a_bad_term_raises_before_anything_is_stored(term, text):
-    # checks in validate's order, with its texts; the path-restricted
-    # term's text names its normalized term, and it raises before its
-    # dropped subscript Z=0 warns
+    # checks in validate's order, with its texts, from realize and from
+    # term_requirements alike; the path-restricted term's text names its
+    # normalized term, and it raises before its dropped subscript Z=0 warns
     fan = fan_diagram()
     checker = RealizabilityChecker(fan, maximal_action_set(fan))
-    for q in (CtfQuery((term,)), CtfQuery((response("X"), term))):
+    for call in (
+        lambda: checker.realize(CtfQuery((term,))),
+        lambda: checker.realize(CtfQuery((response("X"), term))),
+        lambda: checker.term_requirements(term),
+    ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(QueryError) as raised:
-                checker.realize(q)
+                call()
         assert type(raised.value) is QueryError and str(raised.value) == text
         assert caught == []
         assert term not in checker._prepared
