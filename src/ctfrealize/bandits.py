@@ -77,7 +77,7 @@ from .realizability import (
     read_action,
     select,
 )
-from .simulate import Experiment, _check_integer
+from .simulate import Experiment, _check_integer, _check_seed
 
 VALUE_TOL = 1e-9
 
@@ -732,19 +732,20 @@ def run_epochs(
     problem: MabProblem,
     horizon: int,
     epochs: int,
-    seed: int,
+    seed: int | np.random.SeedSequence | None,
     tables: ExactTables | None = None,
 ) -> RunMetrics:
     """Run one algorithm for ``epochs`` independent epochs of ``horizon``
     rounds, each starting from fresh Beta(1, 1) posteriors. Epoch e uses
     the e-th spawn of the master seed, so results are reproducible and
     epochs could run in parallel. ``tables`` must be built for
-    ``problem``. A bool or non-integral ``horizon`` or ``epochs`` raises
-    ``EstimationError``."""
+    ``problem``. A bool or non-integral ``horizon`` or ``epochs``, and a
+    seed numpy would refuse, raise ``EstimationError``."""
     if algo not in ALGORITHMS:
         raise EstimationError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
     _check_integer(horizon, "horizon")
     _check_integer(epochs, "epochs")
+    _check_seed(seed)
     if horizon < 0 or epochs < 0:
         raise EstimationError(f"horizon {horizon} and epochs {epochs} must be non-negative")
     policy = _POLICIES[algo]
@@ -753,7 +754,8 @@ def run_epochs(
     responses = _Responses(problem, tables, policy)
     played = np.zeros((epochs, horizon), dtype=np.int64)
     seconds = np.zeros(epochs)
-    for e, ss in enumerate(np.random.SeedSequence(seed).spawn(epochs)):
+    master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for e, ss in enumerate(master.spawn(epochs)):
         start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
         experiment = Experiment(problem.model, seed=ss)

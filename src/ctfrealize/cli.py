@@ -11,7 +11,9 @@ Subcommands::
 
 Every run writes a summary.json embedding the resolved configuration
 (seed always explicit) and the package version. Exit codes: 0 success
-or realizable, 3 not realizable, 1 input error, 2 runtime error.
+or realizable, 3 not realizable, 1 input error, 2 runtime error. A
+warning the warnings filters (``-W``) let through prints as
+``ctfrealize: warning: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -382,6 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning that the filters let through as the CLI's own line,
+    not as the source location the package warned at."""
+    print(f"ctfrealize: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -390,7 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; map to the input-error code
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except CtfRealizeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -37,7 +37,7 @@ from .models import PROB_TOL, ScmModel, tabulated_model
 from .queries import CtfQuery, query, response
 from .engine import exact_l3_probability
 from .realizability import RealizationPlan, ctf_realize, maximal_action_set
-from .simulate import _check_integer, draw_plan_batch, estimate
+from .simulate import _check_integer, _check_seed, draw_plan_batch, estimate
 
 RESPONSE_TYPES = ("always-approve", "approve-iff-x1", "approve-iff-x0", "always-reject")
 
@@ -179,28 +179,31 @@ def mu_ctf(
     scm: CanonicalScm,
     exact: bool = True,
     n: int = 100_000,
-    seed: int | None = 0,
+    seed: int | np.random.SeedSequence | None = 0,
 ) -> FairnessReport:
     """|P(Y_x1=1, Z_x1=0) - P(Y_x1=1, Z_x0=0)|, exactly by enumeration or
     estimated by executing the two-randomization plan n times per term.
     The sampled estimate draws its i-th plan from SeedSequence([seed, i]),
-    with fresh entropy in place of the seed when it is None. Its n is
-    checked as sample_constrained_scms checks its own."""
+    with fresh entropy in place of the seed when it is None, or from the
+    i-th spawn of a ``SeedSequence`` seed. Its n and seed are checked as
+    sample_constrained_scms checks its own."""
     if not exact:
         _check_count(n)
+        _check_seed(seed)
     model = scm.to_model()
     a, int1, int2 = _exact(model)
     if exact:
         b = exact_l3_probability(model, _COUPLED[0])
         return FairnessReport(mu_ctf=abs(a - b), mu_int1=int1, mu_int2=int2, exact=True)
     plans = [_audit_plan(model, _COUPLED[x_for_z]) for x_for_z in (1, 0)]
-    if seed is None:
-        seed = np.random.SeedSequence().entropy
+    if isinstance(seed, np.random.SeedSequence):
+        streams = seed.spawn(len(plans))
+    else:
+        entropy = np.random.SeedSequence().entropy if seed is None else seed
+        streams = [np.random.SeedSequence([entropy, i]) for i in range(len(plans))]
     estimates = []
-    for i, plan in enumerate(plans):
-        batch = draw_plan_batch(
-            plan, model, n, seed=np.random.SeedSequence([seed, i])
-        )
+    for plan, stream in zip(plans, streams):
+        batch = draw_plan_batch(plan, model, n, seed=stream)
         estimates.append(estimate(batch, (1, 0)))
     a, b = estimates
     se = math.sqrt(a * (1 - a) / n + b * (1 - b) / n)
@@ -336,7 +339,7 @@ def sample_constrained_scms(
     constraint: str,
     n: int,
     epsilon: float = 0.01,
-    seed: int | None = 0,
+    seed: int | np.random.SeedSequence | None = 0,
 ) -> list[tuple[CanonicalScm, FairnessReport]]:
     """Rejection-sample canonical tables from the flat Dirichlet prior on
     the 16-simplex, keeping those whose penalized score is at most
@@ -368,12 +371,14 @@ def sample_constrained_scms(
     Only the rows that pass are normalized and decided by the exact test
     ``score <= epsilon`` on ``batch_metrics``. With no acceptance after
     NO_ACCEPTANCE_FLOOR proposals, or too few after MAX_PROPOSALS, the
-    sampler raises EstimationError."""
+    sampler raises EstimationError, as it does for a seed numpy would
+    refuse (``simulate._check_seed``)."""
     if constraint not in (L2_PENALTY, L3_PENALTY):
         raise EstimationError(
             f"unknown constraint {constraint!r}; use {L2_PENALTY} or {L3_PENALTY}"
         )
     _check_count(n)
+    _check_seed(seed)
     if not isinstance(epsilon, numbers.Real) or not epsilon >= 0:
         raise EstimationError(f"epsilon must be a number at least 0, got {epsilon!r}")
     rng = np.random.default_rng(seed)

@@ -21,7 +21,15 @@ that can reach the term's variable and those that cannot. Validation
 (``CtfQuery.validate``), normalization (``normalize_term``,
 ``CtfQuery.normalized``) and the realizability checker's per-term
 preparation all call it. Each dropped entry warns once, at the line
-outside this package that made the call (``warn_at_caller``).
+outside this package that made the call, through one warner,
+``warn_dropped``, called once per normalized query and once per term
+the checker prepares, when something drops. It looks up the caller's
+module and line in the warnings filters first, as ``logging`` checks a
+level before it formats a record: where the first filter that matches
+a ``UserWarning`` there (or, when none does, the default action) is
+``ignore`` with no message pattern, it builds no text and calls no
+``warnings.warn``. Elsewhere it warns every text, as ``warnings.warn``
+decides.
 
 Terms are hashed on every hot path (as keys of the checker's per-term
 records, and inside the queries that key the exact engine's masks), so
@@ -205,15 +213,17 @@ class CtfQuery:
         """Drop regime variables that are not ancestors of their term's
         variable; such subscripts cannot affect the response. Every term
         is validated first, then each dropped entry warns once, at the
-        caller. Returns the query itself when nothing drops."""
-        terms, messages = [], []
+        caller (one ``warn_dropped`` call). Returns the query itself when
+        nothing drops."""
+        terms, pairs = [], []
         for t in self.terms:
             kept, dropped = normalize_term(t, diagram)
             terms.append(kept)
-            messages += dropped
-        if not messages:
+            if dropped:
+                pairs.append((t, dropped))
+        if not pairs:
             return self
-        warn_at_caller(messages)
+        warn_dropped(pairs)
         return CtfQuery(tuple(terms))
 
     def __str__(self) -> str:
@@ -250,42 +260,70 @@ def split_regime(
     return kept, dropped
 
 
-def dropped_messages(t: PotentialResponse, dropped: Iterable[RegimeEntry]) -> tuple[str, ...]:
-    """One warning text per regime entry dropped from ``t``."""
-    term, w = str(t), t.variable
-    return tuple([
-        f"dropping irrelevant subscript {e.var}={e.value} from term {term}: "
-        f"{e.var!r} is not an ancestor of {w!r}"
-        for e in dropped
-    ])
-
-
 # the package's own files, as its code objects name them
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def warn_at_caller(messages: Iterable[str]) -> None:
-    """Warn each message at the innermost frame outside this package: the
-    line that called the package, however deep the call went inside it
-    (``skip_file_prefixes`` does this from Python 3.12 on). Called from
-    the package's own code."""
+def warn_dropped(pairs: Iterable[tuple[PotentialResponse, Sequence[RegimeEntry]]]) -> None:
+    """Warn once per regime entry dropped from each term, in order, at the
+    innermost frame outside this package: the line that called the
+    package, however deep the call went inside it (``skip_file_prefixes``
+    does this from Python 3.12 on). Called from the package's own code,
+    once per call that drops something.
+
+    When the warnings filters surely ignore a ``UserWarning`` at that
+    line, no text is built and nothing warns (``_ignored``); otherwise
+    each text is built and warned as ``warnings.warn`` would."""
     frame, level = sys._getframe(2), 3  # the caller is in the package
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
-    for message in messages:
-        warnings.warn(message, stacklevel=level)
+    if frame is not None and _ignored(frame):
+        return
+    for t, dropped in pairs:
+        term, w = str(t), t.variable
+        for e in dropped:
+            warnings.warn(
+                f"dropping irrelevant subscript {e.var}={e.value} from term {term}: "
+                f"{e.var!r} is not an ancestor of {w!r}",
+                stacklevel=level,
+            )
+
+
+def _ignored(frame) -> bool:
+    """Whether ``warnings.warn`` would ignore any ``UserWarning`` warned at
+    the frame's line, whatever its text: the first filter that matches
+    the category, the frame's module and its line is ``ignore`` with no
+    message pattern, or none matches and the default action is
+    ``ignore`` (the check ``logging.Logger.isEnabledFor`` makes before it
+    formats). False whenever that is not sure: a message pattern comes
+    first, the frame has no module name, a filter is malformed, or the
+    filters depend on the context (``sys.flags.context_aware_warnings``)."""
+    module, lineno = frame.f_globals.get("__name__"), frame.f_lineno
+    if not isinstance(module, str) or getattr(sys.flags, "context_aware_warnings", False):
+        return False
+    try:
+        for action, message, category, mod, line in warnings.filters:
+            # a module given as a plain string matches exactly, as in C
+            in_module = mod is None or (
+                mod == module if isinstance(mod, str) else mod.match(module)
+            )
+            if issubclass(UserWarning, category) and in_module and line in (0, lineno):
+                return action == "ignore" and message is None
+    except Exception:  # noqa: BLE001 -- warnings.warn raises it instead
+        return False
+    return warnings.defaultaction == "ignore"
 
 
 def normalize_term(
     t: PotentialResponse, diagram: CausalDiagram
-) -> tuple[PotentialResponse, tuple[str, ...]]:
+) -> tuple[PotentialResponse, Sequence[RegimeEntry]]:
     """The term validated and without the regime entries that cannot reach
     its variable (``split_regime``): the term itself if none is dropped,
-    and one warning message per dropped entry."""
+    and the dropped entries, for ``warn_dropped``."""
     kept, dropped = split_regime(t, diagram)
     if not dropped:
         return t, ()
-    return PotentialResponse(t.variable, tuple(kept), t.value), dropped_messages(t, dropped)
+    return PotentialResponse(t.variable, tuple(kept), t.value), dropped
 
 
 def query(*terms: PotentialResponse) -> CtfQuery:
@@ -413,7 +451,7 @@ def parse_query(text: str, diagram: CausalDiagram) -> CtfQuery:
     Grammar (whitespace may separate tokens; "P(" and "->" are single
     tokens)::
 
-        query   := "P(" terms ")" | terms
+        query   := "P(" [terms] ")" | terms
         terms   := term ("," term)*
         term    := name ["[" entry ("," entry)* "]"] ["=" value]
         entry   := name "=" value ["->" targets]
@@ -443,9 +481,11 @@ def parse_query(text: str, diagram: CausalDiagram) -> CtfQuery:
     """
     sc = _Scanner(text)
     wrapped = sc.try_take("P(")
-    terms = sc.items(lambda: _parse_term(sc, diagram))
-    if wrapped:
-        sc.expect(")")
+    terms = []
+    if not (wrapped and sc.try_take(")")):  # "P()" is the empty query
+        terms = sc.items(lambda: _parse_term(sc, diagram))
+        if wrapped:
+            sc.expect(")")
     sc.end()
 
     q = CtfQuery(tuple(terms))

@@ -25,21 +25,23 @@ Tags are per-action and depend only on the term, so conflicts are
 always witnessed by a pair of terms. ``RealizabilityChecker`` prepares
 each raw query term once, in one walk over its regime
 (``queries.split_regime`` validates it and splits off the subscripts
-that cannot reach its variable; each dropped one warns then, once), and
-maps it to the one record of its variable and kept regime, which every
-raw term that normalizes alike shares. A record is computed when its
-variable and regime are first met: whether the term is realizable
-alone, and its tags, stored twice in one walk. In three bit words each
-action id (the action's position in plan order) owns a fixed-width
-field: ``v`` holds each tag's code (1 for Natural, 2 + the value's index
-in the action variable's domain), ``fm`` is all ones over the fields
-the term tags, and ``h`` covers the value bits of the field of its
-output's whole-variable randomization. Per source variable, the same
-tags are listed in merge order with the child each serves. ``realize``
-decides a single term from its record. A longer query fails when a term
-fails alone, when two terms put different codes in one field (XOR under
-both masks), or when some output's randomization is performed (the
-merged codes under the merged ``h``).
+that cannot reach its variable; each dropped one warns then, once, by
+``queries.warn_dropped``, which builds no text where the caller's
+warnings filters ignore it), and maps it to the one record of its
+variable and kept regime, which every raw term that normalizes alike
+shares. A record is computed when its variable and regime are first
+met: whether the term is realizable alone, and its tags, stored twice
+in one walk. In three bit words each action id (the action's position
+in plan order) owns a fixed-width field: ``v`` holds each tag's code (1
+for Natural, 2 + the value's index in the action variable's domain),
+``fm`` is all ones over the fields the term tags, and ``h`` covers the
+value bits of the field of its output's whole-variable randomization.
+Per source variable, the same tags are listed in merge order with the
+child each serves. ``realize`` decides a single term from its record. A
+longer query fails when a term fails alone, when two terms put
+different codes in one field (XOR under both masks), or when some
+output's randomization is performed (the merged codes under the merged
+``h``).
 
 A verdict holds the raw query and the records, and derives the rest
 when it is first read: the normalized query (the raw terms that
@@ -67,11 +69,10 @@ from .queries import (
     RegimeEntry,
     _Scanner,
     _ancestor_regimes,
-    dropped_messages,
     parse_targets,
     split_regime,
     targets_text,
-    warn_at_caller,
+    warn_dropped,
 )
 
 
@@ -726,9 +727,11 @@ class RealizabilityChecker:
         ``term_requirements`` call it on a term's first use. The record
         is stored in self._prepared for every later use of the term, and
         the kept entries of a term that drops a subscript in self._kept,
-        for the verdict's lazy query. Each dropped subscript warns here,
-        once, at the caller outside the package; a path-restricted term
-        raises before anything is stored or warned."""
+        for the verdict's lazy query. A term's dropped subscripts warn
+        here, once, in one ``warn_dropped`` call, at the caller outside the
+        package; where the caller's filters ignore the warning no text is
+        built. A path-restricted term raises before anything is stored or
+        warned."""
         kept, dropped = split_regime(t, self.diagram)
         key = (t.variable, frozenset(kept))
         record = self._term_cache.get(key)
@@ -738,7 +741,7 @@ class RealizabilityChecker:
             )
         if dropped:
             self._kept[t] = kept
-            warn_at_caller(dropped_messages(t, dropped))
+            warn_dropped(((t, dropped),))
         self._prepared[t] = record
         return record
 

@@ -274,7 +274,8 @@ class Experiment:
     the actions performed on it. ``draw_plan_batch`` checks its plan in
     ``plan_regime`` and only selects rows here. Building an experiment
     compiles the model, so a model that fails to compile, or has no row
-    of nonzero weight, raises ``ModelError`` here."""
+    of nonzero weight, raises ``ModelError`` here; a seed numpy would
+    refuse raises ``EstimationError`` (``_check_seed``)."""
 
     def __init__(
         self,
@@ -282,6 +283,7 @@ class Experiment:
         actions: ActionSet | None = None,
         seed: int | np.random.SeedSequence | None = None,
     ):
+        _check_seed(seed)
         self.model = model
         self.actions = actions
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -351,6 +353,18 @@ def _check_integer(n: object, name: str = "n") -> None:
     """Refuse a count that is a bool or not an integer."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise EstimationError(f"{name} must be an integer, got {n!r}")
+
+
+def _check_seed(seed: object) -> None:
+    """Refuse a seed that numpy would refuse with a bare error: one that
+    is not None, a non-negative integer (a bool is none) or a
+    ``SeedSequence``."""
+    if seed is None or isinstance(seed, np.random.SeedSequence):
+        return
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise EstimationError(
+            f"seed must be None, a non-negative integer or a SeedSequence, got {seed!r}"
+        )
 
 
 def plan_regime(plan: RealizationPlan, model: ScmModel) -> frozenset:
@@ -509,11 +523,15 @@ def sample_interventional(
     ``outcome`` is None, every variable outside the regime; an empty
     outcome, given or left when ``do`` fixes every variable, raises
     ``QueryError``): the plan that tags ``Rand(x)``
-    with ``do[x]``, in topological order."""
+    with ``do[x]``, in topological order. An unknown regime variable or
+    a value outside its domain raises the ``QueryError`` of
+    ``engine.interventional_distribution`` before any plan is built."""
     diagram = model.diagram
-    for x in do:
+    for x, value in do.items():
         if x not in diagram:
             raise QueryError(f"unknown regime variable {x!r}")
+        if value not in diagram.domains[x]:
+            raise QueryError(f"value {value!r} outside domain of {x!r}")
     if outcome is None:
         outcome = [v for v in diagram.variables if v not in do]
     if not outcome:

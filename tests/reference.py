@@ -26,6 +26,11 @@ checker the package itself never needs:
   built as responses, for one variable under two regimes;
   ``realizable_by_criterion`` compares (variable, regime) keys and
   builds only the pair it returns, which must be the same pair.
+* ``warn_dropped_subscripts`` warns a dropped regime entry as the
+  package did before ``queries.warn_dropped`` learned to build no text
+  where the warnings filters ignore it: every text built, every
+  ``warnings.warn`` called. Each entry point must record and raise
+  the same warnings under every filter setting.
 * ``verify_counterfactual_mediator`` (with ``inverse_image_classes``)
   checks the mediator conditions on an explicit expanded SCM by full
   enumeration: the semantics behind ``mediators.ctf_procedures``, which
@@ -40,10 +45,14 @@ Test modules import them with ``from reference import ...``.
 from __future__ import annotations
 
 import itertools
-from typing import Any
+import os
+import sys
+import warnings
+from typing import Any, Iterable
 
 import numpy as np
 
+import ctfrealize
 from ctfrealize import simulate
 from ctfrealize.bandits import (
     VALUE_TOL,
@@ -65,6 +74,7 @@ from ctfrealize.queries import (
     RegimeEntry,
     counterfactual_ancestors,
     response,
+    split_regime,
 )
 from ctfrealize.realizability import RAND, Action, RealizationPlan
 from ctfrealize.simulate import _DRAW, Experiment, Unit, _cap_error, plan_regime
@@ -213,6 +223,47 @@ def criterion_witness(
             if a.variable == b.variable and not a.same_response(b):
                 return a, b
     return None
+
+
+# -- dropped-subscript warnings -------------------------------------------------
+
+# the package's files, and this one: frames the warnings skip
+_SKIPPED = (os.path.dirname(ctfrealize.__file__) + os.sep, __file__)
+
+
+def dropped_messages(t: PotentialResponse, dropped: Iterable[RegimeEntry]) -> tuple[str, ...]:
+    """One warning text per regime entry dropped from ``t``."""
+    term, w = str(t), t.variable
+    return tuple([
+        f"dropping irrelevant subscript {e.var}={e.value} from term {term}: "
+        f"{e.var!r} is not an ancestor of {w!r}"
+        for e in dropped
+    ])
+
+
+def warn_at_caller(messages: Iterable[str]) -> None:
+    """Warn each message at the innermost frame outside the package and
+    this file, always building the text and calling ``warnings.warn``."""
+    frame, level = sys._getframe(2), 3  # the caller is in this file
+    while frame is not None and frame.f_code.co_filename.startswith(_SKIPPED):
+        frame, level = frame.f_back, level + 1
+    for message in messages:
+        warnings.warn(message, stacklevel=level)
+
+
+def warn_dropped_subscripts(entry: str, q: CtfQuery, diagram: CausalDiagram) -> None:
+    """The dropped-subscript warnings of one entry point, called for the
+    first time on ``q``, with their texts always built: ``realize`` and
+    ``ctf_realize`` split each distinct term in query order and warn its
+    dropped entries before the next term is split; ``normalized`` and
+    ``realizable_by_criterion`` split every term, then warn every dropped
+    entry in term order. An invalid term raises its ``QueryError``."""
+    if entry in ("realize", "ctf_realize"):
+        for t in dict.fromkeys(q.terms):
+            warn_at_caller(dropped_messages(t, split_regime(t, diagram)[1]))
+    else:
+        messages = [dropped_messages(t, split_regime(t, diagram)[1]) for t in q.terms]
+        warn_at_caller(itertools.chain(*messages))
 
 
 # -- mediator conditions on an explicit expanded SCM --------------------------

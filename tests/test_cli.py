@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,42 @@ def test_eval_valued_and_distribution(tmp_path, capsys):
         ["eval", "--model", "bow", "--query", "P(Y[X=1], X)"], tmp_path
     ) == 0
     assert (tmp_path / "distribution.csv").exists()
+
+
+def test_eval_of_the_empty_query_prints_one(tmp_path, capsys):
+    assert run_cli(["eval", "--model", "bow", "--query", "P()"], tmp_path) == 0
+    assert capsys.readouterr().out == "P() = 1\n"
+    assert json.loads((tmp_path / "summary.json").read_text())["probability"] == 1.0
+
+
+def test_a_dropped_subscript_warns_as_the_cli(tmp_path, capsys):
+    # a warning the filters show prints as the CLI's own line, not at a
+    # source location; the filters still decide whether it shows
+    args = ["sample", "--model", "fan", "--query", "P(Y[X=1,Z=0], X)", "--maximal",
+            "--n", "5", "--seed", "1"]
+    text = ("dropping irrelevant subscript Z=0 from term Y[X=1, Z=0]: 'Z' is not "
+            "an ancestor of 'Y'")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert run_cli(args, tmp_path) == 0
+    assert capsys.readouterr().err == f"ctfrealize: warning: {text}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert run_cli(args, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args, tmp_path) == 2
+    assert capsys.readouterr().err == f"runtime error: UserWarning: {text}\n"
+    # run as a module, under the interpreter's own filters and under -W
+    src = str(Path(ctfrealize.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for flags, err in (([], f"ctfrealize: warning: {text}\n"), (["-W", "ignore"], "")):
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "ctfrealize.cli", *args, "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (out.returncode, out.stderr) == (0, err), flags
 
 
 def test_eval_rejects_a_model_file_without_a_mechanism(tmp_path, capsys):

@@ -104,6 +104,19 @@ def test_parse_errors():
         parse_query("P(Y[X=1]", bow)
 
 
+def test_the_empty_query_parses_and_round_trips():
+    bow = bow_diagram()
+    empty = CtfQuery(())
+    for text in ("P()", "P( )", "  P()  "):
+        assert parse_query(text, bow) == empty, text
+    assert str(empty) == "P()"
+    assert parse_query(str(empty), bow) == empty
+    # only the wrapped form may be empty
+    for text in ("", "P(,)", "P()X", "P(Y,)"):
+        with pytest.raises(QuerySyntaxError):
+            parse_query(text, bow)
+
+
 def test_regime_entry_validation():
     with pytest.raises(QueryError, match="overlapping targets"):
         PotentialResponse(

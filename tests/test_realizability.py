@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 import time
 import warnings
 
@@ -58,7 +59,7 @@ from ctfrealize.fixtures import (
 )
 
 from enumeration import enumerate_mixed_graphs, enumerate_terms, queries_of_size
-from reference import criterion_witness
+from reference import criterion_witness, warn_dropped_subscripts
 
 
 def reads_and_select(diagram):
@@ -799,6 +800,117 @@ def test_each_entry_point_warns_at_the_line_that_called_it():
             "ancestor of 'Y'"
         ], name
         assert caught[0].filename == __file__, name
+
+
+def run_under(setting, line, call, *args):
+    """The warnings that call(*args) records, as (message, category,
+    filename, lineno), and the error it raises, when the only filters are
+    those ``setting(line)`` adds; the default action is restored after."""
+    default = warnings.defaultaction
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        setting(line)
+        raised = None
+        try:
+            call(*args)  # the line every warning names
+        except Exception as e:  # noqa: BLE001
+            raised = (type(e), str(e))
+        finally:
+            warnings.defaultaction = default
+    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught], raised
+
+
+FILTER_SETTINGS = {
+    "none": lambda line: None,
+    "always": lambda line: warnings.simplefilter("always"),
+    "default": lambda line: warnings.simplefilter("default"),
+    "ignore": lambda line: warnings.simplefilter("ignore"),
+    "ignore-user-warnings": lambda line: warnings.simplefilter("ignore", UserWarning),
+    "ignore-other-category": lambda line: warnings.simplefilter("ignore", DeprecationWarning),
+    "ignore-this-module": lambda line: warnings.filterwarnings("ignore", module=re.escape(__name__)),
+    "ignore-other-module": lambda line: warnings.filterwarnings("ignore", module="elsewhere"),
+    "ignore-this-module-as-text": lambda line: warnings.filters.insert(
+        0, ("ignore", None, Warning, __name__, 0)
+    ),
+    "ignore-other-module-as-text": lambda line: warnings.filters.insert(
+        0, ("ignore", None, Warning, __name__ + "x", 0)
+    ),
+    "ignore-this-line": lambda line: warnings.filterwarnings("ignore", lineno=line),
+    "ignore-other-line": lambda line: warnings.filterwarnings("ignore", lineno=line + 1),
+    "ignore-by-message": lambda line: warnings.filterwarnings("ignore", "dropping irrelevant"),
+    "ignore-some-messages": lambda line: warnings.filterwarnings(
+        "ignore", "dropping irrelevant subscript W"
+    ),
+    "ignore-other-message": lambda line: warnings.filterwarnings("ignore", "something else"),
+    "ignore-after-always": lambda line: (
+        warnings.simplefilter("ignore"), warnings.simplefilter("always", UserWarning)
+    ),
+    "always-after-ignore": lambda line: (
+        warnings.simplefilter("always"), warnings.simplefilter("ignore")
+    ),
+    "default-action-ignore": lambda line: setattr(warnings, "defaultaction", "ignore"),
+    "error": lambda line: warnings.simplefilter("error"),
+    "once": lambda line: warnings.simplefilter("once"),
+    "module": lambda line: warnings.simplefilter("module"),
+}
+
+
+def test_every_entry_point_warns_as_the_text_building_oracle_under_every_filter():
+    # an entry point may build no text only where the filters surely ignore
+    # it: whatever the filters, it records and raises what the oracle,
+    # which always builds every text and warns, records and raises
+    fan = fan_diagram()
+    actions = maximal_action_set(fan)
+    queries = [parse_query(text, fan) for text in (
+        "P(Y[Z=0], X)",
+        "P(Y[Z=0, W=1], X, Y[Z=0, W=1])",  # a repeated term
+        "P(Y[Z=0], W[Y=1], Y[X=1])",
+        "P(Y[X=1], X)",  # nothing dropped
+    )]
+    # a dropping term before an invalid one
+    queries.append(query(response("Y", {"Z": 0}), response("Y", {"X": 7})))
+    entry_points = {
+        "realize": lambda q: (RealizabilityChecker(fan, actions).realize, q),
+        "ctf_realize": lambda q: (ctf_realize, q, fan, actions),
+        "normalized": lambda q: (q.normalized, fan),
+        "realizable_by_criterion": lambda q: (realizable_by_criterion, q, fan),
+    }
+    always = FILTER_SETTINGS["always"]
+    (_, _, filename, line), *_ = run_under(
+        always, 0, warn_dropped_subscripts, "realize", queries[0], fan
+    )[0]
+    assert filename == __file__
+    shown = 0
+    for name, setting in FILTER_SETTINGS.items():
+        for entry, call in entry_points.items():
+            for q in queries:
+                expected = run_under(setting, line, warn_dropped_subscripts, entry, q, fan)
+                assert run_under(setting, line, *call(q)) == expected, (name, entry, str(q))
+                shown += len(expected[0])
+    assert shown > 0
+
+
+@pytest.mark.parametrize("setting", ["ignore", "ignore-user-warnings", "ignore-this-module",
+                                     "default-action-ignore"])
+def test_an_ignored_drop_builds_no_text(monkeypatch, setting):
+    # where the filters ignore a UserWarning at the caller's module and
+    # line whatever its text, preparing and normalizing dropping terms
+    # never formats a term
+    fan = fan_diagram()
+    q = parse_query("P(Y[Z=0], W[Y=1, Z=1], X)", fan)
+
+    def no_text(self):
+        raise AssertionError(f"formatted {self.variable}")
+
+    monkeypatch.setattr(PotentialResponse, "__str__", no_text)
+    for call in (
+        lambda: RealizabilityChecker(fan, maximal_action_set(fan)).realize(q),
+        lambda: RealizabilityChecker(fan, maximal_action_set(fan)).term_requirements(q.terms[0]),
+        lambda: ctf_realize(q, fan, maximal_action_set(fan)),
+        lambda: q.normalized(fan),
+        lambda: realizable_by_criterion(q, fan),
+    ):
+        assert run_under(FILTER_SETTINGS[setting], 0, call) == ([], None)
 
 
 def test_prepared_records_are_the_normalized_terms_records():

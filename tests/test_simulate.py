@@ -40,7 +40,7 @@ from ctfrealize import (
 )
 from ctfrealize.fixtures import bow_model, builtin_model, fan_model, hub_split_model
 from ctfrealize.models import independent_exogenous
-from ctfrealize.bandits import example3_problem
+from ctfrealize.bandits import example3_problem, run_epochs
 from ctfrealize.fairness import CanonicalScm
 
 from enumeration import enumerate_terms, queries_of_size
@@ -919,6 +919,39 @@ def test_a_sample_count_must_be_an_integer(n):
         sample_interventional(model, {"X": 1}, n, seed=41)
 
 
+def seeded_calls(seed):
+    """Every public call that draws from a seed, each with that seed."""
+    model = bow_model()
+    plan = fixture_plan(model, "P(Y[X=1], X)")
+    return {
+        "Experiment": lambda: Experiment(model, seed=seed),
+        "draw_plan_batch": lambda: draw_plan_batch(plan, model, 5, seed=seed),
+        "sample_interventional": lambda: sample_interventional(model, {"X": 1}, 5, seed=seed),
+        "run_epochs": lambda: run_epochs("ts", example3_problem(), 5, 1, seed),
+        "sample_constrained_scms": lambda: fairness.sample_constrained_scms(
+            fairness.L3_PENALTY, 1, 0.5, seed=seed
+        ),
+        "mu_ctf": lambda: fairness.mu_ctf(fairness.example2_scm(), exact=False, n=10, seed=seed),
+    }
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, np.float64(2.0), True, "3", [1, 2]])
+def test_a_seed_numpy_would_refuse_is_an_estimation_error(seed):
+    text = f"seed must be None, a non-negative integer or a SeedSequence, got {seed!r}"
+    for name, call in seeded_calls(seed).items():
+        with pytest.raises(EstimationError) as raised:
+            call()
+        assert str(raised.value) == text, name
+    # the exact metric draws nothing, so it reads no seed
+    assert fairness.mu_ctf(fairness.example2_scm(), seed=seed).exact
+
+
+@pytest.mark.parametrize("seed", [None, 0, np.int64(3), 2**70, np.random.SeedSequence(5)])
+def test_a_seed_numpy_takes_is_taken(seed):
+    for call in seeded_calls(seed).values():
+        call()
+
+
 def test_a_count_below_one_gives_an_empty_batch():
     model = bow_model()
     plan = fixture_plan(model, "P(Y[X=1], X)")
@@ -981,9 +1014,20 @@ def test_observational_and_interventional_streams_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == SAMPLER_STREAM_DIGESTS[key], key
 
 
-def test_interventional_value_outside_the_domain_fails_at_once():
-    with pytest.raises(EstimationError, match="cannot draw"):
-        sample_interventional(bow_model(), {"X": 7}, 10, seed=36, outcome=["Y"])
+def test_interventional_value_outside_the_domain_fails_at_once(monkeypatch):
+    # the sampler refuses the value with the exact law's QueryError, before
+    # any plan is built
+    model = bow_model()
+    monkeypatch.setattr(simulate, "RealizationPlan", lambda *args: pytest.fail("planned"))
+    for do, outcome in (({"X": 7}, ["Y"]), ({"X": 7}, None), ({"X": "1"}, ["Y"])):
+        text = f"value {do['X']!r} outside domain of 'X'"
+        for call in (
+            lambda: sample_interventional(model, do, 10, seed=36, outcome=outcome),
+            lambda: interventional_distribution(model, outcome or ["Y"], do),
+        ):
+            with pytest.raises(QueryError) as raised:
+                call()
+            assert type(raised.value) is QueryError and str(raised.value) == text
 
 
 def test_interventional_unknown_variable_is_a_query_error():
