@@ -35,6 +35,7 @@ from .queries import (
 from .engine import (
     ExactDistribution,
     exact_distribution,
+    exact_l3_probabilities,
     exact_l3_probability,
     interventional_distribution,
     nde,

@@ -6,8 +6,8 @@ regime-modified model, and probabilities are sums of exogenous weights
 over the assignments where every term hits its event value. No Monte
 Carlo.
 
-``exact_l3_probability``, ``exact_distribution`` and ``exact_rows`` run
-on the model's compiled form (``ScmModel.compile()``): a term is
+``exact_l3_probabilities``, ``exact_distribution`` and ``exact_rows``
+run on the model's compiled form (``ScmModel.compile()``): a term is
 evaluated on every exogenous row at once by indexing the coded mechanism
 arrays with the parents' code arrays, and weights are accumulated one
 row at a time in support order, so results equal a loop that adds each
@@ -19,12 +19,21 @@ written and reads the variable. A compiled model is total: compiling
 raises on a missing mechanism or table entry, even one that no row
 reaches.
 
-``exact_l3_probability`` keeps each valued query's event mask on the
-compiled model, after the query has been validated; a later call with
-an equal query sums the weights under the stored mask. A model from
+``exact_l3_probabilities(model, queries)`` evaluates many valued
+queries in one call: it compiles once, and for each query adds the
+weights of its event rows, the rows where every term hits its value,
+with a plain loop that starts at 0.0 and goes in row order. A per-row
+loop adds the same weights in the same order, so each result equals it
+bit for bit; ``np.sum``, ``@`` and ``math.fsum`` (and ``sum`` from
+Python 3.12) add in pairs or compensate, and would not.
+``exact_l3_probability`` is its one-query case.
+
+Each valued query's event rows are stored on the compiled model as a
+list of row indices, after the query has been validated; a later call
+with an equal query adds the weights at the stored rows. A model from
 ``ScmModel.reweighted`` with the same rows of nonzero weight shares
-these masks (and the term codes) with its base, so evaluating one query
-on many reweightings of one model computes the mask once.
+these rows (and the term codes) with its base, so evaluating one query
+on many reweightings of one model finds its rows once.
 """
 
 from __future__ import annotations
@@ -62,15 +71,6 @@ def _prepare(model: ScmModel, q: CtfQuery) -> tuple[CompiledScm, list[np.ndarray
     return compiled, [_term_codes(compiled, t) for t in q.terms]
 
 
-def _ordered_sum(weights: Sequence[float]) -> float:
-    # a plain loop, not sum(): from Python 3.12 sum() compensates float
-    # rounding, and the result must equal a per-row loop's bit for bit
-    total = 0.0
-    for p in weights:
-        total += p
-    return total
-
-
 def exact_rows(
     model: ScmModel, q: CtfQuery
 ) -> tuple[list[tuple], np.ndarray, list[list[Value]]]:
@@ -83,26 +83,47 @@ def exact_rows(
     for t, c in zip(q.terms, codes):
         domain = model.diagram.domains[t.variable]
         columns.append([domain[k] for k in c.tolist()])
-    return list(compiled.rows), compiled.weights.copy(), columns
+    return list(compiled.rows), np.array(compiled.weights, dtype=float), columns
 
 
-def exact_l3_probability(model: ScmModel, q: CtfQuery) -> float:
-    """Probability that every term takes its assigned event value: the
-    exogenous-weighted count of assignments where all indicators fire."""
-    compiled = model.compile()
+def _event_rows(model: ScmModel, compiled: CompiledScm, q: CtfQuery) -> list[int]:
+    """The indices of the rows where every term of ``q`` hits its event
+    value, in row order: stored on the compiled model once the query is
+    validated."""
     try:
-        hit = compiled.masks.get(q)
+        rows = compiled.events.get(q)
     except TypeError:  # an unhashable value, outside every domain: validate says so
-        hit = None
-    if hit is None:
+        rows = None
+    if rows is None:
         if not q.is_valued():
             raise QueryError("query must assign a value to every term")
         q.validate(model.diagram)
         hit = np.ones(len(compiled.rows), dtype=bool)
         for t in q.terms:
             hit &= _term_codes(compiled, t) == compiled.codes[t.variable][t.value]
-        compiled.masks[q] = hit  # only a validated query's mask is kept
-    return _ordered_sum(compiled.weights[hit].tolist())
+        rows = np.flatnonzero(hit).tolist()
+        compiled.events[q] = rows  # only a validated query's rows are kept
+    return rows
+
+
+def exact_l3_probabilities(model: ScmModel, queries: Sequence[CtfQuery]) -> list[float]:
+    """``exact_l3_probability`` of each query, in order, from one compile
+    of the model."""
+    compiled = model.compile()
+    weights = compiled.weights
+    out = []
+    for q in queries:
+        total = 0.0  # a plain loop in row order, as the module docstring says
+        for i in _event_rows(model, compiled, q):
+            total += weights[i]
+        out.append(total)
+    return out
+
+
+def exact_l3_probability(model: ScmModel, q: CtfQuery) -> float:
+    """Probability that every term takes its assigned event value: the
+    exogenous-weighted count of assignments where all indicators fire."""
+    return exact_l3_probabilities(model, (q,))[0]
 
 
 @dataclass(frozen=True)

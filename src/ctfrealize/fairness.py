@@ -35,7 +35,7 @@ from .errors import EstimationError, ModelError
 from .graphs import CausalDiagram
 from .models import PROB_TOL, ScmModel, tabulated_model
 from .queries import CtfQuery, query, response
-from .engine import exact_l3_probability
+from .engine import exact_l3_probabilities
 from .realizability import RealizationPlan, ctf_realize, maximal_action_set
 from .simulate import _check_integer, _check_seed, draw_plan_batch, estimate
 
@@ -63,13 +63,27 @@ class CanonicalScm:
     p_x1: float = 0.5
 
     def __post_init__(self):
-        if len(self.type_probs) != 16:
+        # stored as a tuple, so that the checked table cannot change
+        # afterwards, and tables hash and compare as tuples do
+        try:
+            probs = tuple(self.type_probs)
+        except TypeError:
+            probs = ()
+        if len(probs) != 16:
             raise ModelError("canonical parameterization needs 16 type-pair entries")
-        if min(self.type_probs) < -PROB_TOL:
+        object.__setattr__(self, "type_probs", probs)
+        try:
+            negative = min(probs) < -PROB_TOL
+            # a NaN or infinite entry makes the sum NaN or infinite
+            total = sum(probs)
+            off = not abs(total - 1.0) <= PROB_TOL
+        except (TypeError, ValueError):
+            raise ModelError(
+                f"type-pair probabilities must be numbers, got {probs!r}"
+            ) from None
+        if negative:
             raise ModelError("negative type-pair probability")
-        # a NaN or infinite entry makes the sum NaN or infinite
-        total = sum(self.type_probs)
-        if not abs(total - 1.0) <= PROB_TOL:
+        if off:
             raise ModelError(f"type-pair probabilities sum to {total}, not 1")
         if not 0.0 <= self.p_x1 <= 1.0:
             raise ModelError(f"p_x1 must lie in [0, 1], got {self.p_x1!r}")
@@ -86,18 +100,24 @@ class CanonicalScm:
         return self.type_probs[4 * i + j]
 
     def to_model(self) -> ScmModel:
-        dist = {}
-        for ux in (0, 1):
-            p_ux = self.p_x1 if ux == 1 else 1.0 - self.p_x1
-            for t in range(16):
-                dist[(ux, t)] = p_ux * self.type_probs[t]
-        return _BASE.reweighted(dist)
+        # The keys follow the base's compiled rows, so that the reweighted
+        # model takes the values as its weights with no lookup per row.
+        # That order is exogenous_support()'s, which sorts keys by repr:
+        # (0, 10) comes before (0, 2). So each weight is computed from its
+        # own key's type; weights listed in construction order and zipped
+        # with the rows would give type 2 the weight of type 10.
+        p_x1 = self.p_x1
+        p_x0 = 1.0 - p_x1
+        probs = self.type_probs
+        return _BASE.reweighted({
+            u: (p_x1 if u[0] == 1 else p_x0) * probs[u[1]] for u in _BASE.compile().rows
+        })
 
 
 # Every canonical table shares the diagram, the exogenous domains and the
 # three mechanisms; only the exogenous weights differ. Each table is the
 # base model below reweighted, so a table whose 32 rows all have nonzero
-# weight shares the base's compiled rows, term codes and event masks; a
+# weight shares the base's compiled rows, term codes and event rows; a
 # table with a zero weight is compiled afresh.
 _DIAGRAM = CausalDiagram(
     ["X", "Y", "Z"],
@@ -158,10 +178,17 @@ class FairnessReport:
 _COUPLED = {
     x: query(response("Y", {"X": 1}, 1), response("Z", {"X": x}, 0)) for x in (0, 1)
 }
-_Y1_X1 = query(response("Y", {"X": 1}, 1))
-_Z0_X1 = query(response("Z", {"X": 1}, 0))
-_Z0_X0 = query(response("Z", {"X": 0}, 0))
-_JOINT_X0 = query(response("Y", {"X": 0}, 1), response("Z", {"X": 0}, 0))
+# What the exact metrics are built from: P(Y_x1=1, Z_x1=0), which is also
+# mu_int2's same-regime joint under do(x1), P(Y_x0=1, Z_x0=0), P(Y_x1=1),
+# P(Z_x1=0), P(Z_x0=0) and P(Y_x1=1, Z_x0=0).
+_EXACT_QUERIES = (
+    _COUPLED[1],
+    query(response("Y", {"X": 0}, 1), response("Z", {"X": 0}, 0)),
+    query(response("Y", {"X": 1}, 1)),
+    query(response("Z", {"X": 1}, 0)),
+    query(response("Z", {"X": 0}, 0)),
+    _COUPLED[0],
+)
 
 
 def _audit_plan(model: ScmModel, q: CtfQuery) -> RealizationPlan:
@@ -191,10 +218,9 @@ def mu_ctf(
         _check_count(n)
         _check_seed(seed)
     model = scm.to_model()
-    a, int1, int2 = _exact(model)
+    ctf, int1, int2 = _exact(model)
     if exact:
-        b = exact_l3_probability(model, _COUPLED[0])
-        return FairnessReport(mu_ctf=abs(a - b), mu_int1=int1, mu_int2=int2, exact=True)
+        return FairnessReport(mu_ctf=ctf, mu_int1=int1, mu_int2=int2, exact=True)
     plans = [_audit_plan(model, _COUPLED[x_for_z]) for x_for_z in (1, 0)]
     if isinstance(seed, np.random.SeedSequence):
         streams = seed.spawn(len(plans))
@@ -229,15 +255,10 @@ def mu_int(scm: CanonicalScm, variant: int) -> float:
 
 
 def _exact(model: ScmModel) -> tuple[float, float, float]:
-    """(P(Y_x1=1, Z_x1=0), mu_int1, mu_int2) by the exact engine, each of
-    the five probabilities evaluated once; the first is also mu_int2's
-    same-regime joint under do(x1)."""
-    a = exact_l3_probability(model, _COUPLED[1])
-    j0 = exact_l3_probability(model, _JOINT_X0)
-    p_y1 = exact_l3_probability(model, _Y1_X1)
-    z1 = exact_l3_probability(model, _Z0_X1)
-    z0 = exact_l3_probability(model, _Z0_X0)
-    return a, abs(p_y1 * z1 - p_y1 * z0), abs(a - j0)
+    """(mu_ctf, mu_int1, mu_int2) by one call of the exact engine, each of
+    the six probabilities evaluated once."""
+    a, j0, p_y1, z1, z0, b = exact_l3_probabilities(model, _EXACT_QUERIES)
+    return abs(a - b), abs(p_y1 * z1 - p_y1 * z0), abs(a - j0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +400,8 @@ def sample_constrained_scms(
         )
     _check_count(n)
     _check_seed(seed)
-    if not isinstance(epsilon, numbers.Real) or not epsilon >= 0:
+    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+    if not real or not epsilon >= 0:
         raise EstimationError(f"epsilon must be a number at least 0, got {epsilon!r}")
     rng = np.random.default_rng(seed)
     kept_rows: list[np.ndarray] = []

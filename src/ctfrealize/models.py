@@ -10,8 +10,8 @@ use, and caches them on the model. ``ScmModel.reweighted(dist)`` is the
 same model under new exogenous weights, and the one way models share
 compiled tables: when its rows of nonzero weight are the base model's,
 it shares the base's compiled tables and their memos (rows, codes,
-coded mechanisms, per-regime term codes, event masks) and builds only
-its weight vector; any other row set is compiled afresh.
+coded mechanisms, per-regime term codes, event rows) and builds only
+its weight list; any other row set is compiled afresh.
 ``ScmModel.exogenous_support()`` is the support in its fixed order, and
 ``compile().rows`` its rows of nonzero weight in that order: the one
 row space that sampling uses. ``ScmModel.selection_table()`` is the
@@ -200,7 +200,8 @@ class ScmModel:
         could round the total differently."""
         if self._selection is None:
             total = np.array([p for _, p in self.exogenous_support()], dtype=float).sum()
-            self._selection = np.cumsum(self.compile().weights / total)
+            weights = np.array(self.compile().weights, dtype=float)
+            self._selection = np.cumsum(weights / total)
         return self._selection
 
     def exo_value(self, u: tuple, name: str) -> Value:
@@ -227,21 +228,25 @@ class CompiledScm:
     - ``rows`` are the exogenous assignments of nonzero weight, in
       ``exogenous_support()`` order (units are selected by their index
       here), ``exogenous_codes`` the same rows as an (R, |U|) code
-      array, and ``weights`` their probabilities;
+      array, and ``weights`` their probabilities, a list of floats in
+      the same order, which the engine adds one at a time;
     - ``mechanisms[v]`` is v's table as ``Mechanism.coded`` gives it.
 
     A compiled model is total: compiling raises on a missing mechanism or
     table entry, and on a mechanism input the model does not declare.
 
-    ``values`` memoizes its result per (variable, regime), and ``masks``
-    holds each valued query's event mask over the rows (the engine fills
-    it); both memos only grow, and an entry never changes once written.
+    ``values`` memoizes its result per (variable, regime), and ``events``
+    holds each valued query's event rows, the list of indices of the
+    rows where every term hits its value (the engine fills it); both
+    memos only grow, and an entry never changes once written.
 
     ``reweighted`` gives the tables of a model with the same structure
     and new weights: everything above but ``weights`` is shared, memos
     included, so a query evaluated on one model is a lookup on the other.
     It applies only when the rows of nonzero weight are the same set;
-    any other reweighting is compiled afresh.
+    any other reweighting is compiled afresh. A distribution whose keys
+    are ``rows``, in that order, gives its values as the weights as they
+    are listed, with no lookup per row.
     """
 
     def __init__(self, model: ScmModel):
@@ -256,7 +261,7 @@ class CompiledScm:
         }
         support = [(u, p) for u, p in model.exogenous_support() if p != 0.0]
         self.rows = [u for u, _ in support]
-        self.weights = np.array([p for _, p in support], dtype=float)
+        self.weights = [p for _, p in support]
         n_exo = len(model.exogenous_vars)
         if any(len(u) != n_exo for u in self.rows):
             raise ModelError(
@@ -295,20 +300,28 @@ class CompiledScm:
             )
             self._inputs[v] = (m.parents, columns)
         self._memo: dict[tuple[str, frozenset], np.ndarray] = {}
-        self.masks: dict[Hashable, np.ndarray] = {}  # keyed by valued query
+        self.events: dict[Hashable, list[int]] = {}  # keyed by valued query
 
     def reweighted(self, exogenous_dist: Mapping[tuple, float]) -> "CompiledScm | None":
         """These tables under new weights, or None when the rows of nonzero
-        weight in ``exogenous_dist`` are not exactly ``rows``."""
+        weight in ``exogenous_dist`` are not exactly ``rows``. When its
+        keys are ``rows`` in row order (as ``CanonicalScm.to_model``
+        builds them), its values are the weights; otherwise each row's
+        weight is looked up, a missing row weighing 0. Either way a zero
+        weight on a row, or a nonzero weight off the rows, gives None."""
         if len(exogenous_dist) > MAX_TABLE_ROWS:
             return None
-        weights = [exogenous_dist.get(u, 0.0) for u in self.rows]
-        nonzero = len(exogenous_dist) - list(exogenous_dist.values()).count(0.0)
+        listed = list(exogenous_dist.values())
+        if list(exogenous_dist) == self.rows:
+            weights = listed
+        else:
+            weights = [exogenous_dist.get(u, 0.0) for u in self.rows]
+        nonzero = len(listed) - listed.count(0.0)
         if 0.0 in weights or nonzero != len(weights):
             return None
         out = CompiledScm.__new__(CompiledScm)
         out.__dict__.update(self.__dict__)
-        out.weights = np.array(weights, dtype=float)
+        out.weights = weights
         return out
 
     def values(self, variable: str, regime: frozenset) -> np.ndarray:

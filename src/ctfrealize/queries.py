@@ -31,14 +31,15 @@ a ``UserWarning`` there (or, when none does, the default action) is
 ``warnings.warn``. Elsewhere it warns every text, as ``warnings.warn``
 decides.
 
-Terms are hashed on every hot path (as keys of the checker's per-term
-records, and inside the queries that key the exact engine's masks), so
-``RegimeEntry`` and ``PotentialResponse`` compute their field hash on
-the first ``hash()`` and keep it. The hash is lazy, so a term holding an
-unhashable value still builds (and fails only where it is hashed), and
-it is left out of pickled and copied state, so a term loaded in a
-process with another ``PYTHONHASHSEED`` hashes afresh. Equality, repr
-and the dataclass fields are the generated ones.
+Terms and queries are hashed on every hot path (terms as keys of the
+checker's per-term records, queries as keys of the exact engine's
+stored event rows), so ``RegimeEntry``, ``PotentialResponse`` and
+``CtfQuery`` compute their field hash on the first ``hash()`` and keep
+it. The hash is lazy, so a term holding an unhashable value still
+builds (and fails only where it is hashed), and it is left out of
+pickled and copied state, so a term loaded in a process with another
+``PYTHONHASHSEED`` hashes afresh. Equality, repr and the dataclass
+fields are the generated ones.
 """
 
 from __future__ import annotations
@@ -194,6 +195,17 @@ class CtfQuery:
     The empty conjunction is legal and denotes the sure event."""
 
     terms: tuple[PotentialResponse, ...]
+
+    _hash = None  # the field hash, set by the first __hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.terms,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_hash
 
     def is_valued(self) -> bool:
         return all(t.value is not None for t in self.terms)

@@ -15,6 +15,7 @@ from ctfrealize import (
     RegimeEntry,
     ScmModel,
     exact_distribution,
+    exact_l3_probabilities,
     exact_l3_probability,
     interventional_distribution,
     nde,
@@ -661,3 +662,99 @@ def test_reweighted_row_outside_domain_compiles_as_fresh_model():
     # zeroing the bad row gives a valid model, though its base is not
     zeroed = {u: 0.25 for u in support} | {bad: 0.0}
     assert_same_results(fresh(model, w).reweighted(zeroed), fresh(model, zeroed))
+
+
+# ---------------------------------------------------------------------------
+# Many queries in one call
+# ---------------------------------------------------------------------------
+
+def valued_queries(model):
+    """Every single term at its first value, then consecutive pairs of
+    terms at their first and last values."""
+    terms = terms_with_two_regime_variables(model.diagram)
+    domains = model.diagram.domains
+    out = [CtfQuery((t.with_value(domains[t.variable][0]),)) for t in terms]
+    for a, b in zip(terms, terms[1:]):
+        out.append(CtfQuery((a.with_value(domains[a.variable][0]),
+                             b.with_value(domains[b.variable][-1]))))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_many_queries_in_one_call_equal_one_at_a_time(name):
+    model = builtin(name)
+    queries = valued_queries(model)
+    middle = len(queries) // 2
+    # a repeated query, the sure event, and an equal query built anew
+    queries += [queries[0], CtfQuery(()), CtfQuery(queries[middle].terms)]
+    # each side on its own fresh model, so that neither reads rows the
+    # other stored
+    together = exact_l3_probabilities(fresh(model, model.exogenous_dist), queries)
+    alone = fresh(model, model.exogenous_dist)
+    assert together == [exact_l3_probability(alone, q) for q in queries]
+    assert together[-3] == together[0] and together[-1] == together[middle]
+    assert together[-2] == exact_l3_probability(model, CtfQuery(()))
+    assert exact_l3_probabilities(model, []) == []
+    unvalued = CtfQuery((queries[0].terms[0].with_value(None),))
+    for call in (
+        lambda: exact_l3_probabilities(model, [queries[0], unvalued]),
+        lambda: exact_l3_probability(model, unvalued),
+    ):
+        with pytest.raises(QueryError, match="must assign a value to every term"):
+            call()
+
+
+def test_a_query_that_fails_validation_midway_raises_on_every_call():
+    model = fresh(bow_model(), bow_model().exogenous_dist)
+    good = [query(response("Y", {"X": 1}, 1)), query(response("X", value=0))]
+    bad = query(response("Y", value=2))
+    for _ in range(3):
+        with pytest.raises(QueryError, match="outside domain of 'Y'"):
+            exact_l3_probabilities(model, [good[0], bad, good[1]])
+        events = model.compile().events
+        assert bad not in events
+        assert good[0] in events  # the valid query before it was stored
+    # the valid queries still evaluate, alone and together
+    assert exact_l3_probabilities(model, good) == [
+        exact_l3_probability(bow_model(), q) for q in good
+    ]
+
+
+def dirichlet_weights(model, seed):
+    """Dirichlet weights on the model's support, keyed in support order."""
+    support = [u for u, _ in model.exogenous_support()]
+    rng = np.random.default_rng(seed)
+    return dict(zip(support, rng.dirichlet(np.ones(len(support))).tolist()))
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_reweighting_in_row_order_and_by_lookup_equals_fresh_model(name):
+    model = builtin(name)
+    rows = model.compile().rows
+    w = dirichlet_weights(model, zlib.crc32(name.encode()))
+    extra = ("extra",) * len(model.exogenous_vars)
+    cases = {
+        "row order": (w, True),
+        "reversed": (dict(reversed(w.items())), True),
+        "extra zero key": (w | {extra: 0.0}, True),
+        "row left out": ({u: p for u, p in w.items() if u != rows[0]}, False),
+        "zero in row order": (w | {rows[-1]: 0.0}, False),
+    }
+    for case, (dist, shared) in cases.items():
+        reweighted = model.reweighted(dist)
+        compiled = reweighted.compile()
+        assert (compiled.rows is rows) == shared, case
+        assert compiled.weights == [dist[u] for u in compiled.rows], case
+        assert_same_results(reweighted, fresh(model, dist))
+
+
+def test_canonical_table_weighs_each_row_by_its_own_type():
+    # 16 distinct entries and p_x1 away from 1/2, so that any other
+    # pairing of rows and entries gives some row another weight
+    probs = tuple(k / 136 for k in range(1, 17))
+    scm = CanonicalScm(probs, p_x1=0.3)
+    dist = scm.to_model().exogenous_dist
+    assert len(dist) == 32
+    for ux, p_ux in ((0, 1.0 - 0.3), (1, 0.3)):
+        for t in range(16):
+            assert dist[(ux, t)] == p_ux * probs[t], (ux, t)

@@ -13,6 +13,7 @@ from ctfrealize import (
     ScmModel,
     ctf_rand_action,
     ctf_realize,
+    exact_l3_probabilities,
     exact_l3_probability,
     maximal_action_set,
     query,
@@ -69,11 +70,11 @@ def test_exact_metric_values():
 def test_exact_report_evaluates_each_probability_once(monkeypatch):
     calls = []
 
-    def counting(model, q):
-        calls.append(str(q))
-        return exact_l3_probability(model, q)
+    def counting(model, queries):
+        calls.extend(str(q) for q in queries)
+        return exact_l3_probabilities(model, queries)
 
-    monkeypatch.setattr(fairness, "exact_l3_probability", counting)
+    monkeypatch.setattr(fairness, "exact_l3_probabilities", counting)
     mu_ctf(example2_scm(), exact=True)
     assert len(calls) == len(set(calls)) == 6
 
@@ -263,6 +264,52 @@ def test_bad_canonical_tables_rejected():
         with pytest.raises(ModelError, match="p_x1"):
             CanonicalScm(tuple(uniform), p_x1)
     assert [CanonicalScm(tuple(uniform), p).p_x1 for p in (0.0, 1.0)] == [0.0, 1.0]
+
+
+def test_canonical_table_keeps_the_entries_it_checked():
+    probs = [1.0 / 16] * 16
+    scm = CanonicalScm(probs)
+    probs[0] = 5.0  # after validation: the table does not change
+    assert scm.type_probs == tuple([1.0 / 16] * 16)
+    assert mu_ctf(scm) == mu_ctf(CanonicalScm(tuple([1.0 / 16] * 16)))
+
+
+def test_canonical_tables_hash_and_compare_from_any_sequence():
+    uniform = tuple([1.0 / 16] * 16)
+    from_list = CanonicalScm(list(uniform))
+    assert hash(from_list) == hash(CanonicalScm(uniform))
+    assert from_list == CanonicalScm(uniform)
+    from_array = CanonicalScm(np.full(16, 1.0 / 16))
+    assert (from_array == CanonicalScm(np.full(16, 1.0 / 16))) is True
+    assert from_array == CanonicalScm(uniform)
+    assert len({from_list, from_array, CanonicalScm(uniform)}) == 1
+
+
+@pytest.mark.parametrize("entries", [
+    ["0.0625"] * 16,
+    [None] * 16,
+    [1.0 / 16] * 15 + ["x"],
+    [1j / 16] * 16,
+    [np.full(2, 1.0 / 16)] * 16,
+])
+def test_non_numeric_canonical_entries_are_model_errors(entries):
+    with pytest.raises(ModelError, match="type-pair probabilities must be numbers"):
+        CanonicalScm(entries)
+
+
+def test_a_canonical_table_that_is_no_sequence_is_a_model_error():
+    with pytest.raises(ModelError, match="needs 16 type-pair entries"):
+        CanonicalScm(1.0)
+
+
+def test_sampler_refuses_a_bool_epsilon(monkeypatch):
+    def no_draws(seed=None):
+        raise AssertionError("drew proposals")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for epsilon in (True, False, np.bool_(True)):
+        with pytest.raises(EstimationError, match="epsilon must be a number at least 0"):
+            sample_constrained_scms(L3_PENALTY, 10, epsilon)
 
 
 def test_unknown_response_type_is_named():

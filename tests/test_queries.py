@@ -185,6 +185,23 @@ def test_term_hash_survives_pickle_and_copy_without_its_cache():
     assert repr(t) == repr(_nested_term()) and "_hash" not in repr(t)
 
 
+def test_query_hash_survives_pickle_and_copy_without_its_cache():
+    q = CtfQuery((_nested_term(), response("X", value=0)))
+    h = hash(q)
+    assert "_hash" in q.__dict__
+    for other in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+        assert "_hash" not in other.__dict__
+        assert other == q and hash(other) == h
+    assert [f.name for f in dataclasses.fields(q)] == ["terms"]
+    assert "_hash" not in repr(q)
+    # an unhashable value fails on every hash, and caches nothing
+    bad = CtfQuery((response("Y", value=[1]),))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(bad)
+    assert "_hash" not in bad.__dict__
+
+
 def test_pickled_term_is_rehashed_under_another_hash_seed():
     t = _nested_term()
     hash(t)
