@@ -358,6 +358,12 @@ class StrategyForm:
     fixes_d: bool = False
     final: str = "none"
 
+    def __post_init__(self):
+        if self.final not in ("none", "write", "fix_y"):
+            raise ModelError(
+                f"final action {self.final!r} must be 'none', 'write' or 'fix_y'"
+            )
+
     def sampling_query(self, problem: MabProblem) -> CtfQuery:
         """The joint the strategy needs samples from while learning, with
         representative distinct regime values."""
@@ -511,6 +517,7 @@ class RunMetrics:
 
     @staticmethod
     def _terminal(arr: np.ndarray, window: int) -> float:
+        _check_integer(window, "window")
         if window < 1:
             raise EstimationError(f"terminal window {window} must be at least 1")
         if arr.size == 0:

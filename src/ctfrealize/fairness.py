@@ -19,11 +19,18 @@ surrogates mu_int1 (product form) and mu_int2 (joint form) can both
 vanish while mu_ctf stays large; constraining models on the surrogates
 therefore passes discriminatory model pairs that constraining on
 mu_ctf rejects, which is the contrast the sampler below reproduces.
+
+The six probabilities of ``_EXACT_QUERIES`` are the one definition of
+what is measured, and ``_metrics`` builds the three numbers from them.
+One table's report takes them from the exact engine. For a batch of
+tables each is a linear form over the 16 type-pair weights, the 0/1
+row of ``_FORMS`` read off the event rows the engine stores for its
+query on the base model; ``batch_metrics`` and the sampler's
+pre-filter are built from those rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,6 +49,7 @@ from .simulate import _check_integer, _check_seed, draw_plan_batch, estimate
 RESPONSE_TYPES = ("always-approve", "approve-iff-x1", "approve-iff-x0", "always-reject")
 
 DISCRIMINATION_THRESHOLD = 0.05  # reporting cut for "significant" disparity
+_BOOLS = frozenset({bool, np.bool_})  # summable, but no probabilities
 
 
 def _respond(rtype: str, x: int) -> int:
@@ -73,20 +81,30 @@ class CanonicalScm:
             raise ModelError("canonical parameterization needs 16 type-pair entries")
         object.__setattr__(self, "type_probs", probs)
         try:
-            negative = min(probs) < -PROB_TOL
+            smallest = min(probs)
             # a NaN or infinite entry makes the sum NaN or infinite
             total = sum(probs)
             off = not abs(total - 1.0) <= PROB_TOL
+            # a table that sums to 1 with a bool in it has an entry of at
+            # most PROB_TOL (the False, or one beside the True): only such
+            # a table pays for the scan of its types
+            numeric = smallest > PROB_TOL or _BOOLS.isdisjoint(map(type, probs))
         except (TypeError, ValueError):
-            raise ModelError(
-                f"type-pair probabilities must be numbers, got {probs!r}"
-            ) from None
-        if negative:
+            numeric = False
+        if not numeric:
+            raise ModelError(f"type-pair probabilities must be numbers, got {probs!r}")
+        if smallest < -PROB_TOL:
             raise ModelError("negative type-pair probability")
         if off:
             raise ModelError(f"type-pair probabilities sum to {total}, not 1")
-        if not 0.0 <= self.p_x1 <= 1.0:
-            raise ModelError(f"p_x1 must lie in [0, 1], got {self.p_x1!r}")
+        p_x1 = self.p_x1
+        # a float skips the ABC check, which costs more than the rest
+        if type(p_x1) is not float and (
+            isinstance(p_x1, bool) or not isinstance(p_x1, numbers.Real)
+        ):
+            raise ModelError(f"p_x1 must be a number, got {p_x1!r}")
+        if not 0.0 <= p_x1 <= 1.0:
+            raise ModelError(f"p_x1 must lie in [0, 1], got {p_x1!r}")
 
     def prob(self, y_type: str, z_type: str) -> float:
         for name in (y_type, z_type):
@@ -254,45 +272,44 @@ def mu_int(scm: CanonicalScm, variant: int) -> float:
     return _exact(scm.to_model())[variant]
 
 
+def _metrics(a, j0, p_y1, z1, z0, b):
+    """(mu_ctf, mu_int1, mu_int2) from the six probabilities of
+    _EXACT_QUERIES, in their order: floats or arrays of them alike."""
+    return abs(a - b), abs(p_y1 * z1 - p_y1 * z0), abs(a - j0)
+
+
 def _exact(model: ScmModel) -> tuple[float, float, float]:
     """(mu_ctf, mu_int1, mu_int2) by one call of the exact engine, each of
     the six probabilities evaluated once."""
-    a, j0, p_y1, z1, z0, b = exact_l3_probabilities(model, _EXACT_QUERIES)
-    return abs(a - b), abs(p_y1 * z1 - p_y1 * z0), abs(a - j0)
+    return _metrics(*exact_l3_probabilities(model, _EXACT_QUERIES))
 
 
 # ---------------------------------------------------------------------------
 # Vectorized forms over batches of canonical tables
 # ---------------------------------------------------------------------------
 
-def _masks() -> dict[str, np.ndarray]:
-    y1_x1 = np.zeros(16)   # Y_{x1} = 1
-    y1_x0 = np.zeros(16)   # Y_{x0} = 1
-    z0_x1 = np.zeros(16)   # Z_{x1} = 0
-    z0_x0 = np.zeros(16)   # Z_{x0} = 0
-    for i, (yt, zt) in enumerate(itertools.product(RESPONSE_TYPES, RESPONSE_TYPES)):
-        y1_x1[i] = _respond(yt, 1)
-        y1_x0[i] = _respond(yt, 0)
-        z0_x1[i] = 1 - _respond(zt, 1)
-        z0_x0[i] = 1 - _respond(zt, 0)
-    return {"y1_x1": y1_x1, "y1_x0": y1_x0, "z0_x1": z0_x1, "z0_x0": z0_x0}
+def _event_forms() -> np.ndarray:
+    """One 0/1 row per query of _EXACT_QUERIES, in order, over the 16
+    type pairs: 1.0 where the pair's rows of the base model are event
+    rows of the query, as the engine stores them on the compiled base."""
+    exact_l3_probabilities(_BASE, _EXACT_QUERIES)
+    compiled = _BASE.compile()
+    pair = _BASE.exogenous_vars.index("U_YZ")
+    forms = np.zeros((len(_EXACT_QUERIES), 16))
+    for form, q in zip(forms, _EXACT_QUERIES):
+        form[[compiled.rows[i][pair] for i in compiled.events[q]]] = 1.0
+    return forms
 
 
-_M = _masks()
+_FORMS = _event_forms()
 
 
 def batch_metrics(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mu_ctf, mu_int1, mu_int2) for each row of a (n, 16) batch of
-    canonical tables; closed forms of the same quantities the exact
-    engine computes one table at a time."""
+    canonical tables, built as ``_exact`` builds them from the six
+    probabilities of _EXACT_QUERIES: the batch's products with _FORMS."""
     probs = np.atleast_2d(probs)
-    m = _M
-    a = probs @ (m["y1_x1"] * m["z0_x1"])  # P(Y_x1=1, Z_x1=0), as in _exact
-    y1 = probs @ m["y1_x1"]
-    ctf = np.abs(a - probs @ (m["y1_x1"] * m["z0_x0"]))
-    int1 = np.abs(y1 * (probs @ m["z0_x1"]) - y1 * (probs @ m["z0_x0"]))
-    int2 = np.abs(a - probs @ (m["y1_x0"] * m["z0_x0"]))
-    return ctf, int1, int2
+    return _metrics(*(probs @ form for form in _FORMS))
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +330,11 @@ PREFILTER_SLACK = 1e-9  # see sample_constrained_scms for the bound it covers
 def _prefilter_columns() -> dict[str, np.ndarray]:
     """Per constraint, the (16, k) matrix whose product with a block of
     raw rows gives each row's sum followed by the unnormalized linear
-    forms its score is built from."""
-    m = _M
-    dz = m["z0_x1"] - m["z0_x0"]
+    forms its score is built from: rows of _FORMS and their differences."""
+    a, j0, y1, z1, z0, b = _FORMS
     return {
-        L3_PENALTY: np.column_stack([np.ones(16), m["y1_x1"] * dz]),
-        L2_PENALTY: np.column_stack([
-            np.ones(16), m["y1_x1"], dz,
-            m["y1_x1"] * m["z0_x1"] - m["y1_x0"] * m["z0_x0"],
-        ]),
+        L3_PENALTY: np.column_stack([np.ones(16), a - b]),
+        L2_PENALTY: np.column_stack([np.ones(16), y1, z1 - z0, a - j0]),
     }
 
 
@@ -377,12 +390,13 @@ def sample_constrained_scms(
     A block is pre-filtered before any row is normalized. For a raw row
     e with sum s, mu_ctf = |e.w|/s and mu_int1 + mu_int2 =
     (|y1*dz| + |dj|*s)/s^2, where e.w, y1, dz and dj are dot products of
-    e with fixed 0/+-1 masks (the columns of _PREFILTER). Let u = 2**-53.
-    A 16-term dot product is off by at most 16u times the sum of its
+    e with rows of _FORMS, the event rows of _EXACT_QUERIES, or
+    differences of two (the columns of _PREFILTER). Let u = 2**-53. A
+    16-term dot product is off by at most 16u times the sum of its
     terms' magnitudes, and a normalized row is within 18u of e/s
-    relatively; so each of the five forms ``batch_metrics`` takes is
-    within 40u of its real value, and the score it tests within 300u of
-    the real score. The pre-filter's left side is within 300u * s^k of
+    relatively; so each of the six probabilities ``batch_metrics`` takes
+    is within 40u of its real value, and the score it tests within 300u
+    of the real score. The pre-filter's left side is within 300u * s^k of
     the real score times s^k (k = 1 for l3, 2 for l2), and its right
     side, limit * s^k, is computed within 40u relatively. A row the
     exact test accepts therefore passes whenever the slack in

@@ -35,6 +35,10 @@ checker the package itself never needs:
   checks the mediator conditions on an explicit expanded SCM by full
   enumeration: the semantics behind ``mediators.ctf_procedures``, which
   works on structure only. ``expanded_mediator_model`` is its fixture.
+* ``response_type_masks`` builds the fairness audit's per-type-pair
+  event indicators from ``fairness._respond``, Y-type outer and Z-type
+  inner; each row of ``fairness._FORMS``, read off the event rows the
+  engine stores for ``fairness._EXACT_QUERIES``, must equal its mask.
 * ``diagram_to_dict``, ``model_to_dict`` and ``expanded_to_dict`` write
   the fixture layout of ``ctfrealize.fixtures``, whose ``*_from_dict``
   readers must give the fixture back.
@@ -53,7 +57,7 @@ from typing import Any, Iterable
 import numpy as np
 
 import ctfrealize
-from ctfrealize import simulate
+from ctfrealize import fairness, simulate
 from ctfrealize.bandits import (
     VALUE_TOL,
     ExactTables,
@@ -380,6 +384,20 @@ def expanded_mediator_model() -> ScmModel:
 
 
 # -- fixture writers ----------------------------------------------------------
+
+def response_type_masks() -> dict[str, np.ndarray]:
+    """Per type pair of a canonical table, in ``RESPONSE_TYPES`` order
+    with the Y-type outer: whether Y_x1 = 1, Y_x0 = 1, Z_x1 = 0 and
+    Z_x0 = 0, as 0.0 or 1.0."""
+    masks = {k: np.zeros(16) for k in ("y1_x1", "y1_x0", "z0_x1", "z0_x0")}
+    pairs = itertools.product(fairness.RESPONSE_TYPES, fairness.RESPONSE_TYPES)
+    for i, (yt, zt) in enumerate(pairs):
+        masks["y1_x1"][i] = fairness._respond(yt, 1)
+        masks["y1_x0"][i] = fairness._respond(yt, 0)
+        masks["z0_x1"][i] = 1 - fairness._respond(zt, 1)
+        masks["z0_x0"][i] = 1 - fairness._respond(zt, 0)
+    return masks
+
 
 def diagram_to_dict(diagram: CausalDiagram, name: str = "") -> dict[str, Any]:
     doc: dict[str, Any] = {

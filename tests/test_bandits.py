@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from ctfrealize import (
 )
 from ctfrealize.bandits import (
     ACT_NONE,
+    ALGORITHMS,
     READ_D,
     SKIP_D,
     TIERS,
@@ -376,6 +378,15 @@ def test_gate_rejects_unrealizable_strategy(problem, tables):
         check_strategy_realizable(problem, broken)
 
 
+@pytest.mark.parametrize("final", ["bogus", "fix-y", "", None])
+def test_a_strategy_form_refuses_an_unknown_final_action(final):
+    with pytest.raises(ModelError, match="must be 'none', 'write' or 'fix_y'"):
+        StrategyForm("x", final=final)
+    assert [StrategyForm("x", final=f).final for f in ("none", "write", "fix_y")] == [
+        "none", "write", "fix_y",
+    ]
+
+
 def test_tier_queries_and_randomizations_are_pinned(problem):
     rands = [set(), {"Rand(X)"}, {"CtfRand(X->Y)"}, {"CtfRand(X->D)", "CtfRand(X->Y)"}]
     for prob, texts in (
@@ -429,6 +440,40 @@ def test_post_decision_variable_feeding_the_reward_is_rejected():
     }
     with pytest.raises(ModelError, match="must not feed the reward"):
         MabProblem(ScmModel(d, names, doms, dist, mech))
+
+
+def _roles_only(diagram):
+    # MabProblem checks roles on the diagram alone: no mechanism is read
+    return ScmModel(diagram, ("U",), {"U": (0,)}, {(0,): 1.0}, {})
+
+
+def test_problem_roles_must_fit_the_template():
+    fork = CausalDiagram(["X", "D", "Y", "W"], directed_edges=[("X", "D"), ("X", "Y")])
+    model = _roles_only(fork)
+    for kwargs, text in (
+        ({"reward": "Q"}, "problem variable 'Q' not in the model"),
+        ({"context": "Q"}, "context variable 'Q' not in the model"),
+        ({"post": "W"}, "'W' must be a child of 'X'"),
+        ({"reward": "W"}, "'W' must be downstream of 'X'"),
+    ):
+        with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
+            MabProblem(model, **kwargs)
+    ternary = CausalDiagram(["X", "D", "Y"], directed_edges=[("X", "D"), ("X", "Y")],
+                            domains={"Y": (0, 1, 2)})
+    with pytest.raises(ModelError, match="^reward must be binary 0/1$"):
+        MabProblem(_roles_only(ternary))
+    MabProblem(model)
+
+
+def test_unknown_algorithm_and_metric_are_named(problem, tables, tmp_path):
+    with pytest.raises(EstimationError, match=re.escape(
+        f"unknown algorithm 'ts-bogus'; pick from {ALGORITHMS}"
+    )):
+        run_epochs("ts-bogus", problem, 5, 1, seed=0, tables=tables)
+    m = run_epochs("ts", problem, 5, 1, seed=0, tables=tables)
+    with pytest.raises(EstimationError, match="^unknown metric 'regret'$"):
+        write_metric_csv(tmp_path / "m.csv", m, "regret")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_context_downstream_of_the_decision_is_rejected():
@@ -489,6 +534,15 @@ def test_terminal_window_must_be_positive(problem, tables):
             m.terminal_oap(window)
         with pytest.raises(EstimationError, match="at least 1"):
             m.summary(window)
+
+
+@pytest.mark.parametrize("window", [2.5, 2.0, True, "2", None])
+def test_terminal_window_must_be_an_integer(problem, tables, window):
+    m = run_epochs("ts", problem, 20, 2, seed=0, tables=tables)
+    for read in (m.terminal_mean_reward, m.terminal_oap, m.summary):
+        with pytest.raises(EstimationError, match="window must be an integer"):
+            read(window)
+    assert m.terminal_mean_reward(np.int64(2)) == m.terminal_mean_reward(2)
 
 
 def test_zero_horizon_yields_empty_metrics(problem, tables):

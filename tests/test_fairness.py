@@ -37,6 +37,7 @@ from ctfrealize.fairness import (
     sample_constrained_scms,
     violation_fraction,
 )
+from reference import response_type_masks
 
 
 def test_published_table_sums_to_one_and_entry_values():
@@ -100,6 +101,21 @@ def test_symmetric_table_gives_zero_surrogates():
     scm = CanonicalScm(tuple(probs))
     assert mu_int(scm, 1) == pytest.approx(0.0, abs=1e-12)
     assert mu_int(scm, 2) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_forms_are_the_response_type_masks():
+    m = response_type_masks()
+    want = [
+        m["y1_x1"] * m["z0_x1"],  # P(Y_x1=1, Z_x1=0)
+        m["y1_x0"] * m["z0_x0"],  # P(Y_x0=1, Z_x0=0)
+        m["y1_x1"],               # P(Y_x1=1)
+        m["z0_x1"],               # P(Z_x1=0)
+        m["z0_x0"],               # P(Z_x0=0)
+        m["y1_x1"] * m["z0_x0"],  # P(Y_x1=1, Z_x0=0)
+    ]
+    assert fairness._FORMS.shape == (6, 16)
+    for k, (form, mask) in enumerate(zip(fairness._FORMS, want)):
+        assert np.array_equal(form, mask), (k, form, mask)
 
 
 def test_vectorized_metrics_match_engine():
@@ -264,6 +280,34 @@ def test_bad_canonical_tables_rejected():
         with pytest.raises(ModelError, match="p_x1"):
             CanonicalScm(tuple(uniform), p_x1)
     assert [CanonicalScm(tuple(uniform), p).p_x1 for p in (0.0, 1.0)] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("p_x1", ["0.5", None, True, False, np.True_, 0.5j])
+def test_a_p_x1_that_is_no_real_number_is_a_model_error(p_x1):
+    with pytest.raises(ModelError, match="p_x1 must be a number"):
+        CanonicalScm([1.0 / 16] * 16, p_x1=p_x1)
+
+
+@pytest.mark.parametrize("entries", [
+    [True] + [False] * 15,
+    [True] + [0.0] * 15,
+    [1.0] + [False] * 15,
+    [np.True_] + [0.0] * 15,
+])
+def test_bool_canonical_entries_are_model_errors(entries):
+    with pytest.raises(ModelError, match="type-pair probabilities must be numbers"):
+        CanonicalScm(entries, p_x1=0.5)
+    with pytest.raises(ModelError):
+        CanonicalScm(entries, p_x1=True)
+
+
+def test_numpy_floats_make_a_canonical_table():
+    scm = CanonicalScm(np.full(16, 1.0 / 16), p_x1=np.float64(0.25))
+    plain = CanonicalScm([1.0 / 16] * 16, p_x1=0.25)
+    assert scm == plain
+    assert mu_ctf(scm) == mu_ctf(plain)
+    assert CanonicalScm([1.0] + [0.0] * 15, p_x1=np.float32(0.5)).p_x1 == 0.5
+    assert CanonicalScm([1.0] + [0.0] * 15, p_x1=1).p_x1 == 1
 
 
 def test_canonical_table_keeps_the_entries_it_checked():

@@ -103,6 +103,13 @@ def test_self_loop_and_duplicate_domain_rejected():
         CausalDiagram(["A"], domains={"A": []}, allow_constant=["A"])  # one value, not none
 
 
+def test_duplicate_names_and_bidirected_self_loop_rejected():
+    with pytest.raises(GraphError, match="^duplicate variable names$"):
+        CausalDiagram(["A", "B", "A"])
+    with pytest.raises(GraphError, match="^bidirected self-loop on 'A'$"):
+        CausalDiagram(["A", "B"], bidirected_edges=[("A", "B"), ("A", "A")])
+
+
 @st.composite
 def random_dags(draw):
     n = draw(st.integers(min_value=1, max_value=6))

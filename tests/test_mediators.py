@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ctfrealize import (
@@ -113,6 +115,31 @@ def test_sibling_mediators_with_nested_served_sets_rejected():
 def test_mediator_with_unknown_parent_rejected():
     expanded = _forked(MediatorNode("W1", "Xx", frozenset({"Y"})))
     with pytest.raises(MediatorStructureError, match="parent 'Xx', which is neither"):
+        ctf_procedures(expanded, "X")
+
+
+def test_unknown_decision_variable_rejected():
+    with pytest.raises(MediatorStructureError, match="^unknown variable 'Q'$"):
+        ctf_procedures(expanded_elicit(), "Q")
+
+
+def test_mediator_serving_a_non_child_rejected():
+    base = CausalDiagram(["X", "Y", "Z"], directed_edges=[("X", "Y"), ("Y", "Z")])
+    expanded = ExpandedDiagram(
+        base=base, mediators=(MediatorNode("W1", "X", frozenset({"Y", "Z"})),)
+    )
+    with pytest.raises(MediatorStructureError, match=re.escape(
+        "mediator 'W1' serves ['Z'], which are not children of 'X'"
+    )):
+        ctf_procedures(expanded, "X")
+
+
+def test_mediator_chain_cycle_rejected():
+    expanded = _forked(
+        MediatorNode("W1", "W2", frozenset({"Y"})),
+        MediatorNode("W2", "W1", frozenset({"Y"})),
+    )
+    with pytest.raises(MediatorStructureError, match="^mediator chain cycle at 'W1'$"):
         ctf_procedures(expanded, "X")
 
 

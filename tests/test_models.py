@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,84 @@ def test_out_of_domain_output_is_violation():
     mech = {"X": Mechanism.tabulate((), ("U",), (), ((0, 1),), lambda u: u + 5)}
     model = ScmModel(d, names, doms, dist, mech)
     assert any("outside its domain" in p for p in validate_scm(model))
+
+
+def _one_variable_model(dist, domain=(0, 1), table=None):
+    d = CausalDiagram(["X"], directed_edges=[])
+    table = {(u,): u for u in domain} if table is None else table
+    return ScmModel(d, ("U",), {"U": domain}, dist, {"X": Mechanism((), ("U",), table)})
+
+
+def test_dependent_unshared_inputs_induce_a_bidirected_edge():
+    # X reads only U1 and Y only U2, but U1 and U2 agree 80% of the time
+    d = CausalDiagram(["X", "Y"], directed_edges=[])
+    dist = {(0, 0): 0.4, (1, 1): 0.4, (0, 1): 0.1, (1, 0): 0.1}
+    mech = {
+        "X": Mechanism((), ("U1",), {(0,): 0, (1,): 1}),
+        "Y": Mechanism((), ("U2",), {(0,): 0, (1,): 1}),
+    }
+    model = ScmModel(d, ("U1", "U2"), {"U1": (0, 1), "U2": (0, 1)}, dist, mech)
+    assert models.derived_bidirected_edges(model) == frozenset({frozenset({"X", "Y"})})
+    assert validate_scm(model) == [
+        "declared bidirected edges [] differ from those induced by "
+        "shared/dependent exogenous inputs ['X<->Y']"
+    ]
+
+
+def test_validate_scm_names_each_broken_table():
+    uniform = {(0,): 0.5, (1,): 0.5}
+    stray = _one_variable_model(uniform)
+    stray.mechanisms["Q"] = Mechanism((), ("U",), {(0,): 0, (1,): 1})
+    assert validate_scm(stray) == ["mechanism for undeclared variable 'Q'"]
+    extra_row = _one_variable_model(uniform, table={(0,): 0, (1,): 1, (2,): 0})
+    assert validate_scm(extra_row) == ["mechanism for 'X' has 3 rows, expected 2"]
+    assert validate_scm(_one_variable_model({**uniform, (1, 0): 0.0})) == [
+        "exogenous assignment (1, 0) has wrong arity"
+    ]
+    assert validate_scm(_one_variable_model({(0,): 0.5, (2,): 0.5})) == [
+        "exogenous value 2 outside domain of 'U'"
+    ]
+    assert validate_scm(_one_variable_model({(0,): 1.5, (1,): -0.5})) == [
+        "exogenous probability 1.5 outside [0, 1]",
+        "exogenous probability -0.5 outside [0, 1]",
+    ]
+
+
+def test_compile_refuses_what_it_cannot_code(monkeypatch):
+    uniform = {(0,): 0.5, (1,): 0.5}
+    outside = _one_variable_model(uniform, table={(0,): 0, (1,): 7})
+    with pytest.raises(ModelError, match=re.escape(
+        "mechanism (parents (), exogenous ('U',)) outputs 7 outside its domain"
+    )):
+        outside.compile()
+    # a zero-weight row of the wrong arity is skipped; a weighted one is not
+    assert len(_one_variable_model({**uniform, (0, 1): 0.0}).compile().rows) == 2
+    with pytest.raises(ModelError, match="^an exogenous assignment of nonzero "
+                       "weight has the wrong arity$"):
+        _one_variable_model({(0,): 0.5, (0, 1): 0.5}).compile()
+    monkeypatch.setattr(models, "MAX_TABLE_ROWS", 1)
+    with pytest.raises(ModelError, match=re.escape(
+        "exogenous support of 2 rows exceeds the cap of 1"
+    )):
+        _one_variable_model(uniform).compile()
+
+
+def test_reweighted_tables_refuse_a_distribution_past_the_cap(monkeypatch):
+    compiled = _one_variable_model({(0,): 0.5, (1,): 0.5}).compile()
+    assert compiled.reweighted({(0,): 0.25, (1,): 0.75}).weights == [0.25, 0.75]
+    monkeypatch.setattr(models, "MAX_TABLE_ROWS", 1)
+    assert compiled.reweighted({(0,): 0.25, (1,): 0.75}) is None
+
+
+def test_exogenous_names_must_differ_from_endogenous_names():
+    d = CausalDiagram(["X"], directed_edges=[])
+    with pytest.raises(ModelError, match="^exogenous names collide with endogenous names$"):
+        ScmModel(d, ("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5}, {})
+
+
+def test_independent_weights_must_match_the_domain():
+    with pytest.raises(ModelError, match="^weights for 'U' do not match its domain$"):
+        independent_exogenous({"U": (0, 1)}, {"U": (1.0,)})
 
 
 def test_the_support_is_sorted_once_per_model(monkeypatch):
