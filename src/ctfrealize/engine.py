@@ -19,14 +19,18 @@ written and reads the variable. A compiled model is total: compiling
 raises on a missing mechanism or table entry, even one that no row
 reaches.
 
-``exact_l3_probabilities(model, queries)`` evaluates many valued
-queries in one call: it compiles once, and for each query adds the
-weights of its event rows, the rows where every term hits its value,
-with a plain loop that starts at 0.0 and goes in row order. A per-row
-loop adds the same weights in the same order, so each result equals it
-bit for bit; ``np.sum``, ``@`` and ``math.fsum`` (and ``sum`` from
-Python 3.12) add in pairs or compensate, and would not.
-``exact_l3_probability`` is its one-query case.
+``add_rows(weights, rows)`` is the one row-order summation loop: it
+starts at 0.0 and adds the weight at each row index, in the order
+given. It has two callers. ``exact_l3_probabilities(model, queries)``
+evaluates many valued queries in one call: it compiles once and hands
+``add_rows`` each query's event rows, the rows where every term hits
+its value, in row order; ``exact_l3_probability`` is its one-query
+case. ``fairness._exact`` hands it a canonical table's row weights,
+computed without building a model, and the event rows stored on the
+compiled base model. A per-row loop adds the same weights in the same
+order, so each result equals it bit for bit; ``np.sum``, ``@`` and
+``math.fsum`` (and ``sum`` from Python 3.12) add in pairs or
+compensate, and would not.
 
 Each valued query's event rows are stored on the compiled model as a
 list of row indices, after the query has been validated; a later call
@@ -41,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,18 +110,20 @@ def _event_rows(model: ScmModel, compiled: CompiledScm, q: CtfQuery) -> list[int
     return rows
 
 
+def add_rows(weights: Sequence[float], rows: Iterable[int]) -> float:
+    """The weights at ``rows`` added one at a time from 0.0, in the order
+    given: the one summation loop, as the module docstring says."""
+    total = 0.0
+    for i in rows:
+        total += weights[i]
+    return total
+
+
 def exact_l3_probabilities(model: ScmModel, queries: Sequence[CtfQuery]) -> list[float]:
     """``exact_l3_probability`` of each query, in order, from one compile
     of the model."""
     compiled = model.compile()
-    weights = compiled.weights
-    out = []
-    for q in queries:
-        total = 0.0  # a plain loop in row order, as the module docstring says
-        for i in _event_rows(model, compiled, q):
-            total += weights[i]
-        out.append(total)
-    return out
+    return [add_rows(compiled.weights, _event_rows(model, compiled, q)) for q in queries]
 
 
 def exact_l3_probability(model: ScmModel, q: CtfQuery) -> float:

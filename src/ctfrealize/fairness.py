@@ -22,11 +22,14 @@ mu_ctf rejects, which is the contrast the sampler below reproduces.
 
 The six probabilities of ``_EXACT_QUERIES`` are the one definition of
 what is measured, and ``_metrics`` builds the three numbers from them.
-One table's report takes them from the exact engine. For a batch of
-tables each is a linear form over the 16 type-pair weights, the 0/1
-row of ``_FORMS`` read off the event rows the engine stores for its
-query on the base model; ``batch_metrics`` and the sampler's
-pre-filter are built from those rows.
+Every table is the base model ``_BASE`` under new weights on its 32
+exogenous rows, and ``_EVENT_ROWS`` holds the rows the engine stores
+for each query on the compiled base. One table's report builds no
+model: the engine's row-order loop (``engine.add_rows``) adds the
+table's row weights at each query's stored rows. For a batch of tables
+each probability is a linear form over the 16 type-pair weights, the
+0/1 row of ``_FORMS`` read off the same rows; ``batch_metrics`` and the
+sampler's pre-filter are built from those rows.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import EstimationError, ModelError
 from .graphs import CausalDiagram
 from .models import PROB_TOL, ScmModel, tabulated_model
 from .queries import CtfQuery, query, response
-from .engine import exact_l3_probabilities
+from .engine import add_rows, exact_l3_probabilities
 from .realizability import RealizationPlan, ctf_realize, maximal_action_set
 from .simulate import _check_integer, _check_seed, draw_plan_batch, estimate
 
@@ -117,19 +120,23 @@ class CanonicalScm:
         j = RESPONSE_TYPES.index(z_type)
         return self.type_probs[4 * i + j]
 
-    def to_model(self) -> ScmModel:
-        # The keys follow the base's compiled rows, so that the reweighted
-        # model takes the values as its weights with no lookup per row.
-        # That order is exogenous_support()'s, which sorts keys by repr:
-        # (0, 10) comes before (0, 2). So each weight is computed from its
-        # own key's type; weights listed in construction order and zipped
-        # with the rows would give type 2 the weight of type 10.
+    def _row_weights(self) -> list[float]:
+        """The table's weight on each row of the compiled base, in row
+        order: P(U_X) times the entry of the row's type pair, made a
+        float as ``ScmModel.reweighted`` makes it. The rows are sorted by
+        repr, so (0, 10) comes before (0, 2): each weight is computed
+        from its own row's cell in ``_CELLS``, not listed in type order."""
         p_x1 = self.p_x1
         p_x0 = 1.0 - p_x1
         probs = self.type_probs
-        return _BASE.reweighted({
-            u: (p_x1 if u[0] == 1 else p_x0) * probs[u[1]] for u in _BASE.compile().rows
-        })
+        return [float((p_x1 if x1 else p_x0) * probs[t]) for x1, t in _CELLS]
+
+    def to_model(self) -> ScmModel:
+        # Keyed by the base's compiled rows in their order, so that the
+        # reweighted model takes the values as its weights with no lookup
+        # per row. The exact metrics need no model (see _exact); the
+        # sampled estimate draws its units from this one.
+        return _BASE.reweighted(dict(zip(_BASE.compile().rows, self._row_weights())))
 
 
 # Every canonical table shares the diagram, the exogenous domains and the
@@ -147,6 +154,11 @@ _BASE = tabulated_model(_DIAGRAM, {"U_X": (0.5, 0.5), "U_YZ": (1 / 16,) * 16}, {
     "Y": (("U_YZ",), lambda x, t: _respond(RESPONSE_TYPES[t // 4], x)),
     "Z": (("U_YZ",), lambda x, t: _respond(RESPONSE_TYPES[t % 4], x)),
 })
+
+
+# Each row (u_x, u_yz) of the compiled base, in row order, as its cell
+# (U_X == 1, type-pair index).
+_CELLS = [(u_x == 1, pair) for u_x, pair in _BASE.compile().rows]
 
 
 def example2_scm() -> CanonicalScm:
@@ -209,6 +221,17 @@ _EXACT_QUERIES = (
 )
 
 
+def _stored_event_rows() -> tuple[list[int], ...]:
+    """Each query's event rows on the compiled base, in _EXACT_QUERIES
+    order, as the engine stores them once it has validated the query."""
+    exact_l3_probabilities(_BASE, _EXACT_QUERIES)
+    events = _BASE.compile().events
+    return tuple(events[q] for q in _EXACT_QUERIES)
+
+
+_EVENT_ROWS = _stored_event_rows()
+
+
 def _audit_plan(model: ScmModel, q: CtfQuery) -> RealizationPlan:
     """The plan that samples the cross-regime joint of ``q`` with the
     diagram's maximal action set, whose two input randomizations fix X
@@ -226,19 +249,23 @@ def mu_ctf(
     n: int = 100_000,
     seed: int | np.random.SeedSequence | None = 0,
 ) -> FairnessReport:
-    """|P(Y_x1=1, Z_x1=0) - P(Y_x1=1, Z_x0=0)|, exactly by enumeration or
-    estimated by executing the two-randomization plan n times per term.
-    The sampled estimate draws its i-th plan from SeedSequence([seed, i]),
+    """|P(Y_x1=1, Z_x1=0) - P(Y_x1=1, Z_x0=0)|, exactly or estimated by
+    executing the two-randomization plan n times per term. Both give
+    the surrogates exactly. Exact values are the table's row weights
+    added at the stored event rows of the base (``_exact``), with no
+    model built; only the sampled estimate builds ``scm.to_model()`` to
+    draw units from. It draws its i-th plan from SeedSequence([seed, i]),
     with fresh entropy in place of the seed when it is None, or from the
     i-th spawn of a ``SeedSequence`` seed. Its n and seed are checked as
-    sample_constrained_scms checks its own."""
+    sample_constrained_scms checks its own. A ``scm`` that is no
+    CanonicalScm raises ModelError."""
     if not exact:
         _check_count(n)
         _check_seed(seed)
-    model = scm.to_model()
-    ctf, int1, int2 = _exact(model)
+    ctf, int1, int2 = _exact(scm)
     if exact:
         return FairnessReport(mu_ctf=ctf, mu_int1=int1, mu_int2=int2, exact=True)
+    model = scm.to_model()
     plans = [_audit_plan(model, _COUPLED[x_for_z]) for x_for_z in (1, 0)]
     if isinstance(seed, np.random.SeedSequence):
         streams = seed.spawn(len(plans))
@@ -264,12 +291,14 @@ def mu_ctf(
 def mu_int(scm: CanonicalScm, variant: int) -> float:
     """Single-regime surrogates: variant 1 is the product form
     P(Y=1;do x1) * |P(Z=0;do x1) - P(Z=0;do x0)|; variant 2 contrasts the
-    same-regime joints |P(Y=1,Z=0;do x1) - P(Y=1,Z=0;do x0)|. Any other
-    variant, a bool or a non-integer included, raises EstimationError."""
+    same-regime joints |P(Y=1,Z=0;do x1) - P(Y=1,Z=0;do x0)|, computed
+    exactly as ``mu_ctf`` computes them, with no model built. Any other
+    variant, a bool or a non-integer included, raises EstimationError;
+    a ``scm`` that is no CanonicalScm raises ModelError."""
     integral = isinstance(variant, numbers.Integral) and not isinstance(variant, bool)
     if not integral or variant not in (1, 2):
         raise EstimationError(f"unknown surrogate variant {variant!r}")
-    return _exact(scm.to_model())[variant]
+    return _exact(scm)[variant]
 
 
 def _metrics(a, j0, p_y1, z1, z0, b):
@@ -278,10 +307,17 @@ def _metrics(a, j0, p_y1, z1, z0, b):
     return abs(a - b), abs(p_y1 * z1 - p_y1 * z0), abs(a - j0)
 
 
-def _exact(model: ScmModel) -> tuple[float, float, float]:
-    """(mu_ctf, mu_int1, mu_int2) by one call of the exact engine, each of
-    the six probabilities evaluated once."""
-    return _metrics(*exact_l3_probabilities(model, _EXACT_QUERIES))
+def _exact(scm: CanonicalScm) -> tuple[float, float, float]:
+    """(mu_ctf, mu_int1, mu_int2) of one table, with no model built: each
+    of the six probabilities is the table's row weights added once, in
+    row order, at its query's event rows on the compiled base. The
+    result equals the engine's on ``scm.to_model()`` bit for bit: a row
+    a zero entry leaves out of that model adds 0.0 here, and a sum that
+    starts at 0.0 does not change by it."""
+    if not isinstance(scm, CanonicalScm):
+        raise ModelError(f"expected a CanonicalScm, got {type(scm).__name__}")
+    weights = scm._row_weights()
+    return _metrics(*[add_rows(weights, rows) for rows in _EVENT_ROWS])
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +327,10 @@ def _exact(model: ScmModel) -> tuple[float, float, float]:
 def _event_forms() -> np.ndarray:
     """One 0/1 row per query of _EXACT_QUERIES, in order, over the 16
     type pairs: 1.0 where the pair's rows of the base model are event
-    rows of the query, as the engine stores them on the compiled base."""
-    exact_l3_probabilities(_BASE, _EXACT_QUERIES)
-    compiled = _BASE.compile()
-    pair = _BASE.exogenous_vars.index("U_YZ")
+    rows of the query, as _EVENT_ROWS holds them."""
     forms = np.zeros((len(_EXACT_QUERIES), 16))
-    for form, q in zip(forms, _EXACT_QUERIES):
-        form[[compiled.rows[i][pair] for i in compiled.events[q]]] = 1.0
+    for form, rows in zip(forms, _EVENT_ROWS):
+        form[[_CELLS[i][1] for i in rows]] = 1.0
     return forms
 
 
@@ -307,8 +340,12 @@ _FORMS = _event_forms()
 def batch_metrics(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mu_ctf, mu_int1, mu_int2) for each row of a (n, 16) batch of
     canonical tables, built as ``_exact`` builds them from the six
-    probabilities of _EXACT_QUERIES: the batch's products with _FORMS."""
+    probabilities of _EXACT_QUERIES: the batch's products with _FORMS.
+    Rows that are not 16 wide raise ModelError; the entries are not
+    checked."""
     probs = np.atleast_2d(probs)
+    if probs.shape[-1] != 16:
+        raise ModelError("canonical parameterization needs 16 type-pair entries")
     return _metrics(*(probs @ form for form in _FORMS))
 
 

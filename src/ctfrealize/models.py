@@ -500,10 +500,10 @@ def validate_scm(model: ScmModel) -> list[str]:
     for u, p in model.exogenous_dist.items():
         if len(u) != len(model.exogenous_vars):
             problems.append(f"exogenous assignment {u!r} has wrong arity")
-            continue
-        for name, val in zip(model.exogenous_vars, u):
-            if val not in model.exogenous_domains[name]:
-                problems.append(f"exogenous value {val!r} outside domain of {name!r}")
+        else:
+            for name, val in zip(model.exogenous_vars, u):
+                if val not in model.exogenous_domains[name]:
+                    problems.append(f"exogenous value {val!r} outside domain of {name!r}")
         if p < -PROB_TOL or p > 1 + PROB_TOL:
             problems.append(f"exogenous probability {p} outside [0, 1]")
         total += p

@@ -13,7 +13,9 @@ checker the package itself never needs:
   a ``simulate.Unit``: it performs the term's regime entries with their
   values written and reads the variable. The compiled engine
   (``engine.exact_rows`` and the exact probabilities built on it) must
-  give the same value on every row. ``natural_values`` forward-simulates
+  give the same value on every row, and ``fairness.mu_ctf`` and
+  ``mu_int``, which add a table's row weights at the base model's
+  stored event rows, the probabilities its per-row loop gives. ``natural_values`` forward-simulates
   every variable of one row in topological order, the independent
   oracle for a unit's lazy firing.
 * ``execute_plan`` runs a plan one unit at a time, performing each

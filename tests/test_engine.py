@@ -24,7 +24,8 @@ from ctfrealize import (
     validate_scm,
 )
 from ctfrealize import models
-from ctfrealize.engine import exact_rows
+from ctfrealize import engine
+from ctfrealize.engine import add_rows, exact_rows
 from ctfrealize.bandits import example3_problem
 from ctfrealize.fairness import (
     L2_PENALTY,
@@ -678,6 +679,28 @@ def valued_queries(model):
         out.append(CtfQuery((a.with_value(domains[a.variable][0]),
                              b.with_value(domains[b.variable][-1]))))
     return out
+
+
+def test_add_rows_adds_in_the_order_given(monkeypatch):
+    weights = [0.1, 0.2, 1e16, -1e16]
+    assert add_rows(weights, []) == 0.0 and type(add_rows(weights, [])) is float
+    # left to right, uncompensated: the order decides whether 0.1 is lost
+    assert add_rows(weights, [2, 3, 0]) == 0.1
+    assert add_rows(weights, [0, 2, 3]) == 0.0
+    # the exact engine sums every query through it, once per query
+    summed = []
+
+    def counting(weights, rows):
+        summed.append(list(rows))
+        return add_rows(weights, rows)
+
+    monkeypatch.setattr(engine, "add_rows", counting)
+    model = builtin("bow")
+    queries = [query(response("Y", {"X": x}, 1)) for x in (0, 1)]
+    assert exact_l3_probabilities(model, queries) == [
+        add_rows(model.compile().weights, rows) for rows in summed
+    ]
+    assert len(summed) == 2
 
 
 @pytest.mark.parametrize("name", BUILTIN_MODELS)

@@ -1,6 +1,7 @@
 import hashlib
 import time
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ctfrealize import (
     select,
     validate_scm,
 )
-from ctfrealize import fairness
+from ctfrealize import engine, fairness
 from ctfrealize.fairness import (
     L2_PENALTY,
     L3_PENALTY,
@@ -37,7 +38,8 @@ from ctfrealize.fairness import (
     sample_constrained_scms,
     violation_fraction,
 )
-from reference import response_type_masks
+from ctfrealize.models import PROB_TOL
+from reference import potential_response, response_type_masks
 
 
 def test_published_table_sums_to_one_and_entry_values():
@@ -69,15 +71,91 @@ def test_exact_metric_values():
 
 
 def test_exact_report_evaluates_each_probability_once(monkeypatch):
-    calls = []
+    # each of the six stored event-row lists is summed once, by the
+    # engine's one row-order loop, and no model is built for the table
+    assert fairness.add_rows is engine.add_rows
+    events = fairness._BASE.compile().events
+    assert [events[q] for q in fairness._EXACT_QUERIES] == list(fairness._EVENT_ROWS)
+    summed = []
 
-    def counting(model, queries):
-        calls.extend(str(q) for q in queries)
-        return exact_l3_probabilities(model, queries)
+    def counting(weights, rows):
+        summed.append(rows)
+        return engine.add_rows(weights, rows)
 
-    monkeypatch.setattr(fairness, "exact_l3_probabilities", counting)
+    def no_model(*args):
+        raise AssertionError("built a model")
+
+    monkeypatch.setattr(fairness, "add_rows", counting)
+    monkeypatch.setattr(CanonicalScm, "to_model", no_model)
+    monkeypatch.setattr(ScmModel, "reweighted", no_model)
     mu_ctf(example2_scm(), exact=True)
-    assert len(calls) == len(set(calls)) == 6
+    assert len(summed) == 6
+    assert all(got is want for got, want in zip(summed, fairness._EVENT_ROWS))
+
+
+def per_row_metrics(model):
+    """(mu_ctf, mu_int1, mu_int2) from the six probabilities of
+    _EXACT_QUERIES, each a per-row loop over the support in its order."""
+    probs = []
+    for q in fairness._EXACT_QUERIES:
+        total = 0.0
+        for u, p in model.exogenous_support():
+            if p != 0.0 and all(potential_response(model, u, t) == t.value for t in q.terms):
+                total += p
+        probs.append(total)
+    return fairness._metrics(*probs)
+
+
+def exact_metric_tables():
+    """Tables of every kind the row weights must handle."""
+    tables = [scm for c in (L2_PENALTY, L3_PENALTY)
+              for scm, _ in sample_constrained_scms(c, 8, 0.01, seed=35)]
+    rng = np.random.default_rng(35)
+    for k in range(6):
+        w = rng.dirichlet(np.ones(16)) * (rng.random(16) < 0.5)
+        w[k] += 1.0 - w.sum()  # some entries exactly zero
+        tables.append(CanonicalScm(w.tolist(), p_x1=float(rng.random())))
+    tables += [CanonicalScm(example2_scm().type_probs, p) for p in (0.0, 1, 1.0)]
+    tables += [
+        CanonicalScm([Fraction(1, 16)] * 16, p_x1=Fraction(1, 3)),
+        CanonicalScm([0] * 5 + [1] + [0] * 10, p_x1=1),
+        CanonicalScm(rng.dirichlet(np.ones(16)).astype(np.float32), np.float32(0.3)),
+        CanonicalScm([1.0 / 15] * 15 + [-PROB_TOL / 2], p_x1=0.4),
+        CanonicalScm([-PROB_TOL / 2] + [1.0 / 15] * 15, p_x1=1.0),
+    ]
+    return tables
+
+
+def test_exact_metrics_equal_the_engine_and_the_per_row_oracle():
+    # the row weights added at the base's event rows give what the engine
+    # gives on the table's own model, bit for bit, zero rows and all
+    for scm in exact_metric_tables():
+        model = scm.to_model()
+        want = fairness._metrics(*exact_l3_probabilities(model, fairness._EXACT_QUERIES))
+        assert want == per_row_metrics(model), scm
+        report = mu_ctf(scm)
+        assert (report.mu_ctf, report.mu_int1, report.mu_int2) == want, scm
+        assert (mu_int(scm, 1), mu_int(scm, 2)) == want[1:], scm
+
+
+@pytest.mark.parametrize("scm", [tuple([1.0 / 16] * 16), [1.0 / 16] * 16, None])
+def test_metrics_of_what_is_no_canonical_table_are_model_errors(scm):
+    text = f"expected a CanonicalScm, got {type(scm).__name__}"
+    with pytest.raises(ModelError, match=text):
+        mu_ctf(scm)
+    with pytest.raises(ModelError, match=text):
+        mu_ctf(scm, exact=False, n=10)
+    with pytest.raises(ModelError, match=text):
+        mu_int(scm, 1)
+
+
+@pytest.mark.parametrize("probs", [
+    np.full((3, 15), 1.0 / 15), np.full(17, 1.0 / 17), 1.0, [], np.ones((2, 16, 1)),
+])
+def test_batch_rows_that_are_not_16_wide_are_model_errors(probs):
+    with pytest.raises(ModelError, match="^canonical parameterization needs 16 "
+                       "type-pair entries$"):
+        batch_metrics(probs)
 
 
 def test_zero_effect_on_aid_screen_gives_zero_disparity():

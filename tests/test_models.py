@@ -139,6 +139,18 @@ def test_validate_scm_names_each_broken_table():
     ]
 
 
+def test_a_row_of_wrong_arity_still_counts_its_weight():
+    # the rows sum to 1, so the arity is the only problem
+    assert validate_scm(_one_variable_model({(0,): 0.5, (1, 0): 0.5})) == [
+        "exogenous assignment (1, 0) has wrong arity"
+    ]
+    assert validate_scm(_one_variable_model({(0,): 1.0, (1, 0): 1.5})) == [
+        "exogenous assignment (1, 0) has wrong arity",
+        "exogenous probability 1.5 outside [0, 1]",
+        "exogenous distribution sums to 2.5, not 1",
+    ]
+
+
 def test_compile_refuses_what_it_cannot_code(monkeypatch):
     uniform = {(0,): 0.5, (1,): 0.5}
     outside = _one_variable_model(uniform, table={(0,): 0, (1,): 7})
