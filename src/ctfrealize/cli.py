@@ -259,6 +259,8 @@ def cmd_bandit(args) -> int:
 
 
 def cmd_fairness(args) -> int:
+    if args.n < 1:
+        raise EstimationError(f"--n must be at least 1, got {args.n}")
     constraint = fairness.L2_PENALTY if args.constraint == "l2" else fairness.L3_PENALTY
     seed = _seed(args)
     samples = fairness.sample_constrained_scms(

@@ -29,7 +29,12 @@ model: the engine's row-order loop (``engine.add_rows``) adds the
 table's row weights at each query's stored rows. For a batch of tables
 each probability is a linear form over the 16 type-pair weights, the
 0/1 row of ``_FORMS`` read off the same rows; ``batch_metrics`` and the
-sampler's pre-filter are built from those rows.
+sampler's screens (``_SCREENS``) are built from those rows.
+
+The constrained sampler draws no table its screen rules out: each
+screen is a difference of two forms that bounds the constraint's score
+from below, and the sampler draws the table's group shares from the
+flat Dirichlet's law given that bound, then lets the exact test decide.
 """
 
 from __future__ import annotations
@@ -355,48 +360,68 @@ def batch_metrics(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 L2_PENALTY = "l2_penalty"
 L3_PENALTY = "l3_penalty"
-# Proposals per block. A block of BATCH_SIZE x 16 doubles (1 MB) stays in
-# cache through the pre-filter. Every row takes the next 16 exponentials
-# of the stream, so a seed's tables do not depend on the block size.
-BATCH_SIZE = 8192
-MAX_PROPOSALS = 50_000_000  # past this, a low acceptance rate is an error, not a wait
-NO_ACCEPTANCE_FLOOR = 1_000_000  # proposals without one acceptance before giving up
+# Screened draws per block. 1,024 keeps a block's arrays (the split's
+# 1,024 x 16 exponentials are 128 KB) in cache and the process small:
+# 8,192-row blocks raised the audit benchmark's peak RSS by 12%, and
+# 2,048 ran slower. Every kind of draw has its own stream, so a seed's
+# tables do not depend on the block size.
+BATCH_SIZE = 1024
+MAX_PROPOSALS = 50_000_000  # screened draws; past this, a low acceptance rate is an error
+NO_ACCEPTANCE_FLOOR = 1_000_000  # screened draws without one acceptance before giving up
 PREFILTER_SLACK = 1e-9  # see sample_constrained_scms for the bound it covers
 
 
-def _prefilter_columns() -> dict[str, np.ndarray]:
-    """Per constraint, the (16, k) matrix whose product with a block of
-    raw rows gives each row's sum followed by the unnormalized linear
-    forms its score is built from: rows of _FORMS and their differences."""
-    a, j0, y1, z1, z0, b = _FORMS
-    return {
-        L3_PENALTY: np.column_stack([np.ones(16), a - b]),
-        L2_PENALTY: np.column_stack([np.ones(16), y1, z1 - z0, a - j0]),
-    }
+def _screens() -> dict[str, tuple[np.ndarray, int]]:
+    """Per constraint, its screen, read off a row w of differences of
+    _FORMS whose |x.w| is at most the constraint's score (mu_ctf =
+    |a - b| for l3, mu_int2 = |a - j0| <= mu_int1 + mu_int2 for l2):
+    each cell's group (0 where w > 0, 1 where w < 0, 2 where w = 0) and
+    k, the number of cells in each of the first two. The sampler's law
+    argument needs w in {-1, 0, 1} and as many cells above 0 as below."""
+    a, j0, _, _, _, b = _FORMS
+    screens = {}
+    for constraint, w in ((L3_PENALTY, a - b), (L2_PENALTY, a - j0)):
+        group = np.select([w > 0, w < 0], [0, 1], 2)
+        k = int(np.sum(group == 0))
+        if not np.isin(w, (-1.0, 0.0, 1.0)).all() or np.sum(group == 1) != k:
+            raise ModelError(f"the {constraint} screen needs unit weights, as many +1 as -1")
+        screens[constraint] = (group, k)
+    return screens
 
 
-_PREFILTER = _prefilter_columns()
+_SCREENS = _screens()
 
 
-def _may_pass(
-    constraint: str, block: np.ndarray, epsilon: float | np.ndarray
+def _screen_limit(epsilon: float | np.ndarray) -> float | np.ndarray:
+    """The bound the screen puts on |x.w| for an exact test at epsilon:
+    epsilon + PREFILTER_SLACK * (1 + epsilon), held at 1, which no share
+    difference reaches. Unheld, a loose epsilon would waste most draws
+    on differences larger than their sum, and an infinite one would
+    have no uniform to draw them from."""
+    return np.minimum(1.0, epsilon + PREFILTER_SLACK * (1.0 + epsilon))
+
+
+def _screened_shares(
+    rngs: Sequence[np.random.Generator], k: int, limit: float, size: int
 ) -> np.ndarray:
-    """Mask of the raw rows whose score may be at most epsilon: with the
-    limit epsilon + PREFILTER_SLACK * (1 + epsilon), |e.w| <= limit*s for
-    l3 and |y1*dz| + |dj|*s <= limit*s^2 for l2, where s and each form
-    are the row's dot products with the columns of _PREFILTER."""
-    limit = epsilon + PREFILTER_SLACK * (1.0 + epsilon)
-    f = block @ _PREFILTER[constraint]
-    s = f[:, 0]
-    if constraint == L3_PENALTY:
-        return np.abs(f[:, 1]) <= limit * s
-    return np.abs(f[:, 1] * f[:, 2]) + np.abs(f[:, 3]) * s <= limit * s * s
+    """Group shares (x_P, x_M, x_O), one row per kept pair of ``size``
+    draws, of a flat Dirichlet row on the 16-simplex given |x_P - x_M| <=
+    limit, where P and M hold k cells each and O the other 16 - 2k.
 
-
-def _normalize(rows: np.ndarray) -> np.ndarray:
-    """Each row scaled by the reciprocal of its left-to-right sum, as
-    ``rng.dirichlet`` scales the exponentials it draws."""
-    return rows * (1.0 / rows.cumsum(axis=1)[:, -1])[:, None]
+    The shares of a flat Dirichlet are Dirichlet(k, k, 16 - 2k); in u =
+    x_P + x_M and d = x_P - x_M their density is proportional to
+    (u^2 - d^2)^(k-1) (1 - u)^(15 - 2k) on |d| < u. A pair u ~ Beta(2k -
+    1, 16 - 2k), d ~ U[-limit, limit] is kept with probability
+    (1 - d^2/u^2)^(k-1) when |d| < u, so the kept pairs have that density
+    restricted to |d| <= limit. The three generators of ``rngs`` draw u,
+    d and the keep step's uniforms, in that order."""
+    share_rng, diff_rng, keep_rng = rngs
+    u = share_rng.beta(2 * k - 1, 16 - 2 * k, size)
+    d = diff_rng.uniform(-limit, limit, size)
+    uu, dd = u * u, d * d
+    keep = (dd < uu) & (keep_rng.random(size) * uu ** (k - 1) < (uu - dd) ** (k - 1))
+    u, d = u[keep], d[keep]
+    return np.column_stack([(u + d) / 2, (u - d) / 2, 1.0 - u])
 
 
 def _check_count(n: int) -> None:
@@ -412,39 +437,47 @@ def sample_constrained_scms(
     epsilon: float = 0.01,
     seed: int | np.random.SeedSequence | None = 0,
 ) -> list[tuple[CanonicalScm, FairnessReport]]:
-    """Rejection-sample canonical tables from the flat Dirichlet prior on
-    the 16-simplex, keeping those whose penalized score is at most
-    epsilon: the two single-regime surrogates summed for the l2
-    constraint, the counterfactual disparity itself for l3. Each
-    accepted table is returned with its true metrics.
+    """Sample canonical tables from the flat Dirichlet prior on the
+    16-simplex, keeping those whose penalized score is at most epsilon:
+    the two single-regime surrogates summed for the l2 constraint, the
+    counterfactual disparity itself for l3. Each accepted table is
+    returned with its true metrics.
 
-    Proposals come in blocks of BATCH_SIZE rows of 16 standard
-    exponentials. Scaling a row e by the reciprocal of its left-to-right
-    sum s gives the row ``rng.dirichlet(np.ones(16))`` would have drawn,
-    bit for bit, so the tables are those of a Dirichlet sampler that
-    keeps the first n accepted rows.
+    No table is drawn whose score the exact test would surely reject.
+    Each constraint has a screen (``_SCREENS``), a row w of differences
+    of _FORMS with |x.w| at most the score of a table x: mu_ctf =
+    |x.(a - b)| for l3, and mu_int2 = |x.(a - j0)| for l2, which is at
+    most mu_int1 + mu_int2. Split by w, the 16 cells form groups P (w =
+    1), M (w = -1) and O (w = 0), and x.w = x_P - x_M, the difference of
+    the groups' shares. The sampler draws the shares from the flat
+    Dirichlet's law given |x_P - x_M| <= limit, with limit =
+    min(1, epsilon + PREFILTER_SLACK * (1 + epsilon))
+    (``_screened_shares``), and splits each share over its cells with
+    standard exponentials normalized within the group: within-group
+    proportions of a flat Dirichlet row are flat Dirichlet, independent
+    of the shares. A table drawn so has the flat Dirichlet's law given
+    the screen, and the exact test ``score <= epsilon`` on
+    ``batch_metrics`` then decides it, so the kept tables have the law
+    of flat Dirichlet rows the exact test keeps.
 
-    A block is pre-filtered before any row is normalized. For a raw row
-    e with sum s, mu_ctf = |e.w|/s and mu_int1 + mu_int2 =
-    (|y1*dz| + |dj|*s)/s^2, where e.w, y1, dz and dj are dot products of
-    e with rows of _FORMS, the event rows of _EXACT_QUERIES, or
-    differences of two (the columns of _PREFILTER). Let u = 2**-53. A
-    16-term dot product is off by at most 16u times the sum of its
-    terms' magnitudes, and a normalized row is within 18u of e/s
-    relatively; so each of the six probabilities ``batch_metrics`` takes
-    is within 40u of its real value, and the score it tests within 300u
-    of the real score. The pre-filter's left side is within 300u * s^k of
-    the real score times s^k (k = 1 for l3, 2 for l2), and its right
-    side, limit * s^k, is computed within 40u relatively. A row the
-    exact test accepts therefore passes whenever the slack in
-    limit = epsilon + PREFILTER_SLACK * (1 + epsilon) exceeds
-    700u * (1 + epsilon), about 8e-14 * (1 + epsilon).
+    The slack makes the screen keep every row the exact test accepts.
+    Let u = 2**-53. A share is rounded once, and each cell of P and M,
+    its exponential times the share over its group's sum of k <= 3
+    terms, at most four times more, so the row's own x.w is within 6u of
+    the drawn difference. ``batch_metrics`` computes each of the six probabilities
+    of the row within 16u of its real value, and the score within 300u
+    of the row's real score. A draw with |x_P - x_M| > limit therefore
+    scores above epsilon, since the slack exceeds 310u * (1 + epsilon),
+    about 4e-14 * (1 + epsilon). At limit 1 the screen rules out
+    nothing: |x_P - x_M| < x_P + x_M <= 1.
 
-    Only the rows that pass are normalized and decided by the exact test
-    ``score <= epsilon`` on ``batch_metrics``. With no acceptance after
-    NO_ACCEPTANCE_FLOOR proposals, or too few after MAX_PROPOSALS, the
-    sampler raises EstimationError, as it does for a seed numpy would
-    refuse (``simulate._check_seed``)."""
+    Draws come in blocks of BATCH_SIZE. The Beta draws, the uniform
+    differences, the uniforms of the keep step and the exponentials of
+    the split each have their own stream, spawned from the seed (from a
+    ``SeedSequence`` seed itself, which numpy's spawn then advances).
+    With no acceptance after NO_ACCEPTANCE_FLOOR screened draws, or too
+    few after MAX_PROPOSALS, the sampler raises EstimationError, as it
+    does for a seed numpy would refuse (``simulate._check_seed``)."""
     if constraint not in (L2_PENALTY, L3_PENALTY):
         raise EstimationError(
             f"unknown constraint {constraint!r}; use {L2_PENALTY} or {L3_PENALTY}"
@@ -454,7 +487,11 @@ def sample_constrained_scms(
     real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
     if not real or not epsilon >= 0:
         raise EstimationError(f"epsilon must be a number at least 0, got {epsilon!r}")
-    rng = np.random.default_rng(seed)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    *share_rngs, split_rng = [np.random.default_rng(s) for s in root.spawn(4)]
+    group, k = _SCREENS[constraint]
+    members = np.eye(3)[group]  # (16, 3): each cell's group, one-hot
+    limit = _screen_limit(epsilon)
     kept_rows: list[np.ndarray] = []
     kept = 0
     proposals = 0
@@ -464,9 +501,10 @@ def sample_constrained_scms(
                 f"acceptance rate {kept / max(proposals, 1):.2e} below floor after "
                 f"{proposals} proposals; raise epsilon (currently {epsilon})"
             )
-        block = rng.standard_exponential((BATCH_SIZE, 16))
+        shares = _screened_shares(share_rngs, k, limit, BATCH_SIZE)
         proposals += BATCH_SIZE
-        rows = _normalize(block[_may_pass(constraint, block, epsilon)])
+        split = split_rng.standard_exponential((len(shares), 16))
+        rows = split * (shares / (split @ members))[:, group]
         ctf, int1, int2 = batch_metrics(rows)
         score = ctf if constraint == L3_PENALTY else int1 + int2
         accepted = rows[score <= epsilon]

@@ -9,7 +9,7 @@ import pytest
 
 import ctfrealize
 from ctfrealize.cli import EXIT_INPUT, main, parse_action_set
-from ctfrealize import ctf_rand_action, rand_action
+from ctfrealize import ctf_rand_action, fairness, rand_action
 from ctfrealize.fixtures import bow_model, fan_diagram
 from reference import model_to_dict
 from test_bandits import context_problem
@@ -301,6 +301,16 @@ def test_empty_sample_is_an_input_error(tmp_path, n, capsys):
     out = tmp_path / "out"
     args = ["sample", "--model", "bow", "--query", "P(Y[X=1], X, Y)", "--maximal", "--n", n]
     assert run_cli(args, out) == 1
+    assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_empty_fairness_run_is_an_input_error(tmp_path, n, capsys, monkeypatch):
+    # refused before the sampler is called
+    monkeypatch.setattr(fairness, "sample_constrained_scms", None)
+    out = tmp_path / "out"
+    assert run_cli(["fairness", "--constraint", "l2", "--n", n], out) == 1
     assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
     assert not out.exists()
 

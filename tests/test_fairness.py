@@ -471,11 +471,10 @@ def test_constrained_samplers_contrast():
 
 def test_sampled_tables_are_unchanged():
     # sha256 of repr([(type_probs, report), ...]) for 50 tables per
-    # constraint, as the sampler gave them when it built each table from
-    # tuple(float(p) for p in row)
+    # constraint, as the screened sampler draws them
     digests = {
-        L3_PENALTY: "03b83bcbd16434169b09a8a7e9fdce1a21227bcdbef39e50b0ec4e7b15e25831",
-        L2_PENALTY: "8853f7c1f74c327c763f17fdb59f5e06d2539fc48b5a65b7a5bece09c4a8780b",
+        L3_PENALTY: "6c5cc0a79287871142ca392fc206f7604b2754dcbe2ac8f676e3eb8d273c8c01",
+        L2_PENALTY: "3c305039372a74cb91409fcb2cb86b5718e6eb4dcec81377dc82294721bc05b4",
     }
     for constraint, digest in digests.items():
         out = sample_constrained_scms(constraint, 50, 0.01, seed=zlib.crc32(b"sampler-rows"))
@@ -509,7 +508,7 @@ def test_sampler_gives_up_after_a_million_proposals_without_acceptance(monkeypat
 
 
 def reference_sampler(constraint, n, epsilon, seed):
-    """The sampler before its pre-filter: 50,000-row blocks drawn by
+    """Plain rejection from the flat Dirichlet: 50,000-row blocks drawn by
     ``rng.dirichlet`` and scored in full by ``batch_metrics``."""
     rng = np.random.default_rng(seed)
     kept_rows = []
@@ -528,19 +527,64 @@ def reference_sampler(constraint, n, epsilon, seed):
     ]
 
 
-def test_sampler_returns_the_dirichlet_reference_tables():
-    # 8 seeds at the audit's epsilon and 2 at a looser one, both
-    # constraints, small and large n; budget 30 s (about 2 s on 2 cores)
+def ks_distance(x, y):
+    """KS * sqrt(n_eff): the two-sample Kolmogorov-Smirnov statistic of x
+    and y scaled by sqrt(n m / (n + m)). Two large samples of one law
+    exceed 2.3 with probability about 5e-5."""
+    x, y = np.sort(x), np.sort(y)
+    points = np.concatenate([x, y])
+    gap = np.abs(
+        np.searchsorted(x, points, side="right") / len(x)
+        - np.searchsorted(y, points, side="right") / len(y)
+    ).max()
+    return gap * np.sqrt(len(x) * len(y) / (len(x) + len(y)))
+
+
+@pytest.mark.parametrize("constraint, seed", [(L3_PENALTY, 21), (L2_PENALTY, 22)])
+def test_sampler_draws_the_law_of_dirichlet_rejection(constraint, seed):
+    # 20,000 tables from each sampler at the audit's epsilon: the three
+    # metrics and each of the 16 cells have one law; budget 30 s (about
+    # 2 s on 2 cores)
     start = time.perf_counter()
-    cases = [(seed, 0.01) for seed in range(8)] + [(8, 0.05), (9, 0.05)]
-    for seed, epsilon in cases:
-        for constraint in (L3_PENALTY, L2_PENALTY):
-            for n in (50, 1000):
-                got = sample_constrained_scms(constraint, n, epsilon, seed=seed)
-                want = reference_sampler(constraint, n, epsilon, seed)
-                assert got == want, (seed, epsilon, constraint, n)
+    got = sample_constrained_scms(constraint, 20_000, 0.01, seed=seed)
+    want = reference_sampler(constraint, 20_000, 0.01, seed)
+    columns = {}
+    for name, out in (("got", got), ("want", want)):
+        probs = np.array([scm.type_probs for scm, _ in out])
+        metrics = np.array([(r.mu_ctf, r.mu_int1, r.mu_int2) for _, r in out])
+        columns[name] = np.column_stack([metrics, probs]).T
+    labels = ["mu_ctf", "mu_int1", "mu_int2"] + [f"cell {i}" for i in range(16)]
+    for label, x, y in zip(labels, columns["got"], columns["want"]):
+        assert ks_distance(x, y) < 2.3, label
     elapsed = time.perf_counter() - start
-    assert elapsed < 30, f"reference comparison took {elapsed:.1f}s"
+    assert elapsed < 30, f"law comparison took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
+@pytest.mark.parametrize("limit", [0.01, 0.2])
+def test_screened_shares_are_the_dirichlet_shares_given_the_screen(constraint, limit):
+    # brute force: Dirichlet(k, k, 16 - 2k) group shares, rejected outside
+    # the screen; 20,000 draws of each
+    _, k = fairness._SCREENS[constraint]
+    rngs = [np.random.default_rng([31, i]) for i in range(4)]
+    shares, brute = [], []
+    while sum(map(len, shares)) < 20_000:
+        shares.append(fairness._screened_shares(rngs[:3], k, limit, 10_000))
+    while sum(map(len, brute)) < 20_000:
+        block = rngs[3].dirichlet([k, k, 16 - 2 * k], size=100_000)
+        brute.append(block[np.abs(block[:, 0] - block[:, 1]) <= limit])
+    shares, brute = np.concatenate(shares)[:20_000], np.concatenate(brute)[:20_000]
+    assert np.allclose(shares.sum(axis=1), 1.0)
+    for group in range(2):
+        assert ks_distance(shares[:, group], brute[:, group]) < 2.3, group
+
+
+@pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
+@pytest.mark.parametrize("epsilon", [1.0, 2.0, float("inf")])
+def test_a_loose_epsilon_accepts_every_table(constraint, epsilon):
+    # no score exceeds 1, and the screen's limit is held at 1
+    out = sample_constrained_scms(constraint, 200, epsilon, seed=12)
+    assert len(out) == 200
 
 
 @pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
@@ -550,23 +594,30 @@ def test_tables_do_not_depend_on_the_block_size(monkeypatch, constraint):
     assert sample_constrained_scms(constraint, 300, 0.01, seed=11) == want
 
 
+def screen_row(constraint):
+    """The screen's row w: 1 on its first group, -1 on its second."""
+    group, _ = fairness._SCREENS[constraint]
+    return (group == 0) * 1.0 - (group == 1)
+
+
+def test_screens_are_differences_of_two_forms():
+    a, j0, _, _, _, b = fairness._FORMS
+    for constraint, w, k in ((L3_PENALTY, a - b, 2), (L2_PENALTY, a - j0, 3)):
+        group, got = fairness._SCREENS[constraint]
+        assert got == k
+        assert np.bincount(group).tolist() == [k, k, 16 - 2 * k]
+        assert np.array_equal(screen_row(constraint), w)
+
+
 @pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
-def test_prefilter_keeps_every_row_the_exact_test_accepts(constraint):
-    # each row's own score as epsilon puts it on the exact test's boundary
-    raw = np.random.default_rng(5).standard_exponential((20_000, 16))
-    ctf, int1, int2 = batch_metrics(fairness._normalize(raw))
+def test_screen_keeps_every_row_the_exact_test_accepts(constraint):
+    # each Dirichlet row's own score as epsilon puts it on the exact
+    # test's boundary, and the row still lies within the screen
+    w = screen_row(constraint)
+    rows = np.random.default_rng(5).dirichlet(np.ones(16), size=20_000)
+    ctf, int1, int2 = batch_metrics(rows)
     scores = ctf if constraint == L3_PENALTY else int1 + int2
-    assert fairness._may_pass(constraint, raw, scores).all()
-    # and, on these rows, it admits no row the exact test rejects
-    assert np.array_equal(fairness._may_pass(constraint, raw, 0.01), scores <= 0.01)
-
-
-def test_normalized_exponentials_are_the_dirichlet_rows():
-    for seed in range(3):
-        raw = np.random.default_rng(seed).standard_exponential((5000, 16))
-        rows = np.random.default_rng(seed).dirichlet(np.ones(16), size=5000)
-        assert np.array_equal(fairness._normalize(raw), rows)
-    raw_rng, dirichlet_rng = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(100):
-        row = fairness._normalize(raw_rng.standard_exponential((1, 16)))[0]
-        assert np.array_equal(row, dirichlet_rng.dirichlet(np.ones(16)))
+    assert (np.abs(rows @ w) <= fairness._screen_limit(scores)).all()
+    if constraint == L3_PENALTY:
+        # the l3 screen is the exact test itself, up to the slack
+        assert np.array_equal(np.abs(rows @ w) <= fairness._screen_limit(0.01), scores <= 0.01)
