@@ -35,6 +35,11 @@ The constrained sampler draws no table its screen rules out: each
 screen is a difference of two forms that bounds the constraint's score
 from below, and the sampler draws the table's group shares from the
 flat Dirichlet's law given that bound, then lets the exact test decide.
+It checks the block of tables it keeps once, as arrays
+(``_check_tables``), and builds each kept table and its report with the
+attribute writes of their frozen dataclasses (``_checked_pair``), not
+through their constructors' per-table checks; an exact ``mu_ctf`` report
+is built the same way.
 """
 
 from __future__ import annotations
@@ -196,12 +201,55 @@ def example2_scm() -> CanonicalScm:
 
 @dataclass(frozen=True)
 class FairnessReport:
+    """The counterfactual disparity mu_ctf of one table and its two
+    single-regime surrogates mu_int1 and mu_int2 (see ``mu_int``).
+
+    ``exact`` is True when mu_ctf is the table's exact value, and then
+    ``n`` and ``ci95`` are None. A sampled report has ``exact`` False,
+    the plan executions per coupled term in ``n``, and in ``ci95`` a
+    normal-approximation 95% interval on |a - b|, the two estimated
+    joints' difference: mu_ctf -/+ 1.96 standard errors, not clipped, so
+    its lower end can fall below 0. The surrogates are exact in both."""
+
     mu_ctf: float
     mu_int1: float
     mu_int2: float
     exact: bool = True
     n: int | None = None
     ci95: tuple[float, float] | None = None
+
+
+# Frozen tables and reports built without their constructors' calls: the
+# same attribute writes, in the same order, as the dataclass __init__
+# makes, so the objects compare, hash, print and pickle alike. Writing
+# them one at a time keeps the instances' compact attribute storage,
+# which filling __dict__ at once would give up.
+_new = object.__new__
+_put = object.__setattr__
+
+
+def _report(ctf: float, int1: float, int2: float) -> FairnessReport:
+    """FairnessReport(ctf, int1, int2), an exact report, with no call
+    through the constructor."""
+    report = _new(FairnessReport)
+    _put(report, "mu_ctf", ctf)
+    _put(report, "mu_int1", int1)
+    _put(report, "mu_int2", int2)
+    _put(report, "exact", True)
+    _put(report, "n", None)
+    _put(report, "ci95", None)
+    return report
+
+
+def _checked_pair(
+    probs: tuple[float, ...], ctf: float, int1: float, int2: float
+) -> tuple[CanonicalScm, FairnessReport]:
+    """(CanonicalScm(probs), FairnessReport(ctf, int1, int2)) for a table
+    already checked (``_check_tables``): no ``__post_init__`` runs."""
+    scm = _new(CanonicalScm)
+    _put(scm, "type_probs", probs)
+    _put(scm, "p_x1", 0.5)
+    return scm, _report(ctf, int1, int2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +309,16 @@ def mu_ctf(
     model built; only the sampled estimate builds ``scm.to_model()`` to
     draw units from. It draws its i-th plan from SeedSequence([seed, i]),
     with fresh entropy in place of the seed when it is None, or from the
-    i-th spawn of a ``SeedSequence`` seed. Its n and seed are checked as
-    sample_constrained_scms checks its own. A ``scm`` that is no
-    CanonicalScm raises ModelError."""
+    i-th spawn of a ``SeedSequence`` seed. Only the sampled estimate
+    reads n and seed, and only it checks them, as
+    sample_constrained_scms checks its own; with exact=True both are
+    ignored. A ``scm`` that is no CanonicalScm raises ModelError."""
     if not exact:
         _check_count(n)
         _check_seed(seed)
     ctf, int1, int2 = _exact(scm)
     if exact:
-        return FairnessReport(mu_ctf=ctf, mu_int1=int1, mu_int2=int2, exact=True)
+        return _report(ctf, int1, int2)
     model = scm.to_model()
     plans = [_audit_plan(model, _COUPLED[x_for_z]) for x_for_z in (1, 0)]
     if isinstance(seed, np.random.SeedSequence):
@@ -424,6 +473,20 @@ def _screened_shares(
     return np.column_stack([(u + d) / 2, (u - d) / 2, 1.0 - u])
 
 
+def _check_tables(rows: np.ndarray) -> None:
+    """Check a (n, 16) block of tables as CanonicalScm checks each one,
+    by two array tests: no entry below -PROB_TOL, and each row's sum
+    within PROB_TOL of 1. The sum test also refuses every row with a NaN
+    or infinite entry, since such an entry makes the sum NaN or
+    infinite. Each row that fails is built through CanonicalScm, so the
+    first one it refuses raises its ModelError; a row that fails only
+    because numpy sums in another order than ``sum`` passes, as the
+    constructor passes it."""
+    ok = (rows.min(axis=1) >= -PROB_TOL) & (np.abs(rows.sum(axis=1) - 1.0) <= PROB_TOL)
+    for i in np.flatnonzero(~ok):
+        CanonicalScm(tuple(rows[i].tolist()))
+
+
 def _check_count(n: int) -> None:
     """Refuse a sample count that is not an integer of at least 1."""
     _check_integer(n)
@@ -477,7 +540,13 @@ def sample_constrained_scms(
     ``SeedSequence`` seed itself, which numpy's spawn then advances).
     With no acceptance after NO_ACCEPTANCE_FLOOR screened draws, or too
     few after MAX_PROPOSALS, the sampler raises EstimationError, as it
-    does for a seed numpy would refuse (``simulate._check_seed``)."""
+    does for a seed numpy would refuse (``simulate._check_seed``).
+
+    The block of kept tables is checked once, as arrays
+    (``_check_tables``): a row CanonicalScm would refuse raises its
+    ModelError. Each table and its report are then built without a call
+    through their constructors (``_checked_pair``), and equal, hash,
+    print and pickle as the constructors' objects do."""
     if constraint not in (L2_PENALTY, L3_PENALTY):
         raise EstimationError(
             f"unknown constraint {constraint!r}; use {L2_PENALTY} or {L3_PENALTY}"
@@ -517,13 +586,11 @@ def sample_constrained_scms(
                 f"(currently {epsilon})"
             )
     rows = np.concatenate(kept_rows)[:n]
+    _check_tables(rows)
     ctf, int1, int2 = batch_metrics(rows)
-    return [
-        (CanonicalScm(tuple(probs)), FairnessReport(c, i1, i2))
-        for probs, c, i1, i2 in zip(
-            rows.tolist(), ctf.tolist(), int1.tolist(), int2.tolist()
-        )
-    ]
+    return list(map(
+        _checked_pair, map(tuple, rows.tolist()), ctf.tolist(), int1.tolist(), int2.tolist()
+    ))
 
 
 def violation_fraction(reports: Sequence[tuple[CanonicalScm, FairnessReport]]) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import pickle
 import time
 import zlib
 from fractions import Fraction
@@ -481,6 +483,78 @@ def test_sampled_tables_are_unchanged():
         assert all(type(p) is float for scm, _ in out for p in scm.type_probs)
         text = repr([(scm.type_probs, report) for scm, report in out])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def assert_same_object(got, want):
+    """``got`` cannot be told apart from ``want``, built through its
+    class's constructor."""
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert dataclasses.replace(got) == dataclasses.replace(want)
+    for field in dataclasses.fields(got):
+        assert type(getattr(got, field.name)) is type(getattr(want, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, field.name, getattr(want, field.name))
+
+
+@pytest.mark.parametrize("constraint", [L3_PENALTY, L2_PENALTY])
+def test_sampled_pairs_equal_the_constructors_objects(constraint):
+    out = sample_constrained_scms(constraint, 50, 0.01, seed=13)
+    rows = np.array([scm.type_probs for scm, _ in out])
+    metrics = zip(*(m.tolist() for m in batch_metrics(rows)))
+    for (scm, report), p, (c, i1, i2) in zip(out, rows.tolist(), metrics, strict=True):
+        assert_same_object(scm, CanonicalScm(tuple(p)))
+        assert_same_object(report, FairnessReport(c, i1, i2))
+
+
+def test_exact_report_equals_the_constructors_report():
+    tables = [example2_scm(), CanonicalScm((Fraction(1, 16),) * 16, p_x1=1)]
+    tables += [scm for scm, _ in sample_constrained_scms(L2_PENALTY, 20, 0.01, seed=14)]
+    for scm in tables:
+        want = FairnessReport(*fairness._exact(scm), exact=True)
+        assert_same_object(mu_ctf(scm, exact=True), want)
+        # the exact report neither reads nor checks n and seed
+        assert mu_ctf(scm, exact=True, n=-5, seed=-1) == want
+
+
+def test_sampler_runs_no_per_table_check(monkeypatch):
+    calls = []
+    check = CanonicalScm.__post_init__
+    monkeypatch.setattr(
+        CanonicalScm, "__post_init__", lambda self: (calls.append(1), check(self))
+    )
+    for constraint in (L3_PENALTY, L2_PENALTY):
+        assert len(sample_constrained_scms(constraint, 200, 0.01, seed=15)) == 200
+    assert calls == []
+    example2_scm()  # the counter sees the constructor's check
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("rows, by, message", [
+    (slice(None), 1.5, r"type-pair probabilities sum to 1\.[45]\d*, not 1"),
+    (4, 1.5, r"type-pair probabilities sum to 1\.[45]\d*, not 1"),
+    (slice(None), np.nan, "type-pair probabilities sum to nan, not 1"),
+    (slice(None), np.inf, "type-pair probabilities sum to inf, not 1"),
+    (slice(None), -1.0, "negative type-pair probability"),
+], ids=["sum-1.5", "one-row-1.5", "nan", "inf", "negative"])
+def test_the_returned_tables_are_checked(monkeypatch, rows, by, message):
+    # scaled shares make rows that sum to 1.5 (or are NaN, infinite or
+    # negative); with every row accepted, only the check of the
+    # returned block stands in the way
+    screened = fairness._screened_shares
+
+    def scaled(*args):
+        shares = screened(*args)
+        shares[rows] *= by
+        return shares
+
+    monkeypatch.setattr(fairness, "_screened_shares", scaled)
+    monkeypatch.setattr(fairness, "batch_metrics", lambda rows: (np.zeros(len(rows)),) * 3)
+    with np.errstate(invalid="ignore"), pytest.raises(ModelError, match=message):
+        sample_constrained_scms(L3_PENALTY, 10, 0.01, seed=16)
 
 
 def test_sampler_checks_its_arguments_before_drawing(monkeypatch):
