@@ -28,10 +28,12 @@ uniformly).
 Online learning: every algorithm runs in one epoch loop, driven by a
 small per-algorithm policy (its strategy form, D-stage chooser,
 reward-arm key, hot-start cell). An epoch selects its units in one block, and each
-round makes its scalar ``rng.beta`` / ``rng.integers`` draws in the order
-a unit-at-a-time protocol would. A unit's outcome under the protocol
-depends only on its exogenous row u, since every action fixes a chosen
-value and draws nothing. So the outcome (z, x', d, y) of each (row,
+round makes its scalar draws in the order a unit-at-a-time protocol
+would: ``rng.beta`` for a posterior, and for a uniform D-stage the index
+``rng.integers`` would return, read off the generator's raw words
+(``_bounded_integers``). A unit's outcome under the protocol depends
+only on its exogenous row u, since every action fixes a chosen value
+and draws nothing. So the outcome (z, x', d, y) of each (row,
 D-input, arm) is read off the row's entry in ``ExactTables.rows``, which
 one ``engine.exact_rows`` call fills, the first time the row is
 selected; later rounds look it and the metrics up from that memo. The
@@ -492,7 +494,7 @@ class RunMetrics:
     algo: str
     horizon: int
     epochs: int
-    seed: int
+    seed: int | np.random.SeedSequence | None
     cumulative_regret: np.ndarray  # (epochs, T)
     oap: np.ndarray                # (epochs, T)
     reward: np.ndarray             # (epochs, T) expected reward of the played arm
@@ -560,11 +562,12 @@ class _Policy:
     played ("fix_y" fixes it as input to the reward only, "write" erases
     and writes the decision, which also fixes D's input). ``d_stage``
     picks the input fixed into D before the reward decision: "none" (D
-    is left alone), "uniform" (one ``rng.integers`` draw) or "thompson"
-    (a posterior per (z, x', x'')). ``arm_key`` names the solver cell of
-    each reward arm from (z, x', x'', d, x), and ``hot_cell`` the
-    observational cell whose exact mean pins that arm (never drawn,
-    never updated), or None."""
+    is left alone), "uniform" (one index below the number of D-inputs,
+    the draw ``rng.integers`` makes) or "thompson" (a posterior per
+    (z, x', x'')). ``arm_key`` names the solver cell of each reward arm
+    from (z, x', x'', d, x), and ``hot_cell`` the observational cell
+    whose exact mean pins that arm (never drawn, never updated), or
+    None."""
 
     form: StrategyForm
     d_stage: str
@@ -631,7 +634,8 @@ class _Responses:
         hot-start mean or None."""
         p, policy, tables = self.problem, self.policy, self.tables
         _, core, z, xn, _, d_x, y_x = tables.rows[i]
-        oracle = tables.oracle_value(core)
+        means = [tables.reward_mean(x, core) for x in p.arms]
+        oracle = max(means)  # = tables.oracle_value(core)
         rewards = tuple(y_x[x] for x in p.arms)
         branches = []
         for x2 in self.d_inputs:
@@ -642,8 +646,7 @@ class _Responses:
                 cells.append((self._id(policy.arm_key(z, xn, x2, d, x)),
                               None if hot is None else tables.obs_mean(hot)))
             branches.append((tuple(cells), rewards, len(self.reward)))
-            for x, ok in zip(p.arms, self._optimal_arms(z, xn, x2, d)):
-                mean = tables.reward_mean(x, core)
+            for mean, ok in zip(means, self._optimal_arms(z, xn, x2, d)):
                 self.regret.append(oracle - mean)
                 self.reward.append(mean)
                 self.oap.append(1.0 if ok else 0.0)
@@ -675,6 +678,48 @@ class _Responses:
         return self._optimal[key]
 
 
+def _bounded_integers(bit_generator: np.random.BitGenerator) -> tuple[Callable, Callable]:
+    """``Generator.integers(n)`` for 1 <= n <= 2**32, bit for bit, drawn
+    from the raw 64-bit words of a PCG64 ``bit_generator``.
+
+    numpy draws such an index from a 32-bit word: each raw word gives
+    its low half first and holds its high half for the next 32-bit draw
+    (``has_uint32`` and ``uinteger`` in the generator's state). The
+    index is Lemire's: m = r * n, redrawn while m's low 32 bits are
+    below (2**32 - n) % n, and then m >> 32; n = 1 gives 0 and draws
+    nothing. 64-bit draws (``beta`` and the rest) neither read nor
+    clear the held half, so they interleave freely.
+
+    Returns ``(integers, close)``. ``integers(n)`` starts from the held
+    half the state shows now; ``close()`` writes the half it holds back
+    into the state, which leaves the generator where the same
+    ``integers`` calls would have left it."""
+    raw = bit_generator.random_raw
+    state = bit_generator.state
+    has, held = state["has_uint32"], state["uinteger"]
+
+    def integers(n: int) -> int:
+        nonlocal has, held
+        if n == 1:
+            return 0
+        while True:
+            if has:
+                r, has = held, 0
+            else:
+                word = raw()
+                r, held, has = word & 0xFFFFFFFF, word >> 32, 1
+            m = r * n
+            if m & 0xFFFFFFFF >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def close() -> None:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has, held
+        bit_generator.state = state
+
+    return integers, close
+
+
 def _play_epoch(
     policy: _Policy,
     responses: _Responses,
@@ -689,48 +734,63 @@ def _play_epoch(
     a round reads its row's ids and does no keyed lookup. Draws and
     updates come in the order a unit-at-a-time protocol would make them,
     with the arithmetic of one Beta-Bernoulli posterior per arm key (the
-    tests hold this loop to a reference solver keyed by tuples); each
-    argmax keeps the first maximum, as ``max`` does."""
+    tests hold this loop to a reference solver keyed by tuples): a
+    reward of 1.0 adds 1.0 to alpha and one of 0.0 adds 1.0 to beta,
+    which is alpha += y, beta += 1 - y without the additions of 0.0.
+    Each argmax keeps the first maximum, as ``max`` does. A "uniform"
+    D-stage draws its index with ``_bounded_integers`` on ``rng``'s bit
+    generator: the indices ``rng.integers`` would give, at about a third
+    of its cost, and ``rng`` ends in the state those calls would leave."""
     draw = rng.beta
     thompson = policy.d_stage == "thompson"
-    uniform = policy.d_stage == "uniform"
-    rows, keys = responses.rows, responses.keys
+    integers = close = None
+    if policy.d_stage == "uniform":
+        integers, close = _bounded_integers(rng.bit_generator)
+    keys = responses.keys
+    row_of = responses.rows.get
     alpha = [1.0] * len(keys)
     beta = [1.0] * len(keys)
     played = []
+    play = played.append
     for i in experiment.select_rows(horizon).tolist():
-        row = rows.get(i)
+        row = row_of(i)
         if row is None:
             row = responses.add_row(i)
             grow = [1.0] * (len(keys) - len(alpha))
             alpha += grow
             beta += grow
         d_ids, branches = row
-        j = 0
         if thompson:
+            j = k = 0
             top = -1.0  # below every score: draws and pins lie in [0, 1]
-            for k, c in enumerate(d_ids):
+            for c in d_ids:
                 s = draw(alpha[c], beta[c])
                 if s > top:
                     j, top = k, s
-        elif uniform:
-            j = int(rng.integers(len(branches)))
-        cells, rewards, offset = branches[j]
-        a, top = 0, -1.0
-        for k, (c, pin) in enumerate(cells):
+                k += 1
+            d = d_ids[j]
+            cells, rewards, offset = branches[j]
+        elif integers is not None:
+            cells, rewards, offset = branches[integers(len(branches))]
+        else:
+            cells, rewards, offset = branches[0]
+        a = k = 0
+        top = -1.0
+        for c, pin in cells:
             s = draw(alpha[c], beta[c]) if pin is None else pin
             if s > top:
                 a, top = k, s
+            k += 1
         y = rewards[a]
+        counts = alpha if y else beta  # rewards are 0.0 or 1.0
         if thompson:
-            c = d_ids[j]
-            alpha[c] += y
-            beta[c] += 1.0 - y
+            counts[d] += 1.0
         c, pin = cells[a]
         if pin is None:
-            alpha[c] += y
-            beta[c] += 1.0 - y
-        played.append(offset + a)
+            counts[c] += 1.0
+        play(offset + a)
+    if close is not None:
+        close()
     return played
 
 

@@ -38,7 +38,12 @@ from ctfrealize.bandits import (
     run_epochs,
     write_metric_csv,
 )
-from ctfrealize.bandits import _POLICIES, _Responses, _play_epoch  # the loop and its parts
+from ctfrealize.bandits import (  # the loop and its parts
+    _POLICIES,
+    _Responses,
+    _bounded_integers,
+    _play_epoch,
+)
 from ctfrealize.models import independent_exogenous
 from ctfrealize.realizability import NO_ACTION, OUTPUT_ERASED
 from ctfrealize.simulate import Experiment, Unit
@@ -696,9 +701,23 @@ def reference_epoch(policy, responses, experiment, horizon, rng):
     return played
 
 
+class TiedBits:
+    """A bit-generator stand-in whose raw words are all ones, so the
+    epoch loop's bounded draw of an index below n gives n - 1."""
+
+    def __init__(self):
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self):
+        return 2**64 - 1
+
+
 class TiedDraws:
     """A generator stand-in whose Beta draws all equal 0.5, so every
     Thompson argmax is a tie (with a hot-start mean of 0.5 too)."""
+
+    def __init__(self):
+        self.bit_generator = TiedBits()
 
     def beta(self, a, b):
         return 0.5
@@ -726,6 +745,64 @@ def test_epoch_loop_plays_like_the_solver_reference(make_problem):
                     played.append(loop(policy, memo, experiment, 400, rng))
                 runs.append((played, memo.regret, memo.keys))
             assert runs[0] == runs[1], (algo, seed, tied)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 2**31 + 1, 2**32 - 1, 2**32])
+def test_bounded_integers_equal_generator_integers(n, buffered):
+    # two generators on one seed: one calls integers, the other draws the
+    # same indices off raw words, with scalar beta draws between them;
+    # at n = 2**31 + 1 about half the 32-bit draws are redrawn
+    want_rng, rng = (np.random.Generator(np.random.PCG64(38)) for _ in range(2))
+    if buffered:
+        want_rng.integers(3)
+        rng.integers(3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    integers, close = _bounded_integers(rng.bit_generator)
+    want, got = [], []
+    for k in range(601):
+        want.append(int(want_rng.integers(n)))
+        got.append(integers(n))
+        if k % 3 == 0:
+            want.append(want_rng.beta(2.0, 3.0))
+            got.append(rng.beta(2.0, 3.0))
+    close()
+    assert got == want
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+def test_bounded_integers_of_one_draw_nothing(buffered):
+    rng = np.random.Generator(np.random.PCG64(38))
+    if buffered:
+        rng.integers(3)
+    start = rng.bit_generator.state
+    integers, close = _bounded_integers(rng.bit_generator)
+    assert [integers(1) for _ in range(5)] == [0] * 5
+    close()
+    assert rng.bit_generator.state == start
+    assert rng.integers(1) == 0 and rng.bit_generator.state == start
+
+
+class NoIntegers(np.random.Generator):
+    """A generator whose ``integers`` raises."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers was called")
+
+
+def test_uniform_d_stage_calls_no_generator_integers(problem, tables):
+    # the loop draws ts-aug's D-inputs off raw words, the reference with
+    # integers; an odd horizon leaves a half-word held at the end
+    policy = _POLICIES["ts-aug"]
+    runs = []
+    for loop, generator in ((_play_epoch, NoIntegers), (reference_epoch, np.random.Generator)):
+        rng = generator(np.random.PCG64(38))
+        experiment = Experiment(problem.model, seed=38)
+        played = loop(policy, _Responses(problem, tables, policy), experiment, 401, rng)
+        runs.append((played, rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["has_uint32"] == 1
 
 
 def fresh_unit_protocol(problem, actions, u, policy, x2, arm):
