@@ -599,8 +599,14 @@ class _Responses:
     so ``add_row(i)`` reads it off ``ExactTables.rows[i]`` the first time
     row i is selected, and later rounds look it up. ``select_rows`` and
     ``ExactTables.rows`` index one row space, ``compile().rows``, so one
-    memo serves all epochs. The metric lists hold one entry per (row,
-    D-input, arm) in build order.
+    memo serves all epochs.
+
+    A row is scored by its response signature: (core, z, x', D under
+    each input, Y under each arm). Every key, pin, reward and metric of
+    a row is read off those alone, so rows with one signature share one
+    scored entry, built when the first of them is met (Example 3's 80
+    rows have 24 signatures). The metric lists hold one entry per
+    (signature, D-input, arm) in build order.
 
     Rows hold no solver keys: ``add_row`` gives each key (a D-stage cell
     or an arm cell) a small integer id the first time it meets it, and
@@ -613,6 +619,7 @@ class _Responses:
         self.policy = policy
         self.d_inputs = (None,) if policy.d_stage == "none" else problem.arms
         self.rows: dict[int, tuple] = {}
+        self._scored: dict[tuple, tuple] = {}  # signature -> scored row
         self.keys: list[tuple] = []  # id -> solver key
         self._ids: dict[tuple, int] = {}
         self.regret: list[float] = []
@@ -628,12 +635,21 @@ class _Responses:
         return i
 
     def add_row(self, i: int) -> tuple:
-        """Score compiled row ``i`` under every D-input and arm. Returns
-        (D-stage key ids, one (arm cells, rewards, metric offset) branch
-        per D-input); an arm cell is (key id, pin), where pin is the
+        """Score compiled row ``i`` under every D-input and arm, or take
+        the entry of an earlier row with its signature. Returns (D-stage
+        key ids, one (arm cells, rewards, metric offset) branch per
+        D-input); an arm cell is (key id, pin), where pin is the
         hot-start mean or None."""
+        _, core, z, xn, _, d_x, y_x = self.tables.rows[i]
+        signature = (core, z, xn, tuple(d_x.values()), tuple(y_x.values()))
+        row = self._scored.get(signature)
+        if row is None:
+            row = self._scored[signature] = self._score(core, z, xn, d_x, y_x)
+        self.rows[i] = row
+        return row
+
+    def _score(self, core, z, xn, d_x, y_x) -> tuple:
         p, policy, tables = self.problem, self.policy, self.tables
-        _, core, z, xn, _, d_x, y_x = tables.rows[i]
         means = [tables.reward_mean(x, core) for x in p.arms]
         oracle = max(means)  # = tables.oracle_value(core)
         rewards = tuple(y_x[x] for x in p.arms)
@@ -653,8 +669,7 @@ class _Responses:
         d_ids = ()
         if policy.d_stage == "thompson":
             d_ids = tuple(self._id(("D", z, xn, x2)) for x2 in self.d_inputs)
-        row = self.rows[i] = (d_ids, tuple(branches))
-        return row
+        return d_ids, tuple(branches)
 
     def _optimal_arms(self, z, xn, x2, d) -> tuple[bool, ...]:
         """OAP of each arm, once per (z, x', x'', d): the D-stage choice

@@ -36,17 +36,17 @@ screen is a difference of two forms that bounds the constraint's score
 from below, and the sampler draws the table's group shares from the
 flat Dirichlet's law given that bound, then lets the exact test decide.
 It checks the block of tables it keeps once, as arrays
-(``_check_tables``), and builds each kept table and its report with the
-attribute writes of their frozen dataclasses (``_checked_pair``), not
-through their constructors' per-table checks; an exact ``mu_ctf`` report
-is built the same way.
+(``_check_tables``), and builds each kept table and its report by
+writing their fields into the slots of their frozen dataclasses
+(``_checked_pair``), not through their constructors' per-table checks;
+an exact ``mu_ctf`` report is built the same way.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -75,13 +75,39 @@ def _respond(rtype: str, x: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+def _state(record) -> tuple:
+    """The pickled form of a table or report: its field values, in
+    field order."""
+    return tuple(getattr(record, field.name) for field in fields(record))
+
+
+def _load_state(record, state) -> None:
+    """Write a pickled state into the record's slots: the tuple of field
+    values ``_state`` gives, or the dict of fields that a pickle made
+    while tables and reports kept their fields in a ``__dict__`` holds.
+    The values are not checked: unpickling never ran ``__post_init__``."""
+    names = [field.name for field in fields(record)]
+    if isinstance(state, dict):
+        state = [state[name] for name in names]
+    for name, value in zip(names, state, strict=True):
+        object.__setattr__(record, name, value)
+
+
+@dataclass(frozen=True, slots=True)
 class CanonicalScm:
     """P(X=1) plus the 16-entry joint over (Y-type, Z-type) pairs, in
-    RESPONSE_TYPES-major order (Y-type outer, Z-type inner)."""
+    RESPONSE_TYPES-major order (Y-type outer, Z-type inner).
+
+    The two fields live in slots: a table has no ``__dict__`` and takes
+    no weak references. It pickles as the tuple of its field values
+    (``__getstate__``), and also loads the dict of fields that tables
+    pickled before they had slots (``__setstate__``)."""
 
     type_probs: tuple[float, ...]
     p_x1: float = 0.5
+
+    __getstate__ = _state
+    __setstate__ = _load_state
 
     def __post_init__(self):
         # stored as a tuple, so that the checked table cannot change
@@ -199,7 +225,7 @@ def example2_scm() -> CanonicalScm:
     return CanonicalScm(probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FairnessReport:
     """The counterfactual disparity mu_ctf of one table and its two
     single-regime surrogates mu_int1 and mu_int2 (see ``mu_int``).
@@ -209,7 +235,12 @@ class FairnessReport:
     the plan executions per coupled term in ``n``, and in ``ci95`` a
     normal-approximation 95% interval on |a - b|, the two estimated
     joints' difference: mu_ctf -/+ 1.96 standard errors, not clipped, so
-    its lower end can fall below 0. The surrogates are exact in both."""
+    its lower end can fall below 0. The surrogates are exact in both.
+
+    The six fields live in slots: a report has no ``__dict__`` and takes
+    no weak references. It pickles as the tuple of its field values, and
+    also loads the dict of fields that reports pickled before they had
+    slots, as CanonicalScm does."""
 
     mu_ctf: float
     mu_int1: float
@@ -218,26 +249,36 @@ class FairnessReport:
     n: int | None = None
     ci95: tuple[float, float] | None = None
 
+    __getstate__ = _state
+    __setstate__ = _load_state
+
 
 # Frozen tables and reports built without their constructors' calls: the
-# same attribute writes, in the same order, as the dataclass __init__
-# makes, so the objects compare, hash, print and pickle alike. Writing
-# them one at a time keeps the instances' compact attribute storage,
-# which filling __dict__ at once would give up.
+# same field writes, in the same order, as the dataclass __init__ makes,
+# so the objects compare, hash, print and pickle alike. Each write goes
+# straight to its field's slot descriptor, bound here once, which skips
+# the lookup by name that object.__setattr__ makes per write.
 _new = object.__new__
-_put = object.__setattr__
+_set_type_probs = CanonicalScm.type_probs.__set__
+_set_p_x1 = CanonicalScm.p_x1.__set__
+_set_mu_ctf = FairnessReport.mu_ctf.__set__
+_set_mu_int1 = FairnessReport.mu_int1.__set__
+_set_mu_int2 = FairnessReport.mu_int2.__set__
+_set_exact = FairnessReport.exact.__set__
+_set_n = FairnessReport.n.__set__
+_set_ci95 = FairnessReport.ci95.__set__
 
 
 def _report(ctf: float, int1: float, int2: float) -> FairnessReport:
     """FairnessReport(ctf, int1, int2), an exact report, with no call
     through the constructor."""
     report = _new(FairnessReport)
-    _put(report, "mu_ctf", ctf)
-    _put(report, "mu_int1", int1)
-    _put(report, "mu_int2", int2)
-    _put(report, "exact", True)
-    _put(report, "n", None)
-    _put(report, "ci95", None)
+    _set_mu_ctf(report, ctf)
+    _set_mu_int1(report, int1)
+    _set_mu_int2(report, int2)
+    _set_exact(report, True)
+    _set_n(report, None)
+    _set_ci95(report, None)
     return report
 
 
@@ -247,8 +288,8 @@ def _checked_pair(
     """(CanonicalScm(probs), FairnessReport(ctf, int1, int2)) for a table
     already checked (``_check_tables``): no ``__post_init__`` runs."""
     scm = _new(CanonicalScm)
-    _put(scm, "type_probs", probs)
-    _put(scm, "p_x1", 0.5)
+    _set_type_probs(scm, probs)
+    _set_p_x1(scm, 0.5)
     return scm, _report(ctf, int1, int2)
 
 
@@ -545,8 +586,10 @@ def sample_constrained_scms(
     The block of kept tables is checked once, as arrays
     (``_check_tables``): a row CanonicalScm would refuse raises its
     ModelError. Each table and its report are then built without a call
-    through their constructors (``_checked_pair``), and equal, hash,
-    print and pickle as the constructors' objects do."""
+    through their constructors (``_checked_pair``): their fields are
+    written straight into their slots, in the constructors' order, so
+    they equal, hash, print and pickle as the constructors' objects do,
+    and like those they have no ``__dict__``."""
     if constraint not in (L2_PENALTY, L3_PENALTY):
         raise EstimationError(
             f"unknown constraint {constraint!r}; use {L2_PENALTY} or {L3_PENALTY}"

@@ -1,7 +1,10 @@
+import copy
+import copyreg
 import dataclasses
 import hashlib
 import pickle
 import time
+import weakref
 import zlib
 from fractions import Fraction
 
@@ -518,6 +521,57 @@ def test_exact_report_equals_the_constructors_report():
         assert_same_object(mu_ctf(scm, exact=True), want)
         # the exact report neither reads nor checks n and seed
         assert mu_ctf(scm, exact=True, n=-5, seed=-1) == want
+
+
+def built_records():
+    """Tables and reports from each builder: the sampler, exact and
+    sampled ``mu_ctf``, and the constructors."""
+    out = [x for pair in sample_constrained_scms(L3_PENALTY, 5, 0.01, seed=17) for x in pair]
+    scm = example2_scm()
+    out += [scm, mu_ctf(scm, exact=True), mu_ctf(scm, exact=False, n=50, seed=17)]
+    out += [CanonicalScm((1 / 16,) * 16, p_x1=0.25), FairnessReport(0.1, 0.2, 0.3)]
+    return out
+
+
+def test_tables_and_reports_keep_their_fields_in_slots():
+    for record in built_records():
+        assert not hasattr(record, "__dict__"), record
+        with pytest.raises(TypeError):
+            weakref.ref(record)
+
+
+class DictForm:
+    """Pickles as a table or report pickled while it kept its fields in
+    a ``__dict__``: the class, then the dict of fields as its state (for
+    protocols 0 and 1 through ``copyreg._reconstructor``)."""
+
+    def __init__(self, record):
+        self.record = record
+
+    @property
+    def __class__(self):  # pickle checks it against the class it names
+        return type(self.record)
+
+    def __reduce_ex__(self, protocol):
+        cls = type(self.record)
+        state = {f.name: getattr(self.record, f.name) for f in dataclasses.fields(cls)}
+        if protocol < 2:
+            return copyreg._reconstructor, (cls, object, None), state
+        return copyreg.__newobj__, (cls,), state
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_tables_and_reports_load_both_pickled_forms(protocol):
+    # the state is the tuple of field values; a dict of fields, the state
+    # pickles carried before the fields moved to slots, loads the same
+    for record in built_records():
+        values = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+        assert record.__getstate__() == values
+        for loaded in (pickle.loads(pickle.dumps(record, protocol)),
+                       pickle.loads(pickle.dumps(DictForm(record), protocol))):
+            assert type(loaded) is type(record) and loaded == record
+            assert repr(loaded) == repr(record) and not hasattr(loaded, "__dict__")
+        assert copy.copy(record) == record and copy.deepcopy(record) == record
 
 
 def test_sampler_runs_no_per_table_check(monkeypatch):
